@@ -3,12 +3,13 @@
 //!
 //! A [`RunGuard`] is a cheap, clonable handle carrying a wall-clock
 //! deadline, a work budget measured in contingency cells, an approximate
-//! memory budget for the vertical counter's scratch arena, and an
+//! memory budget for the counters' scratch space, and an
 //! external cancellation flag. The miners consult it *cooperatively*: at
 //! every level boundary (via [`Engine::evaluate_level_guarded`]
 //! [`crate::engine`]) and, through the [`CountProbe`] implementation,
 //! inside the counting layer's interior loops (horizontal chunk loop,
-//! vertical prefix-class loop, parallel fan-out).
+//! vertical prefix-class loop, FP-tree candidate loop, the worker pool's
+//! shared drain loop).
 //!
 //! When a limit trips, the run does not panic or return garbage: it stops
 //! at the next checkpoint and reports a **sound partial answer set** —
@@ -17,11 +18,13 @@
 //! [`ResumeState`] from which [`crate::session::MiningSession::resume`] can
 //! continue the sweep and reproduce the complete answer exactly.
 //!
-//! The memory budget has a softer failure mode: a vertical counter that
-//! would exceed it *degrades* to horizontal scans instead of aborting
-//! (see `ccs-itemset`'s `CountingStats::degraded_batches`); only counters
-//! with no cheaper strategy trip the guard via
-//! [`CountProbe::note_memory_trip`].
+//! The memory budget has a softer failure mode: a counter that would
+//! exceed it *degrades* down `ccs-itemset`'s one shared ladder (its
+//! preferred engine → vertical → horizontal scans) instead of aborting
+//! (see `CountingStats::degraded_batches`). Every ladder ends at
+//! horizontal scans, which need no arena, so no library counter calls
+//! [`CountProbe::note_memory_trip`]; the guard still honours it as a
+//! memory-budget trip, and the fault-injection tests drive it directly.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};

@@ -2,18 +2,34 @@
 //!
 //! Every mining algorithm needs, for a candidate itemset `S`, the count of
 //! each of the `2^|S|` minterms over `S` — the cells of its contingency
-//! table. Two strategies are provided behind the [`MintermCounter`] trait:
+//! table. Every counting backend sits behind the [`MintermCounter`]
+//! trait; a backend changes what a table *costs*, never which tables are
+//! built or what they hold:
 //!
 //! * [`HorizontalCounter`] scans the transaction database once per table,
 //!   exactly as the paper's cost model assumes (work ∝ sets considered ×
 //!   database size). The miners use this by default so measured runtimes
 //!   follow the paper's analysis.
-//! * [`VerticalCounter`] answers from per-item tid-sets, trading one
-//!   up-front indexing pass for much cheaper per-table work. It exists to
-//!   ablate the counting strategy (see DESIGN.md §5).
+//! * [`Tiered`] wraps a faster [`TieredEngine`] — tid-set intersection
+//!   ([`VerticalCounter`]), its pooled and sharded variants, or the
+//!   FP-tree — in the one memory-pressure degradation ladder every such
+//!   backend shares (see below).
+//! * [`crate::parallel::ParallelCounter`] divides the horizontal scan
+//!   across a worker pool.
 //!
-//! Both implementations keep work counters so experiments can report *sets
-//! considered* / *tables built* alongside wall-clock time.
+//! All implementations keep work counters so experiments can report
+//! *sets considered* / *tables built* alongside wall-clock time.
+//!
+//! # The degradation ladder
+//!
+//! A tiered counter answers each batch from the highest
+//! [`DegradationRung`] whose scratch memory fits the probe's
+//! [`arena_budget_bytes`](CountProbe::arena_budget_bytes): its preferred
+//! engine, then a full-range [`VerticalIndex`] twin (one scratch arena),
+//! then guarded horizontal scans (none). Degradation is sticky and only
+//! moves down; every batch below the preferred rung increments
+//! [`CountingStats::degraded_batches`]. The rungs agree exactly (the
+//! counting-equivalence property tests), so only the cost model changes.
 //!
 //! # Cooperative interruption
 //!
@@ -21,12 +37,12 @@
 //! counter also exposes a *guarded* batch entry point,
 //! [`MintermCounter::minterm_counts_batch_guarded`], which consults a
 //! [`CountProbe`] at interior loop boundaries (horizontal chunk loop,
-//! vertical prefix-class loop, parallel fan-out) and abandons the batch
-//! with [`BatchInterrupted`] when the probe asks it to stop. Work
-//! statistics stay accurate across an abandoned batch: every *completed*
-//! unit (scan, prefix class, table) is flushed into [`CountingStats`]
-//! before the error returns. The unguarded methods are the guarded ones
-//! driven by [`NoProbe`].
+//! vertical prefix-class loop, FP-tree projection loop, pooled drain)
+//! and abandons the batch with [`BatchInterrupted`] when the probe asks
+//! it to stop. Work statistics stay accurate across an abandoned batch:
+//! every *completed* unit (scan, prefix class, table) is flushed into
+//! [`CountingStats`] before the error returns. The unguarded methods are
+//! the guarded ones driven by [`NoProbe`].
 
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
@@ -51,9 +67,9 @@ pub struct CountingStats {
     /// Evaluations answered from a verdict cache instead of a counter
     /// (tracked by `ccs-core`'s engine, not by the counters themselves).
     pub cache_hits: u64,
-    /// Batches a vertical counter answered below its preferred rung of
-    /// the degradation ladder (vertical-parallel → vertical →
-    /// horizontal) after a scratch-arena memory budget tripped.
+    /// Batches a [`Tiered`] counter answered below its preferred rung of
+    /// the degradation ladder (preferred engine → vertical → horizontal)
+    /// after a scratch-memory budget tripped.
     pub degraded_batches: u64,
 }
 
@@ -104,8 +120,8 @@ impl std::ops::AddAssign for CountingStats {
 /// A cooperative-interruption hook consulted inside batch counting loops.
 ///
 /// Implemented by `ccs-core`'s `RunGuard`; [`NoProbe`] is the no-op used
-/// by the unguarded paths. Probes must be [`Sync`]: the parallel counter
-/// shares one probe across its scoped workers.
+/// by the unguarded paths. Probes must be [`Sync`]: the pooled counters
+/// share one probe-driven stop flag across their workers.
 pub trait CountProbe: Sync {
     /// `true` when counting should stop at the next boundary (deadline
     /// passed, budget exhausted, or externally cancelled).
@@ -116,14 +132,16 @@ pub trait CountProbe: Sync {
     /// exhausted (the completed work is kept, further work should stop).
     fn charge(&self, cells: u64) -> bool;
 
-    /// The memory budget, in bytes, for a vertical counter's scratch
-    /// arena, or `None` for unlimited.
+    /// The memory budget, in bytes, for a counter's scratch space, or
+    /// `None` for unlimited. [`Tiered`] counters degrade against it.
     fn arena_budget_bytes(&self) -> Option<usize> {
         None
     }
 
-    /// Notifies the probe that a memory budget was tripped by a counter
-    /// that has no cheaper strategy to degrade to.
+    /// Notifies the probe that a memory budget was exceeded by a counter
+    /// that cannot degrade. No counter in this crate calls it — every
+    /// [`Tiered`] ladder ends at horizontal scans, which need no scratch
+    /// arena — but a guard must still honour it as a memory-budget trip.
     fn note_memory_trip(&self) {}
 
     /// `true` when this probe can never interrupt (no deadline, work
@@ -164,6 +182,41 @@ pub struct BatchInterrupted {
     pub cells_completed: u64,
 }
 
+impl BatchInterrupted {
+    /// The outcome of a batch whose completed work is `self`: an error
+    /// only if it was `interrupted` *and* tables remain — an interrupt
+    /// after the last table still completes the batch.
+    pub(crate) fn settle(
+        self,
+        interrupted: bool,
+        results: Vec<Vec<u64>>,
+    ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
+        if interrupted && self.tables_completed < results.len() as u64 {
+            Err(self)
+        } else {
+            Ok(results)
+        }
+    }
+}
+
+/// Unwraps a batch counted under [`NoProbe`], which never interrupts.
+pub(crate) fn unguarded<T>(outcome: Result<T, BatchInterrupted>) -> T {
+    match outcome {
+        Ok(tables) => tables,
+        Err(_) => unreachable!("NoProbe never interrupts"),
+    }
+}
+
+/// Adds `part`'s tables into `acc` cell by cell — how per-chunk and
+/// per-shard partial tables merge into whole-database tables.
+pub(crate) fn add_tables(acc: &mut [Vec<u64>], part: &[Vec<u64>]) {
+    for (table, p) in acc.iter_mut().zip(part) {
+        for (cell, add) in table.iter_mut().zip(p) {
+            *cell += *add;
+        }
+    }
+}
+
 /// A strategy for counting the `2^k` minterms of an itemset.
 pub trait MintermCounter {
     /// Counts all `2^|set|` minterm cells. Cell indexing follows
@@ -174,12 +227,13 @@ pub trait MintermCounter {
     /// Counts a whole level of candidates, returning one `2^k` count
     /// vector per candidate in input order.
     ///
-    /// The default implementation counts each set independently;
-    /// implementations override it to share work across the level
+    /// The default implementation is the guarded batch driven by
+    /// [`NoProbe`]; counters share work across the level by overriding
+    /// [`minterm_counts_batch_guarded`](Self::minterm_counts_batch_guarded)
     /// (a single scan for horizontal counters, prefix-shared tid-set
     /// recursion for vertical ones).
     fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        sets.iter().map(|s| self.minterm_counts(s)).collect()
+        unguarded(self.minterm_counts_batch_guarded(sets, &NoProbe))
     }
 
     /// [`minterm_counts_batch`](Self::minterm_counts_batch) with
@@ -188,7 +242,8 @@ pub trait MintermCounter {
     /// when it asks to stop. Completed work is still recorded in
     /// [`stats`](Self::stats).
     ///
-    /// The default implementation checks the probe between sets.
+    /// The default implementation counts each set independently,
+    /// checking the probe between sets.
     fn minterm_counts_batch_guarded(
         &mut self,
         sets: &[Itemset],
@@ -250,13 +305,13 @@ impl MintermCounter for Box<dyn MintermCounter + '_> {
 }
 
 /// One guarded horizontal scan over `db`, updating every candidate's
-/// table per transaction. Shared by [`HorizontalCounter`] and the
-/// degraded path of [`VerticalCounter`]. Flushes `stats` for the scan's
-/// completed work whether or not the scan finishes: `db_scans` counts the
-/// started scan, `transactions_visited` the rows actually read, and
-/// `tables_built`/`cells_counted` only move when the scan completes
-/// (a half-scanned table was never built).
-pub(crate) fn horizontal_batch_guarded(
+/// table per transaction: the whole of [`HorizontalCounter`]'s batch and
+/// the bottom rung of every [`Tiered`] ladder. Flushes `stats` for the
+/// scan's completed work whether or not the scan finishes: `db_scans`
+/// counts the started scan, `transactions_visited` the rows actually
+/// read, and `tables_built`/`cells_counted` only move when the scan
+/// completes (a half-scanned table was never built).
+fn horizontal_batch_guarded(
     db: &TransactionDb,
     sets: &[Itemset],
     probe: &dyn CountProbe,
@@ -324,13 +379,6 @@ impl MintermCounter for HorizontalCounter<'_> {
     /// Counts minterms for a whole level of candidates in a *single* scan,
     /// as Apriori-style implementations do: each transaction updates every
     /// candidate's table.
-    fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match horizontal_batch_guarded(self.db, sets, &NoProbe, &mut self.stats) {
-            Ok(tables) => tables,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
-    }
-
     fn minterm_counts_batch_guarded(
         &mut self,
         sets: &[Itemset],
@@ -348,68 +396,135 @@ impl MintermCounter for HorizontalCounter<'_> {
     }
 }
 
-/// Tid-set-based counter: builds a vertical index once, then answers each
-/// table by recursive tid-set splitting.
-///
-/// Keeps a reference to the source database so it can *degrade
-/// gracefully*: when a [`CountProbe`] memory budget is smaller than the
-/// scratch arena a batch needs, the counter permanently falls back to
-/// guarded horizontal scans (recorded in
-/// [`CountingStats::degraded_batches`]) instead of aborting the run.
-#[derive(Debug)]
-pub struct VerticalCounter<'a> {
-    db: &'a TransactionDb,
-    index: VerticalIndex,
-    stats: CountingStats,
-    degraded: bool,
+/// The rung of the degradation ladder a [`Tiered`] counter is currently
+/// answering batches from. Degradation is sticky and only moves down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum DegradationRung {
+    /// The counter's own [`TieredEngine`] (the preferred rung).
+    Preferred,
+    /// Single-threaded vertical counting on a full-range
+    /// [`VerticalIndex`] twin — the engine's footprint no longer fits the
+    /// memory budget, one scratch arena still does.
+    Vertical,
+    /// Guarded horizontal scans — even one scratch arena exceeds the
+    /// budget.
+    Horizontal,
 }
 
-impl<'a> VerticalCounter<'a> {
-    /// Builds the vertical index over `db` (one scan) and wraps it.
-    pub fn new(db: &'a TransactionDb) -> Self {
-        let index = VerticalIndex::build(db);
-        VerticalCounter {
+/// A counting engine a [`Tiered`] counter answers from while its scratch
+/// memory fits the budget. An engine supplies only its counting and its
+/// footprint; the ladder, the statistics and the lower rungs are
+/// [`Tiered`]'s.
+pub trait TieredEngine {
+    /// Database passes the engine's build costs, charged to
+    /// [`CountingStats::db_scans`] when the counter is created.
+    const BUILD_SCANS: u64 = 1;
+
+    /// Number of transactions the engine counts over.
+    fn n_transactions(&self) -> usize;
+
+    /// Counts one set; see [`VerticalIndex::minterm_counts`] for cell
+    /// indexing.
+    fn count(&mut self, set: &Itemset) -> Vec<u64>;
+
+    /// The engine's guarded batch: tables in input order, or the exact
+    /// completed work when `probe` interrupts it.
+    fn count_batch_guarded(
+        &mut self,
+        sets: &[Itemset],
+        probe: &dyn CountProbe,
+    ) -> Result<Vec<Vec<u64>>, BatchInterrupted>;
+
+    /// Scratch bytes a batch over `sets` needs, where `depths` is the
+    /// vertical recursion depth of its largest member. Checked against
+    /// the probe's budget before anything is allocated.
+    fn footprint_bytes(&self, sets: &[Itemset], depths: usize) -> u64;
+
+    /// A vertical twin sharing this engine's tid-sets, if it has them.
+    /// Without one, the ladder builds the twin on first use at the cost
+    /// of one extra database scan.
+    fn shared_twin(&self) -> Option<VerticalIndex> {
+        None
+    }
+}
+
+/// A counter that answers from a preferred [`TieredEngine`] and steps
+/// down the memory-pressure ladder ([`DegradationRung`]) when a probe's
+/// [`arena_budget_bytes`](CountProbe::arena_budget_bytes) cannot hold
+/// the engine's footprint: to a full-range [`VerticalIndex`] twin, then
+/// to guarded horizontal scans, which need no arena. It keeps the source
+/// database for those lower rungs and does every counter's batch
+/// accounting in one place.
+#[derive(Debug)]
+pub struct Tiered<'a, E> {
+    db: &'a TransactionDb,
+    engine: E,
+    /// The `Vertical` rung: shared with the engine when it has tid-sets,
+    /// otherwise built on first use.
+    twin: Option<VerticalIndex>,
+    stats: CountingStats,
+    rung: DegradationRung,
+}
+
+impl<'a, E: TieredEngine> Tiered<'a, E> {
+    /// Wraps `engine`, built over `db`, charging its build scans.
+    pub(crate) fn from_engine(db: &'a TransactionDb, engine: E) -> Self {
+        Tiered {
             db,
-            index,
+            twin: engine.shared_twin(),
+            engine,
             stats: CountingStats {
-                db_scans: 1,
+                db_scans: E::BUILD_SCANS,
                 ..CountingStats::default()
             },
-            degraded: false,
+            rung: DegradationRung::Preferred,
         }
     }
 
-    /// Direct access to the underlying index.
-    pub fn index(&self) -> &VerticalIndex {
-        &self.index
+    /// Direct access to the preferred engine.
+    pub fn index(&self) -> &E {
+        &self.engine
     }
 
-    /// Mutable access to the underlying index (counting methods need
-    /// `&mut` for the scratch arena).
-    pub fn index_mut(&mut self) -> &mut VerticalIndex {
-        &mut self.index
+    /// Mutable access to the preferred engine (e.g. a pooled engine's
+    /// `set_work_floor`).
+    pub fn index_mut(&mut self) -> &mut E {
+        &mut self.engine
     }
 
-    /// `true` once a memory budget has forced the counter onto the
-    /// horizontal fallback path (sticky for the rest of the run).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
+    /// The ladder rung the next batch will be answered from.
+    pub fn rung(&self) -> DegradationRung {
+        self.rung
+    }
+
+    /// Applies the (sticky, downward-only) degradation ladder to a batch.
+    fn apply_ladder(&mut self, probe: &dyn CountProbe, sets: &[Itemset]) {
+        let Some(budget) = probe.arena_budget_bytes() else {
+            return;
+        };
+        let budget = budget as u64;
+        let depths = sets
+            .iter()
+            .map(|s| s.len().saturating_sub(2))
+            .max()
+            .unwrap_or(0);
+        if self.rung == DegradationRung::Preferred
+            && self.engine.footprint_bytes(sets, depths) > budget
+        {
+            self.rung = DegradationRung::Vertical;
+        }
+        if self.rung == DegradationRung::Vertical
+            && VerticalIndex::scratch_bytes(self.engine.n_transactions(), depths) as u64 > budget
+        {
+            self.rung = DegradationRung::Horizontal;
+        }
     }
 }
 
-impl MintermCounter for VerticalCounter<'_> {
+impl<E: TieredEngine> MintermCounter for Tiered<'_, E> {
     fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
         self.stats += CountingStats::tables(1, 1u64 << set.len());
-        self.index.minterm_counts(set)
-    }
-
-    /// Batch counting with Eclat-style prefix sharing; see
-    /// [`VerticalIndex::minterm_counts_batch`].
-    fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(tables) => tables,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+        self.engine.count(set)
     }
 
     fn minterm_counts_batch_guarded(
@@ -420,49 +535,79 @@ impl MintermCounter for VerticalCounter<'_> {
         if sets.is_empty() {
             return Ok(Vec::new());
         }
-        // Degradation ladder: if the scratch arena this batch needs would
-        // exceed the probe's memory budget, answer this and every later
-        // batch with horizontal scans — the strategies agree exactly
-        // (counting-equivalence property tests), only the cost model
-        // changes.
-        if !self.degraded {
-            if let Some(budget) = probe.arena_budget_bytes() {
-                let depths = sets
-                    .iter()
-                    .map(|s| s.len().saturating_sub(2))
-                    .max()
-                    .unwrap_or(0);
-                if VerticalIndex::scratch_bytes(self.index.n_transactions(), depths) > budget {
-                    self.degraded = true;
-                }
-            }
-        }
-        if self.degraded {
+        self.apply_ladder(probe, sets);
+        if self.rung != DegradationRung::Preferred {
             self.stats.degraded_batches += 1;
-            return horizontal_batch_guarded(self.db, sets, probe, &mut self.stats);
         }
-        match self.index.minterm_counts_batch_guarded(sets, probe) {
-            Ok(tables) => {
-                self.stats += CountingStats::tables(
-                    sets.len() as u64,
-                    sets.iter().map(|s| 1u64 << s.len()).sum::<u64>(),
-                );
-                Ok(tables)
+        let outcome = match self.rung {
+            DegradationRung::Preferred => self.engine.count_batch_guarded(sets, probe),
+            DegradationRung::Vertical => {
+                let (db, stats) = (self.db, &mut self.stats);
+                let twin = self.twin.get_or_insert_with(|| {
+                    stats.db_scans += 1;
+                    VerticalIndex::build(db)
+                });
+                twin.minterm_counts_batch_guarded(sets, probe)
             }
+            DegradationRung::Horizontal => {
+                return horizontal_batch_guarded(self.db, sets, probe, &mut self.stats);
+            }
+        };
+        self.stats += match &outcome {
+            Ok(_) => CountingStats::tables(
+                sets.len() as u64,
+                sets.iter().map(|s| 1u64 << s.len()).sum::<u64>(),
+            ),
             Err(partial) => {
-                self.stats +=
-                    CountingStats::tables(partial.tables_completed, partial.cells_completed);
-                Err(partial)
+                CountingStats::tables(partial.tables_completed, partial.cells_completed)
             }
-        }
+        };
+        outcome
     }
 
     fn n_transactions(&self) -> usize {
-        self.index.n_transactions()
+        self.engine.n_transactions()
     }
 
     fn stats(&self) -> CountingStats {
         self.stats
+    }
+}
+
+/// Tid-set counter: builds a [`VerticalIndex`] once (one scan), then
+/// answers each table by recursive tid-set splitting. Its footprint is
+/// one scratch arena, so its two ladder checks trip together and it
+/// drops straight to horizontal scans — the twin is never built.
+pub type VerticalCounter<'a> = Tiered<'a, VerticalIndex>;
+
+impl<'a> VerticalCounter<'a> {
+    /// Builds the vertical index over `db` (one scan) and wraps it.
+    pub fn new(db: &'a TransactionDb) -> Self {
+        Tiered::from_engine(db, VerticalIndex::build(db))
+    }
+}
+
+impl TieredEngine for VerticalIndex {
+    fn n_transactions(&self) -> usize {
+        VerticalIndex::n_transactions(self)
+    }
+
+    fn count(&mut self, set: &Itemset) -> Vec<u64> {
+        self.minterm_counts(set)
+    }
+
+    /// Eclat-style prefix sharing; see
+    /// [`VerticalIndex::minterm_counts_batch`].
+    fn count_batch_guarded(
+        &mut self,
+        sets: &[Itemset],
+        probe: &dyn CountProbe,
+    ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
+        self.minterm_counts_batch_guarded(sets, probe)
+    }
+
+    fn footprint_bytes(&self, _sets: &[Itemset], depths: usize) -> u64 {
+        VerticalIndex::scratch_bytes(VerticalIndex::n_transactions(self), depths) as u64
     }
 }
 
@@ -804,17 +949,154 @@ mod tests {
         let mut v = VerticalCounter::new(&d);
         // Pairs need no scratch arena: still vertical.
         v.minterm_counts_batch_guarded(&pairs, &TinyArena).unwrap();
-        assert!(!v.is_degraded());
+        assert_eq!(v.rung(), DegradationRung::Preferred);
         // A triple needs one scratch depth > 1 byte: degrade, answer
         // horizontally, and stay degraded.
         let got = v
             .minterm_counts_batch_guarded(&triples, &TinyArena)
             .unwrap();
-        assert!(v.is_degraded());
+        assert_eq!(v.rung(), DegradationRung::Horizontal);
         assert_eq!(v.stats().degraded_batches, 1);
         let mut h = HorizontalCounter::new(&d);
         assert_eq!(got, h.minterm_counts_batch(&triples));
         v.minterm_counts_batch_guarded(&pairs, &TinyArena).unwrap();
         assert_eq!(v.stats().degraded_batches, 2, "degradation is sticky");
+    }
+
+    /// What the shared-ladder test needs from every tiered counter,
+    /// whatever its engine.
+    trait Ladder: MintermCounter {
+        fn rung(&self) -> DegradationRung;
+        fn footprint(&self, sets: &[Itemset]) -> u64;
+    }
+
+    impl<E: TieredEngine> Ladder for Tiered<'_, E> {
+        fn rung(&self) -> DegradationRung {
+            self.rung
+        }
+        fn footprint(&self, sets: &[Itemset]) -> u64 {
+            self.engine.footprint_bytes(sets, 1)
+        }
+    }
+
+    /// A probe whose only limit is a scratch-memory budget.
+    struct Arena(usize);
+
+    impl CountProbe for Arena {
+        fn should_stop(&self) -> bool {
+            false
+        }
+        fn charge(&self, _cells: u64) -> bool {
+            false
+        }
+        fn arena_budget_bytes(&self) -> Option<usize> {
+            Some(self.0)
+        }
+    }
+
+    #[test]
+    fn every_tiered_counter_shares_one_ladder_contract() {
+        use crate::fptree::FpTreeCounter;
+        use crate::sharded::ShardedVerticalCounter;
+        use crate::vertical_par::ParallelVerticalCounter;
+
+        type Make = fn(&TransactionDb) -> Box<dyn Ladder + '_>;
+        // (name, counter, build scans, extra scans for the vertical twin —
+        // `None` where the twin is never built).
+        let cases: [(&str, Make, u64, Option<u64>); 4] = [
+            ("vertical", |d| Box::new(VerticalCounter::new(d)), 1, None),
+            (
+                "vertical-par",
+                |d| {
+                    let mut c = ParallelVerticalCounter::with_workers(d, 2);
+                    c.index_mut().set_work_floor(0);
+                    Box::new(c)
+                },
+                1,
+                Some(0),
+            ),
+            (
+                "sharded",
+                |d| {
+                    let mut c = ShardedVerticalCounter::with_shards_and_workers(d, 3, 2);
+                    c.index_mut().set_work_floor(0);
+                    Box::new(c)
+                },
+                1,
+                Some(1),
+            ),
+            ("fp-tree", |d| Box::new(FpTreeCounter::new(d)), 2, Some(1)),
+        ];
+        // 1000 pseudo-random baskets over 10 items: many distinct
+        // profiles, so the FP-tree's projections outweigh one arena, and
+        // 3 shards each pad to a whole superblock.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let d = TransactionDb::from_ids(
+            10,
+            (0..1000).map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (0..10u32)
+                    .filter(|i| (state >> (20 + i)) & 1 == 1)
+                    .collect::<Vec<_>>()
+            }),
+        );
+        let sets = vec![
+            Itemset::from_ids([0, 1, 2]),
+            Itemset::from_ids([0, 1, 3]),
+            Itemset::from_ids([2, 5, 7]),
+            Itemset::from_ids([4, 6, 8]),
+            Itemset::from_ids([1, 9]),
+        ];
+        let expected = HorizontalCounter::new(&d).minterm_counts_batch(&sets);
+        let one_arena = VerticalIndex::scratch_bytes(d.len(), 1);
+        for (name, make, build_scans, twin_scans) in cases {
+            let footprint = make(&d).footprint(&sets);
+            match twin_scans {
+                None => assert_eq!(footprint, one_arena as u64, "{name}: one arena"),
+                Some(_) => assert!(footprint > one_arena as u64, "{name}: fixture too small"),
+            }
+            // Budgets that fit the top rung, only the twin, and nothing.
+            let budgets = [
+                (footprint as usize, DegradationRung::Preferred),
+                (one_arena, DegradationRung::Vertical),
+                (1, DegradationRung::Horizontal),
+            ];
+            for (budget, mut rung) in budgets {
+                if twin_scans.is_none() && rung == DegradationRung::Vertical {
+                    // The plain vertical counter's two checks trip
+                    // together: a budget that fits one arena keeps it on
+                    // top, and it never builds a twin.
+                    rung = DegradationRung::Preferred;
+                }
+                let degraded = u64::from(rung != DegradationRung::Preferred);
+                let mut c = make(&d);
+                let got = c.minterm_counts_batch_guarded(&sets, &Arena(budget));
+                assert_eq!(got.unwrap(), expected, "{name} @ {budget}");
+                assert_eq!(c.rung(), rung, "{name} @ {budget}");
+                assert_eq!(c.stats().degraded_batches, degraded, "{name} @ {budget}");
+                // A generous later budget never climbs back up.
+                let got = c.minterm_counts_batch_guarded(&sets, &Arena(usize::MAX));
+                assert_eq!(got.unwrap(), expected, "{name} @ {budget}, then generous");
+                assert_eq!(c.rung(), rung, "{name}: degradation is sticky");
+                assert_eq!(
+                    c.stats().degraded_batches,
+                    2 * degraded,
+                    "{name} @ {budget}"
+                );
+                let extra = match rung {
+                    DegradationRung::Preferred => 0,
+                    DegradationRung::Vertical => twin_scans.unwrap_or(0),
+                    DegradationRung::Horizontal => 2, // one scan per batch
+                };
+                assert_eq!(
+                    c.stats().db_scans,
+                    build_scans + extra,
+                    "{name} @ {budget}: scans"
+                );
+                assert_eq!(c.stats().tables_built, 2 * sets.len() as u64, "{name}");
+            }
+        }
     }
 }

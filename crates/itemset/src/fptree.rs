@@ -56,20 +56,18 @@
 //! completed table, so a trip abandons the batch with exact
 //! completed-candidate accounting — identical first-trip-wins contract
 //! to the vertical engines; a half-counted table never escapes.
-//! [`FpTreeCounter`] adds the memory-pressure ladder: when a probe's
-//! arena budget cannot hold the batch's memoized projections it
-//! degrades (stickily) to a lazily built [`VerticalIndex`], and below
-//! that to guarded horizontal scans.
+//! [`FpTreeCounter`] is the tree on the shared memory-pressure ladder
+//! ([`Tiered`]): when a probe's arena budget cannot hold the batch's
+//! memoized projections it degrades (stickily) to a lazily built
+//! [`VerticalIndex`](crate::VerticalIndex), and below that to guarded
+//! horizontal scans.
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::counting::{
-    horizontal_batch_guarded, BatchInterrupted, CountProbe, CountingStats, MintermCounter, NoProbe,
-};
+use crate::counting::{unguarded, BatchInterrupted, CountProbe, NoProbe, Tiered, TieredEngine};
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
-use crate::vertical::{alloc_results, VerticalIndex};
-use crate::vertical_par::DegradationRung;
+use crate::vertical::alloc_results;
 
 /// Sentinel in the item→cell-bit scratch map: item not in the candidate.
 const NOT_IN_SET: u32 = u32::MAX;
@@ -248,7 +246,7 @@ impl FpTree {
     }
 
     /// Counts all `2^k` cells of `set` into `out` (zeroed, `2^k` long).
-    /// Cell indexing follows [`VerticalIndex::minterm_counts`]: bit `j`
+    /// Cell indexing follows [`crate::VerticalIndex::minterm_counts`]: bit `j`
     /// of the cell index is 1 iff the `j`-th smallest item of `set` is
     /// present. `bit_of` is reusable scratch of `n_items` entries, all
     /// [`NOT_IN_SET`] on entry and restored to that on exit.
@@ -353,10 +351,7 @@ impl FpTree {
     /// Batch minterm counting with per-batch projection memoization;
     /// results come back in input order.
     pub fn minterm_counts_batch(&self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(results) => results,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+        unguarded(self.minterm_counts_batch_guarded(sets, &NoProbe))
     }
 
     /// [`minterm_counts_batch`](Self::minterm_counts_batch) with a
@@ -405,8 +400,8 @@ impl FpTree {
                 }
             }
         }
-        if done.cells_completed > 0 && probe.charge(done.cells_completed) && !groups.is_empty() {
-            return Err(done);
+        if done.cells_completed > 0 && probe.charge(done.cells_completed) {
+            return done.settle(true, results);
         }
         let mut cache: HashMap<u32, Vec<PathCount>> = HashMap::new();
         let mut bit_of = vec![NOT_IN_SET; self.headers.len()];
@@ -432,166 +427,54 @@ impl FpTree {
                 }
             }
         }
-        if interrupted && done.tables_completed < sets.len() as u64 {
-            Err(done)
-        } else {
-            Ok(results)
-        }
+        done.settle(interrupted, results)
     }
 }
 
 /// Pattern-growth counter: answers contingency tables from an
-/// [`FpTree`], degrading under memory pressure through the same sticky,
-/// downward-only ladder as the other tiered counters:
-///
-/// * [`DegradationRung::Parallel`] — the FP-tree rung (the preferred
-///   substrate; the name is shared with the pooled counters, where the
-///   top rung happens to be parallel);
-/// * [`DegradationRung::Vertical`] — a full-range [`VerticalIndex`]
-///   twin, built lazily on first degradation (one extra database scan,
-///   recorded in [`CountingStats::db_scans`]);
-/// * [`DegradationRung::Horizontal`] — guarded horizontal scans.
-///
-/// Any batch answered below the top rung increments
-/// [`CountingStats::degraded_batches`]; all per-batch stats merge
-/// through `CountingStats`'s `AddAssign`, the single merge path every
-/// counter shares.
-#[derive(Debug)]
-pub struct FpTreeCounter<'a> {
-    db: &'a TransactionDb,
-    tree: FpTree,
-    /// Vertical twin for the middle rung, built only if the ladder
-    /// ever drops there.
-    seq: Option<VerticalIndex>,
-    stats: CountingStats,
-    rung: DegradationRung,
-}
+/// [`FpTree`] (two build passes). Its footprint is the batch's memoized
+/// projections; below that it drops to a full-range vertical twin, built
+/// on first use (one extra database scan, recorded in
+/// [`crate::CountingStats::db_scans`]), then to horizontal scans.
+pub type FpTreeCounter<'a> = Tiered<'a, FpTree>;
 
 impl<'a> FpTreeCounter<'a> {
     /// Builds the FP-tree (one support-ordering pass plus one insertion
     /// pass, recorded as two database scans) and wraps it.
     pub fn new(db: &'a TransactionDb) -> Self {
-        FpTreeCounter {
-            db,
-            tree: FpTree::build(db),
-            seq: None,
-            stats: CountingStats {
-                db_scans: 2,
-                ..CountingStats::default()
-            },
-            rung: DegradationRung::Parallel,
-        }
-    }
-
-    /// Direct access to the underlying tree.
-    pub fn tree(&self) -> &FpTree {
-        &self.tree
-    }
-
-    /// The ladder rung the next batch will be answered from
-    /// (`Parallel` denotes the FP-tree rung).
-    pub fn rung(&self) -> DegradationRung {
-        self.rung
-    }
-
-    /// Applies the (sticky, downward-only) degradation ladder for a
-    /// batch over `sets` needing `depths` vertical scratch levels.
-    fn apply_ladder(&mut self, probe: &dyn CountProbe, sets: &[Itemset], depths: usize) {
-        let Some(budget) = probe.arena_budget_bytes() else {
-            return;
-        };
-        if self.rung == DegradationRung::Parallel
-            && self.tree.projection_bytes(sets) > budget as u64
-        {
-            self.rung = DegradationRung::Vertical;
-        }
-        if self.rung == DegradationRung::Vertical
-            && VerticalIndex::scratch_bytes(self.tree.n_transactions(), depths) > budget
-        {
-            self.rung = DegradationRung::Horizontal;
-        }
-    }
-
-    /// The vertical index for the middle rung, built on first use (one
-    /// extra database scan, recorded in the stats).
-    fn seq_index(&mut self) -> &mut VerticalIndex {
-        if self.seq.is_none() {
-            self.seq = Some(VerticalIndex::build(self.db));
-            self.stats.db_scans += 1;
-        }
-        // Just installed above if absent.
-        #[allow(clippy::expect_used)]
-        self.seq.as_mut().expect("vertical twin just built")
+        Tiered::from_engine(db, FpTree::build(db))
     }
 }
 
-impl MintermCounter for FpTreeCounter<'_> {
-    fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        self.stats += CountingStats::tables(1, 1u64 << set.len());
-        self.tree.minterm_counts(set)
+impl TieredEngine for FpTree {
+    const BUILD_SCANS: u64 = 2;
+
+    fn n_transactions(&self) -> usize {
+        self.n_transactions
     }
 
-    fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(tables) => tables,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+    fn count(&mut self, set: &Itemset) -> Vec<u64> {
+        self.minterm_counts(set)
     }
 
-    fn minterm_counts_batch_guarded(
+    fn count_batch_guarded(
         &mut self,
         sets: &[Itemset],
         probe: &dyn CountProbe,
     ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
-        if sets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let depths = sets
-            .iter()
-            .map(|s| s.len().saturating_sub(2))
-            .max()
-            .unwrap_or(0);
-        self.apply_ladder(probe, sets, depths);
-        let outcome = match self.rung {
-            DegradationRung::Parallel => self.tree.minterm_counts_batch_guarded(sets, probe),
-            DegradationRung::Vertical => {
-                self.stats.degraded_batches += 1;
-                self.seq_index().minterm_counts_batch_guarded(sets, probe)
-            }
-            DegradationRung::Horizontal => {
-                self.stats.degraded_batches += 1;
-                return horizontal_batch_guarded(self.db, sets, probe, &mut self.stats);
-            }
-        };
-        match outcome {
-            Ok(tables) => {
-                self.stats += CountingStats::tables(
-                    sets.len() as u64,
-                    sets.iter().map(|s| 1u64 << s.len()).sum::<u64>(),
-                );
-                Ok(tables)
-            }
-            Err(partial) => {
-                self.stats +=
-                    CountingStats::tables(partial.tables_completed, partial.cells_completed);
-                Err(partial)
-            }
-        }
+        self.minterm_counts_batch_guarded(sets, probe)
     }
 
-    fn n_transactions(&self) -> usize {
-        self.tree.n_transactions()
-    }
-
-    fn stats(&self) -> CountingStats {
-        self.stats
+    fn footprint_bytes(&self, sets: &[Itemset], _depths: usize) -> u64 {
+        self.projection_bytes(sets)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::HorizontalCounter;
+    use crate::counting::{DegradationRung, HorizontalCounter, MintermCounter};
+    use crate::vertical::VerticalIndex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn db() -> TransactionDb {
@@ -775,12 +658,12 @@ mod tests {
             c.minterm_counts_batch_guarded(&sets, &NoProbe).unwrap(),
             expected
         );
-        assert_eq!(c.rung(), DegradationRung::Parallel);
+        assert_eq!(c.rung(), DegradationRung::Preferred);
         assert_eq!(c.stats().degraded_batches, 0);
 
         // A budget too small for the projections but big enough for one
         // vertical arena drops exactly one rung, and builds the twin.
-        let proj = c.tree().projection_bytes(&sets) as usize;
+        let proj = c.index().projection_bytes(&sets) as usize;
         let vertical = VerticalIndex::scratch_bytes(d.len(), 1);
         assert!(proj > 0 && vertical > 0);
         assert!(

@@ -7,13 +7,15 @@
 //! * [`TransactionDb`] — an in-memory horizontal basket database,
 //! * [`TidSet`] / [`VerticalIndex`] — per-item transaction bitmaps,
 //! * [`counting`] — pluggable minterm (contingency-cell) counting with work
-//!   accounting, in both paper-faithful horizontal-scan and fast vertical
-//!   flavours,
+//!   accounting: the paper-faithful horizontal scan, and
+//!   [`Tiered`](counting::Tiered), the one memory-pressure degradation
+//!   ladder (preferred engine → vertical → horizontal) around the
+//!   vertical, pooled-vertical, sharded and FP-tree engines,
 //! * [`pool`] — a persistent, dependency-free work-stealing worker pool,
+//!   with the one drain loop every pooled counter shares,
 //! * [`parallel`] — a data-parallel horizontal counter on the pool,
 //! * [`vertical_par`] — vertical batch counting fanned out over
-//!   prefix-equivalence classes on the pool, with a memory-pressure
-//!   degradation ladder,
+//!   prefix-equivalence classes on the pool,
 //! * [`sharded`] — vertical batch counting over horizontally sharded
 //!   tid ranges: per-shard cores and arenas, per-shard contingency
 //!   tables merged elementwise into exact whole-database tables,
@@ -41,8 +43,8 @@ pub mod vertical;
 pub mod vertical_par;
 
 pub use counting::{
-    BatchInterrupted, CountProbe, CountingStats, HorizontalCounter, MintermCounter, NoProbe,
-    VerticalCounter,
+    BatchInterrupted, CountProbe, CountingStats, DegradationRung, HorizontalCounter,
+    MintermCounter, NoProbe, VerticalCounter,
 };
 pub use database::TransactionDb;
 pub use fptree::{FpTree, FpTreeCounter};
@@ -53,4 +55,4 @@ pub use pool::WorkerPool;
 pub use sharded::{ShardedVerticalCounter, ShardedVerticalIndex};
 pub use tidset::TidSet;
 pub use vertical::VerticalIndex;
-pub use vertical_par::{DegradationRung, ParallelVerticalCounter, ParallelVerticalIndex};
+pub use vertical_par::{ParallelVerticalCounter, ParallelVerticalIndex};

@@ -23,19 +23,21 @@
 //! database into an `Arc` (one full copy, kept for the counter's life).
 //! Scans below the work floor never pay that copy.
 //!
-//! The guarded protocol mirrors [`crate::vertical_par`]: workers never
-//! see the borrowed [`CountProbe`] — the calling thread polls it while
-//! draining results and raises a shared stop flag; workers re-check the
-//! flag once per [`PROBE_CHUNK`] transactions. An interrupted scan
-//! completes *no* tables (a level is merged all-or-nothing), but the
-//! transactions actually visited are still recorded in the statistics.
+//! The guarded protocol is the pool's shared drain loop (see
+//! [`crate::pool`]): workers never see the borrowed [`CountProbe`] — the
+//! calling thread polls it while draining results and raises a shared
+//! stop flag; workers re-check the flag once per `PROBE_CHUNK`
+//! transactions. An interrupted scan completes *no* tables (a level is
+//! merged all-or-nothing), but the transactions actually visited are
+//! still recorded in the statistics.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 
 use crate::counting::{
-    cell_index, BatchInterrupted, CountProbe, CountingStats, MintermCounter, NoProbe, PROBE_CHUNK,
+    add_tables, cell_index, unguarded, BatchInterrupted, CountProbe, CountingStats, MintermCounter,
+    NoProbe, PROBE_CHUNK,
 };
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
@@ -44,10 +46,6 @@ use crate::pool::WorkerPool;
 /// Minimum `candidates × transactions` before a scan is fanned out;
 /// below it, pool dispatch costs more than the scan itself.
 pub const PARALLEL_WORK_FLOOR: u64 = 1 << 16;
-
-/// How long the calling thread waits for chunk results between probe
-/// polls when the probe is armed.
-const PROBE_POLL: Duration = Duration::from_millis(1);
 
 /// A horizontal scan counter that fans each scan out over database
 /// chunks on a persistent worker pool.
@@ -144,21 +142,15 @@ impl<'a> ParallelCounter<'a> {
         let shared_sets: Arc<Vec<Itemset>> = Arc::new(sets.to_vec());
         let threads = self.pool.n_workers().min(n.div_ceil(PROBE_CHUNK)).max(1);
         let chunk = n.div_ceil(threads);
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<(u64, Option<Vec<Vec<u64>>>)>();
-        let mut n_jobs = 0usize;
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                continue;
-            }
-            n_jobs += 1;
-            let db = Arc::clone(&shared_db);
-            let sets = Arc::clone(&shared_sets);
-            let stop = Arc::clone(&stop);
-            let tx = tx.clone();
-            self.pool.execute(move || {
+        let ranges: Vec<(usize, usize)> = (0..threads)
+            .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
+            .filter(|&(lo, hi)| lo < hi)
+            .collect();
+        // Each job reports the transactions it visited, plus its tables
+        // if it scanned its whole chunk.
+        let jobs = ranges.iter().map(|&(lo, hi)| {
+            let (db, sets) = (Arc::clone(&shared_db), Arc::clone(&shared_sets));
+            move |stop: &AtomicBool, tx: &Sender<(u64, Option<Vec<Vec<u64>>>)>| {
                 let mut counts: Vec<Vec<u64>> =
                     sets.iter().map(|s| vec![0u64; 1usize << s.len()]).collect();
                 for (steps, tid) in (lo..hi).enumerate() {
@@ -172,49 +164,19 @@ impl<'a> ParallelCounter<'a> {
                     }
                 }
                 let _ = tx.send(((hi - lo) as u64, Some(counts)));
-            });
-        }
-        drop(tx);
-        let inert = probe.is_inert();
-        let mut stopped = false;
-        let mut interrupted = false;
-        let mut received = 0usize;
-        loop {
-            let msg = if inert {
-                rx.recv().map_err(|_| ())
-            } else {
-                match rx.recv_timeout(PROBE_POLL) {
-                    Ok(msg) => Ok(msg),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if !stopped && probe.should_stop() {
-                            stopped = true;
-                            stop.store(true, Ordering::Release);
-                        }
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => Err(()),
-                }
-            };
-            let Ok((visited, partial)) = msg else { break };
-            received += 1;
-            self.stats.transactions_visited += visited;
-            match partial {
-                Some(counts) => {
-                    for (table, part) in tables.iter_mut().zip(counts) {
-                        for (acc, c) in table.iter_mut().zip(part) {
-                            *acc += c;
-                        }
-                    }
-                }
-                None => interrupted = true,
             }
-        }
-        assert_eq!(
-            received, n_jobs,
-            "parallel counting lost chunk results (worker died outside the \
-             interruption protocol — counting kernel bug)"
-        );
-        if interrupted {
+        });
+        let mut merged = 0usize;
+        self.pool
+            .fan_out(jobs, ranges.len(), probe, |(visited, partial)| {
+                self.stats.transactions_visited += visited;
+                if let Some(counts) = partial {
+                    add_tables(tables, &counts);
+                    merged += 1;
+                }
+                false
+            });
+        if merged < ranges.len() {
             Err(BatchInterrupted::default())
         } else {
             Ok(())
@@ -241,22 +203,13 @@ impl MintermCounter for ParallelCounter<'_> {
             };
             return counts;
         }
-        match self.minterm_counts_batch_guarded(std::slice::from_ref(set), &NoProbe) {
-            Ok(mut tables) => tables.swap_remove(0),
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+        unguarded(self.minterm_counts_batch_guarded(std::slice::from_ref(set), &NoProbe))
+            .swap_remove(0)
     }
 
     /// Counts a whole level in one logical scan, fanned out across
     /// candidates × chunks: each worker scans its chunk once, updating a
     /// private table per candidate, and the per-chunk tables are merged.
-    fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(tables) => tables,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
-    }
-
     fn minterm_counts_batch_guarded(
         &mut self,
         sets: &[Itemset],

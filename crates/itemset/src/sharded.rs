@@ -5,7 +5,7 @@
 //! *across prefix classes* (each worker counts whole classes against the
 //! full-range core), this engine parallelises *across the tid range*:
 //! the database's transactions are split into `S` contiguous, disjoint
-//! shards, each shard gets its own [`VerticalCore`] whose bitmaps cover
+//! shards, each shard gets its own `VerticalCore` whose bitmaps cover
 //! only its slice (`capacity = shard length`, tids rebased to the shard
 //! start), and every prefix class is counted once per shard. Because a
 //! transaction lives in exactly one shard, the elementwise sum of the
@@ -22,24 +22,25 @@
 //!
 //! # Interruption protocol
 //!
-//! Identical contract to the class-parallel engine, with shard-aware
-//! accounting. Workers never see the [`CountProbe`]; the submitting
-//! thread owns it. Each pool job owns one shard and streams
-//! `(shard, class, partial tables)` back over a channel; the submitting
-//! thread merges partials and considers a class *complete* only when all
-//! `S` shards have delivered it. Completed classes are scattered into
-//! the results, recorded, and charged (first trip wins — on a trip the
-//! stop flag is raised, workers finish the class in hand and drain).
-//! Classes with only some shards delivered when the batch ends are
-//! discarded wholesale — a partially merged table never escapes, so a
-//! `Truncated` result and its `ResumeState` stay exact.
+//! Identical contract to the class-parallel engine, through the same
+//! pooled class merge (`vertical::count_classes_pooled`) and drain loop.
+//! Workers never see the [`CountProbe`]; the submitting thread owns it.
+//! Each pool job owns one shard and streams `(class, partial tables)`
+//! back over a channel; the submitting thread merges partials and
+//! considers a class *complete* only when all `S` shards have delivered
+//! it. Completed classes are scattered into the results, recorded, and
+//! charged (first trip wins — on a trip the stop flag is raised, workers
+//! finish the class in hand and drain). Classes with only some shards
+//! delivered when the batch ends are discarded wholesale — a partially
+//! merged table never escapes, so a `Truncated` result and its
+//! `ResumeState` stay exact.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 
 use crate::counting::{
-    horizontal_batch_guarded, BatchInterrupted, CountProbe, CountingStats, MintermCounter, NoProbe,
+    add_tables, unguarded, BatchInterrupted, CountProbe, NoProbe, Tiered, TieredEngine,
 };
 use crate::database::TransactionDb;
 use crate::item::Item;
@@ -47,13 +48,10 @@ use crate::itemset::Itemset;
 use crate::pool::WorkerPool;
 use crate::tidset::TidSet;
 use crate::vertical::{
-    alloc_results, answer_trivial, group_classes, OwnedClass, VerticalCore, VerticalIndex,
+    alloc_results, answer_trivial, count_classes_pooled, group_classes, ClassTables, OwnedClass,
+    VerticalCore, VerticalIndex,
 };
-use crate::vertical_par::{DegradationRung, POOL_WORK_FLOOR};
-
-/// How long the submitting thread waits for worker results between
-/// probe polls when the probe is armed.
-const PROBE_POLL: Duration = Duration::from_millis(1);
+use crate::vertical_par::POOL_WORK_FLOOR;
 
 /// A vertical index split into contiguous, disjoint tid-range shards,
 /// each with its own core and scratch arena.
@@ -150,11 +148,6 @@ impl ShardedVerticalIndex {
         self.pool.n_workers()
     }
 
-    /// Shard `i`'s `(start, end)` tid range.
-    pub fn shard_bounds(&self, i: usize) -> (usize, usize) {
-        self.bounds[i]
-    }
-
     /// Number of transactions in the indexed database (all shards).
     #[inline]
     pub fn n_transactions(&self) -> usize {
@@ -195,19 +188,14 @@ impl ShardedVerticalIndex {
     /// Counts one set; see [`VerticalIndex::minterm_counts`] for cell
     /// indexing.
     pub fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        match self.minterm_counts_batch_guarded(std::slice::from_ref(set), &NoProbe) {
-            Ok(mut results) => results.swap_remove(0),
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+        unguarded(self.minterm_counts_batch_guarded(std::slice::from_ref(set), &NoProbe))
+            .swap_remove(0)
     }
 
     /// Batch minterm counting across shards. Results are bit-identical
     /// to [`VerticalIndex::minterm_counts_batch`] in input order.
     pub fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(results) => results,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+        unguarded(self.minterm_counts_batch_guarded(sets, &NoProbe))
     }
 
     /// Guarded batch counting; see the module docs for the interruption
@@ -232,11 +220,8 @@ impl ShardedVerticalIndex {
                 &mut done,
             );
         }
-        if done.cells_completed > 0
-            && probe.charge(done.cells_completed)
-            && !plan.classes.is_empty()
-        {
-            return Err(done);
+        if done.cells_completed > 0 && probe.charge(done.cells_completed) {
+            return done.settle(true, results);
         }
         if plan.classes.is_empty() {
             return Ok(results);
@@ -250,13 +235,39 @@ impl ShardedVerticalIndex {
         let interrupted = if workers <= 1 || self.cores.len() < 2 || estimated < self.work_floor {
             self.run_classes_sequential(&plan.classes, probe, &mut results, &mut done)
         } else {
-            self.run_classes_parallel(&plan.classes, probe, &mut results, &mut done)
+            // Pool path: one job per shard, each walking *every* class
+            // against its own core with its own arena.
+            let classes = Arc::new(plan.classes);
+            let jobs = self.cores.iter().map(|core| {
+                let (core, classes) = (Arc::clone(core), Arc::clone(&classes));
+                move |stop: &AtomicBool, tx: &Sender<ClassTables>| {
+                    // Shard-local state, reused across every class of the
+                    // batch: one arena sized to this shard's slice, one
+                    // flat item-count buffer.
+                    let (mut scratch, mut item_counts) = (Vec::new(), Vec::new());
+                    for (ci, class) in classes.iter().enumerate() {
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        let part = core.class_tables(class, &mut item_counts, &mut scratch);
+                        if tx.send((ci, part)).is_err() {
+                            break; // receiver gone: the batch is over
+                        }
+                    }
+                }
+            });
+            let parts = self.cores.len();
+            count_classes_pooled(
+                &self.pool,
+                jobs,
+                &classes,
+                parts,
+                probe,
+                &mut results,
+                &mut done,
+            )
         };
-        if interrupted && done.tables_completed < sets.len() as u64 {
-            Err(done)
-        } else {
-            Ok(results)
-        }
+        done.settle(interrupted, results)
     }
 
     /// Class-major sequential path: for each class, count every shard on
@@ -273,7 +284,6 @@ impl ShardedVerticalIndex {
             core.ensure_scratch(scratch, max_prefix);
         }
         let mut acc: Vec<Vec<u64>> = Vec::new();
-        let mut part: Vec<Vec<u64>> = Vec::new();
         for class in classes {
             if probe.should_stop() {
                 return true;
@@ -283,311 +293,73 @@ impl ShardedVerticalIndex {
             acc.clear();
             acc.extend(class.rows.iter().map(|&r| std::mem::take(&mut results[r])));
             for (core, scratch) in self.cores.iter().zip(self.scratch.iter_mut()) {
-                part.clear();
-                part.extend((0..class.members.len()).map(|_| vec![0u64; class.table_len()]));
-                core.count_class(class, &mut self.item_counts, scratch, &mut part);
-                for (a, p) in acc.iter_mut().zip(&part) {
-                    for (cell, add) in a.iter_mut().zip(p) {
-                        *cell += *add;
-                    }
-                }
+                let part = core.class_tables(class, &mut self.item_counts, scratch);
+                add_tables(&mut acc, &part);
             }
             for (local, &r) in acc.iter_mut().zip(&class.rows) {
                 results[r] = std::mem::take(local);
             }
-            done.tables_completed += class.members.len() as u64;
-            done.cells_completed += class.cells();
-            if probe.charge(class.cells()) {
+            if class.complete(probe, done) {
                 return true;
             }
         }
         false
     }
-
-    /// Pool path: one job per shard, each walking *every* class against
-    /// its own core with its own arena, streaming partial tables back.
-    /// The submitting thread merges; a class completes when all shards
-    /// delivered it. Returns `true` if the probe interrupted the batch.
-    fn run_classes_parallel(
-        &self,
-        classes: &[OwnedClass],
-        probe: &dyn CountProbe,
-        results: &mut [Vec<u64>],
-        done: &mut BatchInterrupted,
-    ) -> bool {
-        if probe.should_stop() {
-            return true;
-        }
-        let n_classes = classes.len();
-        let n_shards = self.cores.len();
-        let classes = Arc::new(classes.to_vec());
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Vec<u64>>)>();
-        for core in &self.cores {
-            let core = Arc::clone(core);
-            let classes = Arc::clone(&classes);
-            let stop = Arc::clone(&stop);
-            let tx = tx.clone();
-            self.pool.execute(move || {
-                // Shard-local state, reused across every class of the
-                // batch: one arena sized to this shard's slice, one flat
-                // item-count buffer.
-                let mut scratch: Vec<TidSet> = Vec::new();
-                let mut item_counts: Vec<usize> = Vec::new();
-                for (ci, class) in classes.iter().enumerate() {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let mut out: Vec<Vec<u64>> = (0..class.members.len())
-                        .map(|_| vec![0u64; class.table_len()])
-                        .collect();
-                    core.count_class(class, &mut item_counts, &mut scratch, &mut out);
-                    if tx.send((ci, out)).is_err() {
-                        break; // receiver gone: the batch is over
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Merge state per class: the accumulated tables and how many
-        // shards have delivered.
-        let mut acc: Vec<Option<Vec<Vec<u64>>>> = vec![None; n_classes];
-        let mut delivered = vec![0usize; n_classes];
-        let inert = probe.is_inert();
-        let mut stopped = false;
-        let mut completed = 0usize;
-        loop {
-            let msg = if inert {
-                rx.recv().map_err(|_| ())
-            } else {
-                match rx.recv_timeout(PROBE_POLL) {
-                    Ok(msg) => Ok(msg),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if !stopped && probe.should_stop() {
-                            stopped = true;
-                            stop.store(true, Ordering::Release);
-                        }
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => Err(()),
-                }
-            };
-            let Ok((ci, part)) = msg else { break };
-            match &mut acc[ci] {
-                slot @ None => *slot = Some(part),
-                Some(tables) => {
-                    for (table, p) in tables.iter_mut().zip(&part) {
-                        for (cell, add) in table.iter_mut().zip(p) {
-                            *cell += *add;
-                        }
-                    }
-                }
-            }
-            delivered[ci] += 1;
-            if delivered[ci] < n_shards {
-                continue;
-            }
-            // All shards in: the class is complete. Scatter and charge.
-            let class = &classes[ci];
-            // Every shard delivered, so the slot is occupied.
-            #[allow(clippy::expect_used)]
-            let tables = acc[ci].take().expect("merged class lost its tables");
-            for (local, &row) in tables.into_iter().zip(&class.rows) {
-                results[row] = local;
-            }
-            done.tables_completed += class.members.len() as u64;
-            done.cells_completed += class.cells();
-            // First trip wins: classes still draining out of the workers
-            // may yet complete (they are sound and are kept), but no new
-            // class starts on any shard.
-            if probe.charge(class.cells()) && !stopped {
-                stopped = true;
-                stop.store(true, Ordering::Release);
-            }
-            completed += 1;
-        }
-        assert!(
-            stopped || completed == n_classes,
-            "sharded vertical counting lost {} classes (worker died outside \
-             the interruption protocol — counting kernel bug)",
-            n_classes - completed
-        );
-        stopped
-    }
 }
 
-/// Tid-set counter over a horizontally sharded database, with the same
-/// three-rung memory-pressure degradation ladder as
-/// [`crate::vertical_par::ParallelVerticalCounter`]:
-///
-/// * [`DegradationRung::Parallel`] — sharded counting (the preferred
-///   rung); needs the *sum* of the per-shard arenas, roughly one
-///   full-range arena;
-/// * [`DegradationRung::Vertical`] — single full-range vertical index,
-///   built lazily on first degradation (one extra database scan,
-///   recorded in [`CountingStats::db_scans`]);
-/// * [`DegradationRung::Horizontal`] — guarded horizontal scans, no
-///   arena at all.
-///
-/// Degradation is sticky and downward-only; any batch answered below
-/// the top rung increments [`CountingStats::degraded_batches`]. All
-/// per-batch stats merge through `CountingStats`'s `AddAssign` — the
-/// single merge path shared by every counter.
-#[derive(Debug)]
-pub struct ShardedVerticalCounter<'a> {
-    db: &'a TransactionDb,
-    index: ShardedVerticalIndex,
-    /// Full-range twin for the `Vertical` rung, built only if the ladder
-    /// ever drops there.
-    seq: Option<VerticalIndex>,
-    stats: CountingStats,
-    rung: DegradationRung,
-}
+/// Tid-set counter over a horizontally sharded database. Its footprint is
+/// the *sum* of the per-shard arenas, roughly one full-range arena; below
+/// that it drops to a full-range vertical twin, built on first use (one
+/// extra database scan, recorded in [`crate::CountingStats::db_scans`]),
+/// then to horizontal scans.
+pub type ShardedVerticalCounter<'a> = Tiered<'a, ShardedVerticalIndex>;
 
 impl<'a> ShardedVerticalCounter<'a> {
     /// Builds with one shard per worker of the process-wide pool.
     pub fn new(db: &'a TransactionDb) -> Self {
-        Self::from_index(db, ShardedVerticalIndex::build(db))
+        Tiered::from_engine(db, ShardedVerticalIndex::build(db))
     }
 
     /// Builds with an explicit shard count on the process-wide pool.
     pub fn with_shards(db: &'a TransactionDb, shards: usize) -> Self {
-        Self::from_index(db, ShardedVerticalIndex::build_with_shards(db, shards))
+        Tiered::from_engine(db, ShardedVerticalIndex::build_with_shards(db, shards))
     }
 
     /// Builds with explicit shard and private-pool worker counts.
     pub fn with_shards_and_workers(db: &'a TransactionDb, shards: usize, workers: usize) -> Self {
-        Self::from_index(
+        Tiered::from_engine(
             db,
             ShardedVerticalIndex::build_with_shards_and_workers(db, shards, workers),
         )
     }
-
-    fn from_index(db: &'a TransactionDb, index: ShardedVerticalIndex) -> Self {
-        ShardedVerticalCounter {
-            db,
-            index,
-            seq: None,
-            stats: CountingStats {
-                db_scans: 1,
-                ..CountingStats::default()
-            },
-            rung: DegradationRung::Parallel,
-        }
-    }
-
-    /// Direct access to the underlying sharded index.
-    pub fn index(&self) -> &ShardedVerticalIndex {
-        &self.index
-    }
-
-    /// Mutable access (e.g. [`ShardedVerticalIndex::set_work_floor`]).
-    pub fn index_mut(&mut self) -> &mut ShardedVerticalIndex {
-        &mut self.index
-    }
-
-    /// The ladder rung the next batch will be answered from
-    /// (`Parallel` denotes the sharded rung).
-    pub fn rung(&self) -> DegradationRung {
-        self.rung
-    }
-
-    /// Applies the (sticky, downward-only) degradation ladder for a
-    /// batch needing `depths` scratch recursion levels.
-    fn apply_ladder(&mut self, probe: &dyn CountProbe, depths: usize) {
-        let Some(budget) = probe.arena_budget_bytes() else {
-            return;
-        };
-        if self.rung == DegradationRung::Parallel && self.index.scratch_bytes(depths) > budget {
-            self.rung = DegradationRung::Vertical;
-        }
-        if self.rung == DegradationRung::Vertical
-            && VerticalIndex::scratch_bytes(self.index.n_transactions(), depths) > budget
-        {
-            self.rung = DegradationRung::Horizontal;
-        }
-    }
-
-    /// The full-range index for the `Vertical` rung, built on first use
-    /// (one extra database scan, recorded in the stats).
-    fn seq_index(&mut self) -> &mut VerticalIndex {
-        if self.seq.is_none() {
-            self.seq = Some(VerticalIndex::build(self.db));
-            self.stats.db_scans += 1;
-        }
-        // Just installed above if absent.
-        #[allow(clippy::expect_used)]
-        self.seq.as_mut().expect("sequential twin just built")
-    }
 }
 
-impl MintermCounter for ShardedVerticalCounter<'_> {
-    fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        self.stats += CountingStats::tables(1, 1u64 << set.len());
-        self.index.minterm_counts(set)
+impl TieredEngine for ShardedVerticalIndex {
+    fn n_transactions(&self) -> usize {
+        self.n_transactions
     }
 
-    fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(tables) => tables,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+    fn count(&mut self, set: &Itemset) -> Vec<u64> {
+        self.minterm_counts(set)
     }
 
-    fn minterm_counts_batch_guarded(
+    fn count_batch_guarded(
         &mut self,
         sets: &[Itemset],
         probe: &dyn CountProbe,
     ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
-        if sets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let depths = sets
-            .iter()
-            .map(|s| s.len().saturating_sub(2))
-            .max()
-            .unwrap_or(0);
-        self.apply_ladder(probe, depths);
-        let outcome = match self.rung {
-            DegradationRung::Parallel => self.index.minterm_counts_batch_guarded(sets, probe),
-            DegradationRung::Vertical => {
-                self.stats.degraded_batches += 1;
-                self.seq_index().minterm_counts_batch_guarded(sets, probe)
-            }
-            DegradationRung::Horizontal => {
-                self.stats.degraded_batches += 1;
-                return horizontal_batch_guarded(self.db, sets, probe, &mut self.stats);
-            }
-        };
-        match outcome {
-            Ok(tables) => {
-                self.stats += CountingStats::tables(
-                    sets.len() as u64,
-                    sets.iter().map(|s| 1u64 << s.len()).sum::<u64>(),
-                );
-                Ok(tables)
-            }
-            Err(partial) => {
-                self.stats +=
-                    CountingStats::tables(partial.tables_completed, partial.cells_completed);
-                Err(partial)
-            }
-        }
+        self.minterm_counts_batch_guarded(sets, probe)
     }
 
-    fn n_transactions(&self) -> usize {
-        self.index.n_transactions()
-    }
-
-    fn stats(&self) -> CountingStats {
-        self.stats
+    fn footprint_bytes(&self, _sets: &[Itemset], depths: usize) -> u64 {
+        self.scratch_bytes(depths) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::HorizontalCounter;
+    use crate::counting::{DegradationRung, HorizontalCounter, MintermCounter};
 
     fn db(n: usize) -> TransactionDb {
         TransactionDb::from_ids(
@@ -726,7 +498,7 @@ mod tests {
 
         let mut c = ShardedVerticalCounter::with_shards_and_workers(&d, 3, 2);
         c.index_mut().set_work_floor(0);
-        assert_eq!(c.rung(), DegradationRung::Parallel);
+        assert_eq!(c.rung(), DegradationRung::Preferred);
         // Per-shard padding makes the sharded sum strictly larger than
         // one full-range arena here (3 shards of ~334 pad to 1 superblock
         // each vs 2 superblocks full-range), so a budget of exactly one

@@ -27,20 +27,25 @@
 //! is a single triple-intersection popcount pass per leaf.
 //!
 //! Internally the immutable state (tid-sets + universe) lives in a
-//! [`VerticalCore`] behind an `Arc`, and a level batch is planned into
-//! self-contained [`OwnedClass`] work units. That split is what lets
+//! `VerticalCore` behind an `Arc`, and a level batch is planned into
+//! self-contained `OwnedClass` work units. That split is what lets
 //! [`crate::vertical_par::ParallelVerticalIndex`] fan the same classes
 //! out across a worker pool — each worker shares the core, owns its own
 //! scratch arena, and counts disjoint classes — while this type stays
-//! the single-threaded fast path with zero behavioural change.
+//! the single-threaded fast path with zero behavioural change. Both
+//! pooled class engines (class-parallel and sharded) merge their
+//! workers' tables through one helper here, `count_classes_pooled`.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use crate::counting::{BatchInterrupted, CountProbe, NoProbe};
+use crate::counting::{add_tables, unguarded, BatchInterrupted, CountProbe, NoProbe};
 use crate::database::TransactionDb;
 use crate::item::Item;
 use crate::itemset::Itemset;
+use crate::pool::WorkerPool;
 use crate::tidset::TidSet;
 
 /// The immutable heart of a vertical index: per-item tid-sets plus the
@@ -81,6 +86,14 @@ impl OwnedClass {
     /// Total cells this class produces (its work-budget charge).
     pub(crate) fn cells(&self) -> u64 {
         (self.members.len() * self.table_len()) as u64
+    }
+
+    /// Records this class's tables in `done` and charges its cells;
+    /// returns `true` when the charge exhausts the probe's budget.
+    pub(crate) fn complete(&self, probe: &dyn CountProbe, done: &mut BatchInterrupted) -> bool {
+        done.tables_completed += self.members.len() as u64;
+        done.cells_completed += self.cells();
+        probe.charge(self.cells())
     }
 
     /// Rough cost estimate in 64-bit bitmap words touched: per leaf of
@@ -223,13 +236,56 @@ pub(crate) fn run_classes_sequential(
         for (local, &r) in out.iter_mut().zip(&class.rows) {
             results[r] = std::mem::take(local);
         }
-        done.tables_completed += class.members.len() as u64;
-        done.cells_completed += class.cells();
-        if probe.charge(class.cells()) {
+        if class.complete(probe, done) {
             return true;
         }
     }
     false
+}
+
+/// One pool job's tables for one class of a planned batch: the class's
+/// index and its members' tables (whole, or one shard's part).
+pub(crate) type ClassTables = (usize, Vec<Vec<u64>>);
+
+/// Fans `classes` out over `pool` as `jobs` and merges what they send:
+/// `parts` messages per class — one per shard for the sharded engine,
+/// one for the class-parallel engine — summed cell by cell. A class
+/// completes (scattered into `results`, recorded in `done`, charged to
+/// `probe`) only once all its parts arrived, so a partially merged class
+/// never escapes. Returns `true` if the probe interrupted the batch.
+pub(crate) fn count_classes_pooled<J>(
+    pool: &WorkerPool,
+    jobs: impl IntoIterator<Item = J>,
+    classes: &[OwnedClass],
+    parts: usize,
+    probe: &dyn CountProbe,
+    results: &mut [Vec<u64>],
+    done: &mut BatchInterrupted,
+) -> bool
+where
+    J: FnOnce(&AtomicBool, &Sender<ClassTables>) + Send + 'static,
+{
+    if probe.should_stop() {
+        return true;
+    }
+    let mut merged: Vec<Vec<Vec<u64>>> = vec![Vec::new(); classes.len()];
+    let mut delivered = vec![0usize; classes.len()];
+    pool.fan_out(jobs, classes.len() * parts, probe, |(ci, part)| {
+        if merged[ci].is_empty() {
+            merged[ci] = part;
+        } else {
+            add_tables(&mut merged[ci], &part);
+        }
+        delivered[ci] += 1;
+        if delivered[ci] < parts {
+            return false;
+        }
+        let class = &classes[ci];
+        for (local, &row) in std::mem::take(&mut merged[ci]).into_iter().zip(&class.rows) {
+            results[row] = local;
+        }
+        class.complete(probe, done)
+    })
 }
 
 impl VerticalCore {
@@ -325,6 +381,52 @@ impl VerticalCore {
                 acc.intersection_count_limited(&self.tidsets[last.index()], s) >= s
             }
         }
+    }
+
+    /// Counts all `2^k` minterms of one set, growing `scratch` on demand;
+    /// see [`VerticalIndex::minterm_counts`].
+    pub(crate) fn minterm_counts(&self, set: &Itemset, scratch: &mut Vec<TidSet>) -> Vec<u64> {
+        let k = set.len();
+        assert!(k <= 20, "refusing to build a 2^{k}-cell contingency table");
+        let mut counts = vec![0u64; 1usize << k];
+        match set.items() {
+            [] => counts[0] = self.n_transactions as u64,
+            [a] => {
+                let with = self.tidset(*a).count() as u64;
+                counts[1] = with;
+                counts[0] = self.n_transactions as u64 - with;
+            }
+            [prefix @ .., a, b] => {
+                // Itemset items are sorted and distinct, so [a, b] is
+                // already a valid deduped suffix-item list.
+                let class = OwnedClass {
+                    prefix: prefix.to_vec(),
+                    items: vec![*a, *b],
+                    members: vec![(0, 1)],
+                    rows: vec![0],
+                };
+                let mut item_counts = vec![0usize; 2];
+                let mut out = [counts];
+                self.count_class(&class, &mut item_counts, scratch, &mut out);
+                let [c] = out;
+                counts = c;
+            }
+        }
+        counts
+    }
+
+    /// Counts one class into freshly zeroed member tables.
+    pub(crate) fn class_tables(
+        &self,
+        class: &OwnedClass,
+        item_counts: &mut Vec<usize>,
+        scratch: &mut Vec<TidSet>,
+    ) -> Vec<Vec<u64>> {
+        let mut out: Vec<Vec<u64>> = (0..class.members.len())
+            .map(|_| vec![0u64; class.table_len()])
+            .collect();
+        self.count_class(class, item_counts, scratch, &mut out);
+        out
     }
 
     /// Counts one class into `out`, where `out[j]` is member `j`'s
@@ -486,12 +588,6 @@ impl VerticalIndex {
         }
     }
 
-    /// The shared immutable core, for engines that fan work out across
-    /// threads.
-    pub(crate) fn core(&self) -> &Arc<VerticalCore> {
-        &self.core
-    }
-
     /// Number of transactions in the indexed database.
     #[inline]
     pub fn n_transactions(&self) -> usize {
@@ -564,34 +660,7 @@ impl VerticalIndex {
     /// Panics if `set.len() > 20` (a `2^k` table would be astronomically
     /// large; the miners never get near this).
     pub fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        let k = set.len();
-        assert!(k <= 20, "refusing to build a 2^{k}-cell contingency table");
-        let mut counts = vec![0u64; 1usize << k];
-        match set.items() {
-            [] => counts[0] = self.core.n_transactions() as u64,
-            [a] => {
-                let with = self.core.tidset(*a).count() as u64;
-                counts[1] = with;
-                counts[0] = self.core.n_transactions() as u64 - with;
-            }
-            [prefix @ .., a, b] => {
-                // Itemset items are sorted and distinct, so [a, b] is
-                // already a valid deduped suffix-item list.
-                let class = OwnedClass {
-                    prefix: prefix.to_vec(),
-                    items: vec![*a, *b],
-                    members: vec![(0, 1)],
-                    rows: vec![0],
-                };
-                let mut item_counts = vec![0usize; 2];
-                let mut out = [counts];
-                self.core
-                    .count_class(&class, &mut item_counts, &mut self.scratch, &mut out);
-                let [c] = out;
-                counts = c;
-            }
-        }
-        counts
+        self.core.minterm_counts(set, &mut self.scratch)
     }
 
     /// Batch minterm counting with Eclat-style prefix sharing.
@@ -610,10 +679,7 @@ impl VerticalIndex {
     /// Results are returned in input order; sets of mixed sizes are
     /// allowed (each size/prefix combination forms its own class).
     pub fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(results) => results,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+        unguarded(self.minterm_counts_batch_guarded(sets, &NoProbe))
     }
 
     /// [`minterm_counts_batch`](Self::minterm_counts_batch) with a
@@ -632,11 +698,8 @@ impl VerticalIndex {
         let mut results = alloc_results(sets);
         let mut done = BatchInterrupted::default();
         let plan = plan_level(&self.core, sets, &mut results, &mut done);
-        if done.cells_completed > 0
-            && probe.charge(done.cells_completed)
-            && !plan.classes.is_empty()
-        {
-            return Err(done);
+        if done.cells_completed > 0 && probe.charge(done.cells_completed) {
+            return done.settle(true, results);
         }
         let max_prefix = plan
             .classes
@@ -653,11 +716,7 @@ impl VerticalIndex {
             &mut results,
             &mut done,
         );
-        if interrupted && done.tables_completed < sets.len() as u64 {
-            Err(done)
-        } else {
-            Ok(results)
-        }
+        done.settle(interrupted, results)
     }
 }
 
@@ -852,7 +911,7 @@ mod tests {
         let mut v = VerticalIndex::build(&d);
         let _ = v.minterm_counts(&Itemset::from_ids([0, 1]));
         let mut clone = v.clone();
-        assert!(Arc::ptr_eq(v.core(), clone.core()));
+        assert!(Arc::ptr_eq(&v.core, &clone.core));
         assert_eq!(
             clone.minterm_counts(&Itemset::from_ids([0, 1])),
             v.minterm_counts(&Itemset::from_ids([0, 1]))

@@ -4,9 +4,9 @@
 //! Eclat-style vertical counting is embarrassingly parallel across
 //! prefix classes: each class walks its own split tree and writes to
 //! disjoint result rows. This engine plans a level batch exactly like
-//! [`VerticalIndex`](crate::vertical::VerticalIndex) (same classes, same
-//! kernel, same counts — the counting-equivalence property tests pin
-//! this), then hands the classes to pool workers. Per worker:
+//! [`VerticalIndex`] (same classes, same kernel, same counts — the
+//! counting-equivalence property tests pin this), then hands the classes
+//! to pool workers. Per worker:
 //!
 //! * one **depth-indexed scratch arena** plus one flat per-item count
 //!   buffer, allocated lazily and reused across every class the worker
@@ -19,14 +19,14 @@
 //! # Interruption protocol
 //!
 //! Workers never see the [`CountProbe`] — a probe is borrowed and jobs
-//! are `'static`. Instead the submitting thread owns all probe
-//! interaction: it charges each class as its results arrive and polls
-//! `should_stop` while waiting. On a trip it raises a shared stop flag
-//! (first trip wins); workers observe it before pulling another class,
-//! finish the class in hand, and drain away. Every class that completes
-//! — before or during the drain — is kept and recorded, so a
-//! `Truncated` partial result and its `ResumeState` stay exact, matching
-//! the sequential engines' contract.
+//! are `'static`. The submitting thread drains the workers through the
+//! pool's shared drain loop (see [`crate::pool`]): it charges each class
+//! as its results arrive and polls `should_stop` while waiting. On a
+//! trip it raises a shared stop flag (first trip wins); workers observe
+//! it before pulling another class, finish the class in hand, and drain
+//! away. Every class that completes — before or during the drain — is
+//! kept and recorded, so a `Truncated` partial result and its
+//! `ResumeState` stay exact, matching the sequential engines' contract.
 //!
 //! # Small batches
 //!
@@ -36,18 +36,17 @@
 //! none of the overhead.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 
-use crate::counting::{
-    horizontal_batch_guarded, BatchInterrupted, CountProbe, CountingStats, MintermCounter, NoProbe,
-};
+use crate::counting::{unguarded, BatchInterrupted, CountProbe, NoProbe, Tiered, TieredEngine};
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
 use crate::pool::WorkerPool;
 use crate::tidset::TidSet;
 use crate::vertical::{
-    alloc_results, plan_level, run_classes_sequential, OwnedClass, VerticalCore, VerticalIndex,
+    alloc_results, count_classes_pooled, plan_level, run_classes_sequential, ClassTables,
+    VerticalCore, VerticalIndex,
 };
 
 /// Minimum estimated 64-bit bitmap words a batch must touch before the
@@ -57,18 +56,14 @@ use crate::vertical::{
 /// large enough to benefit from threads.
 pub const POOL_WORK_FLOOR: u64 = 1 << 17;
 
-/// How long the submitting thread waits for worker results between
-/// probe polls when the probe is armed.
-const PROBE_POLL: Duration = Duration::from_millis(1);
-
 /// A vertical index whose batch counting fans prefix-equivalence
 /// classes out across a persistent worker pool.
 #[derive(Debug)]
 pub struct ParallelVerticalIndex {
     core: Arc<VerticalCore>,
     pool: Arc<WorkerPool>,
-    /// Arena for the sequential fallback path (small batches, one-worker
-    /// pools); pool workers own their arenas per batch.
+    /// Arena for the sequential paths (single sets, small batches,
+    /// one-worker pools); pool workers own their arenas per batch.
     scratch: Vec<TidSet>,
     work_floor: u64,
 }
@@ -88,16 +83,6 @@ impl ParallelVerticalIndex {
     pub fn with_pool(db: &TransactionDb, pool: Arc<WorkerPool>) -> Self {
         ParallelVerticalIndex {
             core: Arc::new(VerticalCore::build(db)),
-            pool,
-            scratch: Vec::new(),
-            work_floor: POOL_WORK_FLOOR,
-        }
-    }
-
-    /// Shares the core of an existing sequential index (no rebuild).
-    pub fn from_index(index: &VerticalIndex, pool: Arc<WorkerPool>) -> Self {
-        ParallelVerticalIndex {
-            core: Arc::clone(index.core()),
             pool,
             scratch: Vec::new(),
             work_floor: POOL_WORK_FLOOR,
@@ -137,20 +122,14 @@ impl ParallelVerticalIndex {
     /// Counts one set sequentially; see
     /// [`VerticalIndex::minterm_counts`] for cell indexing.
     pub fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        match self.minterm_counts_batch_guarded(std::slice::from_ref(set), &NoProbe) {
-            Ok(mut results) => results.swap_remove(0),
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+        self.core.minterm_counts(set, &mut self.scratch)
     }
 
     /// Batch minterm counting, parallel across prefix classes. Results
     /// are identical to [`VerticalIndex::minterm_counts_batch`] in input
     /// order.
     pub fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(results) => results,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+        unguarded(self.minterm_counts_batch_guarded(sets, &NoProbe))
     }
 
     /// Guarded batch counting; see the module docs for the interruption
@@ -165,14 +144,8 @@ impl ParallelVerticalIndex {
         let mut results = alloc_results(sets);
         let mut done = BatchInterrupted::default();
         let plan = plan_level(&self.core, sets, &mut results, &mut done);
-        if done.cells_completed > 0
-            && probe.charge(done.cells_completed)
-            && !plan.classes.is_empty()
-        {
-            return Err(done);
-        }
-        if plan.classes.is_empty() {
-            return Ok(results);
+        if done.cells_completed > 0 && probe.charge(done.cells_completed) {
+            return done.settle(true, results);
         }
         let estimated: u64 = plan
             .classes
@@ -180,292 +153,101 @@ impl ParallelVerticalIndex {
             .map(|c| c.estimated_word_ops(self.core.n_transactions()))
             .sum();
         let workers = self.pool.n_workers();
-        if workers <= 1 || plan.classes.len() < 2 || estimated < self.work_floor {
-            let interrupted = run_classes_sequential(
+        let interrupted = if workers <= 1 || plan.classes.len() < 2 || estimated < self.work_floor {
+            run_classes_sequential(
                 &self.core,
                 &plan.classes,
                 probe,
                 &mut self.scratch,
                 &mut results,
                 &mut done,
-            );
-            return finish(interrupted, done, results, sets.len());
-        }
-        let interrupted = self.run_classes_parallel(plan.classes, probe, &mut results, &mut done);
-        finish(interrupted, done, results, sets.len())
-    }
-
-    /// Fans `classes` out over the pool; returns `true` if the probe
-    /// interrupted the batch. See the module docs for the protocol.
-    fn run_classes_parallel(
-        &self,
-        classes: Vec<OwnedClass>,
-        probe: &dyn CountProbe,
-        results: &mut [Vec<u64>],
-        done: &mut BatchInterrupted,
-    ) -> bool {
-        if probe.should_stop() {
-            return true;
-        }
-        let n_classes = classes.len();
-        let classes = Arc::new(classes);
-        let stop = Arc::new(AtomicBool::new(false));
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Vec<u64>>)>();
-        let n_jobs = self.pool.n_workers().min(n_classes);
-        for _ in 0..n_jobs {
-            let core = Arc::clone(&self.core);
-            let classes = Arc::clone(&classes);
-            let stop = Arc::clone(&stop);
-            let cursor = Arc::clone(&cursor);
-            let tx = tx.clone();
-            self.pool.execute(move || {
-                // Worker-local state, reused across every class this
-                // worker pulls: one arena, one item-count buffer.
-                let mut scratch: Vec<TidSet> = Vec::new();
-                let mut item_counts: Vec<usize> = Vec::new();
-                loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(class) = classes.get(i) else { break };
-                    let mut out: Vec<Vec<u64>> = (0..class.members.len())
-                        .map(|_| vec![0u64; class.table_len()])
-                        .collect();
-                    core.count_class(class, &mut item_counts, &mut scratch, &mut out);
-                    if tx.send((i, out)).is_err() {
-                        break; // receiver gone: the batch is over
+            )
+        } else {
+            let classes = Arc::new(plan.classes);
+            let cursor = Arc::new(AtomicUsize::new(0));
+            let jobs = (0..workers.min(classes.len())).map(|_| {
+                let (core, classes, cursor) = (
+                    Arc::clone(&self.core),
+                    Arc::clone(&classes),
+                    Arc::clone(&cursor),
+                );
+                move |stop: &AtomicBool, tx: &Sender<ClassTables>| {
+                    // Worker-local state, reused across every class this
+                    // worker pulls: one arena, one item-count buffer.
+                    let (mut scratch, mut item_counts) = (Vec::new(), Vec::new());
+                    while !stop.load(Ordering::Acquire) {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(class) = classes.get(i) else { break };
+                        let tables = core.class_tables(class, &mut item_counts, &mut scratch);
+                        if tx.send((i, tables)).is_err() {
+                            break; // receiver gone: the batch is over
+                        }
                     }
                 }
             });
-        }
-        drop(tx);
-        let inert = probe.is_inert();
-        let mut stopped = false;
-        let mut completed = 0usize;
-        loop {
-            let msg = if inert {
-                rx.recv().map_err(|_| ())
-            } else {
-                match rx.recv_timeout(PROBE_POLL) {
-                    Ok(msg) => Ok(msg),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if !stopped && probe.should_stop() {
-                            stopped = true;
-                            stop.store(true, Ordering::Release);
-                        }
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => Err(()),
-                }
-            };
-            let Ok((i, out)) = msg else { break };
-            let class = &classes[i];
-            for (local, &row) in out.into_iter().zip(&class.rows) {
-                results[row] = local;
-            }
-            done.tables_completed += class.members.len() as u64;
-            done.cells_completed += class.cells();
-            // First trip wins: later classes still draining out of the
-            // workers are kept (they are sound), but no new class starts.
-            if probe.charge(class.cells()) && !stopped {
-                stopped = true;
-                stop.store(true, Ordering::Release);
-            }
-            completed += 1;
-        }
-        assert!(
-            stopped || completed == n_classes,
-            "parallel vertical counting lost {} classes (worker died outside \
-             the interruption protocol — counting kernel bug)",
-            n_classes - completed
-        );
-        stopped
+            count_classes_pooled(
+                &self.pool,
+                jobs,
+                &classes,
+                1,
+                probe,
+                &mut results,
+                &mut done,
+            )
+        };
+        done.settle(interrupted, results)
     }
 }
 
-/// Shared epilogue: a batch is an error only if it was interrupted *and*
-/// work remains — an interrupt after the last table still completes the
-/// batch.
-fn finish(
-    interrupted: bool,
-    done: BatchInterrupted,
-    results: Vec<Vec<u64>>,
-    n_sets: usize,
-) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
-    if interrupted && done.tables_completed < n_sets as u64 {
-        Err(done)
-    } else {
-        Ok(results)
-    }
-}
-
-/// The rung of the degradation ladder a [`ParallelVerticalCounter`] is
-/// currently answering batches from. Degradation is sticky and only
-/// moves down: vertical-parallel → vertical → horizontal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DegradationRung {
-    /// Pool-parallel vertical counting (the preferred rung).
-    Parallel,
-    /// Single-threaded vertical counting — the per-worker arenas no
-    /// longer fit the memory budget, one arena still does.
-    Vertical,
-    /// Guarded horizontal scans — even one scratch arena exceeds the
-    /// budget.
-    Horizontal,
-}
-
-/// Tid-set counter that fans level batches over a worker pool, with a
-/// three-rung memory-pressure degradation ladder.
-///
-/// Like [`VerticalCounter`](crate::counting::VerticalCounter) it keeps a
-/// reference to the source database so it can degrade gracefully. The
-/// ladder is checked per batch against the probe's
-/// [`arena_budget_bytes`](CountProbe::arena_budget_bytes): parallel
-/// counting needs one scratch arena *per worker*, sequential vertical
-/// needs one, horizontal needs none. Any batch answered below
-/// [`DegradationRung::Parallel`] increments
-/// [`CountingStats::degraded_batches`].
-#[derive(Debug)]
-pub struct ParallelVerticalCounter<'a> {
-    db: &'a TransactionDb,
-    index: ParallelVerticalIndex,
-    /// Sequential twin sharing the same core — the `Vertical` rung and
-    /// the single-set path run here, with no second index build.
-    seq: VerticalIndex,
-    stats: CountingStats,
-    rung: DegradationRung,
-}
+/// Tid-set counter that fans level batches over a worker pool. Its
+/// footprint is one scratch arena *per worker*; when that no longer fits
+/// the budget it drops to a sequential twin sharing the same tid-sets
+/// (no second index build), then to horizontal scans.
+pub type ParallelVerticalCounter<'a> = Tiered<'a, ParallelVerticalIndex>;
 
 impl<'a> ParallelVerticalCounter<'a> {
     /// Builds the index over `db` (one scan) on the process-wide pool.
     pub fn new(db: &'a TransactionDb) -> Self {
-        Self::from_index(db, ParallelVerticalIndex::build(db))
+        Tiered::from_engine(db, ParallelVerticalIndex::build(db))
     }
 
     /// Builds on a private pool of `n_workers` threads.
     pub fn with_workers(db: &'a TransactionDb, n_workers: usize) -> Self {
-        Self::from_index(db, ParallelVerticalIndex::build_with_workers(db, n_workers))
-    }
-
-    fn from_index(db: &'a TransactionDb, index: ParallelVerticalIndex) -> Self {
-        let seq = VerticalIndex::from_core(Arc::clone(index_core(&index)));
-        ParallelVerticalCounter {
-            db,
-            index,
-            seq,
-            stats: CountingStats {
-                db_scans: 1,
-                ..CountingStats::default()
-            },
-            rung: DegradationRung::Parallel,
-        }
-    }
-
-    /// Direct access to the underlying parallel index.
-    pub fn index(&self) -> &ParallelVerticalIndex {
-        &self.index
-    }
-
-    /// Mutable access (e.g. [`ParallelVerticalIndex::set_work_floor`]).
-    pub fn index_mut(&mut self) -> &mut ParallelVerticalIndex {
-        &mut self.index
-    }
-
-    /// The ladder rung the next batch will be answered from.
-    pub fn rung(&self) -> DegradationRung {
-        self.rung
-    }
-
-    /// Applies the (sticky, downward-only) degradation ladder for a
-    /// batch needing `depths` scratch recursion levels.
-    fn apply_ladder(&mut self, probe: &dyn CountProbe, depths: usize) {
-        let Some(budget) = probe.arena_budget_bytes() else {
-            return;
-        };
-        let per_arena = VerticalIndex::scratch_bytes(self.index.n_transactions(), depths);
-        let workers = self.index.n_workers().max(1);
-        if self.rung == DegradationRung::Parallel && per_arena.saturating_mul(workers) > budget {
-            self.rung = DegradationRung::Vertical;
-        }
-        if self.rung == DegradationRung::Vertical && per_arena > budget {
-            self.rung = DegradationRung::Horizontal;
-        }
+        Tiered::from_engine(db, ParallelVerticalIndex::build_with_workers(db, n_workers))
     }
 }
 
-fn index_core(index: &ParallelVerticalIndex) -> &Arc<VerticalCore> {
-    &index.core
-}
-
-impl MintermCounter for ParallelVerticalCounter<'_> {
-    fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        self.stats += CountingStats::tables(1, 1u64 << set.len());
-        self.seq.minterm_counts(set)
+impl TieredEngine for ParallelVerticalIndex {
+    fn n_transactions(&self) -> usize {
+        self.core.n_transactions()
     }
 
-    fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(tables) => tables,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
+    fn count(&mut self, set: &Itemset) -> Vec<u64> {
+        self.minterm_counts(set)
     }
 
-    fn minterm_counts_batch_guarded(
+    fn count_batch_guarded(
         &mut self,
         sets: &[Itemset],
         probe: &dyn CountProbe,
     ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
-        if sets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let depths = sets
-            .iter()
-            .map(|s| s.len().saturating_sub(2))
-            .max()
-            .unwrap_or(0);
-        self.apply_ladder(probe, depths);
-        let outcome = match self.rung {
-            DegradationRung::Parallel => self.index.minterm_counts_batch_guarded(sets, probe),
-            DegradationRung::Vertical => {
-                self.stats.degraded_batches += 1;
-                self.seq.minterm_counts_batch_guarded(sets, probe)
-            }
-            DegradationRung::Horizontal => {
-                self.stats.degraded_batches += 1;
-                return horizontal_batch_guarded(self.db, sets, probe, &mut self.stats);
-            }
-        };
-        match outcome {
-            Ok(tables) => {
-                self.stats += CountingStats::tables(
-                    sets.len() as u64,
-                    sets.iter().map(|s| 1u64 << s.len()).sum::<u64>(),
-                );
-                Ok(tables)
-            }
-            Err(partial) => {
-                self.stats +=
-                    CountingStats::tables(partial.tables_completed, partial.cells_completed);
-                Err(partial)
-            }
-        }
+        self.minterm_counts_batch_guarded(sets, probe)
     }
 
-    fn n_transactions(&self) -> usize {
-        self.index.n_transactions()
+    fn footprint_bytes(&self, _sets: &[Itemset], depths: usize) -> u64 {
+        let per_arena = VerticalIndex::scratch_bytes(self.core.n_transactions(), depths) as u64;
+        per_arena.saturating_mul(self.pool.n_workers().max(1) as u64)
     }
 
-    fn stats(&self) -> CountingStats {
-        self.stats
+    fn shared_twin(&self) -> Option<VerticalIndex> {
+        Some(VerticalIndex::from_core(Arc::clone(&self.core)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::HorizontalCounter;
+    use crate::counting::{DegradationRung, HorizontalCounter, MintermCounter};
 
     fn db(n: usize) -> TransactionDb {
         TransactionDb::from_ids(
@@ -648,7 +430,7 @@ mod tests {
         // Budget fits one arena but not four: drop to Vertical.
         let mut c = ParallelVerticalCounter::with_workers(&d, workers);
         c.index_mut().set_work_floor(0);
-        assert_eq!(c.rung(), DegradationRung::Parallel);
+        assert_eq!(c.rung(), DegradationRung::Preferred);
         let got = c
             .minterm_counts_batch_guarded(&triples, &Arena(per_arena))
             .unwrap();
@@ -691,7 +473,7 @@ mod tests {
         let pairs = vec![Itemset::from_ids([0, 1]), Itemset::from_ids([2, 3])];
         let mut c = ParallelVerticalCounter::with_workers(&d, 4);
         c.minterm_counts_batch_guarded(&pairs, &Arena).unwrap();
-        assert_eq!(c.rung(), DegradationRung::Parallel);
+        assert_eq!(c.rung(), DegradationRung::Preferred);
         assert_eq!(c.stats().degraded_batches, 0);
     }
 }
