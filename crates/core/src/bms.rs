@@ -115,11 +115,21 @@ impl AlgorithmPolicy for BmsPolicy {
 }
 
 /// Runs Algorithm BMS over `db` with the given statistical parameters.
+///
+/// # Panics
+///
+/// Panics if `params` fail [`MiningParams::validate`]; this entry point
+/// returns no `Result`, so parameters are programmer input here. The
+/// query-level entry points report the same check as
+/// [`crate::MiningError::Params`].
 pub fn run_bms<C: MintermCounter>(
     db: &TransactionDb,
     params: &MiningParams,
     counter: &mut C,
 ) -> BmsOutput {
+    if let Err(e) = params.validate() {
+        panic!("invalid parameters: {e}");
+    }
     let mut engine = Engine::new(counter, params);
     run_bms_with_engine(
         db,
@@ -149,7 +159,6 @@ pub(crate) fn run_bms_with_engine(
     algorithm: Algorithm,
     wrap: fn(BmsSnapshot) -> ResumeInner,
 ) -> BmsRun {
-    params.validate();
     let start_time = wall_now();
     let mut metrics = MiningMetrics::default();
     let base_stats = engine.counting_stats();

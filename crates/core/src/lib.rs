@@ -53,7 +53,7 @@ pub use guard::{Completion, GuardLimits, ResumeState, RunGuard, TruncationReason
 pub use metrics::MiningMetrics;
 pub use miner::{Algorithm, CountingStrategy, MiningOptions};
 pub use naive::{run_naive, NAIVE_MAX_ITEMS};
-pub use params::MiningParams;
+pub use params::{MiningParams, ParamError};
 pub use persist::{
     fingerprint_db, load_checkpoint, read_checkpoint_file, save_checkpoint, write_checkpoint_file,
     Checkpoint, CheckpointCadence, CheckpointError, CheckpointPolicy, CheckpointReport,

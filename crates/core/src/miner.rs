@@ -83,17 +83,18 @@ pub enum CountingStrategy {
     /// cost model to `Horizontal`, divided across threads (an extension
     /// beyond the paper's single-core testbed).
     Parallel,
-    /// Vertical batch counting fanned out over prefix-equivalence
-    /// classes on a persistent worker pool, with a vertical →
-    /// horizontal degradation ladder under memory pressure
-    /// (DESIGN.md §6.2).
+    /// The one-shard case of [`CountingStrategy::Sharded`]: one
+    /// full-range vertical core whose prefix-equivalence classes fan out
+    /// over a persistent worker pool, with a vertical → horizontal
+    /// degradation ladder under memory pressure (DESIGN.md §6.2).
     VerticalPar,
-    /// Vertical batch counting over horizontally sharded tid ranges:
-    /// each worker owns a disjoint transaction slice with its own cores
-    /// and arena, and per-shard contingency tables merge elementwise
-    /// into exact whole-database tables (DESIGN.md §6.3). The shard
-    /// count comes from [`MiningOptions::shards`] (default: one shard
-    /// per worker).
+    /// The pooled vertical engine over horizontally sharded tid ranges:
+    /// each shard is a disjoint transaction slice with its own core, its
+    /// classes are pulled by `max(1, workers / shards)` pool jobs with
+    /// their own arenas, and per-shard contingency tables merge
+    /// elementwise into exact whole-database tables (DESIGN.md §6.2,
+    /// §6.3). The shard count comes from [`MiningOptions::shards`]
+    /// (default: one shard per worker).
     Sharded,
     /// Pattern-growth counting over a compressed FP-tree: conditional
     /// projections are memoized across a batch, so a dense level pays
@@ -499,6 +500,55 @@ mod tests {
     fn names_match_paper_notation() {
         assert_eq!(Algorithm::BmsPlus.name(), "BMS+");
         assert_eq!(Algorithm::BmsStarStar.to_string(), "BMS**");
+    }
+
+    #[test]
+    fn out_of_range_params_are_errors_for_every_algorithm() {
+        let db = db();
+        let attrs = AttributeTable::with_identity_prices(3);
+        let good = query().params;
+        let bad = [
+            MiningParams {
+                support_fraction: 1.5,
+                ..good
+            },
+            MiningParams {
+                ct_fraction: -0.5,
+                ..good
+            },
+            MiningParams {
+                min_item_support: 1.5,
+                ..good
+            },
+            MiningParams {
+                max_level: 1,
+                ..good
+            },
+            MiningParams {
+                confidence: 1.0,
+                ..good
+            },
+        ];
+        let algorithms = [
+            Algorithm::BmsPlus,
+            Algorithm::BmsPlusPlus,
+            Algorithm::BmsStar,
+            Algorithm::BmsStarStar,
+            Algorithm::Naive,
+            Algorithm::NaiveMinValid,
+        ];
+        for algorithm in algorithms {
+            for params in bad {
+                let q = CorrelationQuery { params, ..query() };
+                let got = MiningSession::new(&db, &attrs)
+                    .mine(&q, &MineRequest::new(algorithm))
+                    .map(|o| o.result);
+                assert!(
+                    matches!(got, Err(crate::MiningError::Params(_))),
+                    "{algorithm} {params:?}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

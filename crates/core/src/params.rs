@@ -1,6 +1,27 @@
 //! Mining parameters shared by every algorithm.
 
 use ccs_stats::{Measure, MeasureContext, MeasureError};
+use thiserror::Error;
+
+/// An out-of-range statistical parameter, rejected by
+/// [`MiningParams::validate`].
+#[derive(Debug, Clone, PartialEq, Error)]
+pub enum ParamError {
+    /// The measure threshold is outside the measure's range.
+    #[error("{0}")]
+    Threshold(#[from] MeasureError),
+    /// A fraction parameter is outside `[0, 1]`.
+    #[error("{name} must be in [0, 1], got {value}")]
+    Fraction {
+        /// The field's name.
+        name: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
+    /// `max_level` is below 2: no level of pairs would be mined.
+    #[error("max_level must be at least 2, got {0}")]
+    MaxLevel(usize),
+}
 
 /// The statistical parameters of a correlation query: the correlation
 /// measure and its threshold, the cell-support threshold `s` (as a
@@ -64,30 +85,24 @@ impl MiningParams {
 
     /// Validates the parameter ranges.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on out-of-range values; parameters are programmer input,
-    /// not user data.
-    pub fn validate(&self) {
-        if let Err(e) = self.measure_context() {
-            panic!("confidence: {e}");
+    /// [`ParamError`] naming the first out-of-range value.
+    pub fn validate(&self) -> Result<(), ParamError> {
+        self.measure_context()?;
+        for (name, value) in [
+            ("support_fraction", self.support_fraction),
+            ("ct_fraction", self.ct_fraction),
+            ("min_item_support", self.min_item_support),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(ParamError::Fraction { name, value });
+            }
         }
-        assert!(
-            (0.0..=1.0).contains(&self.support_fraction),
-            "support_fraction must be in [0, 1], got {}",
-            self.support_fraction
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.ct_fraction),
-            "ct_fraction must be in [0, 1], got {}",
-            self.ct_fraction
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.min_item_support),
-            "min_item_support must be in [0, 1], got {}",
-            self.min_item_support
-        );
-        assert!(self.max_level >= 2, "max_level must be at least 2");
+        if self.max_level < 2 {
+            return Err(ParamError::MaxLevel(self.max_level));
+        }
+        Ok(())
     }
 
     /// The absolute cell-support threshold for a database of `n` baskets.
@@ -114,7 +129,7 @@ mod tests {
     #[test]
     fn paper_defaults() {
         let p = MiningParams::paper();
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
         assert_eq!(p.measure, Measure::Chi2);
         assert_eq!(p.confidence, 0.9);
         assert_eq!(p.support_fraction, 0.25);
@@ -126,12 +141,13 @@ mod tests {
         // 1.0 is invalid as a χ² confidence but the top of the ratio
         // measures' range; 0.0 is the reverse.
         for measure in [Measure::AllConfidence, Measure::Bond] {
-            MiningParams {
+            assert!(MiningParams {
                 measure,
                 confidence: 1.0,
                 ..MiningParams::paper()
             }
-            .validate();
+            .validate()
+            .is_ok());
             assert!(MiningParams {
                 measure,
                 confidence: 0.0,
@@ -140,11 +156,12 @@ mod tests {
             .measure_context()
             .is_err());
         }
-        MiningParams {
+        assert!(MiningParams {
             confidence: 0.0,
             ..MiningParams::paper()
         }
-        .validate();
+        .validate()
+        .is_ok());
     }
 
     #[test]
@@ -164,22 +181,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "confidence")]
-    fn confidence_of_one_rejected() {
-        MiningParams {
-            confidence: 1.0,
-            ..MiningParams::paper()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "max_level")]
-    fn tiny_max_level_rejected() {
-        MiningParams {
-            max_level: 1,
-            ..MiningParams::paper()
-        }
-        .validate();
+    fn out_of_range_values_are_typed_errors() {
+        let paper = MiningParams::paper();
+        let cases = [
+            MiningParams {
+                confidence: 1.0,
+                ..paper
+            },
+            MiningParams {
+                support_fraction: 1.5,
+                ..paper
+            },
+            MiningParams {
+                ct_fraction: -0.1,
+                ..paper
+            },
+            MiningParams {
+                min_item_support: 2.0,
+                ..paper
+            },
+            MiningParams {
+                max_level: 1,
+                ..paper
+            },
+        ];
+        let errors: Vec<String> = cases
+            .iter()
+            .map(|p| p.validate().unwrap_err().to_string())
+            .collect();
+        assert!(errors[0].contains("threshold"), "{}", errors[0]);
+        assert_eq!(errors[1], "support_fraction must be in [0, 1], got 1.5");
+        assert_eq!(errors[2], "ct_fraction must be in [0, 1], got -0.1");
+        assert_eq!(errors[3], "min_item_support must be in [0, 1], got 2");
+        assert_eq!(errors[4], "max_level must be at least 2, got 1");
     }
 }

@@ -8,7 +8,7 @@ use thiserror::Error;
 
 use crate::guard::{Completion, ResumeState, TruncationReason};
 use crate::metrics::MiningMetrics;
-use crate::params::MiningParams;
+use crate::params::{MiningParams, ParamError};
 
 /// A constrained correlation query:
 /// `{ S | S is CT-supported and correlated & S satisfies C }`,
@@ -41,9 +41,15 @@ impl CorrelationQuery {
     }
 
     /// Validates parameters and constraints against an attribute table.
-    pub fn validate(&self, attrs: &AttributeTable) -> Result<(), ConstraintError> {
-        self.params.validate();
-        self.constraints.validate(attrs)
+    ///
+    /// # Errors
+    ///
+    /// [`MiningError::Params`] for an out-of-range parameter, then
+    /// [`MiningError::Constraint`] for a constraint the table cannot
+    /// evaluate.
+    pub fn validate(&self, attrs: &AttributeTable) -> Result<(), MiningError> {
+        self.params.validate()?;
+        Ok(self.constraints.validate(attrs)?)
     }
 }
 
@@ -132,6 +138,9 @@ impl MiningResult {
 /// Errors a mining run can report.
 #[derive(Debug, Clone, PartialEq, Error)]
 pub enum MiningError {
+    /// A statistical parameter is out of range.
+    #[error("invalid parameters: {0}")]
+    Params(#[from] ParamError),
     /// A constraint references a missing or ill-typed attribute.
     #[error("constraint error: {0}")]
     Constraint(#[from] ConstraintError),

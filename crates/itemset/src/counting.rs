@@ -11,9 +11,10 @@
 //!   database size). The miners use this by default so measured runtimes
 //!   follow the paper's analysis.
 //! * [`Tiered`] wraps a faster [`TieredEngine`] — tid-set intersection
-//!   ([`VerticalCounter`]), its pooled and sharded variants, or the
-//!   FP-tree — in the one memory-pressure degradation ladder every such
-//!   backend shares (see below).
+//!   ([`VerticalCounter`]), the pooled vertical engine over tid-range
+//!   shards (one shard for class-parallel counting), or the FP-tree —
+//!   in the one memory-pressure degradation ladder every such backend
+//!   shares (see below).
 //! * [`crate::parallel::ParallelCounter`] divides the horizontal scan
 //!   across a worker pool.
 //!
@@ -997,8 +998,7 @@ mod tests {
     #[test]
     fn every_tiered_counter_shares_one_ladder_contract() {
         use crate::fptree::FpTreeCounter;
-        use crate::sharded::ShardedVerticalCounter;
-        use crate::vertical_par::ParallelVerticalCounter;
+        use crate::sharded::{ParallelVerticalCounter, ShardedVerticalCounter};
 
         type Make = fn(&TransactionDb) -> Box<dyn Ladder + '_>;
         // (name, counter, build scans, extra scans for the vertical twin —

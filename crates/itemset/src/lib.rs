@@ -10,15 +10,15 @@
 //!   accounting: the paper-faithful horizontal scan, and
 //!   [`Tiered`](counting::Tiered), the one memory-pressure degradation
 //!   ladder (preferred engine → vertical → horizontal) around the
-//!   vertical, pooled-vertical, sharded and FP-tree engines,
-//! * [`pool`] — a persistent, dependency-free work-stealing worker pool,
-//!   with the one drain loop every pooled counter shares,
+//!   vertical, pooled-vertical and FP-tree engines,
+//! * [`pool`] — a persistent, dependency-free worker pool on one FIFO
+//!   queue, with the one drain loop every pooled counter shares,
 //! * [`parallel`] — a data-parallel horizontal counter on the pool,
-//! * [`vertical_par`] — vertical batch counting fanned out over
-//!   prefix-equivalence classes on the pool,
-//! * [`sharded`] — vertical batch counting over horizontally sharded
-//!   tid ranges: per-shard cores and arenas, per-shard contingency
-//!   tables merged elementwise into exact whole-database tables,
+//! * [`sharded`] — the one pooled vertical engine: the tid range split
+//!   into shards, each shard's prefix classes pulled by pool jobs, and
+//!   per-shard contingency tables merged elementwise into exact
+//!   whole-database tables; its one-shard case is class-parallel
+//!   counting ([`ParallelVerticalIndex`]),
 //! * [`fptree`] — pattern-growth counting over a compressed prefix
 //!   tree: conditional projections memoized per batch, for dense
 //!   low-cardinality databases where tid-set intersection pays per
@@ -40,7 +40,6 @@ pub mod pool;
 pub mod sharded;
 pub mod tidset;
 pub mod vertical;
-pub mod vertical_par;
 
 pub use counting::{
     BatchInterrupted, CountProbe, CountingStats, DegradationRung, HorizontalCounter,
@@ -52,7 +51,8 @@ pub use item::Item;
 pub use itemset::Itemset;
 pub use parallel::ParallelCounter;
 pub use pool::WorkerPool;
-pub use sharded::{ShardedVerticalCounter, ShardedVerticalIndex};
+pub use sharded::{
+    ParallelVerticalCounter, ParallelVerticalIndex, ShardedVerticalCounter, ShardedVerticalIndex,
+};
 pub use tidset::TidSet;
 pub use vertical::VerticalIndex;
-pub use vertical_par::{ParallelVerticalCounter, ParallelVerticalIndex};

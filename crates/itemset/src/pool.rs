@@ -1,5 +1,5 @@
-//! [`WorkerPool`]: a persistent, dependency-free work-stealing thread
-//! pool for the parallel counting substrates.
+//! [`WorkerPool`]: a persistent, dependency-free thread pool for the
+//! parallel counting substrates.
 //!
 //! Hand-rolled on `std::thread` — no crossbeam, no rayon, no `unsafe` —
 //! because this workspace vendors no threading crates. The pool is
@@ -8,37 +8,26 @@
 //! overhead that made the original scoped-thread `ParallelCounter`
 //! *slower* than its sequential twin is paid exactly once.
 //!
-//! Scheduling is the classic injector + work-stealing shape:
-//!
-//! * an **injector deque** receives jobs submitted from outside the pool
-//!   (the mining thread), consumed FIFO;
-//! * a **per-worker local deque** receives jobs a worker submits while
-//!   running (LIFO for the owner — the freshest job has the hottest
-//!   cache — FIFO for thieves);
-//! * an idle worker scans its own deque, then the injector, then
-//!   **steals** from its siblings' deques, and only then parks on a
-//!   condition variable.
-//!
-//! Sleep/wake uses an eventcount (a version counter bumped by every
-//! submission) so a job pushed between a worker's last scan and its park
-//! can never be lost. Because jobs outlive the submitting stack frame
-//! (`'static`), callers hand data to workers via `Arc`s.
+//! Scheduling is one FIFO queue behind a mutex: a submission pushes its
+//! job and wakes one parked worker; an idle worker parks on a condition
+//! variable until the queue has a job or the pool shuts down. Because
+//! jobs outlive the submitting stack frame (`'static`), callers hand
+//! data to workers via `Arc`s.
 //!
 //! # The drain loop
 //!
-//! Every pooled counter ([`crate::parallel`], [`crate::vertical_par`],
-//! [`crate::sharded`]) fans a batch out through one helper,
-//! `WorkerPool::fan_out`: jobs stream results back over an `mpsc`
-//! channel, so the submitting thread keeps ownership of the borrowed
-//! [`CountProbe`] and the result buffers. The helper blocks on the
-//! channel when the probe is inert and otherwise polls it every
-//! `PROBE_POLL`, checking `should_stop` between receives. On a trip —
-//! polled, or reported by the caller's per-message merge after a
-//! `charge` — it raises a shared stop flag (first trip wins); jobs check
-//! the flag between work units, finish the unit in hand and drain away,
-//! and everything that arrives is still merged. If the batch was never
-//! stopped, every expected message must arrive, or the helper panics
-//! rather than let a counter fabricate counts.
+//! Every pooled counter ([`crate::parallel`], [`crate::sharded`]) fans a
+//! batch out through one helper, `WorkerPool::fan_out`: jobs stream
+//! results back over an `mpsc` channel, so the submitting thread keeps
+//! ownership of the borrowed [`CountProbe`] and the result buffers. The
+//! helper blocks on the channel when the probe is inert and otherwise
+//! polls it every `PROBE_POLL`, checking `should_stop` between receives.
+//! On a trip — polled, or reported by the caller's per-message merge
+//! after a `charge` — it raises a shared stop flag (first trip wins);
+//! jobs check the flag between work units, finish the unit in hand and
+//! drain away, and everything that arrives is still merged. If the batch
+//! was never stopped, every expected message must arrive, or the helper
+//! panics rather than let a counter fabricate counts.
 //!
 //! Worker panics are contained: the worker catches the unwind, counts it
 //! ([`WorkerPool::jobs_panicked`]), and keeps serving. Batch helpers
@@ -64,73 +53,37 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// probe polls when the probe is armed.
 const PROBE_POLL: Duration = Duration::from_millis(1);
 
-/// Locks a mutex, ignoring poisoning: the pool's queues hold plain data
-/// (`VecDeque`s and counters) that stay consistent even if a holder
-/// panicked mid-push, and worker panics are already contained.
+/// Locks a mutex, ignoring poisoning: the queue holds plain data that
+/// stays consistent even if a holder panicked mid-push, and worker
+/// panics are already contained.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The eventcount guarded by the sleep mutex: `version` increments on
-/// every submission, `shutdown` flips once on drop.
-struct SleepState {
-    version: u64,
+/// The pool's one job queue, consumed FIFO, and the shutdown flag that
+/// flips once on drop.
+struct Queue {
+    jobs: VecDeque<Job>,
     shutdown: bool,
 }
 
 struct PoolShared {
-    /// Jobs submitted from outside the pool, consumed FIFO.
-    injector: Mutex<VecDeque<Job>>,
-    /// One stealable deque per worker: owner pops LIFO, thieves pop FIFO.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    sleep: Mutex<SleepState>,
-    wake: Condvar,
+    queue: Mutex<Queue>,
+    /// Signalled once per submitted job, and for every worker on drop.
+    ready: Condvar,
     jobs_run: AtomicU64,
-    steals: AtomicU64,
     jobs_panicked: AtomicU64,
 }
 
-impl PoolShared {
-    /// Announces new work: bump the eventcount and wake every parked
-    /// worker. Publishing the version *after* the push is what makes the
-    /// scan-then-park protocol lossless.
-    fn announce(&self) {
-        let mut state = lock(&self.sleep);
-        state.version = state.version.wrapping_add(1);
-        drop(state);
-        self.wake.notify_all();
-    }
-
-    /// One scheduling scan for worker `idx`: own deque (LIFO), injector
-    /// (FIFO), then steal from siblings (FIFO).
-    fn find_job(&self, idx: usize) -> Option<Job> {
-        if let Some(job) = lock(&self.locals[idx]).pop_back() {
-            return Some(job);
-        }
-        if let Some(job) = lock(&self.injector).pop_front() {
-            return Some(job);
-        }
-        let n = self.locals.len();
-        for off in 1..n {
-            if let Some(job) = lock(&self.locals[(idx + off) % n]).pop_front() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
 thread_local! {
-    /// `(pool identity, worker index)` of the pool this thread serves,
-    /// if any — lets [`WorkerPool::execute`] route submissions from a
-    /// worker into its own local deque, and lets [`WorkerPool::run_batch`]
-    /// detect (and avoid deadlocking on) re-entrant batches.
-    static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// Identity of the pool this thread serves, if any — lets
+    /// [`WorkerPool::run_batch`] detect (and avoid deadlocking on)
+    /// re-entrant batches.
+    static CURRENT_POOL: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// A persistent pool of worker threads with an injector deque and
-/// per-worker stealing. See the module docs for the scheduling shape.
+/// A persistent pool of worker threads serving one FIFO job queue. See
+/// the module docs.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -141,7 +94,6 @@ impl std::fmt::Debug for WorkerPool {
         f.debug_struct("WorkerPool")
             .field("workers", &self.workers.len())
             .field("jobs_run", &self.jobs_run())
-            .field("steals", &self.steals())
             .finish()
     }
 }
@@ -153,15 +105,12 @@ impl WorkerPool {
     pub fn new(n_workers: usize) -> Self {
         let n = n_workers.max(1);
         let shared = Arc::new(PoolShared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sleep: Mutex::new(SleepState {
-                version: 0,
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
                 shutdown: false,
             }),
-            wake: Condvar::new(),
+            ready: Condvar::new(),
             jobs_run: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             jobs_panicked: AtomicU64::new(0),
         });
         let workers = (0..n)
@@ -169,7 +118,7 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ccs-pool-{idx}"))
-                    .spawn(move || worker_loop(&shared, idx))
+                    .spawn(move || worker_loop(&shared))
                     .ok()
             })
             .collect();
@@ -200,12 +149,6 @@ impl WorkerPool {
         self.shared.jobs_run.load(Ordering::Relaxed)
     }
 
-    /// Jobs a worker obtained from a sibling's deque rather than its own
-    /// or the injector.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
-
     /// Jobs that panicked (the panic was contained and the worker kept
     /// serving).
     pub fn jobs_panicked(&self) -> u64 {
@@ -213,29 +156,21 @@ impl WorkerPool {
     }
 
     /// `true` when the calling thread is one of this pool's workers.
-    fn on_worker_thread(&self) -> Option<usize> {
+    fn on_worker_thread(&self) -> bool {
         let me = Arc::as_ptr(&self.shared) as usize;
-        CURRENT_WORKER.with(|w| match w.get() {
-            Some((pool, idx)) if pool == me => Some(idx),
-            _ => None,
-        })
+        CURRENT_POOL.with(|p| p.get() == Some(me))
     }
 
-    /// Submits a job. From an external thread it lands on the injector;
-    /// from one of this pool's own workers it lands on that worker's
-    /// local deque (stealable by idle siblings). With no live workers the
-    /// job runs inline before `execute` returns.
+    /// Submits a job to the back of the queue and wakes one parked
+    /// worker. With no live workers the job runs inline before `execute`
+    /// returns.
     pub fn execute<F: FnOnce() + Send + 'static>(&self, f: F) {
         if self.workers.is_empty() {
             run_contained(&self.shared, Box::new(f));
             return;
         }
-        let job: Job = Box::new(f);
-        match self.on_worker_thread() {
-            Some(idx) => lock(&self.shared.locals[idx]).push_back(job),
-            None => lock(&self.shared.injector).push_back(job),
-        }
-        self.shared.announce();
+        lock(&self.shared.queue).jobs.push_back(Box::new(f));
+        self.shared.ready.notify_one();
     }
 
     /// Runs every task on the pool and returns their results in input
@@ -254,7 +189,7 @@ impl WorkerPool {
         if n == 0 {
             return Vec::new();
         }
-        if n == 1 || self.workers.is_empty() || self.on_worker_thread().is_some() {
+        if n == 1 || self.workers.is_empty() || self.on_worker_thread() {
             return tasks.into_iter().map(|f| f()).collect();
         }
         let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
@@ -367,8 +302,8 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     /// Drains remaining jobs, then stops and joins every worker.
     fn drop(&mut self) {
-        lock(&self.shared.sleep).shutdown = true;
-        self.shared.wake.notify_all();
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -383,28 +318,20 @@ fn run_contained(shared: &PoolShared, job: Job) {
     }
 }
 
-fn worker_loop(shared: &Arc<PoolShared>, idx: usize) {
-    CURRENT_WORKER.with(|w| w.set(Some((Arc::as_ptr(shared) as usize, idx))));
+fn worker_loop(shared: &Arc<PoolShared>) {
+    CURRENT_POOL.with(|p| p.set(Some(Arc::as_ptr(shared) as usize)));
     loop {
-        // Eventcount protocol: snapshot the version, scan every queue,
-        // and only park if the version is still unchanged — a submission
-        // racing the scan bumps the version and the park is skipped.
-        let seen = lock(&shared.sleep).version;
-        if let Some(job) = shared.find_job(idx) {
-            run_contained(shared, job);
-            continue;
-        }
-        let state = lock(&shared.sleep);
-        if state.shutdown {
-            // Shutdown drains: exit only once no queue has work.
+        let queue = lock(&shared.queue);
+        let mut queue = shared
+            .ready
+            .wait_while(queue, |q| q.jobs.is_empty() && !q.shutdown)
+            .unwrap_or_else(PoisonError::into_inner);
+        // Shutdown drains: exit only once the queue is empty.
+        let Some(job) = queue.jobs.pop_front() else {
             return;
-        }
-        if state.version == seen {
-            let _unused = shared
-                .wake
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        };
+        drop(queue);
+        run_contained(shared, job);
     }
 }
 
@@ -456,23 +383,22 @@ mod tests {
     }
 
     #[test]
-    fn jobs_submitted_from_workers_go_to_local_deques_and_are_stealable() {
+    fn a_job_submitted_from_a_worker_runs() {
         let pool = Arc::new(WorkerPool::new(2));
         let (tx, rx) = mpsc::channel();
-        let inner_pool = Arc::clone(&pool);
-        pool.execute(move || {
-            // Submitted from a worker: lands on its local deque; the
-            // sibling worker can steal it while this one keeps going.
-            for i in 0..8 {
-                let tx = tx.clone();
-                inner_pool.execute(move || {
-                    let _ = tx.send(i);
-                });
-            }
-        });
-        let mut got: Vec<i32> = (0..8).map(|_| rx.recv().unwrap()).collect();
+        // `run_batch` returns only after each submitting task (and its
+        // pool handle) is gone, so the pool is never dropped on a worker.
+        let submitters: Vec<_> = (0..2)
+            .map(|i| {
+                let (pool, tx) = (Arc::clone(&pool), tx.clone());
+                move || pool.execute(move || tx.send(i).unwrap())
+            })
+            .collect();
+        pool.run_batch(submitters);
+        drop(tx);
+        let mut got: Vec<i32> = rx.iter().collect();
         got.sort_unstable();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
+        assert_eq!(got, vec![0, 1]);
     }
 
     #[test]

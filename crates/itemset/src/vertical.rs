@@ -29,12 +29,13 @@
 //! Internally the immutable state (tid-sets + universe) lives in a
 //! `VerticalCore` behind an `Arc`, and a level batch is planned into
 //! self-contained `OwnedClass` work units. That split is what lets
-//! [`crate::vertical_par::ParallelVerticalIndex`] fan the same classes
-//! out across a worker pool — each worker shares the core, owns its own
-//! scratch arena, and counts disjoint classes — while this type stays
-//! the single-threaded fast path with zero behavioural change. Both
-//! pooled class engines (class-parallel and sharded) merge their
-//! workers' tables through one helper here, `count_classes_pooled`.
+//! [`crate::sharded::ShardedVerticalIndex`], the one pooled vertical
+//! engine, hold one index per tid-range shard and fan the same classes
+//! out across a worker pool — each job shares a core, owns its own
+//! scratch arena, and counts whole classes — while this type stays the
+//! single-threaded fast path. Both share the one sequential class runner
+//! (`run_classes_sequential`) and the pooled class merge
+//! (`count_classes_pooled`) defined here.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
@@ -50,7 +51,7 @@ use crate::tidset::TidSet;
 
 /// The immutable heart of a vertical index: per-item tid-sets plus the
 /// cached universe bitmap. Shared (via `Arc`) between [`VerticalIndex`]
-/// and the parallel batch engine — every method takes `&self`, so any
+/// and the pooled engine's jobs — every method takes `&self`, so any
 /// number of threads may count against one core concurrently, each with
 /// its own scratch arena.
 #[derive(Debug)]
@@ -99,7 +100,7 @@ impl OwnedClass {
     /// Rough cost estimate in 64-bit bitmap words touched: per leaf of
     /// the prefix tree, one node popcount + one split, one pass per
     /// distinct item, and one triple pass per member. Used by the
-    /// parallel engine's sequential-fallback work floor.
+    /// pooled engine's sequential-fallback work floor.
     pub(crate) fn estimated_word_ops(&self, n_transactions: usize) -> u64 {
         let words = n_transactions.div_ceil(64).max(1) as u64;
         let leaves = 1u64 << self.prefix.len();
@@ -107,68 +108,40 @@ impl OwnedClass {
     }
 }
 
-/// A planned level batch: the non-trivial candidates of a
-/// [`minterm_counts_batch`](VerticalIndex::minterm_counts_batch) call,
-/// grouped into prefix-equivalence classes (deterministic `BTreeMap`
-/// prefix order). Trivial 0-/1-item sets were already answered inline
-/// during planning.
-pub(crate) struct LevelPlan {
-    pub(crate) classes: Vec<OwnedClass>,
-}
-
-/// A trivial (0-/1-item) candidate of a level batch: its destination
-/// row and its single item, if any. Trivial sets never walk a split
-/// tree — they are answered from whole-database totals, which is what
-/// lets the sharded engine answer them from *summed* per-shard totals
-/// instead of any single core.
-pub(crate) struct TrivialSet {
-    pub(crate) row: usize,
-    pub(crate) item: Option<Item>,
-}
-
-/// Answers one trivial set into its (zeroed) result row given the
-/// database-wide transaction count and the item's database-wide
-/// support, recording the completed table in `done`.
-pub(crate) fn answer_trivial(
-    trivial: &TrivialSet,
+/// Answers the trivial 0-/1-item sets of `sets` into their (zeroed)
+/// `results` rows from the database-wide transaction count and
+/// `item_support`, records those tables in `done`, and groups the rest
+/// into prefix-equivalence classes (deterministic `BTreeMap` prefix
+/// order). Trivial sets never walk a split tree, which is what lets a
+/// sharded engine answer them from supports summed across its shards.
+pub(crate) fn plan_level(
+    sets: &[Itemset],
     n_transactions: u64,
-    item_support: u64,
+    item_support: impl Fn(Item) -> u64,
     results: &mut [Vec<u64>],
     done: &mut BatchInterrupted,
-) {
-    let row = &mut results[trivial.row];
-    match trivial.item {
-        None => {
-            row[0] = n_transactions;
-            done.cells_completed += 1;
-        }
-        Some(_) => {
-            row[1] = item_support;
-            row[0] = n_transactions - item_support;
-            done.cells_completed += 2;
-        }
-    }
-    done.tables_completed += 1;
-}
-
-/// Splits `sets` into trivial 0-/1-item candidates and prefix-equivalence
-/// classes, without touching any counts. Pure grouping — shared by every
-/// engine (sequential, pool-parallel, sharded) so the class structure is
-/// identical no matter how the counting itself is distributed.
-pub(crate) fn group_classes(sets: &[Itemset]) -> (Vec<TrivialSet>, LevelPlan) {
-    let mut trivial = Vec::new();
+) -> Vec<OwnedClass> {
     let mut grouped: BTreeMap<&[Item], Vec<(usize, Item, Item)>> = BTreeMap::new();
     for (i, set) in sets.iter().enumerate() {
         match set.items() {
-            [] => trivial.push(TrivialSet { row: i, item: None }),
-            [a] => trivial.push(TrivialSet {
-                row: i,
-                item: Some(*a),
-            }),
-            [prefix @ .., a, b] => grouped.entry(prefix).or_default().push((i, *a, *b)),
+            [] => {
+                results[i][0] = n_transactions;
+                done.cells_completed += 1;
+            }
+            [a] => {
+                let with = item_support(*a);
+                results[i][1] = with;
+                results[i][0] = n_transactions - with;
+                done.cells_completed += 2;
+            }
+            [prefix @ .., a, b] => {
+                grouped.entry(prefix).or_default().push((i, *a, *b));
+                continue;
+            }
         }
+        done.tables_completed += 1;
     }
-    let classes = grouped
+    grouped
         .into_iter()
         .map(|(prefix, raw)| {
             let mut items: Vec<Item> = raw.iter().flat_map(|&(_, a, b)| [a, b]).collect();
@@ -187,41 +160,26 @@ pub(crate) fn group_classes(sets: &[Itemset]) -> (Vec<TrivialSet>, LevelPlan) {
                 rows,
             }
         })
-        .collect();
-    (trivial, LevelPlan { classes })
+        .collect()
 }
 
-/// Groups `sets` into prefix-equivalence classes. Trivial 0-/1-item sets
-/// are answered directly into `results` (no tree walk) from the core's
-/// totals and recorded in `done`; every `results[i]` must arrive zeroed
-/// and sized `2^k`.
-pub(crate) fn plan_level(
-    core: &VerticalCore,
-    sets: &[Itemset],
-    results: &mut [Vec<u64>],
-    done: &mut BatchInterrupted,
-) -> LevelPlan {
-    let (trivial, plan) = group_classes(sets);
-    for t in &trivial {
-        let support = t.item.map_or(0, |a| core.tidsets[a.index()].count() as u64);
-        answer_trivial(t, core.n_transactions as u64, support, results, done);
-    }
-    plan
-}
-
-/// Runs `classes` on the calling thread, scattering counts into
-/// `results` and charging the probe per completed class. Returns `true`
-/// if the probe interrupted the run (completed classes are kept;
-/// partially-walked classes never escape — the in-flight class's rows
-/// are restored untouched before returning).
+/// Runs `classes` on the calling thread over the tid-range `shards` (one
+/// shard for a plain [`VerticalIndex`]), scattering counts into
+/// `results` and charging the probe per completed class. Shard 0 counts
+/// in place into the members' zeroed result rows; every other shard
+/// counts into a temporary table that is added in. Returns `true` if
+/// the probe interrupted the run (completed classes are kept; a class
+/// is never left half counted — the probe is consulted only between
+/// classes).
 pub(crate) fn run_classes_sequential(
-    core: &VerticalCore,
+    shards: &mut [VerticalIndex],
     classes: &[OwnedClass],
     probe: &dyn CountProbe,
-    scratch: &mut Vec<TidSet>,
     results: &mut [Vec<u64>],
     done: &mut BatchInterrupted,
 ) -> bool {
+    let (first, rest) = shards.split_at_mut(1);
+    let first = &mut first[0];
     let mut item_counts: Vec<usize> = Vec::new();
     let mut out: Vec<Vec<u64>> = Vec::new();
     for class in classes {
@@ -232,7 +190,15 @@ pub(crate) fn run_classes_sequential(
         // local output buffer, count, and move it back.
         out.clear();
         out.extend(class.rows.iter().map(|&r| std::mem::take(&mut results[r])));
-        core.count_class(class, &mut item_counts, scratch, &mut out);
+        first
+            .core
+            .count_class(class, &mut item_counts, &mut first.scratch, &mut out);
+        for shard in rest.iter_mut() {
+            let part = shard
+                .core
+                .class_tables(class, &mut item_counts, &mut shard.scratch);
+            add_tables(&mut out, &part);
+        }
         for (local, &r) in out.iter_mut().zip(&class.rows) {
             results[r] = std::mem::take(local);
         }
@@ -248,11 +214,10 @@ pub(crate) fn run_classes_sequential(
 pub(crate) type ClassTables = (usize, Vec<Vec<u64>>);
 
 /// Fans `classes` out over `pool` as `jobs` and merges what they send:
-/// `parts` messages per class — one per shard for the sharded engine,
-/// one for the class-parallel engine — summed cell by cell. A class
-/// completes (scattered into `results`, recorded in `done`, charged to
-/// `probe`) only once all its parts arrived, so a partially merged class
-/// never escapes. Returns `true` if the probe interrupted the batch.
+/// `parts` messages per class — one per tid-range shard — summed cell by
+/// cell. A class completes (scattered into `results`, recorded in
+/// `done`, charged to `probe`) only once all its parts arrived, so a
+/// partially merged class never escapes. Returns `true` if the probe interrupted the batch.
 pub(crate) fn count_classes_pooled<J>(
     pool: &WorkerPool,
     jobs: impl IntoIterator<Item = J>,
@@ -289,12 +254,8 @@ where
 }
 
 impl VerticalCore {
-    /// Builds the core in a single pass over the database.
-    pub(crate) fn build(db: &TransactionDb) -> Self {
-        Self::build_range(db, 0, db.len())
-    }
-
-    /// Builds a core over the transaction slice `start..end` only: shard
+    /// Builds a core in one pass over the transaction slice `start..end`
+    /// (`0..db.len()` for an unsharded index): shard
     /// `tid` maps to database transaction `start + tid`, and every
     /// bitmap has capacity `end - start`. This is the horizontal-sharding
     /// primitive — a [`crate::sharded::ShardedVerticalIndex`] holds one
@@ -553,7 +514,7 @@ impl VerticalCore {
 
     /// Grows `scratch` to cover `depths` recursion levels (two slots
     /// each).
-    pub(crate) fn ensure_scratch(&self, scratch: &mut Vec<TidSet>, depths: usize) {
+    fn ensure_scratch(&self, scratch: &mut Vec<TidSet>, depths: usize) {
         while scratch.len() < 2 * depths {
             scratch.push(TidSet::new(self.n_transactions));
         }
@@ -563,7 +524,7 @@ impl VerticalCore {
 /// Per-item tid-sets for a transaction database.
 #[derive(Debug, Clone)]
 pub struct VerticalIndex {
-    core: Arc<VerticalCore>,
+    pub(crate) core: Arc<VerticalCore>,
     /// Depth-indexed arena: slots `2d` / `2d+1` hold the with/without
     /// bitmaps of recursion depth `d`. Grown on demand, reused across
     /// tables. Cloning the index shares the (immutable) core but gives
@@ -575,7 +536,7 @@ impl VerticalIndex {
     /// Builds the index in a single pass over the database.
     pub fn build(db: &TransactionDb) -> Self {
         VerticalIndex {
-            core: Arc::new(VerticalCore::build(db)),
+            core: Arc::new(VerticalCore::build_range(db, 0, db.len())),
             scratch: Vec::new(),
         }
     }
@@ -600,9 +561,8 @@ impl VerticalIndex {
     /// cache-line superblocks and carrying its per-superblock population
     /// hints (see [`TidSet`]'s module docs). A `k`-itemset needs `k - 2`
     /// depths. Used by memory-budget checks *before* the arena grows.
-    /// Parallel engines multiply by their worker count — each worker owns
-    /// a full arena; the sharded engine sums the per-shard arenas, which
-    /// together cover the tid range once.
+    /// The pooled engine multiplies each shard's arena by its jobs per
+    /// shard — every job owns one arena sized to its shard.
     pub fn scratch_bytes(n_transactions: usize, depths: usize) -> usize {
         use crate::tidset::{SUPERBLOCK_BITS, SUPERBLOCK_WORDS};
         let supers = n_transactions.div_ceil(SUPERBLOCK_BITS);
@@ -697,22 +657,21 @@ impl VerticalIndex {
     ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
         let mut results = alloc_results(sets);
         let mut done = BatchInterrupted::default();
-        let plan = plan_level(&self.core, sets, &mut results, &mut done);
+        let core = &self.core;
+        let classes = plan_level(
+            sets,
+            core.n_transactions() as u64,
+            |a| core.tidset(a).count() as u64,
+            &mut results,
+            &mut done,
+        );
         if done.cells_completed > 0 && probe.charge(done.cells_completed) {
             return done.settle(true, results);
         }
-        let max_prefix = plan
-            .classes
-            .iter()
-            .map(|c| c.prefix.len())
-            .max()
-            .unwrap_or(0);
-        self.core.ensure_scratch(&mut self.scratch, max_prefix);
         let interrupted = run_classes_sequential(
-            &self.core,
-            &plan.classes,
+            std::slice::from_mut(self),
+            &classes,
             probe,
-            &mut self.scratch,
             &mut results,
             &mut done,
         );

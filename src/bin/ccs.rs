@@ -257,33 +257,6 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// Rejects out-of-range statistical parameters with an error instead of
-/// letting `MiningParams::validate` assert-panic deep in the run. The
-/// threshold check routes through `measure_context()`, the single
-/// validation point, so the CLI and the library agree on each measure's
-/// range.
-fn check_params(params: &MiningParams) -> Result<(), String> {
-    if let Err(e) = params.measure_context() {
-        return Err(e.to_string());
-    }
-    for (name, v) in [
-        ("--support", params.support_fraction),
-        ("--ct", params.ct_fraction),
-        ("--min-item-support", params.min_item_support),
-    ] {
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{name} must be in [0, 1], got {v}"));
-        }
-    }
-    if params.max_level < 2 {
-        return Err(format!(
-            "--max-level must be at least 2, got {}",
-            params.max_level
-        ));
-    }
-    Ok(())
-}
-
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let flags = Flags::new(
         args,
@@ -604,7 +577,6 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
         min_item_support: flags.parse_or("--min-item-support", 0.0)?,
         max_level: flags.parse_or("--max-level", 8)?,
     };
-    check_params(&params)?;
     if flags.has("--explain") {
         let analysis = analyze_for_measure(
             &parsed.constraints,

@@ -109,6 +109,15 @@ pub fn sharded_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
     Box::new(counter)
 }
 
+/// A 2-shard, 4-worker sharded vertical counter with its work floor
+/// zeroed: each shard gets two jobs draining one shared class cursor, so
+/// trips land while a shard's classes are split across jobs.
+pub fn shared_cursor_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
+    let mut counter = ShardedVerticalCounter::with_shards_and_workers(db, 2, 4);
+    counter.index_mut().set_work_floor(0);
+    Box::new(counter)
+}
+
 /// The pattern-growth counter: candidates answered from conditional
 /// projections of a compressed prefix tree, interruption at projection
 /// boundaries.

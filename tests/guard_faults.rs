@@ -35,8 +35,8 @@ use ccs::itemset::{HorizontalCounter, MintermCounter};
 use ccs::prelude::*;
 use common::{
     attrs, db, fptree_factory, horizontal_factory, mine, mine_with_counter_guarded,
-    mine_with_guard, query, resume_with_counter_guarded, sharded_factory, sorted,
-    vertical_par_factory, CounterFactory, FaultCounter, ALL_ALGORITHMS,
+    mine_with_guard, query, resume_with_counter_guarded, sharded_factory, shared_cursor_factory,
+    sorted, vertical_par_factory, CounterFactory, FaultCounter, ALL_ALGORITHMS,
 };
 
 /// Injects `fault` at guarded-batch index 0, 1, 2, … until the run
@@ -366,19 +366,22 @@ fn parallel_vertical_faults_every_injection_point() {
 
 #[test]
 fn sharded_faults_every_injection_point() {
-    // The trip-at-every-batch-index sweep over the sharded counter:
+    // The trip-at-every-batch-index sweep over the sharded counter, with
+    // one job per shard and with two jobs sharing each shard's cursor:
     // partial answers stay sound and mutually minimal, and resuming —
-    // also on a sharded counter — reproduces the complete answer set
-    // exactly.
-    for algorithm in ALL_ALGORITHMS {
-        let truncating = sweep_with(algorithm, TruncationReason::WorkBudget, sharded_factory);
-        assert!(
-            truncating >= 2,
-            "{algorithm}: expected at least two guarded batches, found {truncating}"
-        );
-    }
-    for algorithm in [Algorithm::BmsStar, Algorithm::BmsStarStar] {
-        sweep_with(algorithm, TruncationReason::Cancelled, sharded_factory);
+    // also on the same counter shape — reproduces the complete answer
+    // set exactly.
+    for factory in [sharded_factory, shared_cursor_factory] {
+        for algorithm in ALL_ALGORITHMS {
+            let truncating = sweep_with(algorithm, TruncationReason::WorkBudget, factory);
+            assert!(
+                truncating >= 2,
+                "{algorithm}: expected at least two guarded batches, found {truncating}"
+            );
+        }
+        for algorithm in [Algorithm::BmsStar, Algorithm::BmsStarStar] {
+            sweep_with(algorithm, TruncationReason::Cancelled, factory);
+        }
     }
 }
 
@@ -387,49 +390,52 @@ fn real_work_budget_trips_mid_shard_soundly() {
     // A genuine cell budget tripping *inside* the sharded guarded
     // batch: classes whose per-shard tables were only partially
     // delivered must be discarded wholesale, completed classes are
-    // kept, partial answers stay sound, and resume is exact.
+    // kept, partial answers stay sound, and resume is exact — with one
+    // job per shard and with two jobs sharing each shard's cursor.
     let db = db();
     let attrs = attrs();
     let q = query();
-    for algorithm in Algorithm::paper_algorithms() {
-        let complete = mine(&db, &attrs, &q, algorithm).unwrap();
-        for budget in [1u64, 40, 150, 400, 1000] {
-            let guard = RunGuard::new(GuardLimits {
-                work_budget_cells: Some(budget),
-                ..GuardLimits::default()
-            });
-            let mut counter = sharded_factory(&db);
-            let result =
-                mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
-                    .unwrap();
-            for s in &result.answers {
-                assert!(
-                    complete.answers.contains(s),
-                    "{algorithm} budget {budget}: unsound partial answer {s}"
+    for factory in [sharded_factory, shared_cursor_factory] {
+        for algorithm in Algorithm::paper_algorithms() {
+            let complete = mine(&db, &attrs, &q, algorithm).unwrap();
+            for budget in [1u64, 40, 150, 400, 1000] {
+                let guard = RunGuard::new(GuardLimits {
+                    work_budget_cells: Some(budget),
+                    ..GuardLimits::default()
+                });
+                let mut counter = factory(&db);
+                let result =
+                    mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
+                        .unwrap();
+                for s in &result.answers {
+                    assert!(
+                        complete.answers.contains(s),
+                        "{algorithm} budget {budget}: unsound partial answer {s}"
+                    );
+                }
+                let Some(state) = result.resume else {
+                    assert!(
+                        result.completion.is_complete(),
+                        "{algorithm} budget {budget}: no snapshot on a truncated run"
+                    );
+                    continue;
+                };
+                let mut resume_counter = factory(&db);
+                let resumed = resume_with_counter_guarded(
+                    &db,
+                    &attrs,
+                    &q,
+                    &mut resume_counter,
+                    &RunGuard::new(GuardLimits::default()),
+                    state,
+                )
+                .unwrap();
+                assert_eq!(
+                    sorted(&resumed.answers),
+                    sorted(&complete.answers),
+                    "{algorithm} budget {budget}: sharded resume diverged"
                 );
             }
-            let Some(state) = result.resume else {
-                assert!(
-                    result.completion.is_complete(),
-                    "{algorithm} budget {budget}: no snapshot on a truncated run"
-                );
-                continue;
-            };
-            let mut resume_counter = sharded_factory(&db);
-            let resumed = resume_with_counter_guarded(
-                &db,
-                &attrs,
-                &q,
-                &mut resume_counter,
-                &RunGuard::new(GuardLimits::default()),
-                state,
-            )
-            .unwrap();
-            assert_eq!(
-                sorted(&resumed.answers),
-                sorted(&complete.answers),
-                "{algorithm} budget {budget}: sharded resume diverged"
-            );
         }
     }
 }
