@@ -2,14 +2,12 @@
 //! contingency-table counting (horizontal vs vertical — the DESIGN.md §5
 //! counting ablation), chi-squared machinery, and candidate generation.
 
-use std::collections::HashSet;
-
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ccs_bench::DataMethod;
 use ccs_itemset::{
-    candidate, HorizontalCounter, Itemset, MintermCounter, ParallelCounter, ParallelVerticalIndex,
-    TidSet, VerticalCounter, WorkerPool,
+    candidate, HorizontalCounter, Item, Itemset, ItemsetSet, MintermCounter, ParallelCounter,
+    ParallelVerticalIndex, TidSet, VerticalCounter, WorkerPool,
 };
 use ccs_stats::{chi2_quantile, ContingencyTable};
 
@@ -164,7 +162,7 @@ fn bench_stats(c: &mut Criterion) {
 
 fn bench_candidates(c: &mut Criterion) {
     // A level of 500 pairs over 50 items, as the miners see it.
-    let mut level: HashSet<Itemset> = HashSet::new();
+    let mut level = ItemsetSet::default();
     for i in 0..50u32 {
         for j in (i + 1)..50 {
             if (i + j) % 3 != 0 {
@@ -173,13 +171,40 @@ fn bench_candidates(c: &mut Criterion) {
         }
     }
     for size in [100usize, 400] {
-        let subset: HashSet<Itemset> = level.iter().take(size).cloned().collect();
+        let subset: ItemsetSet = level.iter().take(size).cloned().collect();
         c.bench_with_input(
             BenchmarkId::new("candidate/apriori_gen", size),
             &subset,
             |bench, s| bench.iter(|| black_box(candidate::apriori_gen(black_box(s)))),
         );
     }
+
+    // A BMS**-shaped level: ~1.4k SUPP₂ pairs over a 60-item universe,
+    // every fourth item a witness, extended under the witness-subset
+    // rule (each 2-subset holding a witness must be in the level).
+    let universe: Vec<Item> = (0..60).map(Item::new).collect();
+    let witness: Vec<bool> = (0..60).map(|i| i % 4 == 0).collect();
+    let supp2: ItemsetSet = (0..60u32)
+        .flat_map(|i| ((i + 1)..60).map(move |j| (i, j)))
+        .filter(|&(i, j)| (i + j) % 5 != 0)
+        .map(|(i, j)| Itemset::from_ids([i, j]))
+        .collect();
+    c.bench_function("candidate/extend_gen", |bench| {
+        bench.iter(|| {
+            let mut subset = Vec::new();
+            black_box(candidate::extend_gen(
+                black_box(&supp2),
+                &universe,
+                |cand| {
+                    (0..cand.len()).all(|drop| {
+                        candidate::drop_one_into(cand, drop, &mut subset);
+                        !subset.iter().any(|i| witness[i.index()])
+                            || supp2.contains(subset.as_slice())
+                    })
+                },
+            ))
+        })
+    });
 }
 
 criterion_group!(

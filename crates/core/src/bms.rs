@@ -16,9 +16,7 @@
 //! The constrained algorithms of the paper (BMS+, BMS++, BMS*, BMS**) are
 //! all modifications of this sweep.
 
-use std::collections::HashSet;
-
-use ccs_itemset::{candidate, Item, Itemset, MintermCounter, TransactionDb};
+use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
 use ccs_stats::MonotonicityClass;
 
 use crate::engine::{Engine, Verdict};
@@ -43,7 +41,7 @@ pub struct BmsOutput {
     /// Minimal correlated and CT-supported sets, sorted.
     pub sig: Vec<Itemset>,
     /// CT-supported, uncorrelated sets from every level.
-    pub notsig: HashSet<Itemset>,
+    pub notsig: ItemsetSet,
     /// The frequent 1-items the sweep was seeded with.
     pub level1: Vec<Item>,
     /// Work accounting.
@@ -66,7 +64,7 @@ pub(crate) struct BmsRun {
 /// same sweep runs standalone (BMS/BMS+) and as BMS* phase 1.
 struct BmsPolicy {
     sig: Vec<Itemset>,
-    notsig_all: HashSet<Itemset>,
+    notsig_all: ItemsetSet,
     /// Candidates staged for the next `candidates()` call.
     cands: Vec<Itemset>,
     /// The measure's closure direction. Under a downward-closed measure
@@ -92,7 +90,7 @@ impl AlgorithmPolicy for BmsPolicy {
     }
 
     fn absorb(&mut self, _level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
-        let mut notsig_level: HashSet<Itemset> = HashSet::new();
+        let mut notsig_level = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
             if v.ct_supported {
                 if v.correlated {
@@ -171,13 +169,13 @@ pub(crate) fn run_bms_with_engine(
     let (sig, notsig_all, cands, level) = match start {
         Some(s) => (
             s.sig,
-            s.notsig.into_iter().collect::<HashSet<Itemset>>(),
+            s.notsig.into_iter().collect::<ItemsetSet>(),
             s.cands,
             s.level,
         ),
         None => (
             Vec::new(),
-            HashSet::new(),
+            ItemsetSet::default(),
             candidate::all_pairs(&level1),
             2usize,
         ),

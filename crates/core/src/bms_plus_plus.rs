@@ -24,10 +24,8 @@
 //! set and must not be reported. One extra contingency table per such SIG
 //! candidate closes the hole exactly.
 
-use std::collections::HashSet;
-
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
-use ccs_itemset::{candidate, Item, Itemset, MintermCounter, TransactionDb};
+use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
 use ccs_stats::MonotonicityClass;
 
 use crate::engine::{Engine, Verdict};
@@ -38,7 +36,7 @@ use crate::kernel::{
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
-use crate::prep::preprocess;
+use crate::prep::{preprocess, WitnessMask};
 use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 
 /// The §3.1 sweep as a kernel policy: residual anti-monotone constraints
@@ -49,7 +47,7 @@ pub(crate) struct PlusPlusPolicy<'a> {
     pub(crate) analysis: &'a ConstraintAnalysis,
     pub(crate) attrs: &'a AttributeTable,
     pub(crate) good1: Vec<Item>,
-    pub(crate) witness_set: HashSet<Item>,
+    pub(crate) witness: WitnessMask,
     pub(crate) sig_candidates: Vec<Itemset>,
     pub(crate) cands: Vec<Itemset>,
     /// The measure's closure direction; under a downward-closed measure
@@ -81,7 +79,7 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
     }
 
     fn absorb(&mut self, _level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
-        let mut notsig_level: HashSet<Itemset> = HashSet::new();
+        let mut notsig_level = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
             if !v.ct_supported {
                 continue;
@@ -101,10 +99,9 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
             self.cands = Vec::new();
             return;
         }
-        let witness_set = &self.witness_set;
+        let mut subset = Vec::new();
         self.cands = candidate::extend_gen(&notsig_level, &self.good1, |cand| {
-            cand.subsets_dropping_one()
-                .all(|s| !s.iter().any(|i| witness_set.contains(&i)) || notsig_level.contains(&s))
+            self.witness.subsets_in(cand, &notsig_level, &mut subset)
         });
     }
 }
@@ -114,7 +111,7 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
 pub(crate) fn verify_single_witness(
     engine: &mut Engine<'_>,
     analysis: &ConstraintAnalysis,
-    witness_set: &HashSet<Item>,
+    witness: &WitnessMask,
     sig_candidates: Vec<Itemset>,
 ) -> Vec<Itemset> {
     if !analysis.has_witness_class() {
@@ -122,7 +119,7 @@ pub(crate) fn verify_single_witness(
     }
     let mut answers = Vec::with_capacity(sig_candidates.len());
     for set in sig_candidates {
-        let witnesses: Vec<Item> = set.iter().filter(|i| witness_set.contains(i)).collect();
+        let witnesses: Vec<Item> = set.iter().filter(|&i| witness.contains(i)).collect();
         if witnesses.len() == 1 && set.len() >= 3 {
             let residue = set.without_item(witnesses[0]);
             let v = engine.evaluate(&residue);
@@ -196,7 +193,7 @@ pub(crate) fn run_bms_plus_plus_guarded(
         analysis: &analysis,
         attrs,
         good1: prep.good1,
-        witness_set: prep.witness_set,
+        witness: prep.witness,
         sig_candidates,
         cands,
         class: query.params.measure.monotonicity(),
@@ -216,7 +213,7 @@ pub(crate) fn run_bms_plus_plus_guarded(
     let answers = verify_single_witness(
         &mut engine,
         &analysis,
-        &policy.witness_set,
+        &policy.witness,
         policy.sig_candidates,
     );
     Ok(scope.seal(&engine, metrics, answers, Semantics::ValidMin, trip))

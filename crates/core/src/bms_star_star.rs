@@ -28,10 +28,10 @@
 //! phase-1 trip, phase 2 re-enters in [`GuardMode::Bypass`] so the
 //! cache-only sweep survives the already-tripped guard.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
-use ccs_itemset::{candidate, Item, Itemset, MintermCounter, TransactionDb};
+use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
 use ccs_stats::MonotonicityClass;
 
 use crate::engine::Verdict;
@@ -42,7 +42,7 @@ use crate::kernel::{
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
-use crate::prep::preprocess;
+use crate::prep::{preprocess, WitnessMask};
 use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 
 /// Phase 1 (SUPP enumeration) as a kernel policy: BMS++ candidate
@@ -51,8 +51,8 @@ struct StarStarPhase1Policy<'a> {
     analysis: &'a ConstraintAnalysis,
     attrs: &'a AttributeTable,
     good1: &'a [Item],
-    witness_set: &'a HashSet<Item>,
-    supp: HashMap<usize, HashSet<Itemset>>,
+    witness: &'a WitnessMask,
+    supp: HashMap<usize, ItemsetSet>,
     cands: Vec<Itemset>,
 }
 
@@ -79,16 +79,15 @@ impl AlgorithmPolicy for StarStarPhase1Policy<'_> {
     }
 
     fn absorb(&mut self, level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
-        let mut supp_level: HashSet<Itemset> = HashSet::new();
+        let mut supp_level = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
             if v.ct_supported {
                 supp_level.insert(set);
             }
         }
-        let witness_set = self.witness_set;
+        let mut subset = Vec::new();
         self.cands = candidate::extend_gen(&supp_level, self.good1, |cand| {
-            cand.subsets_dropping_one()
-                .all(|s| !s.iter().any(|i| witness_set.contains(&i)) || supp_level.contains(&s))
+            self.witness.subsets_in(cand, &supp_level, &mut subset)
         });
         self.supp.insert(level, supp_level);
     }
@@ -102,7 +101,7 @@ struct StarStarPhase2Policy<'a> {
     analysis: &'a ConstraintAnalysis,
     attrs: &'a AttributeTable,
     good1: &'a [Item],
-    supp: HashMap<usize, HashSet<Itemset>>,
+    supp: HashMap<usize, ItemsetSet>,
     sig: Vec<Itemset>,
     current: Vec<Itemset>,
     /// The measure's closure direction; under a downward-closed measure
@@ -136,7 +135,7 @@ impl AlgorithmPolicy for StarStarPhase2Policy<'_> {
     }
 
     fn absorb(&mut self, k: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
-        let mut notsig_level: HashSet<Itemset> = HashSet::new();
+        let mut notsig_level = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
             if self.class.is_downward() && !v.correlated {
                 continue; // dead: supersets within SUPP are uncorrelated too
@@ -226,7 +225,7 @@ pub(crate) fn run_bms_star_star_guarded(
                 analysis: &analysis,
                 attrs,
                 good1: &prep.good1,
-                witness_set: &prep.witness_set,
+                witness: &prep.witness,
                 supp,
                 cands,
             };

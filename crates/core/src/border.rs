@@ -22,10 +22,10 @@
 //! really are a complete description.
 
 use crate::guard::wall_now;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use ccs_constraints::AttributeTable;
-use ccs_itemset::{candidate, Item, Itemset, MintermCounter, TransactionDb};
+use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
 
 use crate::engine::Engine;
 use crate::metrics::MiningMetrics;
@@ -100,7 +100,7 @@ pub fn solution_space<C: MintermCounter>(
 
     // Level-wise enumeration of the supported region, remembering which
     // sets are space members.
-    let mut in_space: HashMap<usize, HashSet<Itemset>> = HashMap::new();
+    let mut in_space: HashMap<usize, ItemsetSet> = HashMap::new();
     let mut cands = candidate::all_pairs(&good1);
     let mut level = 2usize;
     let mut truncated = false;
@@ -111,8 +111,8 @@ pub fn solution_space<C: MintermCounter>(
         }
         metrics.candidates_generated += cands.len() as u64;
         metrics.max_level_reached = level;
-        let mut supported_level: HashSet<Itemset> = HashSet::new();
-        let mut space_level: HashSet<Itemset> = HashSet::new();
+        let mut supported_level = ItemsetSet::default();
+        let mut space_level = ItemsetSet::default();
         for set in &cands {
             if !analysis.am_residual_satisfied(set, attrs) {
                 metrics.pruned_before_count += 1;
@@ -135,7 +135,7 @@ pub fn solution_space<C: MintermCounter>(
     // Borders. Convexity makes one-level checks exact: a member is
     // minimal iff no (k−1)-subset is a member, maximal iff no
     // (k+1)-superset is.
-    let empty = HashSet::new();
+    let empty = ItemsetSet::default();
     let mut minimal = Vec::new();
     let mut maximal = Vec::new();
     for (&k, members) in &in_space {

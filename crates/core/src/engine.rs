@@ -12,11 +12,15 @@
 //!   judged, any later evaluation — typically a BMS*/BMS** border sweep
 //!   revisiting sets the BMS phase already classified — is answered from
 //!   the cache without rebuilding the contingency table. Hits are
-//!   reported via [`CountingStats::cache_hits`].
+//!   reported via [`CountingStats::cache_hits`]. A level probes it once
+//!   per input set; a fresh set is moved through its table into the
+//!   cache, never cloned twice.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
-use ccs_itemset::{CountingStats, Itemset, MintermCounter};
+use ccs_itemset::hash::ItemsetBuildHasher;
+use ccs_itemset::{CountingStats, Itemset, ItemsetMap, MintermCounter};
 use ccs_stats::{ContingencyTable, MeasureContext};
 
 use crate::guard::{RunGuard, TruncationReason};
@@ -32,6 +36,16 @@ pub(crate) struct Verdict {
     /// The raw measure statistic (the chi-squared statistic under the
     /// paper's measure).
     pub statistic: f64,
+}
+
+impl Verdict {
+    /// The stand-in [`Engine::evaluate_level`] holds a fresh set's place
+    /// with until its batch is judged; it never leaves the engine.
+    const PENDING: Verdict = Verdict {
+        ct_supported: false,
+        correlated: false,
+        statistic: f64::NAN,
+    };
 }
 
 /// Wraps a counting strategy with the query's statistical tests and the
@@ -53,7 +67,7 @@ pub(crate) struct Engine<'a> {
     /// correlated upward closed; see the fidelity notes in DESIGN.md.
     ctx: MeasureContext,
     /// Memoised verdicts: a set is counted at most once per engine.
-    cache: HashMap<Itemset, Verdict>,
+    cache: ItemsetMap<Verdict>,
     /// Evaluations answered from `cache` without building a table.
     cache_hits: u64,
     /// The run's resource governor, consulted at level boundaries and
@@ -84,7 +98,7 @@ impl<'a> Engine<'a> {
             s_abs: params.support_abs(n),
             p: params.ct_fraction,
             ctx,
-            cache: HashMap::new(),
+            cache: ItemsetMap::default(),
             cache_hits: 0,
             guard,
         }
@@ -124,7 +138,7 @@ impl<'a> Engine<'a> {
         }
         let table = ContingencyTable::build(&mut *self.counter, set);
         let v = self.judge(&table);
-        self.cache.insert(set.clone(), v);
+        self.cache.insert(table.into_itemset(), v);
         v
     }
 
@@ -148,16 +162,36 @@ impl<'a> Engine<'a> {
         sets: &[Itemset],
     ) -> Result<Vec<Verdict>, TruncationReason> {
         self.guard.checkpoint()?;
+        // Verdicts by input position: cached ones now, the rest once the
+        // batch is judged. A fresh set is counted at its first position;
+        // a repeat copies the verdict from there.
+        let mut verdicts: Vec<Verdict> = Vec::with_capacity(sets.len());
         let mut fresh: Vec<Itemset> = Vec::new();
-        let mut queued: HashSet<&Itemset> = HashSet::new();
-        for set in sets {
+        let mut fresh_at: Vec<usize> = Vec::new();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        let mut first_at: HashMap<&Itemset, usize, ItemsetBuildHasher> = HashMap::default();
+        for (pos, set) in sets.iter().enumerate() {
             debug_assert!(set.len() >= 2, "tests are degenerate below pairs");
-            if self.cache.contains_key(set) || !queued.insert(set) {
+            if let Some(&v) = self.cache.get(set) {
                 self.cache_hits += 1;
-            } else {
-                fresh.push(set.clone());
+                verdicts.push(v);
+                continue;
             }
+            match first_at.entry(set) {
+                Entry::Occupied(first) => {
+                    self.cache_hits += 1;
+                    repeats.push((pos, *first.get()));
+                }
+                Entry::Vacant(first) => {
+                    first.insert(pos);
+                    fresh.push(set.clone());
+                    fresh_at.push(pos);
+                }
+            }
+            verdicts.push(Verdict::PENDING);
         }
+        // Free the index before the batch allocates its tables.
+        drop(first_at);
         if !fresh.is_empty() {
             let batch = self
                 .counter
@@ -176,13 +210,17 @@ impl<'a> Engine<'a> {
                     })
                 }
             };
-            for (set, cells) in fresh.into_iter().zip(counts) {
-                let table = ContingencyTable::from_counts(set.clone(), cells);
+            for ((set, cells), pos) in fresh.into_iter().zip(counts).zip(fresh_at) {
+                let table = ContingencyTable::from_counts(set, cells);
                 let v = self.judge(&table);
-                self.cache.insert(set, v);
+                self.cache.insert(table.into_itemset(), v);
+                verdicts[pos] = v;
             }
         }
-        Ok(sets.iter().map(|s| self.cache[s]).collect())
+        for (pos, first) in repeats {
+            verdicts[pos] = verdicts[first];
+        }
+        Ok(verdicts)
     }
 
     /// Raw minterm counts for `set` (one accounted table), for callers
@@ -199,5 +237,101 @@ impl<'a> Engine<'a> {
         // ccs-lint: allow(counting-stats-merge-via-addassign, reason = "folds the engine's own hit counter into one field; not a stats-to-stats merge")
         stats.cache_hits += self.cache_hits;
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::guard::GuardLimits;
+    use ccs_itemset::{HorizontalCounter, TransactionDb};
+
+    /// A counter on the trait's per-set default batch path, so a cell
+    /// budget trips between two sets of one batch.
+    struct PerSet<'d>(HorizontalCounter<'d>);
+
+    impl MintermCounter for PerSet<'_> {
+        fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
+            self.0.minterm_counts(set)
+        }
+
+        fn n_transactions(&self) -> usize {
+            self.0.n_transactions()
+        }
+
+        fn stats(&self) -> CountingStats {
+            self.0.stats()
+        }
+    }
+
+    fn set(ids: &[u32]) -> Itemset {
+        Itemset::from_ids(ids.iter().copied())
+    }
+
+    #[test]
+    fn level_batches_answer_by_position_and_trips_leave_the_cache_clean() {
+        let db = TransactionDb::from_ids(
+            5,
+            vec![
+                vec![0, 1],
+                vec![0, 1, 2],
+                vec![0, 2],
+                vec![1, 3],
+                vec![0, 1, 3, 4],
+                vec![2, 4],
+                vec![],
+                vec![0, 1, 2, 3],
+            ],
+        );
+        let params = MiningParams::paper();
+        // The verdicts one set at a time, on an engine of its own.
+        let mut solo = HorizontalCounter::new(&db);
+        let mut reference = Engine::new(&mut solo, &params);
+        let mut expect = |sets: &[Itemset]| -> Vec<Verdict> {
+            sets.iter().map(|s| reference.evaluate(s)).collect()
+        };
+
+        // Batches 1 and 2 charge 4 cells per pair table: 16 in all, so
+        // the first table of batch 3 crosses the budget.
+        let limits = GuardLimits {
+            work_budget_cells: Some(17),
+            ..GuardLimits::default()
+        };
+        let mut counter = PerSet(HorizontalCounter::new(&db));
+        let mut engine = Engine::with_guard(&mut counter, &params, RunGuard::new(limits));
+
+        let first = [set(&[0, 1]), set(&[0, 2])];
+        assert_eq!(engine.evaluate_level(&first), Ok(expect(&first)));
+        let stats = engine.counting_stats();
+        assert_eq!((stats.tables_built, stats.cache_hits), (2, 0));
+
+        // Cached, fresh, cached, in-batch duplicate, fresh, cached.
+        let mixed = [
+            set(&[0, 2]),
+            set(&[1, 2]),
+            set(&[0, 1]),
+            set(&[1, 2]),
+            set(&[0, 3]),
+            set(&[0, 2]),
+        ];
+        assert_eq!(engine.evaluate_level(&mixed), Ok(expect(&mixed)));
+        let stats = engine.counting_stats();
+        assert_eq!(stats.tables_built, 4, "one table per distinct fresh set");
+        assert_eq!(
+            stats.cache_hits, 4,
+            "three cached inputs plus one duplicate"
+        );
+
+        let tripped = [set(&[2, 3]), set(&[2, 4]), set(&[1, 3])];
+        assert_eq!(
+            engine.evaluate_level(&tripped),
+            Err(TruncationReason::WorkBudget)
+        );
+        for s in &tripped {
+            assert!(!engine.cache.contains_key(s), "{s} outlived its batch");
+        }
+        for s in first.iter().chain(&mixed) {
+            assert!(engine.cache.contains_key(s), "{s} left the cache");
+        }
     }
 }

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ccs_itemset::{CountProbe, Itemset};
+use ccs_itemset::{CountProbe, Itemset, ItemsetSet};
 
 use crate::miner::Algorithm;
 use crate::persist::CheckpointRecorder;
@@ -469,7 +469,7 @@ pub(crate) fn sorted_sets<I: IntoIterator<Item = Itemset>>(sets: I) -> Vec<Items
 /// sets within a level sorted) — the frontier of BMS* phase 2 and the
 /// SUPP levels of BMS**.
 pub(crate) fn freeze_levels(
-    levels: &std::collections::HashMap<usize, std::collections::HashSet<Itemset>>,
+    levels: &std::collections::HashMap<usize, ItemsetSet>,
 ) -> Vec<(usize, Vec<Itemset>)> {
     let mut out: Vec<(usize, Vec<Itemset>)> = levels
         .iter()
@@ -482,7 +482,7 @@ pub(crate) fn freeze_levels(
 /// Inverse of [`freeze_levels`].
 pub(crate) fn thaw_levels(
     levels: Vec<(usize, Vec<Itemset>)>,
-) -> std::collections::HashMap<usize, std::collections::HashSet<Itemset>> {
+) -> std::collections::HashMap<usize, ItemsetSet> {
     levels
         .into_iter()
         .map(|(k, sets)| (k, sets.into_iter().collect()))

@@ -525,6 +525,10 @@ mod tests {
                 ..good
             },
             MiningParams {
+                max_level: 31,
+                ..good
+            },
+            MiningParams {
                 confidence: 1.0,
                 ..good
             },

@@ -9,10 +9,8 @@
 //! only miner that accepts neither-monotone (`avg`) constraints, whose
 //! holey solution spaces defeat level-wise pruning (§6 of the paper).
 
-use std::collections::HashMap;
-
 use ccs_constraints::AttributeTable;
-use ccs_itemset::{Item, Itemset, MintermCounter, TransactionDb};
+use ccs_itemset::{Item, Itemset, ItemsetMap, MintermCounter, TransactionDb};
 
 use crate::engine::{Engine, Verdict};
 use crate::guard::{ResumeInner, RunGuard};
@@ -109,7 +107,7 @@ pub(crate) fn run_naive_guarded(
         basis: &basis,
         constraints: &query.constraints,
         attrs,
-        flags: HashMap::new(),
+        flags: ItemsetMap::default(),
     };
     let trip = run_levelwise(
         &mut engine,
@@ -164,7 +162,7 @@ struct NaivePolicy<'a> {
     basis: &'a [Item],
     constraints: &'a ccs_constraints::ConstraintSet,
     attrs: &'a AttributeTable,
-    flags: HashMap<Itemset, Flags>,
+    flags: ItemsetMap<Flags>,
 }
 
 impl AlgorithmPolicy for NaivePolicy<'_> {

@@ -21,7 +21,16 @@ pub enum ParamError {
     /// `max_level` is below 2: no level of pairs would be mined.
     #[error("max_level must be at least 2, got {0}")]
     MaxLevel(usize),
+    /// `max_level` is above 30: one table of a set that wide
+    /// would not fit in memory.
+    #[error("max_level must be at most {MAX_WIDTH}, since a k-item contingency table has 2^k cells, got {0}")]
+    Width(usize),
 }
+
+/// The widest itemset a run may count. A `k`-set's contingency table
+/// has `2^k` `u64` cells, so one table at this width already takes
+/// 8 GiB.
+pub(crate) const MAX_WIDTH: usize = 30;
 
 /// The statistical parameters of a correlation query: the correlation
 /// measure and its threshold, the cell-support threshold `s` (as a
@@ -101,6 +110,9 @@ impl MiningParams {
         }
         if self.max_level < 2 {
             return Err(ParamError::MaxLevel(self.max_level));
+        }
+        if self.max_level > MAX_WIDTH {
+            return Err(ParamError::Width(self.max_level));
         }
         Ok(())
     }
@@ -204,6 +216,10 @@ mod tests {
                 max_level: 1,
                 ..paper
             },
+            MiningParams {
+                max_level: MAX_WIDTH + 1,
+                ..paper
+            },
         ];
         let errors: Vec<String> = cases
             .iter()
@@ -214,5 +230,14 @@ mod tests {
         assert_eq!(errors[2], "ct_fraction must be in [0, 1], got -0.1");
         assert_eq!(errors[3], "min_item_support must be in [0, 1], got 2");
         assert_eq!(errors[4], "max_level must be at least 2, got 1");
+        assert_eq!(
+            errors[5],
+            "max_level must be at most 30, since a k-item contingency table has 2^k cells, got 31"
+        );
+        let widest = MiningParams {
+            max_level: MAX_WIDTH,
+            ..paper
+        };
+        assert_eq!(widest.validate(), Ok(()));
     }
 }

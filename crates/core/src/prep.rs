@@ -5,10 +5,9 @@
 //! `GOOD₁` and splits that into the witness class `L1⁺` and the rest
 //! `L1⁻` (preprocessing step I of §3.1).
 
-use std::collections::HashSet;
-
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
-use ccs_itemset::{Item, Itemset, TransactionDb};
+use ccs_itemset::candidate::drop_one_into;
+use ccs_itemset::{Item, Itemset, ItemsetSet, TransactionDb};
 
 use crate::params::MiningParams;
 use crate::query::CorrelationQuery;
@@ -60,13 +59,52 @@ pub(crate) fn witness_split(
     (l1_plus, l1_minus)
 }
 
-/// `GOOD₁`, its witness split, and the witness membership set — the full
-/// preprocessing step I bundle BMS++ and BMS** both start from.
+/// Dense membership mask of the witness class `L1⁺`, indexed by item
+/// id.
+pub(crate) struct WitnessMask(Vec<bool>);
+
+impl WitnessMask {
+    fn new(n_items: usize, l1_plus: &[Item]) -> Self {
+        let mut mask = vec![false; n_items];
+        for &i in l1_plus {
+            mask[i.index()] = true;
+        }
+        WitnessMask(mask)
+    }
+
+    /// `true` iff `item` is in `L1⁺`.
+    pub(crate) fn contains(&self, item: Item) -> bool {
+        self.0[item.index()]
+    }
+
+    /// Modification II's candidate rule of BMS++ (and BMS** phase 1):
+    /// every `(k−1)`-subset of `cand` that contains a witness is in
+    /// `level`. The subsets are assembled in `subset`, a reused buffer.
+    pub(crate) fn subsets_in(
+        &self,
+        cand: &[Item],
+        level: &ItemsetSet,
+        subset: &mut Vec<Item>,
+    ) -> bool {
+        let witnesses = cand.iter().filter(|&&i| self.contains(i)).count();
+        (0..cand.len()).all(|drop| {
+            // Dropping the only witness leaves a subset the rule ignores.
+            if witnesses == usize::from(self.contains(cand[drop])) {
+                return true;
+            }
+            drop_one_into(cand, drop, subset);
+            level.contains(subset.as_slice())
+        })
+    }
+}
+
+/// `GOOD₁`, its witness split, and the witness membership mask — the
+/// full preprocessing step I bundle BMS++ and BMS** both start from.
 pub(crate) struct Preprocessed {
     pub(crate) good1: Vec<Item>,
     pub(crate) l1_plus: Vec<Item>,
     pub(crate) l1_minus: Vec<Item>,
-    pub(crate) witness_set: HashSet<Item>,
+    pub(crate) witness: WitnessMask,
 }
 
 pub(crate) fn preprocess(
@@ -77,11 +115,11 @@ pub(crate) fn preprocess(
 ) -> Preprocessed {
     let good1 = good1_items(db, attrs, query);
     let (l1_plus, l1_minus) = witness_split(&good1, analysis);
-    let witness_set = l1_plus.iter().copied().collect();
+    let witness = WitnessMask::new(db.n_items() as usize, &l1_plus);
     Preprocessed {
         good1,
         l1_plus,
         l1_minus,
-        witness_set,
+        witness,
     }
 }

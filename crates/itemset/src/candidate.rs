@@ -14,9 +14,12 @@
 //!   `(k-1)`-subsets that intersect `L1⁺` — a candidate may legitimately
 //!   have subsets that were never candidates themselves, which breaks the
 //!   symmetric join.
+//!
+//! Levels are [`ItemsetSet`]s. Both generators assemble candidates and
+//! subsets in one reused buffer and probe the levels with the borrowed
+//! slice, so only a kept candidate is allocated as an [`Itemset`].
 
-use std::collections::HashSet;
-
+use crate::hash::ItemsetSet;
 use crate::item::Item;
 use crate::itemset::Itemset;
 
@@ -24,9 +27,9 @@ use crate::itemset::Itemset;
 /// `k`-sets, then retains those for which `keep` returns `true`.
 ///
 /// `prev` must contain sets of a single uniform size ≥ 1.
-pub fn apriori_join<F>(prev: &HashSet<Itemset>, keep: F) -> Vec<Itemset>
+pub fn apriori_join<F>(prev: &ItemsetSet, mut keep: F) -> Vec<Itemset>
 where
-    F: Fn(&Itemset) -> bool,
+    F: FnMut(&Itemset) -> bool,
 {
     let mut sorted: Vec<&Itemset> = prev.iter().collect();
     sorted.sort_unstable();
@@ -51,32 +54,48 @@ where
 
 /// Classical Apriori candidate generation: join + "all `(k-1)`-subsets
 /// present" prune.
-pub fn apriori_gen(prev: &HashSet<Itemset>) -> Vec<Itemset> {
+pub fn apriori_gen(prev: &ItemsetSet) -> Vec<Itemset> {
+    let mut subset = Vec::new();
     apriori_join(prev, |cand| {
-        cand.subsets_dropping_one().all(|s| prev.contains(&s))
+        (0..cand.len()).all(|drop| {
+            drop_one_into(cand.items(), drop, &mut subset);
+            prev.contains(subset.as_slice())
+        })
     })
+}
+
+/// Writes `items` minus its `drop`-th item into `buf`, the `(k-1)`-subset
+/// probe of the candidate rules.
+pub fn drop_one_into(items: &[Item], drop: usize, buf: &mut Vec<Item>) {
+    buf.clear();
+    buf.extend_from_slice(&items[..drop]);
+    buf.extend_from_slice(&items[drop + 1..]);
 }
 
 /// Extends every set in `prev` by one item drawn from `universe`,
 /// deduplicates, and retains candidates for which `keep` returns `true`.
 ///
+/// Each extension is assembled in one reused buffer; `keep` sees it as a
+/// sorted item slice, and only a kept candidate becomes an [`Itemset`].
 /// Results are returned in sorted order for determinism.
-pub fn extend_gen<F>(prev: &HashSet<Itemset>, universe: &[Item], keep: F) -> Vec<Itemset>
+pub fn extend_gen<F>(prev: &ItemsetSet, universe: &[Item], mut keep: F) -> Vec<Itemset>
 where
-    F: Fn(&Itemset) -> bool,
+    F: FnMut(&[Item]) -> bool,
 {
-    let mut seen: HashSet<Itemset> = HashSet::new();
+    let mut seen = ItemsetSet::default();
+    let mut cand: Vec<Item> = Vec::new();
     for base in prev {
+        let items = base.items();
         for &item in universe {
-            if base.contains(item) {
-                continue;
-            }
-            let cand = base.with_item(item);
-            if seen.contains(&cand) {
-                continue;
-            }
-            if keep(&cand) {
-                seen.insert(cand);
+            let Err(pos) = items.binary_search(&item) else {
+                continue; // already in the base
+            };
+            cand.clear();
+            cand.extend_from_slice(&items[..pos]);
+            cand.push(item);
+            cand.extend_from_slice(&items[pos..]);
+            if !seen.contains(cand.as_slice()) && keep(&cand) {
+                seen.insert(Itemset::from_sorted_vec(cand.clone()));
             }
         }
     }
@@ -90,7 +109,7 @@ where
 ///
 /// Results are sorted and duplicate-free.
 pub fn pairs_from(left: &[Item], right: &[Item]) -> Vec<Itemset> {
-    let mut seen: HashSet<Itemset> = HashSet::new();
+    let mut seen = ItemsetSet::default();
     for &a in left {
         for &b in left.iter().chain(right.iter()) {
             if a != b {
@@ -118,12 +137,14 @@ pub fn all_pairs(items: &[Item]) -> Vec<Itemset> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn set(ids: &[u32]) -> Itemset {
         Itemset::from_ids(ids.iter().copied())
     }
 
-    fn level(sets: &[&[u32]]) -> HashSet<Itemset> {
+    fn level(sets: &[&[u32]]) -> ItemsetSet {
         sets.iter().map(|s| set(s)).collect()
     }
 
@@ -153,7 +174,7 @@ mod tests {
 
     #[test]
     fn apriori_gen_empty_level() {
-        assert!(apriori_gen(&HashSet::new()).is_empty());
+        assert!(apriori_gen(&ItemsetSet::default()).is_empty());
     }
 
     #[test]
@@ -174,7 +195,7 @@ mod tests {
             cands,
             vec![set(&[1, 2, 3]), set(&[1, 2, 4]), set(&[1, 3, 4])]
         );
-        let none = extend_gen(&prev, &[Item(4)], |c| !c.contains(Item(4)));
+        let none = extend_gen(&prev, &[Item(4)], |c| !c.contains(&Item(4)));
         assert!(none.is_empty());
     }
 
@@ -199,5 +220,43 @@ mod tests {
         let items: Vec<Item> = (0..5).map(Item::new).collect();
         assert_eq!(all_pairs(&items).len(), 10);
         assert!(all_pairs(&items[..1]).is_empty());
+    }
+
+    /// A predicate that looks at the whole candidate: its id sum is not
+    /// a multiple of three.
+    fn keep_rule(items: &[Item]) -> bool {
+        items.iter().map(|i| i.id()).sum::<u32>() % 3 != 0
+    }
+
+    proptest! {
+        #[test]
+        fn extend_gen_matches_brute_force(
+            k in 1usize..=3,
+            bases in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..12, 3usize),
+                0..24,
+            ),
+            universe in proptest::collection::btree_set(0u32..12, 0..12usize),
+            filtered in any::<bool>(),
+        ) {
+            let prev: ItemsetSet = bases
+                .iter()
+                .map(|b| Itemset::from_ids(b.iter().copied().take(k)))
+                .collect();
+            let universe: Vec<Item> = universe.into_iter().map(Item::new).collect();
+            let keep = |c: &[Item]| !filtered || keep_rule(c);
+            // Every base × item extension, deduplicated, filtered, sorted.
+            let mut reference = BTreeSet::new();
+            for base in &prev {
+                for &item in &universe {
+                    if !base.contains(item) {
+                        reference.insert(base.with_item(item));
+                    }
+                }
+            }
+            let reference: Vec<Itemset> =
+                reference.into_iter().filter(|c| keep(c.items())).collect();
+            prop_assert_eq!(extend_gen(&prev, &universe, keep), reference);
+        }
     }
 }

@@ -7,10 +7,13 @@
 //!
 //! * O(log n) membership and O(n + m) subset / union / intersection by merge,
 //! * cheap hashing and total ordering (lexicographic), so itemsets can key
-//!   `HashMap`s and live in `BTreeSet`s,
+//!   `HashMap`s and live in `BTreeSet`s; an itemset hashes, compares and
+//!   orders exactly as its item slice, so hashed collections of itemsets
+//!   can be probed with a borrowed `&[Item]` (see [`crate::hash`]),
 //! * two `usize`s of inline footprint, which matters when millions of
 //!   candidates are in flight.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -289,6 +292,12 @@ impl Itemset {
     /// Last (largest) item, if non-empty.
     pub fn last(&self) -> Option<Item> {
         self.items.last().copied()
+    }
+}
+
+impl Borrow<[Item]> for Itemset {
+    fn borrow(&self) -> &[Item] {
+        &self.items
     }
 }
 

@@ -4,6 +4,8 @@
 //!
 //! * [`Item`] / [`Itemset`] — dense item ids and immutable sorted itemsets
 //!   with full set algebra and lattice helpers,
+//! * [`hash`] — the seeded multiply-xor hasher behind [`ItemsetSet`] and
+//!   [`ItemsetMap`], the itemset-keyed collections of the mining layers,
 //! * [`TransactionDb`] — an in-memory horizontal basket database,
 //! * [`TidSet`] / [`VerticalIndex`] — per-item transaction bitmaps,
 //! * [`counting`] — pluggable minterm (contingency-cell) counting with work
@@ -33,6 +35,7 @@ pub mod candidate;
 pub mod counting;
 pub mod database;
 pub mod fptree;
+pub mod hash;
 pub mod item;
 pub mod itemset;
 pub mod parallel;
@@ -47,6 +50,7 @@ pub use counting::{
 };
 pub use database::TransactionDb;
 pub use fptree::{FpTree, FpTreeCounter};
+pub use hash::{ItemsetMap, ItemsetSet};
 pub use item::Item;
 pub use itemset::Itemset;
 pub use parallel::ParallelCounter;

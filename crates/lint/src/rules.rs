@@ -92,6 +92,15 @@ pub const RULES: &[Rule] = &[
         owner: "crates/stats/src",
     },
     Rule {
+        id: "itemset-keyed-std-hash",
+        invariant: "itemset-keyed sets and maps in the mining layers are `ItemsetSet` / \
+                    `ItemsetMap`",
+        why: "between counting batches the miners mostly hash itemsets; under std's \
+              SipHash that hashing costs more than the contingency tables do \
+              (DESIGN.md §11)",
+        owner: "crates/itemset/src/hash.rs",
+    },
+    Rule {
         id: "suppression-requires-reason",
         invariant: "every `ccs-lint: allow(...)` names a known rule and carries a reason",
         why: "an allow without a reason (or naming an unknown rule) hides an \
@@ -150,6 +159,7 @@ pub fn check_file(path: &str, src: &str, sig: &[Tok], ctx: &Context) -> Vec<Find
     check_no_panic(path, src, sig, ctx, &mut out);
     check_nondeterminism(path, src, sig, ctx, &mut out);
     check_measure_verdict(path, src, sig, ctx, &mut out);
+    check_itemset_hash(path, src, sig, ctx, &mut out);
     out
 }
 
@@ -475,6 +485,42 @@ fn check_measure_verdict(
     }
 }
 
+/// `itemset-keyed-std-hash`: `HashSet<Itemset` / `HashMap<Itemset`
+/// (std's default hasher) in production code of the mining core and the
+/// candidate generators, which key their collections by itemsets through
+/// the `ItemsetSet` / `ItemsetMap` aliases instead.
+fn check_itemset_hash(path: &str, src: &str, sig: &[Tok], ctx: &Context, out: &mut Vec<Finding>) {
+    let in_scope =
+        path.starts_with("crates/core/src/") || path == "crates/itemset/src/candidate.rs";
+    if !in_scope {
+        return;
+    }
+    for (i, t) in sig.iter().enumerate() {
+        if ctx.in_test[i] || t.kind != TokKind::Ident {
+            continue;
+        }
+        let alias = match t.text(src) {
+            "HashSet" => "ItemsetSet",
+            "HashMap" => "ItemsetMap<V>",
+            _ => continue,
+        };
+        let keyed = sig.get(i + 1).is_some_and(|a| a.text(src) == "<")
+            && sig
+                .get(i + 2)
+                .is_some_and(|k| k.kind == TokKind::Ident && k.text(src) == "Itemset");
+        if keyed {
+            out.push(Finding {
+                rule: "itemset-keyed-std-hash",
+                span: (t.start, sig[i + 2].end),
+                message: format!(
+                    "`{}<Itemset` hashes with std's SipHash — use `{alias}`",
+                    t.text(src)
+                ),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,5 +675,21 @@ mod tests {
             run("crates/core/src/kernel.rs", ty).is_empty(),
             "type position is fine"
         );
+    }
+
+    #[test]
+    fn itemset_hash_scoped_to_core_and_candidate_generation() {
+        let src = "fn f(a: HashSet<Itemset>, b: &HashMap<Itemset, Verdict>) {}";
+        assert_eq!(
+            run("crates/core/src/bms.rs", src),
+            vec!["itemset-keyed-std-hash"; 2]
+        );
+        assert_eq!(run("crates/itemset/src/candidate.rs", src).len(), 2);
+        assert!(
+            run("crates/itemset/src/vertical.rs", src).is_empty(),
+            "the rule covers the between-level code only"
+        );
+        let fine = "fn f(a: ItemsetSet, b: HashMap<usize, ItemsetSet>, c: HashSet<Item>) {}";
+        assert!(run("crates/core/src/bms.rs", fine).is_empty());
     }
 }

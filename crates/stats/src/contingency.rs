@@ -57,6 +57,11 @@ impl ContingencyTable {
         &self.set
     }
 
+    /// Gives up the table, keeping its itemset.
+    pub fn into_itemset(self) -> Itemset {
+        self.set
+    }
+
     /// Observed cell counts (length `2^k`, bit `j` of the index = item `j`
     /// present).
     pub fn counts(&self) -> &[u64] {
@@ -117,8 +122,13 @@ impl ContingencyTable {
         if k < 2 || self.n == 0 {
             return 0.0;
         }
-        // Precompute marginals once.
-        let marginals: Vec<f64> = (0..k).map(|j| self.marginal(j)).collect();
+        // Precompute marginals once, on the stack: `from_counts` holds
+        // `1 << k` cells, so `k` is below `usize::BITS`.
+        let mut marginals = [0.0f64; usize::BITS as usize];
+        let marginals = &mut marginals[..k];
+        for (j, p) in marginals.iter_mut().enumerate() {
+            *p = self.marginal(j);
+        }
         let mut stat = 0.0;
         for (cell, &count) in self.counts.iter().enumerate() {
             let mut e = self.n as f64;
@@ -400,5 +410,54 @@ mod tests {
         let a = ContingencyTable::from_counts(Itemset::from_ids([0, 1]), vec![11, 39, 20, 30]);
         let b = ContingencyTable::from_counts(Itemset::from_ids([0, 1]), vec![11, 20, 39, 30]);
         close(a.chi_squared(), b.chi_squared(), 1e-9);
+    }
+
+    /// The reference `chi_squared` must match bit for bit: marginals
+    /// collected in a `Vec`, then `Σ (O − E)² / E` over cells with
+    /// `E > 0`, in the same order.
+    fn chi_squared_reference(t: &ContingencyTable) -> f64 {
+        let k = t.itemset().len();
+        if k < 2 || t.n() == 0 {
+            return 0.0;
+        }
+        let marginals: Vec<f64> = (0..k).map(|j| t.marginal(j)).collect();
+        let mut stat = 0.0;
+        for (cell, &count) in t.counts().iter().enumerate() {
+            let mut e = t.n() as f64;
+            for (j, &p) in marginals.iter().enumerate() {
+                e *= if cell & (1 << j) != 0 { p } else { 1.0 - p };
+            }
+            if e > 0.0 {
+                let diff = count as f64 - e;
+                stat += diff * diff / e;
+            }
+        }
+        stat
+    }
+
+    #[test]
+    fn chi_squared_is_bit_identical_to_the_reference_formula() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for k in 2..=8u32 {
+            for round in 0..50 {
+                let set = Itemset::from_ids(0..k);
+                // Every fifth table is sparse, so zero marginals and
+                // zero expectations occur too.
+                let counts: Vec<u64> = (0..1usize << k)
+                    .map(|_| match round % 5 {
+                        0 if rng.gen_bool(0.8) => 0,
+                        _ => rng.gen_range(0..1000u64),
+                    })
+                    .collect();
+                let t = ContingencyTable::from_counts(set, counts);
+                assert_eq!(
+                    t.chi_squared().to_bits(),
+                    chi_squared_reference(&t).to_bits(),
+                    "k = {k}, round {round}"
+                );
+            }
+        }
     }
 }
