@@ -203,6 +203,10 @@ pub struct QueryAnalysis {
     /// miners close at level 2 and `MIN_VALID` sweeps re-check
     /// correlation at every level instead of inheriting it upward.
     pub measure_class: MonotonicityClass,
+    /// The push plan of `normalized`, built to assign the report roles;
+    /// `None` for an unsatisfiable conjunction. Read it via
+    /// [`QueryAnalysis::plan`].
+    plan: Option<ConstraintAnalysis>,
 }
 
 /// Analyzes `cs` against `attrs` without source spans.
@@ -311,6 +315,7 @@ pub fn analyze_for_measure(
             diagnostics,
             valid_min_eq_min_valid: true,
             measure_class,
+            plan: None,
         });
     }
 
@@ -386,6 +391,7 @@ pub fn analyze_for_measure(
         reports,
         diagnostics,
         measure_class,
+        plan: Some(analysis),
     })
 }
 
@@ -1403,6 +1409,13 @@ fn role_slug(role: PushRole) -> &'static str {
 }
 
 impl QueryAnalysis {
+    /// The push plan the constraint-pushing miners run from: the
+    /// [`ConstraintSet::analyze`] of [`QueryAnalysis::normalized`].
+    /// `None` iff the verdict is unsatisfiable.
+    pub fn plan(&self) -> Option<&ConstraintAnalysis> {
+        self.plan.as_ref()
+    }
+
     /// Lower-case verdict label.
     pub fn verdict_str(&self) -> &'static str {
         match self.verdict {

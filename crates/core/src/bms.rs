@@ -20,10 +20,10 @@ use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, Transact
 use ccs_stats::MonotonicityClass;
 
 use crate::engine::{Engine, Verdict};
-use crate::guard::{sorted_sets, wall_now, BmsSnapshot, ResumeInner};
+use crate::guard::{sorted_sets, BmsSnapshot, ResumeInner};
 use crate::kernel::{
     run_levelwise, staged, AlgorithmPolicy, GuardMode, KernelConfig, KernelTrip, LevelMark,
-    LevelSeed,
+    LevelSeed, MinerScope,
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
@@ -128,8 +128,9 @@ pub fn run_bms<C: MintermCounter>(
     if let Err(e) = params.validate() {
         panic!("invalid parameters: {e}");
     }
+    let scope = MinerScope::begin(counter.stats());
     let mut engine = Engine::new(counter, params);
-    run_bms_with_engine(
+    let mut output = run_bms_with_engine(
         db,
         params,
         &mut engine,
@@ -137,7 +138,9 @@ pub fn run_bms<C: MintermCounter>(
         Algorithm::BmsPlus,
         ResumeInner::Bms,
     )
-    .output
+    .output;
+    scope.seal(&engine, &mut output.metrics, output.sig.len());
+    output
 }
 
 /// [`run_bms`] over a caller-owned [`Engine`], so a two-phase algorithm
@@ -148,7 +151,8 @@ pub fn run_bms<C: MintermCounter>(
 /// `start` re-enters the level loop from a truncated run's snapshot
 /// instead of from the all-pairs seed. A trip stamps `algorithm` and the
 /// `wrap`ped snapshot into the resume state, so the same sweep serves
-/// BMS/BMS+ and BMS* phase 1.
+/// BMS/BMS+ and BMS* phase 1. The caller's [`MinerScope`] seals the
+/// returned metrics.
 pub(crate) fn run_bms_with_engine(
     db: &TransactionDb,
     params: &MiningParams,
@@ -157,9 +161,7 @@ pub(crate) fn run_bms_with_engine(
     algorithm: Algorithm,
     wrap: fn(BmsSnapshot) -> ResumeInner,
 ) -> BmsRun {
-    let start_time = wall_now();
     let mut metrics = MiningMetrics::default();
-    let base_stats = engine.counting_stats();
 
     // Level 1: the item basis.
     let level1: Vec<Item> = frequent_items(db, params);
@@ -204,11 +206,7 @@ pub(crate) fn run_bms_with_engine(
         ..
     } = policy;
     sig.sort_unstable();
-    metrics.sig_size = sig.len() as u64;
     metrics.notsig_size = notsig_all.len() as u64;
-    let end_stats = engine.counting_stats();
-    metrics.absorb_counting(end_stats.since(&base_stats));
-    metrics.elapsed = start_time.elapsed();
 
     BmsRun {
         output: BmsOutput {

@@ -13,7 +13,7 @@ use ccs_itemset::{MintermCounter, TransactionDb};
 use crate::bms::run_bms_with_engine;
 use crate::engine::Engine;
 use crate::guard::{ResumeInner, RunGuard};
-use crate::kernel::{admit, MinerScope};
+use crate::kernel::{admit, conclude, MinerScope};
 use crate::miner::Algorithm;
 use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 
@@ -21,19 +21,21 @@ use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 ///
 /// # Errors
 ///
-/// Returns [`MiningError`] if the constraints fail validation or contain
-/// a neither-monotone (`avg`) constraint.
+/// Returns [`MiningError`] if the parameters or constraints fail
+/// validation, or the constraints contain a neither-monotone (`avg`)
+/// constraint.
 pub fn run_bms_plus<C: MintermCounter>(
     db: &TransactionDb,
     attrs: &AttributeTable,
     query: &CorrelationQuery,
     counter: &mut C,
 ) -> Result<MiningResult, MiningError> {
+    admit(query, attrs)?;
     run_bms_plus_guarded(db, attrs, query, counter, &RunGuard::unlimited(), None)
 }
 
 /// [`run_bms_plus`] under a resource guard, optionally re-entering a
-/// truncated run's level frontier.
+/// truncated run's level frontier. The query has passed the preamble.
 ///
 /// On truncation the partial `SIG` is still filtered by the constraints:
 /// level-wise growth means every set in it belongs to the complete
@@ -46,13 +48,12 @@ pub(crate) fn run_bms_plus_guarded(
     guard: &RunGuard,
     resume: Option<ResumeInner>,
 ) -> Result<MiningResult, MiningError> {
-    admit(query, attrs)?;
     let start = match resume {
         None => None,
         Some(ResumeInner::Bms(s)) => Some(s),
         Some(_) => return Err(MiningError::foreign_snapshot(Algorithm::BmsPlus.name())),
     };
-    let mut scope = MinerScope::begin(counter.stats());
+    let scope = MinerScope::begin(counter.stats());
     let mut engine = Engine::with_guard(counter, &query.params, guard.clone());
     let run = run_bms_with_engine(
         db,
@@ -62,19 +63,13 @@ pub(crate) fn run_bms_plus_guarded(
         Algorithm::BmsPlus,
         ResumeInner::Bms,
     );
-    // The BMS run already absorbed its own counting into its metrics.
-    scope.rebase(engine.counting_stats());
+    let mut metrics = run.output.metrics;
     let answers: Vec<_> = run
         .output
         .sig
         .into_iter()
         .filter(|s| query.constraints.satisfied(s, attrs))
         .collect();
-    Ok(scope.seal(
-        &engine,
-        run.output.metrics,
-        answers,
-        Semantics::ValidMin,
-        run.trip,
-    ))
+    scope.seal(&engine, &mut metrics, answers.len());
+    Ok(conclude(answers, Semantics::ValidMin, metrics, run.trip))
 }

@@ -31,8 +31,8 @@ use ccs_stats::MonotonicityClass;
 use crate::engine::{Engine, Verdict};
 use crate::guard::{ResumeInner, RunGuard};
 use crate::kernel::{
-    admit, prune_am_residual, run_levelwise, staged, AlgorithmPolicy, GuardMode, KernelConfig,
-    LevelMark, LevelSeed, MinerScope,
+    admit, conclude, prune_am_residual, run_levelwise, staged, AlgorithmPolicy, GuardMode,
+    KernelConfig, LevelMark, LevelSeed, MinerScope,
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
@@ -136,19 +136,23 @@ pub(crate) fn verify_single_witness(
 ///
 /// # Errors
 ///
-/// Returns [`MiningError`] if the constraints fail validation or contain
-/// a neither-monotone (`avg`) constraint.
+/// Returns [`MiningError`] if the parameters or constraints fail
+/// validation, or the constraints contain a neither-monotone (`avg`)
+/// constraint.
 pub fn run_bms_plus_plus<C: MintermCounter>(
     db: &TransactionDb,
     attrs: &AttributeTable,
     query: &CorrelationQuery,
     counter: &mut C,
 ) -> Result<MiningResult, MiningError> {
-    run_bms_plus_plus_guarded(db, attrs, query, counter, &RunGuard::unlimited(), None)
+    let plan = admit(query, attrs)?;
+    let guard = RunGuard::unlimited();
+    run_bms_plus_plus_guarded(db, attrs, query, &plan, counter, &guard, None)
 }
 
 /// [`run_bms_plus_plus`] under a resource guard, optionally re-entering a
-/// truncated run's level frontier.
+/// truncated run's level frontier. The query has passed the preamble,
+/// which produced its push `plan`.
 ///
 /// When the guard trips mid-sweep the accumulated SIG candidates still go
 /// through the single-witness verification epilogue (a bounded number of
@@ -158,11 +162,11 @@ pub(crate) fn run_bms_plus_plus_guarded(
     db: &TransactionDb,
     attrs: &AttributeTable,
     query: &CorrelationQuery,
+    plan: &ConstraintAnalysis,
     counter: &mut dyn MintermCounter,
     guard: &RunGuard,
     resume: Option<ResumeInner>,
 ) -> Result<MiningResult, MiningError> {
-    admit(query, attrs)?;
     let restart = match resume {
         None => None,
         Some(ResumeInner::PlusPlus {
@@ -174,11 +178,10 @@ pub(crate) fn run_bms_plus_plus_guarded(
     };
     let scope = MinerScope::begin(counter.stats());
     let mut metrics = MiningMetrics::default();
-    let analysis = query.constraints.analyze(attrs);
     let mut engine = Engine::with_guard(counter, &query.params, guard.clone());
 
     // I. Preprocessing: GOOD₁ and the L1⁺ / L1⁻ split.
-    let prep = preprocess(db, attrs, query, &analysis);
+    let prep = preprocess(db, attrs, query, plan);
 
     // II + III. The level-wise sweep — or its resumed frontier.
     let (level, cands, sig_candidates) = match restart {
@@ -190,7 +193,7 @@ pub(crate) fn run_bms_plus_plus_guarded(
         ),
     };
     let mut policy = PlusPlusPolicy {
-        analysis: &analysis,
+        analysis: plan,
         attrs,
         good1: prep.good1,
         witness: prep.witness,
@@ -210,11 +213,7 @@ pub(crate) fn run_bms_plus_plus_guarded(
 
     // Soundness verification: for a SIG candidate with a single witness,
     // check that removing the witness does not leave a correlated set.
-    let answers = verify_single_witness(
-        &mut engine,
-        &analysis,
-        &policy.witness,
-        policy.sig_candidates,
-    );
-    Ok(scope.seal(&engine, metrics, answers, Semantics::ValidMin, trip))
+    let answers = verify_single_witness(&mut engine, plan, &policy.witness, policy.sig_candidates);
+    scope.seal(&engine, &mut metrics, answers.len());
+    Ok(conclude(answers, Semantics::ValidMin, metrics, trip))
 }

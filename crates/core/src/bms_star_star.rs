@@ -34,11 +34,11 @@ use ccs_constraints::{AttributeTable, ConstraintAnalysis};
 use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
 use ccs_stats::MonotonicityClass;
 
-use crate::engine::Verdict;
+use crate::engine::{Engine, Verdict};
 use crate::guard::{freeze_levels, sorted_sets, thaw_levels, ResumeInner, RunGuard};
 use crate::kernel::{
-    admit, prune_am_residual, prune_non_minimal, run_levelwise, staged, AlgorithmPolicy, GuardMode,
-    KernelConfig, KernelTrip, LevelMark, LevelSeed, MinerScope,
+    admit, conclude, prune_am_residual, prune_non_minimal, run_levelwise, staged, AlgorithmPolicy,
+    GuardMode, KernelConfig, KernelTrip, LevelMark, LevelSeed, MinerScope,
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
@@ -159,19 +159,23 @@ impl AlgorithmPolicy for StarStarPhase2Policy<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`MiningError`] if the constraints fail validation or contain
-/// a neither-monotone (`avg`) constraint.
+/// Returns [`MiningError`] if the parameters or constraints fail
+/// validation, or the constraints contain a neither-monotone (`avg`)
+/// constraint.
 pub fn run_bms_star_star<C: MintermCounter>(
     db: &TransactionDb,
     attrs: &AttributeTable,
     query: &CorrelationQuery,
     counter: &mut C,
 ) -> Result<MiningResult, MiningError> {
-    run_bms_star_star_guarded(db, attrs, query, counter, &RunGuard::unlimited(), None)
+    let plan = admit(query, attrs)?;
+    let guard = RunGuard::unlimited();
+    run_bms_star_star_guarded(db, attrs, query, &plan, counter, &guard, None)
 }
 
 /// [`run_bms_star_star`] under a resource guard, optionally re-entering a
-/// truncated run's snapshot (either phase).
+/// truncated run's snapshot (either phase). The query has passed the
+/// preamble, which produced its push `plan`.
 ///
 /// A phase-1 (SUPP enumeration) trip still runs the full phase-2 sweep
 /// over the *completed* SUPP levels (memo-cache hits: no new tables);
@@ -181,11 +185,11 @@ pub(crate) fn run_bms_star_star_guarded(
     db: &TransactionDb,
     attrs: &AttributeTable,
     query: &CorrelationQuery,
+    plan: &ConstraintAnalysis,
     counter: &mut dyn MintermCounter,
     guard: &RunGuard,
     resume: Option<ResumeInner>,
 ) -> Result<MiningResult, MiningError> {
-    admit(query, attrs)?;
     // Split the snapshot by the phase it re-enters.
     let (phase1_resume, phase2_resume) = match resume {
         None => (None, None),
@@ -202,11 +206,10 @@ pub(crate) fn run_bms_star_star_guarded(
     };
     let scope = MinerScope::begin(counter.stats());
     let mut metrics = MiningMetrics::default();
-    let analysis = query.constraints.analyze(attrs);
-    let mut engine = crate::engine::Engine::with_guard(counter, &query.params, guard.clone());
+    let mut engine = Engine::with_guard(counter, &query.params, guard.clone());
 
     // Preprocessing, identical to BMS++.
-    let prep = preprocess(db, attrs, query, &analysis);
+    let prep = preprocess(db, attrs, query, plan);
 
     // Phase 1: SUPP levels, one counting batch per level; verdicts stay
     // in the memo-cache for phase 2 (skipped on a phase-2 resume).
@@ -222,7 +225,7 @@ pub(crate) fn run_bms_star_star_guarded(
                 )
             });
             let mut policy = StarStarPhase1Policy {
-                analysis: &analysis,
+                analysis: plan,
                 attrs,
                 good1: &prep.good1,
                 witness: &prep.witness,
@@ -250,7 +253,7 @@ pub(crate) fn run_bms_star_star_guarded(
         (2usize, current, Vec::new())
     });
     let mut policy = StarStarPhase2Policy {
-        analysis: &analysis,
+        analysis: plan,
         attrs,
         good1: &prep.good1,
         supp,
@@ -270,11 +273,11 @@ pub(crate) fn run_bms_star_star_guarded(
         query.params.max_level,
         &mut metrics,
     );
-    Ok(scope.seal(
-        &engine,
-        metrics,
+    scope.seal(&engine, &mut metrics, policy.sig.len());
+    Ok(conclude(
         policy.sig,
         Semantics::MinValid,
+        metrics,
         trip.or(phase2_trip),
     ))
 }

@@ -21,14 +21,20 @@
 //! test implemented by [`SolutionSpace::contains`] — the two borders
 //! really are a complete description.
 
-use crate::guard::wall_now;
 use std::collections::HashMap;
 
-use ccs_constraints::AttributeTable;
-use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
+use ccs_constraints::{AttributeTable, ConstraintAnalysis, ConstraintSet};
+use ccs_itemset::{candidate, Itemset, ItemsetSet, MintermCounter, TransactionDb};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Verdict};
+use crate::guard::ResumeInner;
+use crate::kernel::{
+    admit, prune_am_residual, run_levelwise, staged, AlgorithmPolicy, GuardMode, KernelConfig,
+    LevelMark, LevelSeed, MinerScope,
+};
 use crate::metrics::MiningMetrics;
+use crate::miner::Algorithm;
+use crate::prep::good1_items;
 use crate::query::{CorrelationQuery, MiningError};
 
 /// Both borders of a constrained correlation query's solution space.
@@ -59,78 +65,94 @@ impl SolutionSpace {
     }
 }
 
+/// The sweep of the CT-supported, anti-monotone-valid region as a kernel
+/// policy: Apriori candidates over the level's CT-supported sets, the
+/// residual anti-monotone prune before counting, and space membership
+/// (correlated and monotone-valid) recorded per level.
+struct BorderPolicy<'a> {
+    plan: &'a ConstraintAnalysis,
+    constraints: &'a ConstraintSet,
+    attrs: &'a AttributeTable,
+    /// Candidates staged for the next level; still non-empty after the
+    /// sweep iff the level cap cut it short.
+    cands: Vec<Itemset>,
+    in_space: HashMap<usize, ItemsetSet>,
+}
+
+impl AlgorithmPolicy for BorderPolicy<'_> {
+    fn candidates(&mut self, _level: usize) -> LevelSeed {
+        staged(&mut self.cands)
+    }
+
+    fn snapshot(&self, _level: usize, _cands: &[Itemset]) -> ResumeInner {
+        unreachable!("the border sweep runs under the inert guard, which takes no snapshots")
+    }
+
+    fn prefilter(
+        &mut self,
+        _level: usize,
+        cands: Vec<Itemset>,
+        metrics: &mut MiningMetrics,
+    ) -> Vec<Itemset> {
+        prune_am_residual(self.plan, self.attrs, cands, metrics)
+    }
+
+    fn absorb(&mut self, level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
+        let mut supported = ItemsetSet::default();
+        let mut members = ItemsetSet::default();
+        for (set, v) in survivors.into_iter().zip(verdicts) {
+            if !v.ct_supported {
+                continue;
+            }
+            if v.correlated && self.constraints.monotone_satisfied(&set, self.attrs) {
+                members.insert(set.clone());
+            }
+            supported.insert(set);
+        }
+        self.cands = candidate::apriori_gen(&supported);
+        self.in_space.insert(level, members);
+    }
+}
+
 /// Computes both borders of `SPACE(Q)` by a level-wise sweep of the
 /// CT-supported, anti-monotone-valid region (which contains the space
 /// and is downward closed, so Apriori candidate generation is exact).
 ///
 /// # Errors
 ///
-/// Returns [`MiningError`] if the constraints fail validation or
-/// contain a neither-monotone (`avg`) constraint (whose space may have
-/// holes and is not sandwich-characterizable).
+/// Returns [`MiningError`] if the parameters or constraints fail
+/// validation, or the constraints contain a neither-monotone (`avg`)
+/// constraint (whose space may have holes and is not
+/// sandwich-characterizable).
 pub fn solution_space<C: MintermCounter>(
     db: &TransactionDb,
     attrs: &AttributeTable,
     query: &CorrelationQuery,
     counter: &mut C,
 ) -> Result<SolutionSpace, MiningError> {
-    query.validate(attrs)?;
-    if query.constraints.has_neither_monotone() {
-        return Err(MiningError::NonMonotoneConstraint);
-    }
-    let start = wall_now();
+    let plan = admit(query, attrs)?;
+    let scope = MinerScope::begin(counter.stats());
     let mut metrics = MiningMetrics::default();
-    let base_stats = counter.stats();
-    let analysis = query.constraints.analyze(attrs);
     let mut engine = Engine::new(counter, &query.params);
-
-    // The enumeration universe: frequent items whose singleton passes
-    // every anti-monotone constraint.
-    let item_threshold = query.params.item_support_abs(db.len());
-    let supports = db.item_supports();
-    let good1: Vec<Item> = (0..db.n_items())
-        .map(Item::new)
-        .filter(|&i| {
-            supports[i.index()] as u64 >= item_threshold
-                && query
-                    .constraints
-                    .anti_monotone_satisfied(&Itemset::singleton(i), attrs)
-        })
-        .collect();
-
-    // Level-wise enumeration of the supported region, remembering which
-    // sets are space members.
-    let mut in_space: HashMap<usize, ItemsetSet> = HashMap::new();
-    let mut cands = candidate::all_pairs(&good1);
-    let mut level = 2usize;
-    let mut truncated = false;
-    while !cands.is_empty() {
-        if level > query.params.max_level {
-            truncated = true;
-            break;
-        }
-        metrics.candidates_generated += cands.len() as u64;
-        metrics.max_level_reached = level;
-        let mut supported_level = ItemsetSet::default();
-        let mut space_level = ItemsetSet::default();
-        for set in &cands {
-            if !analysis.am_residual_satisfied(set, attrs) {
-                metrics.pruned_before_count += 1;
-                continue;
-            }
-            let v = engine.evaluate(set);
-            if !v.ct_supported {
-                continue;
-            }
-            supported_level.insert(set.clone());
-            if v.correlated && query.constraints.monotone_satisfied(set, attrs) {
-                space_level.insert(set.clone());
-            }
-        }
-        cands = candidate::apriori_gen(&supported_level);
-        in_space.insert(level, space_level);
-        level += 1;
-    }
+    let mut policy = BorderPolicy {
+        plan: &plan,
+        constraints: &query.constraints,
+        attrs,
+        cands: candidate::all_pairs(&good1_items(db, attrs, query)),
+        in_space: HashMap::new(),
+    };
+    // The algorithm is never stamped: the inert guard takes no snapshots.
+    run_levelwise(
+        &mut engine,
+        &mut policy,
+        KernelConfig::new(Algorithm::BmsStarStar, LevelMark::Eager),
+        GuardMode::Checked,
+        2,
+        query.params.max_level,
+        &mut metrics,
+    );
+    let truncated = !policy.cands.is_empty();
+    let in_space = policy.in_space;
 
     // Borders. Convexity makes one-level checks exact: a member is
     // minimal iff no (k−1)-subset is a member, maximal iff no
@@ -139,11 +161,7 @@ pub fn solution_space<C: MintermCounter>(
     let mut minimal = Vec::new();
     let mut maximal = Vec::new();
     for (&k, members) in &in_space {
-        let below = if k > 2 {
-            in_space.get(&(k - 1)).unwrap_or(&empty)
-        } else {
-            &empty
-        };
+        let below = in_space.get(&(k - 1)).unwrap_or(&empty);
         let above = in_space.get(&(k + 1)).unwrap_or(&empty);
         for set in members {
             if set.subsets_dropping_one().all(|s| !below.contains(&s)) {
@@ -158,10 +176,7 @@ pub fn solution_space<C: MintermCounter>(
     minimal.sort_unstable();
     maximal.sort_unstable();
 
-    metrics.sig_size = minimal.len() as u64;
-    let end = engine.counting_stats();
-    metrics.absorb_counting(end.since(&base_stats));
-    metrics.elapsed = start.elapsed();
+    scope.seal(&engine, &mut metrics, minimal.len());
     Ok(SolutionSpace {
         minimal,
         maximal,

@@ -22,14 +22,15 @@
 //! counting, and only *valid* triples are examined — user focus, pushed
 //! into causal discovery.
 
-use crate::guard::wall_now;
 use std::fmt;
 
 use ccs_constraints::AttributeTable;
-use ccs_itemset::{Item, Itemset, MintermCounter, TransactionDb};
+use ccs_itemset::{candidate, Item, Itemset, MintermCounter, TransactionDb};
 
 use crate::engine::Engine;
+use crate::kernel::{admit, prune_am_residual, MinerScope};
 use crate::metrics::MiningMetrics;
+use crate::prep::good1_items;
 use crate::query::{CorrelationQuery, MiningError};
 
 /// A causal conclusion about a valid triple.
@@ -97,55 +98,47 @@ pub struct CausalAnalysis {
 ///
 /// # Errors
 ///
-/// Returns [`MiningError`] on invalid constraints or a neither-monotone
-/// constraint.
+/// Returns [`MiningError`] on invalid parameters or constraints, or a
+/// neither-monotone constraint.
 pub fn discover_causality<C: MintermCounter>(
     db: &TransactionDb,
     attrs: &AttributeTable,
     query: &CorrelationQuery,
     counter: &mut C,
 ) -> Result<CausalAnalysis, MiningError> {
-    query.validate(attrs)?;
-    if query.constraints.has_neither_monotone() {
-        return Err(MiningError::NonMonotoneConstraint);
-    }
-    let start = wall_now();
+    let plan = admit(query, attrs)?;
+    let scope = MinerScope::begin(counter.stats());
     let mut metrics = MiningMetrics::default();
-    let base_stats = counter.stats();
-    let analysis = query.constraints.analyze(attrs);
     let mut engine = Engine::new(counter, &query.params);
 
     // Universe pruning, exactly as in BMS++ preprocessing.
-    let item_threshold = query.params.item_support_abs(db.len());
-    let supports = db.item_supports();
-    let universe: Vec<Item> = (0..db.n_items())
-        .map(Item::new)
-        .filter(|&i| {
-            supports[i.index()] as u64 >= item_threshold
-                && query
-                    .constraints
-                    .anti_monotone_satisfied(&Itemset::singleton(i), attrs)
-        })
-        .collect();
+    let universe = good1_items(db, attrs, query);
 
-    // Pairwise screen: which pairs are correlated (and CT-supported)?
+    // Pairwise screen, one counting batch: which pairs are correlated
+    // (and CT-supported)?
     let n = universe.len();
+    let pairs = candidate::all_pairs(&universe);
+    metrics.candidates_generated += pairs.len() as u64;
+    let pairs = prune_am_residual(&plan, attrs, pairs, &mut metrics);
+    #[allow(clippy::expect_used)] // invariant: the engine's guard is unarmed
+    let verdicts = engine
+        .evaluate_level(&pairs)
+        .expect("an unarmed guard never trips");
+    // Positions in the sorted universe; every pair is drawn from it.
+    #[allow(clippy::expect_used)]
+    let at = |item: Item| {
+        universe
+            .binary_search(&item)
+            .expect("pair items come from the universe")
+    };
     let mut correlated = vec![false; n * n];
     let mut correlated_pairs = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let pair = Itemset::from_items([universe[i], universe[j]]);
-            metrics.candidates_generated += 1;
-            if !analysis.am_residual_satisfied(&pair, attrs) {
-                metrics.pruned_before_count += 1;
-                continue;
-            }
-            let v = engine.evaluate(&pair);
-            if v.ct_supported && v.correlated {
-                correlated[i * n + j] = true;
-                correlated[j * n + i] = true;
-                correlated_pairs.push(pair);
-            }
+    for (pair, v) in pairs.into_iter().zip(verdicts) {
+        if v.ct_supported && v.correlated {
+            let (i, j) = (at(pair.items()[0]), at(pair.items()[1]));
+            correlated[i * n + j] = true;
+            correlated[j * n + i] = true;
+            correlated_pairs.push(pair);
         }
     }
 
@@ -229,10 +222,7 @@ pub fn discover_causality<C: MintermCounter>(
     findings.dedup();
     correlated_pairs.sort_unstable();
 
-    let end = engine.counting_stats();
-    metrics.absorb_counting(end.since(&base_stats));
-    metrics.sig_size = findings.len() as u64;
-    metrics.elapsed = start.elapsed();
+    scope.seal(&engine, &mut metrics, findings.len());
     Ok(CausalAnalysis {
         correlated_pairs,
         findings,

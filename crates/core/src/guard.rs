@@ -5,8 +5,8 @@
 //! deadline, a work budget measured in contingency cells, an approximate
 //! memory budget for the counters' scratch space, and an
 //! external cancellation flag. The miners consult it *cooperatively*: at
-//! every level boundary (via [`Engine::evaluate_level_guarded`]
-//! [`crate::engine`]) and, through the [`CountProbe`] implementation,
+//! every level boundary (the engine's level batch in `crate::engine`
+//! checkpoints it) and, through the [`CountProbe`] implementation,
 //! inside the counting layer's interior loops (horizontal chunk loop,
 //! vertical prefix-class loop, FP-tree candidate loop, the worker pool's
 //! shared drain loop).
@@ -140,22 +140,27 @@ impl fmt::Display for Completion {
 
 const TRIP_NONE: u8 = 0;
 
-fn reason_code(reason: TruncationReason) -> u8 {
-    match reason {
-        TruncationReason::Deadline => 1,
-        TruncationReason::WorkBudget => 2,
-        TruncationReason::MemoryBudget => 3,
-        TruncationReason::Cancelled => 4,
+impl TruncationReason {
+    /// The reason's one-byte code (1–4), shared by the guard's trip flag
+    /// and the checkpoint format; 0 is reserved for "not tripped".
+    pub(crate) fn code(self) -> u8 {
+        match self {
+            TruncationReason::Deadline => 1,
+            TruncationReason::WorkBudget => 2,
+            TruncationReason::MemoryBudget => 3,
+            TruncationReason::Cancelled => 4,
+        }
     }
-}
 
-fn code_reason(code: u8) -> Option<TruncationReason> {
-    match code {
-        1 => Some(TruncationReason::Deadline),
-        2 => Some(TruncationReason::WorkBudget),
-        3 => Some(TruncationReason::MemoryBudget),
-        4 => Some(TruncationReason::Cancelled),
-        _ => None,
+    /// The reason a [`TruncationReason::code`] stands for, if any.
+    pub(crate) fn from_code(code: u8) -> Option<TruncationReason> {
+        match code {
+            1 => Some(TruncationReason::Deadline),
+            2 => Some(TruncationReason::WorkBudget),
+            3 => Some(TruncationReason::MemoryBudget),
+            4 => Some(TruncationReason::Cancelled),
+            _ => None,
+        }
     }
 }
 
@@ -171,7 +176,7 @@ struct GuardInner {
     memory_budget: Option<usize>,
     cells_charged: AtomicU64,
     cancelled: Arc<AtomicBool>,
-    /// `TRIP_NONE`, or the `reason_code` of the first trip. First trip
+    /// `TRIP_NONE`, or the [`TruncationReason::code`] of the first trip. First trip
     /// wins; later trips (e.g. from racing parallel workers) are ignored.
     tripped: AtomicU8,
 }
@@ -268,7 +273,7 @@ impl RunGuard {
     pub fn trip(&self, reason: TruncationReason) {
         let _ = self.inner.tripped.compare_exchange(
             TRIP_NONE,
-            reason_code(reason),
+            reason.code(),
             Ordering::Relaxed,
             Ordering::Relaxed,
         );
@@ -276,7 +281,7 @@ impl RunGuard {
 
     /// The first trip reason, if any limit has tripped.
     pub fn trip_reason(&self) -> Option<TruncationReason> {
-        code_reason(self.inner.tripped.load(Ordering::Relaxed))
+        TruncationReason::from_code(self.inner.tripped.load(Ordering::Relaxed))
     }
 
     /// Contingency cells charged against the work budget so far.

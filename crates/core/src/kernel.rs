@@ -19,7 +19,9 @@
 //! seeding, the pre-count constraint phase, the post-count acceptance
 //! rule, and the shape of its resume snapshot. This is the seam the
 //! interactive-session work (Goethals & Van den Bussche) and future
-//! condensed-representation policies plug into.
+//! condensed-representation policies plug into; the §5 border sweep is
+//! one such policy. Around the loop sit the one query preamble
+//! ([`admit`]) and the one clock-and-counting bracket ([`MinerScope`]).
 //!
 //! **Invariant enforced by CI:** no level loop and no [`ResumeState`]
 //! construction exists outside this module.
@@ -227,12 +229,26 @@ pub(crate) fn run_levelwise(
     None
 }
 
-/// The shared admission check of every constrained miner: the query must
-/// validate against the attribute table, and the level-wise sweeps cannot
-/// push a neither-monotone (`avg`) constraint.
-pub(crate) fn admit(query: &CorrelationQuery, attrs: &AttributeTable) -> Result<(), MiningError> {
+/// The query preamble of the raw entry points (the `run_*` reference
+/// wrappers, [`crate::border::solution_space`] and
+/// [`crate::causality::discover_causality`]), in the order the session
+/// path runs it too: parameters, then constraints against the attribute
+/// table, then the push plan, then neither-monotone admission. Returns
+/// the plan.
+pub(crate) fn admit(
+    query: &CorrelationQuery,
+    attrs: &AttributeTable,
+) -> Result<ConstraintAnalysis, MiningError> {
     query.validate(attrs)?;
-    if query.constraints.has_neither_monotone() {
+    let plan = query.constraints.analyze(attrs);
+    admit_plan(&plan)?;
+    Ok(plan)
+}
+
+/// Neither-monotone admission: the level-wise sweeps cannot push an
+/// `avg` constraint, so only the naive miner takes such a plan.
+pub(crate) fn admit_plan(plan: &ConstraintAnalysis) -> Result<(), MiningError> {
+    if plan.has_neither_monotone() {
         return Err(MiningError::NonMonotoneConstraint);
     }
     Ok(())
@@ -280,11 +296,11 @@ pub(crate) fn prune_non_minimal(sig: &[Itemset], cands: Vec<Itemset>) -> Vec<Ite
         .collect()
 }
 
-/// The wall-clock / counting-stats bracket around one mining run,
-/// shared by every `run_*_guarded` wrapper: [`MinerScope::begin`] at
-/// entry, [`MinerScope::seal`] at exit. Owning it here keeps the
-/// since-baseline discipline (counters are cumulative across a session)
-/// and the trip-to-result conversion in one place.
+/// The wall-clock / counting-stats bracket around one run — every
+/// miner, [`crate::bms::run_bms`], the border sweep and causal
+/// discovery: [`MinerScope::begin`] at entry, [`MinerScope::seal`] at
+/// exit. Owning it here keeps the since-baseline discipline (counters
+/// are cumulative across a session) in one place.
 pub(crate) struct MinerScope {
     start: Instant,
     base: CountingStats,
@@ -300,38 +316,32 @@ impl MinerScope {
         }
     }
 
-    /// Re-bases the counting baseline mid-run. Two-phase miners whose
-    /// phase 1 already absorbed its own counting (BMS* delegating to
-    /// BMS) re-base before phase 2 so seal-time absorption only covers
-    /// the second phase.
-    pub(crate) fn rebase(&mut self, base: CountingStats) {
-        self.base = base;
-    }
-
-    /// Finalizes `metrics` (answer count, counting delta, wall clock) and
-    /// converts the kernel's trip report into a complete or truncated
-    /// [`MiningResult`].
-    pub(crate) fn seal(
-        self,
-        engine: &Engine<'_>,
-        mut metrics: MiningMetrics,
-        answers: Vec<Itemset>,
-        semantics: Semantics,
-        trip: Option<KernelTrip>,
-    ) -> MiningResult {
-        metrics.sig_size = answers.len() as u64;
+    /// Finalizes `metrics`: the answer count, the counting delta since
+    /// [`MinerScope::begin`], and the wall clock.
+    pub(crate) fn seal(self, engine: &Engine<'_>, metrics: &mut MiningMetrics, answers: usize) {
+        metrics.sig_size = answers as u64;
         metrics.absorb_counting(engine.counting_stats().since(&self.base));
         metrics.elapsed = self.start.elapsed();
-        match trip {
-            None => MiningResult::new(answers, semantics, metrics),
-            Some(t) => MiningResult::truncated(
-                answers,
-                semantics,
-                metrics,
-                t.reason,
-                t.frontier_level,
-                t.state,
-            ),
-        }
+    }
+}
+
+/// Converts a sealed run and the kernel's trip report into a complete or
+/// truncated [`MiningResult`].
+pub(crate) fn conclude(
+    answers: Vec<Itemset>,
+    semantics: Semantics,
+    metrics: MiningMetrics,
+    trip: Option<KernelTrip>,
+) -> MiningResult {
+    match trip {
+        None => MiningResult::new(answers, semantics, metrics),
+        Some(t) => MiningResult::truncated(
+            answers,
+            semantics,
+            metrics,
+            t.reason,
+            t.frontier_level,
+            t.state,
+        ),
     }
 }

@@ -63,8 +63,7 @@ impl MiningMetrics {
     }
 
     /// Folds the counting layer's statistics into the metrics. This is
-    /// the only place a counting delta crosses into mining metrics —
-    /// [`MiningMetrics::merge`] routes through it too.
+    /// the only place a counting delta crosses into mining metrics.
     pub fn absorb_counting(&mut self, stats: CountingStats) {
         let mut counting = self.counting();
         counting += stats;
@@ -74,19 +73,6 @@ impl MiningMetrics {
         self.cells_counted = counting.cells_counted;
         self.cache_hits = counting.cache_hits;
         self.degraded_batches = counting.degraded_batches;
-    }
-
-    /// Merges another metrics record into this one (durations add;
-    /// `max_level_reached` takes the max). Used when an algorithm is a
-    /// pipeline of phases (BMS* = BMS + upward sweep).
-    pub fn merge(&mut self, other: &MiningMetrics) {
-        self.candidates_generated += other.candidates_generated;
-        self.pruned_before_count += other.pruned_before_count;
-        self.absorb_counting(other.counting());
-        self.max_level_reached = self.max_level_reached.max(other.max_level_reached);
-        self.sig_size += other.sig_size;
-        self.notsig_size += other.notsig_size;
-        self.elapsed += other.elapsed;
     }
 }
 
@@ -119,38 +105,6 @@ mod tests {
         assert_eq!(m.cells_counted, 20);
         assert_eq!(m.cache_hits, 1);
         assert_eq!(m.degraded_batches, 1);
-    }
-
-    #[test]
-    fn merge_combines_phases() {
-        let a = MiningMetrics {
-            candidates_generated: 10,
-            tables_built: 8,
-            db_scans: 2,
-            cache_hits: 7,
-            degraded_batches: 1,
-            max_level_reached: 3,
-            sig_size: 2,
-            elapsed: Duration::from_millis(5),
-            ..MiningMetrics::default()
-        };
-        let mut b = MiningMetrics {
-            candidates_generated: 4,
-            tables_built: 4,
-            db_scans: 3,
-            max_level_reached: 5,
-            elapsed: Duration::from_millis(7),
-            ..MiningMetrics::default()
-        };
-        b.merge(&a);
-        assert_eq!(b.candidates_generated, 14);
-        assert_eq!(b.tables_built, 12);
-        assert_eq!(b.db_scans, 5);
-        assert_eq!(b.cache_hits, 7);
-        assert_eq!(b.degraded_batches, 1);
-        assert_eq!(b.max_level_reached, 5);
-        assert_eq!(b.sig_size, 2);
-        assert_eq!(b.elapsed, Duration::from_millis(12));
     }
 
     #[test]

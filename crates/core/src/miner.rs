@@ -70,6 +70,24 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
+/// The CLI spellings: `bms+`, `bms++`, `bms*`, `bms**`, `naive` and
+/// `naive-min-valid`.
+impl std::str::FromStr for Algorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "bms+" => Ok(Algorithm::BmsPlus),
+            "bms++" => Ok(Algorithm::BmsPlusPlus),
+            "bms*" => Ok(Algorithm::BmsStar),
+            "bms**" => Ok(Algorithm::BmsStarStar),
+            "naive" => Ok(Algorithm::Naive),
+            "naive-min-valid" => Ok(Algorithm::NaiveMinValid),
+            other => Err(format!("unknown algorithm '{other}'")),
+        }
+    }
+}
+
 /// How contingency tables are counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CountingStrategy {
@@ -503,6 +521,24 @@ mod tests {
     }
 
     #[test]
+    fn algorithms_parse_from_their_cli_spellings() {
+        for (text, algorithm) in [
+            ("bms+", Algorithm::BmsPlus),
+            ("bms++", Algorithm::BmsPlusPlus),
+            ("bms*", Algorithm::BmsStar),
+            ("bms**", Algorithm::BmsStarStar),
+            ("naive", Algorithm::Naive),
+            ("naive-min-valid", Algorithm::NaiveMinValid),
+        ] {
+            assert_eq!(text.parse::<Algorithm>(), Ok(algorithm));
+        }
+        assert_eq!(
+            "BMS++".parse::<Algorithm>(),
+            Err("unknown algorithm 'BMS++'".to_owned())
+        );
+    }
+
+    #[test]
     fn out_of_range_params_are_errors_for_every_algorithm() {
         let db = db();
         let attrs = AttributeTable::with_identity_prices(3);
@@ -541,16 +577,26 @@ mod tests {
             Algorithm::Naive,
             Algorithm::NaiveMinValid,
         ];
-        for algorithm in algorithms {
-            for params in bad {
-                let q = CorrelationQuery { params, ..query() };
-                let got = MiningSession::new(&db, &attrs)
-                    .mine(&q, &MineRequest::new(algorithm))
-                    .map(|o| o.result);
-                assert!(
-                    matches!(got, Err(crate::MiningError::Params(_))),
-                    "{algorithm} {params:?}: {got:?}"
-                );
+        // Parameters are validated before the analyzer's unsatisfiable
+        // short-circuit, so a provably empty conjunction is no escape.
+        let unsatisfiable = ConstraintSet::new()
+            .and(Constraint::max_le("price", 1.0))
+            .and(Constraint::min_ge("price", 2.0));
+        for constraints in [query().constraints, unsatisfiable] {
+            for algorithm in algorithms {
+                for params in bad {
+                    let q = CorrelationQuery {
+                        params,
+                        constraints: constraints.clone(),
+                    };
+                    let got = MiningSession::new(&db, &attrs)
+                        .mine(&q, &MineRequest::new(algorithm))
+                        .map(|o| o.result);
+                    assert!(
+                        matches!(got, Err(crate::MiningError::Params(_))),
+                        "{algorithm} {params:?} under {constraints}: {got:?}"
+                    );
+                }
             }
         }
     }

@@ -15,7 +15,8 @@ use ccs_itemset::{Item, Itemset, ItemsetMap, MintermCounter, TransactionDb};
 use crate::engine::{Engine, Verdict};
 use crate::guard::{ResumeInner, RunGuard};
 use crate::kernel::{
-    run_levelwise, AlgorithmPolicy, GuardMode, KernelConfig, LevelMark, LevelSeed, MinerScope,
+    conclude, run_levelwise, AlgorithmPolicy, GuardMode, KernelConfig, LevelMark, LevelSeed,
+    MinerScope,
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
@@ -41,9 +42,10 @@ pub const NAIVE_MAX_ITEMS: usize = 20;
 ///
 /// # Errors
 ///
-/// Returns [`MiningError::Constraint`] if the constraints fail
-/// validation, or [`MiningError::UniverseTooLarge`] if the item basis
-/// exceeds [`NAIVE_MAX_ITEMS`].
+/// Returns [`MiningError::Params`] or [`MiningError::Constraint`] if the
+/// parameters or constraints fail validation, or
+/// [`MiningError::UniverseTooLarge`] if the item basis exceeds
+/// [`NAIVE_MAX_ITEMS`].
 pub fn run_naive<C: MintermCounter>(
     db: &TransactionDb,
     attrs: &AttributeTable,
@@ -51,6 +53,7 @@ pub fn run_naive<C: MintermCounter>(
     semantics: Semantics,
     counter: &mut C,
 ) -> Result<MiningResult, MiningError> {
+    query.validate(attrs)?;
     run_naive_guarded(
         db,
         attrs,
@@ -62,7 +65,7 @@ pub fn run_naive<C: MintermCounter>(
     )
 }
 
-/// [`run_naive`] under a resource guard.
+/// [`run_naive`] under a resource guard, for a validated query.
 ///
 /// The exhaustive sweep holds no frontier worth snapshotting — every
 /// level is the full `k`-combination space — so its resume state is a
@@ -78,7 +81,6 @@ pub(crate) fn run_naive_guarded(
     guard: &RunGuard,
     resume: Option<ResumeInner>,
 ) -> Result<MiningResult, MiningError> {
-    query.validate(attrs)?;
     match resume {
         None | Some(ResumeInner::NaiveRestart) => {}
         Some(_) => return Err(MiningError::foreign_snapshot(Algorithm::Naive.name())),
@@ -151,7 +153,8 @@ pub(crate) fn run_naive_guarded(
         None => top,
         Some(t) => t.frontier_level,
     };
-    Ok(scope.seal(&engine, metrics, answers, semantics, trip))
+    scope.seal(&engine, &mut metrics, answers.len());
+    Ok(conclude(answers, semantics, metrics, trip))
 }
 
 /// The exhaustive sweep as a kernel policy: every `k`-combination of the

@@ -697,27 +697,9 @@ fn code_algorithm(code: u8) -> Result<Algorithm, CheckpointError> {
     })
 }
 
-fn reason_code(reason: TruncationReason) -> u8 {
-    match reason {
-        TruncationReason::Deadline => 1,
-        TruncationReason::WorkBudget => 2,
-        TruncationReason::MemoryBudget => 3,
-        TruncationReason::Cancelled => 4,
-    }
-}
-
 fn code_reason(code: u8) -> Result<TruncationReason, CheckpointError> {
-    Ok(match code {
-        1 => TruncationReason::Deadline,
-        2 => TruncationReason::WorkBudget,
-        3 => TruncationReason::MemoryBudget,
-        4 => TruncationReason::Cancelled,
-        other => {
-            return Err(CheckpointError::corrupt(format!(
-                "unknown truncation reason code {other}"
-            )))
-        }
-    })
+    TruncationReason::from_code(code)
+        .ok_or_else(|| CheckpointError::corrupt(format!("unknown truncation reason code {code}")))
 }
 
 fn encode_meta(ckpt: &Checkpoint) -> Vec<u8> {
@@ -734,7 +716,7 @@ fn encode_meta(ckpt: &Checkpoint) -> Vec<u8> {
             sets_evaluated,
         } => {
             e.u8(1);
-            e.u8(reason_code(reason));
+            e.u8(reason.code());
             e.usize(frontier_level);
             e.u64(sets_evaluated);
         }

@@ -3,7 +3,8 @@
 //! Every miner seeds its sweep from the frequent-item basis; the
 //! constraint-pushing pair (BMS++, BMS**) additionally restricts it to
 //! `GOOD₁` and splits that into the witness class `L1⁺` and the rest
-//! `L1⁻` (preprocessing step I of §3.1).
+//! `L1⁻` (preprocessing step I of §3.1). BMS*'s upward sweep, the border
+//! sweep and causal discovery draw their universe from `GOOD₁` too.
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
 use ccs_itemset::candidate::drop_one_into;

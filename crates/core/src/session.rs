@@ -31,11 +31,12 @@ use crate::bms_star_star::run_bms_star_star_guarded;
 use std::sync::Arc;
 
 use crate::guard::{GuardLimits, ResumeInner, ResumeState, RunGuard, RESUME_FORMAT};
+use crate::kernel::admit_plan;
 use crate::metrics::MiningMetrics;
 use crate::miner::{Algorithm, CountingStrategy, MiningOptions};
 use crate::naive::run_naive_guarded;
 use crate::persist::{fingerprint_db, CheckpointPolicy, CheckpointRecorder, CheckpointReport};
-use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
+use crate::query::{CorrelationQuery, MiningError, MiningResult};
 
 /// One mining request: the algorithm to run, the counting configuration,
 /// and the resource guard. Built fluently:
@@ -438,13 +439,17 @@ fn make_counter<'a>(
 /// one counter, one guard, and (for resumed runs) the snapshot to
 /// re-enter from.
 ///
-/// Before any counting, the constraint conjunction goes through the
-/// static analyzer ([`ccs_constraints::analyze`]): a provably
+/// This is the session path's query preamble, run once and in the order
+/// of the raw entry points' [`crate::kernel::admit`]: the parameters are
+/// validated first, then the static analyzer ([`ccs_constraints::analyze`])
+/// validates the constraints and builds the push plan. A provably
 /// unsatisfiable conjunction short-circuits to an empty complete answer
-/// set with zero cells counted, and a satisfiable one is replaced by its
+/// set with zero cells counted; a satisfiable one is replaced by its
 /// equivalent normalized form so the miners work from the tightest
 /// non-redundant bounds. Normalization preserves `satisfied()` on every
 /// set of ≥ 2 items, so answer sets are unchanged for all algorithms.
+/// The level-wise algorithms then refuse a neither-monotone plan, and
+/// the constraint-pushing pair runs from the analyzer's plan.
 pub(crate) fn dispatch(
     db: &TransactionDb,
     attrs: &AttributeTable,
@@ -454,42 +459,38 @@ pub(crate) fn dispatch(
     guard: &RunGuard,
     resume: Option<ResumeInner>,
 ) -> Result<MiningResult, MiningError> {
+    query.params.validate()?;
     let analysis = ccs_constraints::analyze(&query.constraints, attrs)?;
-    if analysis.verdict.is_unsatisfiable() {
+    let Some(plan) = analysis.plan() else {
+        // Unsatisfiable: no set of two or more items satisfies the query.
         return Ok(MiningResult::new(
             Vec::new(),
             algorithm.semantics(),
             MiningMetrics::default(),
         ));
-    }
+    };
     let normalized = CorrelationQuery {
         params: query.params,
-        constraints: analysis.normalized,
+        constraints: analysis.normalized.clone(),
     };
     let query = &normalized;
+    if !matches!(algorithm, Algorithm::Naive | Algorithm::NaiveMinValid) {
+        admit_plan(plan)?;
+    }
     match algorithm {
         Algorithm::BmsPlus => run_bms_plus_guarded(db, attrs, query, counter, guard, resume),
         Algorithm::BmsPlusPlus => {
-            run_bms_plus_plus_guarded(db, attrs, query, counter, guard, resume)
+            run_bms_plus_plus_guarded(db, attrs, query, plan, counter, guard, resume)
         }
         Algorithm::BmsStar => run_bms_star_guarded(db, attrs, query, counter, guard, resume),
         Algorithm::BmsStarStar => {
-            run_bms_star_star_guarded(db, attrs, query, counter, guard, resume)
+            run_bms_star_star_guarded(db, attrs, query, plan, counter, guard, resume)
         }
-        Algorithm::Naive => run_naive_guarded(
+        Algorithm::Naive | Algorithm::NaiveMinValid => run_naive_guarded(
             db,
             attrs,
             query,
-            Semantics::ValidMin,
-            counter,
-            guard,
-            resume,
-        ),
-        Algorithm::NaiveMinValid => run_naive_guarded(
-            db,
-            attrs,
-            query,
-            Semantics::MinValid,
+            algorithm.semantics(),
             counter,
             guard,
             resume,

@@ -32,7 +32,7 @@ const GUARD: &str = "crates/core/src/guard.rs";
 pub const RULES: &[Rule] = &[
     Rule {
         id: "level-loop-outside-kernel",
-        invariant: "only the levelwise kernel iterates over `level`",
+        invariant: "only the levelwise kernel iterates over `level` or loops while `cands` remain",
         why: "partial answers and bit-identical resumes are sound only while \
               the kernel owns the single level loop (DESIGN.md §11)",
         owner: KERNEL,
@@ -164,7 +164,9 @@ pub fn check_file(path: &str, src: &str, sig: &[Tok], ctx: &Context) -> Vec<Find
 }
 
 /// `level-loop-outside-kernel`: a `while`/`for` whose header mentions the
-/// `level` identifier, anywhere but the kernel.
+/// `level` identifier, or a `while` whose condition names the candidate
+/// vector `cands` (the `while !cands.is_empty()` sweep), anywhere but the
+/// kernel.
 fn check_level_loop(path: &str, src: &str, sig: &[Tok], ctx: &Context, out: &mut Vec<Finding>) {
     if path == KERNEL {
         return;
@@ -185,11 +187,13 @@ fn check_level_loop(path: &str, src: &str, sig: &[Tok], ctx: &Context, out: &mut
             match sig[j].text(src) {
                 "{" | ";" => break,
                 "in" if kw == "for" && sig[j].kind == TokKind::Ident => break,
-                "level" if sig[j].kind == TokKind::Ident => {
+                name @ ("level" | "cands")
+                    if sig[j].kind == TokKind::Ident && (name == "level" || kw == "while") =>
+                {
                     out.push(Finding {
                         rule: "level-loop-outside-kernel",
                         span: (t.start, sig[j].end),
-                        message: format!("`{kw}` loop over `level` outside the levelwise kernel"),
+                        message: format!("`{kw}` loop over `{name}` outside the levelwise kernel"),
                     });
                     break;
                 }
@@ -546,6 +550,17 @@ mod tests {
         assert!(
             run("crates/core/src/kernel.rs", hit).is_empty(),
             "kernel owns the loop"
+        );
+        let drain = "fn sweep() { while !cands.is_empty() { cands = next(&cands); } }";
+        assert_eq!(
+            run("crates/core/src/border.rs", drain),
+            vec!["level-loop-outside-kernel"]
+        );
+        assert!(run("crates/core/src/kernel.rs", drain).is_empty());
+        let one_level = "fn f() { for set in cands { probe(set); } }";
+        assert!(
+            run("crates/core/src/sweep.rs", one_level).is_empty(),
+            "iterating one level's candidates is fine"
         );
         let comment = "// while level <= max\nfn f() { let s = \"for level in 0..\"; }";
         assert!(run("crates/core/src/sweep.rs", comment).is_empty());

@@ -21,6 +21,22 @@ fn rogue_iter(levels: &[Vec<u32>]) {
     }
 }
 
+fn rogue_drain(mut cands: Vec<u32>) {
+    // VIOLATION: draining the candidate vector is the level loop too.
+    while !cands.is_empty() {
+        cands.pop();
+    }
+}
+
+fn fine_one_level(cands: &[u32]) -> u32 {
+    let mut sum = 0;
+    // `for` over one level's candidates is fine anywhere.
+    for c in cands {
+        sum += c;
+    }
+    sum
+}
+
 fn fine_doc_and_strings() {
     // while level <= max_level — a comment, not a loop (grep's false positive).
     let _doc = "for level in 0..max_level";

@@ -365,6 +365,12 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
+/// The `--algorithm` of `mine` and of `resume`'s restart path; BMS++ by
+/// default.
+fn parse_algorithm(flags: &Flags<'_>) -> Result<Algorithm, String> {
+    flags.get("--algorithm").unwrap_or("bms++").parse()
+}
+
 /// Parses the counting flags shared by `mine` and `resume`.
 fn parse_counting(flags: &Flags<'_>) -> Result<MiningOptions, String> {
     // `--counting` is the canonical flag; `--strategy` remains as an
@@ -412,21 +418,24 @@ fn parse_guard(flags: &Flags<'_>) -> Result<RunGuard, String> {
     Ok(RunGuard::with_cancel_flag(limits, cancel))
 }
 
+/// The checkpoint cadence for `--checkpoint-every`, shared by `mine`
+/// and `resume`: every level unless the flag names a larger stride.
+fn parse_cadence(flags: &Flags<'_>) -> Result<CheckpointCadence, String> {
+    match flags.parse_opt("--checkpoint-every")? {
+        Some(0) => Err("--checkpoint-every must be at least 1".to_owned()),
+        None | Some(1) => Ok(CheckpointCadence::EveryLevel),
+        Some(n) => Ok(CheckpointCadence::EveryLevels(n)),
+    }
+}
+
 /// The durability policy for `--checkpoint` / `--checkpoint-every`.
 fn parse_checkpoint(flags: &Flags<'_>) -> Result<Option<CheckpointPolicy>, String> {
-    let every: Option<usize> = flags.parse_opt("--checkpoint-every")?;
-    if every == Some(0) {
-        return Err("--checkpoint-every must be at least 1".to_owned());
-    }
+    let cadence = parse_cadence(flags)?;
     let Some(path) = flags.get("--checkpoint") else {
-        if every.is_some() {
+        if flags.get("--checkpoint-every").is_some() {
             return Err("--checkpoint-every needs --checkpoint <file>".to_owned());
         }
         return Ok(None);
-    };
-    let cadence = match every {
-        None | Some(1) => CheckpointCadence::EveryLevel,
-        Some(n) => CheckpointCadence::EveryLevels(n),
     };
     Ok(Some(CheckpointPolicy::file(path, cadence)))
 }
@@ -528,15 +537,7 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
     };
     let query_text = flags.get("--query").unwrap_or("correlated & ct_supported");
     let parsed = parse_query(query_text, &attrs).map_err(|e| format!("query: {e}"))?;
-    let algorithm = match flags.get("--algorithm").unwrap_or("bms++") {
-        "bms+" => Algorithm::BmsPlus,
-        "bms++" => Algorithm::BmsPlusPlus,
-        "bms*" => Algorithm::BmsStar,
-        "bms**" => Algorithm::BmsStarStar,
-        "naive" => Algorithm::Naive,
-        "naive-min-valid" => Algorithm::NaiveMinValid,
-        other => return Err(format!("unknown algorithm '{other}'")),
-    };
+    let algorithm = parse_algorithm(&flags)?;
     let options = parse_counting(&flags)?;
     let measure: Measure = flags
         .get("--measure")
@@ -641,20 +642,12 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     };
     let options = parse_counting(&flags)?;
     let guard = parse_guard(&flags)?;
-    let every: Option<usize> = flags.parse_opt("--checkpoint-every")?;
-    if every == Some(0) {
-        return Err("--checkpoint-every must be at least 1".to_owned());
-    }
-    let cadence = match every {
-        None | Some(1) => CheckpointCadence::EveryLevel,
-        Some(n) => CheckpointCadence::EveryLevels(n),
-    };
     // The resumed run keeps stamping into the same file, so a second
     // interruption is just another `ccs resume`.
     let request = MineRequest::default()
         .options(options)
         .guard(guard)
-        .checkpoint(CheckpointPolicy::file(path, cadence));
+        .checkpoint(CheckpointPolicy::file(path, parse_cadence(&flags)?));
 
     let checkpoint = match read_checkpoint_file(path) {
         Ok(ckpt) => ckpt,
@@ -676,16 +669,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
                 params: MiningParams::paper(),
                 constraints: parsed.constraints,
             };
-            let algorithm = match flags.get("--algorithm").unwrap_or("bms++") {
-                "bms+" => Algorithm::BmsPlus,
-                "bms++" => Algorithm::BmsPlusPlus,
-                "bms*" => Algorithm::BmsStar,
-                "bms**" => Algorithm::BmsStarStar,
-                "naive" => Algorithm::Naive,
-                "naive-min-valid" => Algorithm::NaiveMinValid,
-                other => return Err(format!("unknown algorithm '{other}'")),
-            };
-            let request = request.algorithm(algorithm);
+            let request = request.algorithm(parse_algorithm(&flags)?);
             let outcome = MiningSession::new(&db, &attrs)
                 .mine(&query, &request)
                 .map_err(|e| e.to_string())?;

@@ -3,9 +3,13 @@
 //! definition for every itemset, and the borders must be antichains of
 //! actual space members.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
-use ccs::itemset::HorizontalCounter;
+use ccs::itemset::{
+    BatchInterrupted, CountProbe, CountingStats, HorizontalCounter, MintermCounter, VerticalCounter,
+};
 use ccs::prelude::*;
 
 const N_ITEMS: u32 = 5;
@@ -64,6 +68,37 @@ fn in_space_direct(
         && q.constraints.satisfied(set, attrs)
 }
 
+/// A horizontal counter that records the sizes of the sets it counts:
+/// the number of lattice levels whose candidates reached the counter.
+struct LevelRecorder<'a> {
+    inner: HorizontalCounter<'a>,
+    sizes: BTreeSet<usize>,
+}
+
+impl MintermCounter for LevelRecorder<'_> {
+    fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
+        self.sizes.insert(set.len());
+        self.inner.minterm_counts(set)
+    }
+
+    fn minterm_counts_batch_guarded(
+        &mut self,
+        sets: &[Itemset],
+        probe: &dyn CountProbe,
+    ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
+        self.sizes.extend(sets.iter().map(Itemset::len));
+        self.inner.minterm_counts_batch_guarded(sets, probe)
+    }
+
+    fn n_transactions(&self) -> usize {
+        self.inner.n_transactions()
+    }
+
+    fn stats(&self) -> CountingStats {
+        self.inner.stats()
+    }
+}
+
 fn all_sets() -> Vec<Itemset> {
     let mut out = Vec::new();
     for mask in 1u32..(1 << N_ITEMS) {
@@ -86,9 +121,19 @@ proptest! {
     ) {
         let attrs = AttributeTable::with_identity_prices(N_ITEMS);
         let q = query(c);
-        let mut counter = HorizontalCounter::new(&db);
+        let mut counter = LevelRecorder {
+            inner: HorizontalCounter::new(&db),
+            sizes: BTreeSet::new(),
+        };
         let space = solution_space(&db, &attrs, &q, &mut counter).unwrap();
         prop_assert!(!space.truncated);
+        // One counting batch, hence one horizontal scan, per swept level.
+        prop_assert_eq!(space.metrics.db_scans, counter.sizes.len() as u64);
+        let mut vertical = VerticalCounter::new(&db);
+        let by_tidsets = solution_space(&db, &attrs, &q, &mut vertical).unwrap();
+        prop_assert_eq!(&by_tidsets.minimal, &space.minimal);
+        prop_assert_eq!(&by_tidsets.maximal, &space.maximal);
+        prop_assert_eq!(by_tidsets.truncated, space.truncated);
         for set in all_sets() {
             prop_assert_eq!(
                 space.contains(&set),
