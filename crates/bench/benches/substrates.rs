@@ -1,4 +1,4 @@
-//! Criterion microbenchmarks for the substrate crates: tid-set algebra,
+//! Criterion microbenchmarks for the substrate crates: tid-set kernels,
 //! contingency-table counting (horizontal vs vertical — the DESIGN.md §5
 //! counting ablation), chi-squared machinery, and candidate generation.
 
@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use ccs_bench::DataMethod;
 use ccs_itemset::{
     candidate, HorizontalCounter, Item, Itemset, ItemsetSet, MintermCounter, ParallelCounter,
-    ParallelVerticalIndex, TidSet, VerticalCounter, WorkerPool,
+    ParallelVerticalIndex, TidSet, VerticalCounter,
 };
 use ccs_stats::{chi2_quantile, ContingencyTable};
 
@@ -43,11 +43,12 @@ fn bench_tidset(c: &mut Criterion) {
     let n = 100_000;
     let a = TidSet::from_ids(n, (0..n).step_by(3));
     let b = TidSet::from_ids(n, (0..n).step_by(5));
-    c.bench_function("tidset/intersection_count_100k", |bench| {
-        bench.iter(|| black_box(&a).intersection_count(black_box(&b)))
+    c.bench_function("tidset/intersection_count_limited_100k", |bench| {
+        bench.iter(|| black_box(&a).intersection_count_limited(black_box(&b), usize::MAX))
     });
-    c.bench_function("tidset/split_by_100k", |bench| {
-        bench.iter(|| black_box(&a).split_by(black_box(&b)))
+    let (mut with, mut without) = (TidSet::new(n), TidSet::new(n));
+    c.bench_function("tidset/split_into_100k", |bench| {
+        bench.iter(|| black_box(&a).split_into(black_box(&b), &mut with, &mut without))
     });
 }
 
@@ -117,8 +118,8 @@ fn bench_counting_batch(c: &mut Criterion) {
 /// empty-class batch (every candidate is a 0/1-item set answered inline
 /// by the planner, so the pool is never engaged) against a same-size
 /// batch of pairs with the work floor zeroed (every class fans out).
-/// The gap is what one `run`-style fan-out costs end to end — the
-/// number the `POOL_WORK_FLOOR` guard exists to amortise.
+/// The gap is what one fan-out costs end to end — the number the
+/// `POOL_WORK_FLOOR` guard exists to amortise.
 fn bench_pool_dispatch(c: &mut Criterion) {
     let db = DataMethod::Quest.generate(60, 1_000, 7);
     let mut group = c.benchmark_group("pool/dispatch_overhead");
@@ -133,16 +134,6 @@ fn bench_pool_dispatch(c: &mut Criterion) {
     });
     group.bench_function("pair_classes_pooled", |bench| {
         bench.iter(|| black_box(index.minterm_counts_batch(black_box(&pairs))))
-    });
-    // The raw pool round-trip with no counting at all: a batch of
-    // no-op jobs, one per worker.
-    let pool = WorkerPool::global();
-    let width = pool.n_workers().max(1);
-    group.bench_function("empty_job_round_trip", |bench| {
-        bench.iter(|| {
-            let jobs: Vec<_> = (0..width).map(|i| move || black_box(i)).collect();
-            black_box(pool.run_batch(jobs))
-        })
     });
     group.finish();
 }

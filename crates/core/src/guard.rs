@@ -433,7 +433,6 @@ pub(crate) enum ResumeInner {
         k: usize,
         sig: Vec<Itemset>,
         frontier: Vec<(usize, Vec<Itemset>)>,
-        seen: Vec<Itemset>,
     },
     /// BMS** interrupted during its phase-1 SUPP enumeration.
     StarStarPhase1 {

@@ -270,17 +270,6 @@ pub struct MiningOptions {
     pub shards: Option<usize>,
 }
 
-impl MiningOptions {
-    /// Options for a strategy with the default thread policy.
-    pub fn with_strategy(strategy: CountingStrategy) -> Self {
-        MiningOptions {
-            strategy,
-            threads: None,
-            shards: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

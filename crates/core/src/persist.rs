@@ -1046,17 +1046,14 @@ fn encode_resume(inner: &ResumeInner) -> Vec<u8> {
             e.u8(2);
             encode_bms_snapshot(&mut e, s);
         }
-        ResumeInner::StarPhase2 {
-            k,
-            sig,
-            frontier,
-            seen,
-        } => {
+        ResumeInner::StarPhase2 { k, sig, frontier } => {
             e.u8(3);
             e.usize(*k);
             e.itemsets(sig);
             e.levels(frontier);
-            e.itemsets(seen);
+            // The slot of the retired `seen` list, kept so the layout
+            // (and `RESUME_FORMAT`) does not change.
+            e.itemsets(&[]);
         }
         ResumeInner::StarStarPhase1 { level, cands, supp } => {
             e.u8(4);
@@ -1090,12 +1087,17 @@ fn decode_resume(d: &mut Dec<'_>) -> Result<ResumeInner, CheckpointError> {
             sig_candidates: d.itemsets()?,
         },
         2 => ResumeInner::StarPhase1(decode_bms_snapshot(d)?),
-        3 => ResumeInner::StarPhase2 {
-            k: d.usize()?,
-            sig: d.itemsets()?,
-            frontier: d.levels()?,
-            seen: d.itemsets()?,
-        },
+        3 => {
+            let state = ResumeInner::StarPhase2 {
+                k: d.usize()?,
+                sig: d.itemsets()?,
+                frontier: d.levels()?,
+            };
+            // Older writers stored a `seen` list here. Phase 2 never
+            // needed it, so it is read for well-formedness and dropped.
+            d.itemsets()?;
+            state
+        }
         4 => ResumeInner::StarStarPhase1 {
             level: d.usize()?,
             cands: d.itemsets()?,
@@ -1596,7 +1598,6 @@ mod tests {
                     k: 3,
                     sig: vec![Itemset::from_ids([0, 1])],
                     frontier: vec![(3, vec![Itemset::from_ids([0, 1, 2])])],
-                    seen: vec![Itemset::from_ids([0, 1])],
                 },
                 Algorithm::BmsStar,
             ),
@@ -1619,6 +1620,112 @@ mod tests {
             };
             let back = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
             assert_eq!(back.resume, ckpt.resume);
+        }
+    }
+
+    /// The durability suites' 160-row fixture: XOR triples over items
+    /// 0–2 and 3–5, and items 6 and 7 together in every fifth row.
+    fn xor_db() -> TransactionDb {
+        let txns = (0..160u32).map(|i| {
+            let bits = |lo: u32| ((i >> lo) & 1, (i >> (lo + 1)) & 1);
+            let (a, b) = bits(0);
+            let (c, d) = bits(2);
+            let mut t = Vec::new();
+            for (item, present) in [(0, a), (1, b), (2, a ^ b), (3, c), (4, d), (5, c ^ d)] {
+                if present == 1 {
+                    t.push(item);
+                }
+            }
+            if i % 5 == 0 {
+                t.extend([6, 7]);
+            }
+            t
+        });
+        TransactionDb::from_ids(8, txns.collect::<Vec<_>>())
+    }
+
+    /// A BMS* phase-2 checkpoint from a writer that still stored the
+    /// sweep's `seen` list decodes to the same snapshot as one whose list
+    /// is empty, and both resume to the uninterrupted run's answers.
+    #[test]
+    fn legacy_star_phase2_seen_list_is_read_and_dropped() {
+        use crate::session::{MineRequest, MiningSession};
+        use ccs_constraints::AttributeTable;
+
+        let db = xor_db();
+        let attrs = AttributeTable::with_identity_prices(8);
+        let query = CorrelationQuery {
+            params: MiningParams {
+                confidence: 0.9,
+                support_fraction: 0.1,
+                max_level: 5,
+                ..MiningParams::paper()
+            },
+            // Phase 1 finds {0, 1, 2} (price sum 6) and {3, 4, 5}; the
+            // sum floor sends the first up into a phase-2 sweep.
+            constraints: ConstraintSet::new()
+                .and(Constraint::max_le("price", 7.0))
+                .and(Constraint::sum_ge("price", 10.0)),
+        };
+        let mut session = MiningSession::new(&db, &attrs);
+        let request = MineRequest::new(Algorithm::BmsStar);
+        let mut complete = session.mine(&query, &request).unwrap().result.answers;
+        complete.sort_unstable();
+        // The smallest work budget that trips inside the sweep.
+        let (result, state) = (1..)
+            .map(|budget| {
+                let guard = RunGuard::new(GuardLimits {
+                    work_budget_cells: Some(budget),
+                    ..GuardLimits::default()
+                });
+                let result = session.mine(&query, &request.clone().guard(guard));
+                result.unwrap().result
+            })
+            .map_while(|result| result.resume.clone().map(|state| (result, state)))
+            .find(|(_, state)| matches!(state.inner, ResumeInner::StarPhase2 { .. }))
+            .expect("some budget trips inside phase 2");
+        let ResumeInner::StarPhase2 { k, sig, frontier } = &state.inner else {
+            unreachable!("found by its variant");
+        };
+        let ckpt = Checkpoint {
+            query: query.clone(),
+            fingerprint: fingerprint_db(&db),
+            metrics: result.metrics,
+            answers: result.answers,
+            status: CheckpointStatus::Tripped {
+                reason: TruncationReason::WorkBudget,
+                frontier_level: *k,
+                sets_evaluated: 0,
+            },
+            resume: state.clone(),
+        };
+        let bytes = ckpt.to_bytes();
+        // The older layout: the same fields, then the sets earlier sweep
+        // levels judged (here, the frontier) in the `seen` slot.
+        let seen: Vec<Itemset> = frontier.iter().flat_map(|(_, sets)| sets.clone()).collect();
+        assert!(!seen.is_empty(), "a sweep has a frontier");
+        let mut e = Enc::new();
+        e.u8(3);
+        e.usize(*k);
+        e.itemsets(sig);
+        e.levels(frontier);
+        e.itemsets(&seen);
+        // RESUME is the last section: swap its payload and re-seal.
+        let resume_len = encode_resume(&state.inner).len();
+        let mut legacy = bytes[..bytes.len() - 4 - 4 - resume_len - 12].to_vec();
+        push_section(&mut legacy, TAG_RESUME, &e.buf);
+        let crc = crc32(&legacy);
+        legacy.extend_from_slice(&crc.to_le_bytes());
+        assert_ne!(legacy, bytes);
+
+        let from_legacy = Checkpoint::from_bytes(&legacy).unwrap();
+        assert_eq!(from_legacy, Checkpoint::from_bytes(&bytes).unwrap());
+        assert_eq!(from_legacy, ckpt);
+        for resume in [from_legacy.resume, ckpt.resume] {
+            let resumed = session.resume(&query, &MineRequest::default(), resume);
+            let mut answers = resumed.unwrap().result.answers;
+            answers.sort_unstable();
+            assert_eq!(answers, complete);
         }
     }
 

@@ -305,14 +305,36 @@ impl MintermCounter for Box<dyn MintermCounter + '_> {
     }
 }
 
+/// One horizontal scan over `db` counting a single set's table: the
+/// whole of [`HorizontalCounter::minterm_counts`] and of a below-floor
+/// [`crate::parallel::ParallelCounter`] single set. Charges one scan,
+/// every row and one table to `stats`.
+pub(crate) fn horizontal_single(
+    db: &TransactionDb,
+    set: &Itemset,
+    stats: &mut CountingStats,
+) -> Vec<u64> {
+    let mut counts = vec![0u64; 1usize << set.len()];
+    for t in db.transactions() {
+        counts[cell_index(t, set)] += 1;
+    }
+    *stats += CountingStats {
+        db_scans: 1,
+        transactions_visited: db.len() as u64,
+        ..CountingStats::tables(1, counts.len() as u64)
+    };
+    counts
+}
+
 /// One guarded horizontal scan over `db`, updating every candidate's
-/// table per transaction: the whole of [`HorizontalCounter`]'s batch and
-/// the bottom rung of every [`Tiered`] ladder. Flushes `stats` for the
+/// table per transaction: the whole of [`HorizontalCounter`]'s batch, a
+/// below-floor [`crate::parallel::ParallelCounter`] batch, and the
+/// bottom rung of every [`Tiered`] ladder. Flushes `stats` for the
 /// scan's completed work whether or not the scan finishes: `db_scans`
 /// counts the started scan, `transactions_visited` the rows actually
 /// read, and `tables_built`/`cells_counted` only move when the scan
 /// completes (a half-scanned table was never built).
-fn horizontal_batch_guarded(
+pub(crate) fn horizontal_batch_guarded(
     db: &TransactionDb,
     sets: &[Itemset],
     probe: &dyn CountProbe,
@@ -337,13 +359,21 @@ fn horizontal_batch_guarded(
             table[cell_index(t, set)] += 1;
         }
     }
+    Ok(scan_completed(tables, probe, stats))
+}
+
+/// Charges the tables of a completed scan to `stats` and to `probe`.
+/// The tables are sound, so the caller keeps them even if this charge
+/// exhausts the budget — the *next* checkpoint observes the exhaustion.
+pub(crate) fn scan_completed(
+    tables: Vec<Vec<u64>>,
+    probe: &dyn CountProbe,
+    stats: &mut CountingStats,
+) -> Vec<Vec<u64>> {
     let cells: u64 = tables.iter().map(|t| t.len() as u64).sum();
-    *stats += CountingStats::tables(sets.len() as u64, cells);
-    // The scan completed: the tables are sound and the caller keeps them
-    // even if this charge exhausts the budget — the *next* checkpoint
-    // observes the exhaustion.
+    *stats += CountingStats::tables(tables.len() as u64, cells);
     let _ = probe.charge(cells);
-    Ok(tables)
+    tables
 }
 
 /// Paper-faithful counter: one database scan per contingency table.
@@ -365,16 +395,7 @@ impl<'a> HorizontalCounter<'a> {
 
 impl MintermCounter for HorizontalCounter<'_> {
     fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        let mut counts = vec![0u64; 1usize << set.len()];
-        for t in self.db.transactions() {
-            counts[cell_index(t, set)] += 1;
-            self.stats.transactions_visited += 1;
-        }
-        self.stats += CountingStats {
-            db_scans: 1,
-            ..CountingStats::tables(1, counts.len() as u64)
-        };
-        counts
+        horizontal_single(self.db, set, &mut self.stats)
     }
 
     /// Counts minterms for a whole level of candidates in a *single* scan,

@@ -16,8 +16,9 @@
 //!   shape. Scans now dispatch onto a pool created once and reused for
 //!   the life of the counter.
 //! * **A sequential work floor.** When `candidates × transactions` is
-//!   small, dispatch overhead dominates; such scans run inline on the
-//!   calling thread, byte-for-byte identical to the sequential scan.
+//!   small, dispatch overhead dominates; such scans run the horizontal
+//!   counter's own scan (`counting::horizontal_batch_guarded`, or its
+//!   single-set twin) inline on the calling thread.
 //!
 //! Pool jobs are `'static`, so the first pooled scan snapshots the
 //! database into an `Arc` (one full copy, kept for the counter's life).
@@ -36,8 +37,8 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use crate::counting::{
-    add_tables, cell_index, unguarded, BatchInterrupted, CountProbe, CountingStats, MintermCounter,
-    NoProbe, PROBE_CHUNK,
+    add_tables, cell_index, horizontal_batch_guarded, horizontal_single, scan_completed, unguarded,
+    BatchInterrupted, CountProbe, CountingStats, MintermCounter, NoProbe, PROBE_CHUNK,
 };
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
@@ -102,41 +103,16 @@ impl<'a> ParallelCounter<'a> {
         Arc::clone(self.shared_db.get_or_insert_with(|| Arc::new(db.clone())))
     }
 
-    /// Sequential guarded scan (also the below-work-floor path).
-    fn scan_sequential(
-        &mut self,
-        sets: &[Itemset],
-        probe: &dyn CountProbe,
-        tables: &mut [Vec<u64>],
-    ) -> Result<(), BatchInterrupted> {
-        let mut visited_in_chunk = 0usize;
-        let mut visited = 0u64;
-        for t in self.db.transactions() {
-            if visited_in_chunk == PROBE_CHUNK {
-                visited_in_chunk = 0;
-                if probe.should_stop() {
-                    self.stats.transactions_visited += visited;
-                    return Err(BatchInterrupted::default());
-                }
-            }
-            visited_in_chunk += 1;
-            visited += 1;
-            for (set, table) in sets.iter().zip(tables.iter_mut()) {
-                table[cell_index(t, set)] += 1;
-            }
-        }
-        self.stats.transactions_visited += visited;
-        Ok(())
-    }
-
     /// Pooled guarded scan: one job per contiguous chunk, results merged
     /// all-or-nothing on the calling thread.
     fn scan_pooled(
         &mut self,
         sets: &[Itemset],
         probe: &dyn CountProbe,
-        tables: &mut [Vec<u64>],
-    ) -> Result<(), BatchInterrupted> {
+    ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
+        let mut tables: Vec<Vec<u64>> =
+            sets.iter().map(|s| vec![0u64; 1usize << s.len()]).collect();
+        self.stats.db_scans += 1;
         let n = self.db.len();
         let shared_db = self.shared_db();
         let shared_sets: Arc<Vec<Itemset>> = Arc::new(sets.to_vec());
@@ -171,7 +147,7 @@ impl<'a> ParallelCounter<'a> {
             .fan_out(jobs, ranges.len(), probe, |(visited, partial)| {
                 self.stats.transactions_visited += visited;
                 if let Some(counts) = partial {
-                    add_tables(tables, &counts);
+                    add_tables(&mut tables, &counts);
                     merged += 1;
                 }
                 false
@@ -179,29 +155,19 @@ impl<'a> ParallelCounter<'a> {
         if merged < ranges.len() {
             Err(BatchInterrupted::default())
         } else {
-            Ok(())
+            Ok(tables)
         }
     }
 }
 
 impl MintermCounter for ParallelCounter<'_> {
     fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        let n = self.db.len() as u64;
-        if self.pool.n_workers() <= 1 || n < self.work_floor {
-            // A below-floor single-candidate scan takes the same tight
-            // loop as the horizontal counter — none of the batch
-            // plumbing, so per-candidate parallel counting costs exactly
-            // what sequential counting does on small work.
-            let mut counts = vec![0u64; 1usize << set.len()];
-            for t in self.db.transactions() {
-                counts[cell_index(t, set)] += 1;
-            }
-            self.stats += CountingStats {
-                db_scans: 1,
-                transactions_visited: n,
-                ..CountingStats::tables(1, counts.len() as u64)
-            };
-            return counts;
+        if self.pool.n_workers() <= 1 || (self.db.len() as u64) < self.work_floor {
+            // Below the floor a single set is the horizontal counter's
+            // scan: none of the batch plumbing, so per-candidate
+            // parallel counting costs exactly what sequential counting
+            // does on small work.
+            return horizontal_single(self.db, set, &mut self.stats);
         }
         unguarded(self.minterm_counts_batch_guarded(std::slice::from_ref(set), &NoProbe))
             .swap_remove(0)
@@ -218,26 +184,17 @@ impl MintermCounter for ParallelCounter<'_> {
         if sets.is_empty() {
             return Ok(Vec::new());
         }
+        // Checked before any scan starts, so a stopped probe charges no
+        // scan at all.
         if probe.should_stop() {
             return Err(BatchInterrupted::default());
         }
-        let n = self.db.len();
-        let mut tables: Vec<Vec<u64>> =
-            sets.iter().map(|s| vec![0u64; 1usize << s.len()]).collect();
-        self.stats.db_scans += 1;
-        let work = (sets.len() as u64).saturating_mul(n as u64);
+        let work = (sets.len() as u64).saturating_mul(self.db.len() as u64);
         if self.pool.n_workers() <= 1 || work < self.work_floor {
-            self.scan_sequential(sets, probe, &mut tables)?;
-        } else {
-            self.scan_pooled(sets, probe, &mut tables)?;
+            return horizontal_batch_guarded(self.db, sets, probe, &mut self.stats);
         }
-        let cells = tables.iter().map(|t| t.len() as u64).sum::<u64>();
-        self.stats += CountingStats::tables(sets.len() as u64, cells);
-        // The scan completed: the tables are sound and the caller keeps
-        // them even if this charge exhausts the budget — the *next*
-        // checkpoint observes the exhaustion.
-        let _ = probe.charge(cells);
-        Ok(tables)
+        let tables = self.scan_pooled(sets, probe)?;
+        Ok(scan_completed(tables, probe, &mut self.stats))
     }
 
     fn n_transactions(&self) -> usize {
@@ -273,25 +230,35 @@ mod tests {
         )
     }
 
+    /// At the default work floor the counter is the horizontal counter
+    /// divided across a pool: the same tables and the same
+    /// `CountingStats`, for single sets and for batches, below the floor
+    /// and above it.
     #[test]
-    fn matches_sequential_counter_across_sizes_and_threads() {
-        for n in [0usize, 1, 100, 5000] {
+    fn default_floor_matches_horizontal_tables_and_stats() {
+        let sets = vec![
+            Itemset::from_ids([0, 1]),
+            Itemset::from_ids([0, 2]),
+            Itemset::from_ids([2, 3, 4]),
+            Itemset::from_ids([5]),
+        ];
+        // 20k rows × 4 sets is above `PARALLEL_WORK_FLOOR`.
+        for n in [0usize, 1, 100, 5000, 20_000] {
             let d = db(n);
             for threads in [1usize, 2, 4, 16] {
+                let shape = format!("n={n} threads={threads}");
                 let mut par = ParallelCounter::new(&d, threads);
                 let mut seq = HorizontalCounter::new(&d);
-                for set in [
-                    Itemset::from_ids([0]),
-                    Itemset::from_ids([0, 1]),
-                    Itemset::from_ids([0, 2, 3]),
-                    Itemset::from_ids([1, 2, 3, 5]),
-                ] {
-                    assert_eq!(
-                        par.minterm_counts(&set),
-                        seq.minterm_counts(&set),
-                        "n={n} threads={threads} set={set}"
-                    );
+                assert_eq!(
+                    par.minterm_counts_batch(&sets),
+                    seq.minterm_counts_batch(&sets),
+                    "{shape}"
+                );
+                assert_eq!(par.stats(), seq.stats(), "{shape}: batch stats");
+                for set in &sets {
+                    assert_eq!(par.minterm_counts(set), seq.minterm_counts(set), "{shape}");
                 }
+                assert_eq!(par.stats(), seq.stats(), "{shape}: single-set stats");
             }
         }
     }
@@ -352,33 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_batch_and_counts_one_scan() {
-        for n in [0usize, 1, 100, 5000] {
-            let d = db(n);
-            let sets = vec![
-                Itemset::from_ids([0, 1]),
-                Itemset::from_ids([0, 2]),
-                Itemset::from_ids([2, 3, 4]),
-                Itemset::from_ids([5]),
-            ];
-            let mut seq = HorizontalCounter::new(&d);
-            let expected = seq.minterm_counts_batch(&sets);
-            for threads in [1usize, 2, 8] {
-                let mut par = ParallelCounter::new(&d, threads);
-                assert_eq!(
-                    par.minterm_counts_batch(&sets),
-                    expected,
-                    "n={n} threads={threads}"
-                );
-                let s = par.stats();
-                assert_eq!(s.db_scans, 1, "batch must be one logical scan");
-                assert_eq!(s.tables_built, sets.len() as u64);
-                assert_eq!(s.transactions_visited, n as u64);
-            }
-        }
-    }
-
-    #[test]
     fn small_scans_never_snapshot_the_database() {
         let d = db(100);
         let mut par = ParallelCounter::new(&d, 4);
@@ -389,6 +329,9 @@ mod tests {
         );
     }
 
+    /// A probe that is already stopped interrupts a batch before its
+    /// scan starts, below the floor and above it: no scan, no visit, no
+    /// table is charged.
     #[test]
     fn pre_stopped_probe_interrupts_immediately() {
         struct Stopped;
@@ -400,15 +343,27 @@ mod tests {
                 true
             }
         }
-        let d = db(2000);
-        let sets = vec![Itemset::from_ids([0, 1])];
-        let mut par = ParallelCounter::new(&d, 4);
-        par.set_work_floor(0);
-        let err = par
-            .minterm_counts_batch_guarded(&sets, &Stopped)
-            .unwrap_err();
-        assert_eq!(err, BatchInterrupted::default());
-        assert_eq!(par.stats().tables_built, 0);
+        let sets = vec![Itemset::from_ids([0, 1]), Itemset::from_ids([2, 3, 4])];
+        for (n, floor) in [
+            (100, PARALLEL_WORK_FLOOR),
+            (20_000, PARALLEL_WORK_FLOOR),
+            (2000, 0),
+        ] {
+            let d = db(n);
+            let mut par = ParallelCounter::new(&d, 4);
+            par.set_work_floor(floor);
+            par.minterm_counts(&Itemset::from_ids([0]));
+            let before = par.stats();
+            let err = par
+                .minterm_counts_batch_guarded(&sets, &Stopped)
+                .unwrap_err();
+            assert_eq!(err, BatchInterrupted::default(), "n={n} floor={floor}");
+            assert_eq!(
+                par.stats(),
+                before,
+                "n={n} floor={floor}: db_scans unchanged"
+            );
+        }
     }
 
     #[test]

@@ -30,14 +30,13 @@
 //! panics rather than let a counter fabricate counts.
 //!
 //! Worker panics are contained: the worker catches the unwind, counts it
-//! ([`WorkerPool::jobs_panicked`]), and keeps serving. Batch helpers
-//! ([`WorkerPool::run_batch`]) re-raise the first captured panic on the
-//! calling thread, so a counting-kernel bug still fails loudly instead
-//! of fabricating counts.
+//! ([`WorkerPool::jobs_panicked`]), and keeps serving. A panicking job
+//! sends no more messages, so `fan_out` sees an unstopped batch fall
+//! short and panics on the calling thread: a counting-kernel bug still
+//! fails loudly instead of fabricating counts.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
@@ -73,13 +72,6 @@ struct PoolShared {
     ready: Condvar,
     jobs_run: AtomicU64,
     jobs_panicked: AtomicU64,
-}
-
-thread_local! {
-    /// Identity of the pool this thread serves, if any — lets
-    /// [`WorkerPool::run_batch`] detect (and avoid deadlocking on)
-    /// re-entrant batches.
-    static CURRENT_POOL: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// A persistent pool of worker threads serving one FIFO job queue. See
@@ -155,12 +147,6 @@ impl WorkerPool {
         self.shared.jobs_panicked.load(Ordering::Relaxed)
     }
 
-    /// `true` when the calling thread is one of this pool's workers.
-    fn on_worker_thread(&self) -> bool {
-        let me = Arc::as_ptr(&self.shared) as usize;
-        CURRENT_POOL.with(|p| p.get() == Some(me))
-    }
-
     /// Submits a job to the back of the queue and wakes one parked
     /// worker. With no live workers the job runs inline before `execute`
     /// returns.
@@ -171,65 +157,6 @@ impl WorkerPool {
         }
         lock(&self.shared.queue).jobs.push_back(Box::new(f));
         self.shared.ready.notify_one();
-    }
-
-    /// Runs every task on the pool and returns their results in input
-    /// order, blocking until all complete. A panicking task is re-raised
-    /// on the calling thread after the rest of the batch finishes.
-    ///
-    /// Called *from* one of this pool's worker threads, the batch runs
-    /// inline instead (the caller would otherwise deadlock waiting on a
-    /// pool it is itself occupying).
-    pub fn run_batch<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 || self.workers.is_empty() || self.on_worker_thread() {
-            return tasks.into_iter().map(|f| f()).collect();
-        }
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        for (i, task) in tasks.into_iter().enumerate() {
-            let tx = tx.clone();
-            let shared = Arc::clone(&self.shared);
-            self.execute(move || {
-                let result = catch_unwind(AssertUnwindSafe(task));
-                if result.is_err() {
-                    shared.jobs_panicked.fetch_add(1, Ordering::Relaxed);
-                }
-                let _ = tx.send((i, result));
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut first_panic = None;
-        for (i, result) in rx {
-            match result {
-                Ok(value) => slots[i] = Some(value),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(value) => value,
-                // All senders are dropped only after every task ran, and
-                // panics were re-raised above; a hole means a worker died
-                // outside the panic protocol — fail loudly.
-                None => panic!("worker pool lost a batch task result"),
-            })
-            .collect()
     }
 
     /// Runs `jobs` on the pool and drains their messages on the calling
@@ -318,8 +245,7 @@ fn run_contained(shared: &PoolShared, job: Job) {
     }
 }
 
-fn worker_loop(shared: &Arc<PoolShared>) {
-    CURRENT_POOL.with(|p| p.set(Some(Arc::as_ptr(shared) as usize)));
+fn worker_loop(shared: &PoolShared) {
     loop {
         let queue = lock(&shared.queue);
         let mut queue = shared
@@ -340,14 +266,24 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    #[test]
-    fn run_batch_returns_results_in_input_order() {
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<_> = (0..64).map(|i| move || i * i).collect();
-        let got = pool.run_batch(tasks);
-        let expected: Vec<i32> = (0..64).map(|i| i * i).collect();
-        assert_eq!(got, expected);
-        assert!(pool.jobs_run() >= 64);
+    /// Submits `jobs` through `execute` and collects what they return,
+    /// sorted: jobs finish in any order.
+    fn run_all<T, F>(pool: &WorkerPool, jobs: impl IntoIterator<Item = F>) -> Vec<T>
+    where
+        T: Ord + Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let (tx, rx) = mpsc::channel();
+        for job in jobs {
+            let tx = tx.clone();
+            pool.execute(move || {
+                let _ = tx.send(job());
+            });
+        }
+        drop(tx);
+        let mut got: Vec<T> = rx.iter().collect();
+        got.sort_unstable();
+        got
     }
 
     #[test]
@@ -355,8 +291,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         assert_eq!(pool.n_workers(), 2);
         for round in 0..10 {
-            let tasks: Vec<_> = (0..8).map(|i| move || i + round).collect();
-            let got = pool.run_batch(tasks);
+            let got = run_all(&pool, (0..8).map(|i| move || i + round));
             assert_eq!(got, (0..8).map(|i| i + round).collect::<Vec<_>>());
         }
         assert_eq!(pool.jobs_run(), 80);
@@ -386,61 +321,40 @@ mod tests {
     fn a_job_submitted_from_a_worker_runs() {
         let pool = Arc::new(WorkerPool::new(2));
         let (tx, rx) = mpsc::channel();
-        // `run_batch` returns only after each submitting task (and its
-        // pool handle) is gone, so the pool is never dropped on a worker.
-        let submitters: Vec<_> = (0..2)
-            .map(|i| {
-                let (pool, tx) = (Arc::clone(&pool), tx.clone());
-                move || pool.execute(move || tx.send(i).unwrap())
-            })
-            .collect();
-        pool.run_batch(submitters);
-        drop(tx);
+        let (done_tx, done_rx) = mpsc::channel();
+        for i in 0..2 {
+            let (inner, tx, done_tx) = (Arc::clone(&pool), tx.clone(), done_tx.clone());
+            pool.execute(move || {
+                inner.execute(move || tx.send(i).unwrap());
+                // Release the pool handle before reporting, so the pool
+                // is never dropped on one of its own workers.
+                drop(inner);
+                done_tx.send(()).unwrap();
+            });
+        }
+        drop((tx, done_tx));
+        assert_eq!(done_rx.iter().count(), 2);
         let mut got: Vec<i32> = rx.iter().collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]);
     }
 
     #[test]
-    fn panicking_task_propagates_to_caller_without_killing_workers() {
-        let pool = WorkerPool::new(2);
-        let tasks: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("kernel bug")),
-            Box::new(|| 3),
-        ];
-        let caught = catch_unwind(AssertUnwindSafe(|| pool.run_batch(tasks)));
-        assert!(caught.is_err(), "the batch must re-raise the panic");
+    fn a_panicking_job_is_contained_and_the_worker_keeps_serving() {
+        // One worker runs the FIFO queue in order, so the panicking job
+        // has finished before any later job reports.
+        let pool = WorkerPool::new(1);
+        pool.execute(|| panic!("kernel bug"));
+        assert_eq!(run_all(&pool, (0..4).map(|i| move || i)), vec![0, 1, 2, 3]);
         assert_eq!(pool.jobs_panicked(), 1);
-        // The pool survives and keeps serving.
-        let after = pool.run_batch((0..4).map(|i| move || i).collect::<Vec<_>>());
-        assert_eq!(after, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn nested_run_batch_from_a_worker_runs_inline_instead_of_deadlocking() {
-        let pool = Arc::new(WorkerPool::new(1));
-        let inner_pool = Arc::clone(&pool);
-        let outer = pool.run_batch(vec![move || {
-            // With one worker, dispatching this nested batch onto the
-            // pool would deadlock; the pool must detect re-entry.
-            inner_pool.run_batch((0..4).map(|i| move || i * 2).collect::<Vec<_>>())
-        }]);
-        assert_eq!(outer, vec![vec![0, 2, 4, 6]]);
+        assert_eq!(pool.jobs_run(), 5);
     }
 
     #[test]
     fn zero_worker_request_is_clamped() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.n_workers(), 1);
-        assert_eq!(pool.run_batch(vec![|| 7]), vec![7]);
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let pool = WorkerPool::new(1);
-        let out: Vec<i32> = pool.run_batch(Vec::<fn() -> i32>::new());
-        assert!(out.is_empty());
+        assert_eq!(run_all(&pool, [|| 7]), vec![7]);
     }
 
     #[test]

@@ -154,12 +154,6 @@ impl ShardedVerticalIndex {
         self.n_transactions
     }
 
-    /// Absolute support of an itemset: the sum of its per-shard supports
-    /// (each shard intersects only its own slice of the tid range).
-    pub fn support(&self, set: &Itemset) -> usize {
-        self.shards.iter().map(|s| s.support(set)).sum()
-    }
-
     /// Overrides the sequential-fallback work floor. Tests and
     /// benchmarks set `0` to force pool dispatch on small batches (the
     /// default floor would — correctly — route them sequentially).
@@ -508,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn batches_single_sets_and_supports_match_sequential_vertical() {
+    fn batches_and_single_sets_match_sequential_vertical() {
         let d = db(600);
         let sets = level();
         let mut seq = VerticalIndex::build(&d);
@@ -519,7 +513,6 @@ mod tests {
             assert_eq!(idx.minterm_counts_batch(&sets), expected, "{shape}");
             for (set, want) in sets.iter().zip(&expected) {
                 assert_eq!(&idx.minterm_counts(set), want, "{shape} {set}");
-                assert_eq!(idx.support(set), seq.support(set), "{shape} {set}");
             }
         }
     }

@@ -164,106 +164,6 @@ impl TidSet {
         self.sb_pops.iter().all(|&p| p == 0)
     }
 
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &TidSet) {
-        self.check_same_capacity(other);
-        let TidSet { words, sb_pops, .. } = self;
-        for ((sw, ow), pop) in words
-            .chunks_exact_mut(SUPERBLOCK_WORDS)
-            .zip(other.words.chunks_exact(SUPERBLOCK_WORDS))
-            .zip(sb_pops.iter_mut())
-        {
-            let mut p = 0u32;
-            for (a, b) in sw.iter_mut().zip(ow) {
-                *a &= b;
-                p += a.count_ones();
-            }
-            *pop = p;
-        }
-    }
-
-    /// In-place union with `other`.
-    pub fn union_with(&mut self, other: &TidSet) {
-        self.check_same_capacity(other);
-        let TidSet { words, sb_pops, .. } = self;
-        for ((sw, ow), pop) in words
-            .chunks_exact_mut(SUPERBLOCK_WORDS)
-            .zip(other.words.chunks_exact(SUPERBLOCK_WORDS))
-            .zip(sb_pops.iter_mut())
-        {
-            let mut p = 0u32;
-            for (a, b) in sw.iter_mut().zip(ow) {
-                *a |= b;
-                p += a.count_ones();
-            }
-            *pop = p;
-        }
-    }
-
-    /// In-place difference: removes every id present in `other`.
-    pub fn subtract(&mut self, other: &TidSet) {
-        self.check_same_capacity(other);
-        let TidSet { words, sb_pops, .. } = self;
-        for ((sw, ow), pop) in words
-            .chunks_exact_mut(SUPERBLOCK_WORDS)
-            .zip(other.words.chunks_exact(SUPERBLOCK_WORDS))
-            .zip(sb_pops.iter_mut())
-        {
-            if *pop == 0 {
-                continue;
-            }
-            let mut p = 0u32;
-            for (a, b) in sw.iter_mut().zip(ow) {
-                *a &= !b;
-                p += a.count_ones();
-            }
-            *pop = p;
-        }
-    }
-
-    /// New set: `self ∩ other`.
-    pub fn intersection(&self, other: &TidSet) -> TidSet {
-        let mut out = self.clone();
-        out.intersect_with(other);
-        out
-    }
-
-    /// New set: `self ∖ other`.
-    pub fn difference(&self, other: &TidSet) -> TidSet {
-        let mut out = self.clone();
-        out.subtract(other);
-        out
-    }
-
-    /// `|self ∩ other|` without allocating.
-    ///
-    /// Superblocks where either operand's population hint is zero are
-    /// skipped without touching the bitmap words.
-    pub fn intersection_count(&self, other: &TidSet) -> usize {
-        self.check_same_capacity(other);
-        let mut count = 0usize;
-        for ((sw, ow), (&pa, &pb)) in self
-            .words
-            .chunks_exact(SUPERBLOCK_WORDS)
-            .zip(other.words.chunks_exact(SUPERBLOCK_WORDS))
-            .zip(self.sb_pops.iter().zip(&other.sb_pops))
-        {
-            if pa == 0 || pb == 0 {
-                continue;
-            }
-            let mut c = 0u32;
-            for (a, b) in sw.iter().zip(ow) {
-                c += (a & b).count_ones();
-            }
-            count += c as usize;
-        }
-        count
-    }
-
     /// `|self ∩ other|` with a bounded early exit: the scan stops as soon
     /// as the running count reaches `limit` (checked once per superblock).
     ///
@@ -271,12 +171,11 @@ impl TidSet {
     /// *true upper bound* of the intersection count — e.g. the popcount
     /// of either operand — the result is always exact: the running count
     /// can only reach the bound by having counted every intersecting
-    /// bit. That property lets the vertical leaf kernel and the
-    /// CT-support `s`-threshold check use this in place of
-    /// [`intersection_count`](Self::intersection_count) without changing
-    /// any count, while skipping the tail of the bitmap once the bound
-    /// saturates. Superblocks where either population hint is zero are
-    /// skipped entirely.
+    /// bit. That property lets the vertical leaf kernel pass the node's
+    /// own count as the bound: every count stays exact, and the scan
+    /// skips the tail of the bitmap once the bound saturates.
+    /// Superblocks where either population hint is zero are skipped
+    /// entirely.
     pub fn intersection_count_limited(&self, other: &TidSet, limit: usize) -> usize {
         self.check_same_capacity(other);
         let mut count = 0usize;
@@ -301,22 +200,14 @@ impl TidSet {
         count
     }
 
-    /// Splits `self` by `other`: returns `(self ∩ other, self ∖ other)`.
-    ///
-    /// This is the recursion step of vertical contingency-table counting:
-    /// the current cell's tid-set is split into the transactions that do and
-    /// do not contain the next item.
-    pub fn split_by(&self, other: &TidSet) -> (TidSet, TidSet) {
-        let mut with = TidSet::new(self.capacity);
-        let mut without = TidSet::new(self.capacity);
-        self.split_into(other, &mut with, &mut without);
-        (with, without)
-    }
-
-    /// [`split_by`](Self::split_by) into caller-owned scratch sets,
-    /// allocation-free. `with` and `without` are overwritten entirely;
-    /// they only need matching capacity. One fused pass writes both
-    /// halves and both sets' population hints.
+    /// Splits `self` by `other` into caller-owned scratch sets,
+    /// allocation-free: `with` becomes `self ∩ other` and `without`
+    /// becomes `self ∖ other`. This is the recursion step of vertical
+    /// contingency-table counting: the current cell's tid-set is split
+    /// into the transactions that do and do not contain the next item.
+    /// Both outputs are overwritten entirely; they only need matching
+    /// capacity. One fused pass writes both halves and both sets'
+    /// population hints.
     ///
     /// # Panics
     ///
@@ -384,46 +275,6 @@ impl TidSet {
             count += c as usize;
         }
         count
-    }
-
-    /// Popcounts of both halves of a split — `(|self ∩ other|,
-    /// |self ∖ other|)` — without materialising either bitmap.
-    ///
-    /// The last level of the vertical counting recursion only needs the two
-    /// leaf cell counts, so this fused kernel replaces a `split_by` (two
-    /// allocations + two full passes) with a single pass. Superblocks
-    /// where `self` is empty contribute nothing and are skipped; the
-    /// `without` half then follows as `|self| − |self ∩ other|` from the
-    /// hint sum, so only the AND lane is popcounted.
-    pub fn count_split(&self, other: &TidSet) -> (usize, usize) {
-        self.check_same_capacity(other);
-        let mut total = 0usize;
-        let mut with = 0usize;
-        for ((sw, ow), &ps) in self
-            .words
-            .chunks_exact(SUPERBLOCK_WORDS)
-            .zip(other.words.chunks_exact(SUPERBLOCK_WORDS))
-            .zip(&self.sb_pops)
-        {
-            if ps == 0 {
-                continue;
-            }
-            total += ps as usize;
-            let mut c = 0u32;
-            for (s, o) in sw.iter().zip(ow) {
-                c += (s & o).count_ones();
-            }
-            with += c as usize;
-        }
-        (with, total - with)
-    }
-
-    /// Overwrites `self` with the contents of `other` (no allocation;
-    /// capacities must match).
-    pub fn copy_from(&mut self, other: &TidSet) {
-        self.check_same_capacity(other);
-        self.words.copy_from_slice(&other.words);
-        self.sb_pops.copy_from_slice(&other.sb_pops);
     }
 
     /// Iterates over the present ids in increasing order.
@@ -518,6 +369,11 @@ impl fmt::Debug for TidSet {
 mod tests {
     use super::*;
 
+    /// `|a ∩ b|` the slow way, as the kernels' model.
+    fn model_intersection(a: &TidSet, b: &TidSet) -> usize {
+        a.iter().filter(|&t| b.contains(t)).count()
+    }
+
     #[test]
     fn insert_contains_remove() {
         let mut s = TidSet::new(100);
@@ -577,41 +433,24 @@ mod tests {
     }
 
     #[test]
-    fn set_algebra() {
-        let a = TidSet::from_ids(128, [1, 2, 3, 100]);
-        let b = TidSet::from_ids(128, [2, 3, 4]);
-        assert_eq!(a.intersection(&b).iter().collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(a.difference(&b).iter().collect::<Vec<_>>(), vec![1, 100]);
-        assert_eq!(a.intersection_count(&b), 2);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.count(), 5);
-        u.debug_check_invariants();
-    }
-
-    #[test]
-    fn bulk_ops_keep_population_hints_exact() {
+    fn split_into_keeps_population_hints_exact() {
         // Spread across several superblocks so the hint vector is
         // non-trivial, with one deliberately empty superblock in between.
         let a = TidSet::from_ids(2000, (0..700).chain(1500..1700));
         let b = TidSet::from_ids(2000, (300..900).chain(1600..1900));
-        let mut x = a.clone();
-        x.intersect_with(&b);
-        x.debug_check_invariants();
-        let mut y = a.clone();
-        y.union_with(&b);
-        y.debug_check_invariants();
-        let mut z = a.clone();
-        z.subtract(&b);
-        z.debug_check_invariants();
-        assert_eq!(x.count() + z.count(), a.count());
+        let (mut with, mut without) = (TidSet::new(2000), TidSet::new(2000));
+        a.split_into(&b, &mut with, &mut without);
+        with.debug_check_invariants();
+        without.debug_check_invariants();
+        assert_eq!(with.count(), model_intersection(&a, &b));
+        assert_eq!(with.count() + without.count(), a.count());
     }
 
     #[test]
     fn limited_intersection_count_is_exact_below_the_limit() {
         let a = TidSet::from_ids(2000, (0..2000).step_by(2));
         let b = TidSet::from_ids(2000, (0..2000).step_by(3));
-        let exact = a.intersection_count(&b);
+        let exact = model_intersection(&a, &b);
         assert_eq!(a.intersection_count_limited(&b, usize::MAX), exact);
         assert_eq!(a.intersection_count_limited(&b, exact + 1), exact);
     }
@@ -626,7 +465,7 @@ mod tests {
         assert_eq!(a.intersection_count_limited(&b, bound), bound);
         assert_eq!(
             a.intersection_count_limited(&b, bound),
-            a.intersection_count(&b)
+            model_intersection(&a, &b)
         );
     }
 
@@ -656,33 +495,24 @@ mod tests {
         // hint-gated kernels must still count exactly.
         let a = TidSet::from_ids(1536, (0..512).chain(1024..1536));
         let b = TidSet::from_ids(1536, (256..1280).step_by(2));
-        let expected: usize = a.iter().filter(|&t| b.contains(t)).count();
-        assert_eq!(a.intersection_count(&b), expected);
+        let expected = model_intersection(&a, &b);
         assert_eq!(a.intersection_count_limited(&b, usize::MAX), expected);
-        assert_eq!(b.intersection_count(&a), expected);
+        assert_eq!(b.intersection_count_limited(&a, usize::MAX), expected);
+        let full = TidSet::full(1536);
+        assert_eq!(a.triple_intersection_count(&b, &full), expected);
+        assert_eq!(b.triple_intersection_count(&full, &a), expected);
     }
 
     #[test]
-    fn split_by_partitions() {
-        let a = TidSet::from_ids(64, [0, 1, 2, 3]);
-        let b = TidSet::from_ids(64, [1, 3, 5]);
-        let (with, without) = a.split_by(&b);
-        assert_eq!(with.iter().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(without.iter().collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(with.count() + without.count(), a.count());
-    }
-
-    #[test]
-    fn split_into_reuses_scratch_and_matches_split_by() {
+    fn split_into_partitions_and_overwrites_dirty_scratch() {
         let a = TidSet::from_ids(130, [0, 1, 63, 64, 65, 129]);
         let b = TidSet::from_ids(130, [1, 64, 100, 129]);
         // Dirty scratch must be fully overwritten.
         let mut with = TidSet::from_ids(130, [7, 8, 9]);
         let mut without = TidSet::full(130);
         a.split_into(&b, &mut with, &mut without);
-        let (ew, ewo) = a.split_by(&b);
-        assert_eq!(with, ew);
-        assert_eq!(without, ewo);
+        assert_eq!(with, TidSet::from_ids(130, [1, 64, 129]));
+        assert_eq!(without, TidSet::from_ids(130, [0, 63, 65]));
         with.debug_check_invariants();
         without.debug_check_invariants();
     }
@@ -709,39 +539,21 @@ mod tests {
     }
 
     #[test]
-    fn count_split_matches_materialised_split() {
-        let a = TidSet::from_ids(200, (0..200).step_by(3));
-        let b = TidSet::from_ids(200, (0..200).step_by(5));
-        let (with, without) = a.split_by(&b);
-        assert_eq!(a.count_split(&b), (with.count(), without.count()));
-        assert_eq!(a.count_split(&b).0, a.intersection_count(&b));
-    }
-
-    #[test]
     fn triple_intersection_count_matches_materialised() {
         let a = TidSet::from_ids(300, (0..300).step_by(2));
         let b = TidSet::from_ids(300, (0..300).step_by(3));
         let c = TidSet::from_ids(300, (0..300).step_by(5));
-        let expected = a.intersection(&b).intersection(&c).count();
+        let expected = a.iter().filter(|&t| b.contains(t) && c.contains(t)).count();
         assert_eq!(a.triple_intersection_count(&b, &c), expected);
         assert_eq!(expected, 10); // multiples of 30 in 0..300
     }
 
     #[test]
-    fn copy_from_overwrites() {
-        let src = TidSet::from_ids(70, [0, 42, 69]);
-        let mut dst = TidSet::full(70);
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
-        dst.debug_check_invariants();
-    }
-
-    #[test]
     #[should_panic(expected = "capacity mismatch")]
     fn capacity_mismatch_panics() {
-        let mut a = TidSet::new(64);
+        let a = TidSet::new(64);
         let b = TidSet::new(65);
-        a.intersect_with(&b);
+        a.intersection_count_limited(&b, usize::MAX);
     }
 
     #[test]
@@ -768,6 +580,6 @@ mod tests {
         s.remove(0);
         assert_eq!(s.iter().count(), 0);
         let t = TidSet::full(0);
-        assert_eq!(s.intersection_count(&t), 0);
+        assert_eq!(s.intersection_count_limited(&t, usize::MAX), 0);
     }
 }

@@ -1,9 +1,8 @@
 //! [`VerticalIndex`]: a per-item tid-set index over a [`TransactionDb`].
 //!
 //! The vertical layout stores, for every item, the set of transaction ids
-//! that contain it. Supports become tid-set intersections and full
-//! contingency tables become a recursive tid-set split — no repeated
-//! database scans. This is the fast counting path; the horizontal scan in
+//! that contain it. A contingency table becomes a recursive tid-set
+//! split — no repeated database scans. This is the fast counting path; the horizontal scan in
 //! [`crate::counting`] is the paper-faithful one.
 //!
 //! Two allocation disciplines keep the recursion off the heap:
@@ -297,53 +296,6 @@ impl VerticalCore {
         &self.tidsets[item.index()]
     }
 
-    /// Absolute support of an itemset via tid-set intersection.
-    pub(crate) fn support(&self, set: &Itemset) -> usize {
-        let items = set.items();
-        match items {
-            [] => self.n_transactions,
-            [a] => self.tidsets[a.index()].count(),
-            [a, b] => self.tidsets[a.index()].intersection_count(&self.tidsets[b.index()]),
-            [a, rest @ ..] => {
-                let mut acc = self.tidsets[a.index()].clone();
-                for item in rest {
-                    acc.intersect_with(&self.tidsets[item.index()]);
-                    if acc.is_empty() {
-                        return 0;
-                    }
-                }
-                acc.count()
-            }
-        }
-    }
-
-    /// Exact threshold test `support(set) >= s` with a bounded early
-    /// exit: the final popcount stops as soon as `s` matching
-    /// transactions have been seen, so a set far above the threshold
-    /// never scans its whole tid-set.
-    pub(crate) fn support_at_least(&self, set: &Itemset, s: usize) -> bool {
-        if s == 0 {
-            return true;
-        }
-        match set.items() {
-            [] => self.n_transactions >= s,
-            [a] => self.tidsets[a.index()].intersection_count_limited(&self.universe, s) >= s,
-            [a, b] => {
-                self.tidsets[a.index()].intersection_count_limited(&self.tidsets[b.index()], s) >= s
-            }
-            [a, rest @ .., last] => {
-                let mut acc = self.tidsets[a.index()].clone();
-                for item in rest {
-                    acc.intersect_with(&self.tidsets[item.index()]);
-                    if acc.is_empty() {
-                        return false;
-                    }
-                }
-                acc.intersection_count_limited(&self.tidsets[last.index()], s) >= s
-            }
-        }
-    }
-
     /// Counts all `2^k` minterms of one set, growing `scratch` on demand;
     /// see [`VerticalIndex::minterm_counts`].
     pub(crate) fn minterm_counts(&self, set: &Itemset, scratch: &mut Vec<TidSet>) -> Vec<u64> {
@@ -583,25 +535,6 @@ impl VerticalIndex {
         self.core.tidset(item)
     }
 
-    /// Absolute support of an itemset via tid-set intersection.
-    ///
-    /// Sized to its input: the 0- and 1-item cases are pure lookups, the
-    /// 2-item case is an allocation-free [`TidSet::intersection_count`],
-    /// and larger sets fold into a single reused accumulator.
-    pub fn support(&self, set: &Itemset) -> usize {
-        self.core.support(set)
-    }
-
-    /// Exact `support(set) >= s` threshold test with a bounded early
-    /// exit ([`TidSet::intersection_count_limited`]): the final popcount
-    /// stops as soon as `s` matching transactions have been seen. This
-    /// is the fast path for the CT-support `s`-threshold check — a
-    /// candidate far above the significance floor never scans its whole
-    /// tid-set.
-    pub fn support_at_least(&self, set: &Itemset, s: usize) -> bool {
-        self.core.support_at_least(set, s)
-    }
-
     /// Counts all `2^k` minterms (contingency-table cells) of a `k`-itemset.
     ///
     /// Cell indexing: for the sorted items `s_0 < … < s_{k-1}` of `set`, the
@@ -701,81 +634,6 @@ mod tests {
     fn db() -> TransactionDb {
         // 0: {a,b}  1: {a}  2: {b}  3: {}  4: {a,b}
         TransactionDb::from_ids(2, vec![vec![0, 1], vec![0], vec![1], vec![], vec![0, 1]])
-    }
-
-    #[test]
-    fn supports_match_horizontal_scan() {
-        let d = db();
-        let v = VerticalIndex::build(&d);
-        for set in [
-            Itemset::empty(),
-            Itemset::from_ids([0]),
-            Itemset::from_ids([1]),
-            Itemset::from_ids([0, 1]),
-        ] {
-            assert_eq!(
-                v.support(&set),
-                d.support(&set),
-                "support mismatch for {set}"
-            );
-        }
-    }
-
-    #[test]
-    fn support_of_larger_sets_uses_accumulator_path() {
-        let d = TransactionDb::from_ids(
-            4,
-            vec![
-                vec![0, 1, 2, 3],
-                vec![0, 1, 2],
-                vec![0, 1],
-                vec![1, 2, 3],
-                vec![],
-            ],
-        );
-        let v = VerticalIndex::build(&d);
-        for set in [
-            Itemset::from_ids([0, 1, 2]),
-            Itemset::from_ids([0, 1, 2, 3]),
-            Itemset::from_ids([1, 2, 3]),
-        ] {
-            assert_eq!(
-                v.support(&set),
-                d.support(&set),
-                "support mismatch for {set}"
-            );
-        }
-    }
-
-    #[test]
-    fn support_at_least_matches_exact_support_on_every_threshold() {
-        let d = TransactionDb::from_ids(
-            4,
-            vec![
-                vec![0, 1, 2, 3],
-                vec![0, 1, 2],
-                vec![0, 1],
-                vec![1, 2, 3],
-                vec![],
-            ],
-        );
-        let v = VerticalIndex::build(&d);
-        for set in [
-            Itemset::empty(),
-            Itemset::from_ids([0]),
-            Itemset::from_ids([0, 1]),
-            Itemset::from_ids([0, 1, 2]),
-            Itemset::from_ids([0, 1, 2, 3]),
-        ] {
-            let exact = v.support(&set);
-            for s in 0..=d.len() + 1 {
-                assert_eq!(
-                    v.support_at_least(&set, s),
-                    exact >= s,
-                    "threshold {s} mismatch for {set} (support {exact})"
-                );
-            }
-        }
     }
 
     #[test]

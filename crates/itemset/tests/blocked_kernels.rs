@@ -76,13 +76,10 @@ proptest! {
         prop_assert_eq!(a.count(), ma.len());
         prop_assert_eq!(TidSet::full(cap).count(), cap);
 
-        // Fused counting kernels.
+        // The fused triple-intersection kernel.
         let inter: BTreeSet<usize> = ma.intersection(&mb).copied().collect();
-        prop_assert_eq!(a.intersection_count(&b), inter.len());
         let triple = ma.iter().filter(|t| mb.contains(t) && mc.contains(t)).count();
         prop_assert_eq!(a.triple_intersection_count(&b, &c), triple);
-        let without = ma.len() - inter.len();
-        prop_assert_eq!(a.count_split(&b), (inter.len(), without));
 
         // The limited kernel: exact below the limit, saturating (but
         // never over-counting) at or above it, and exact whenever the
@@ -103,22 +100,10 @@ proptest! {
         let mut without_set = TidSet::full(cap);
         a.split_into(&b, &mut with, &mut without_set);
         let model_without: BTreeSet<usize> = ma.difference(&mb).copied().collect();
-        prop_assert_eq!(collect(&with), inter.clone());
-        prop_assert_eq!(collect(&without_set), model_without.clone());
         prop_assert_eq!(with.count(), inter.len());
         prop_assert_eq!(without_set.count(), model_without.len());
-
-        // In-place bulk mutators keep contents and hints consistent.
-        let mut u = a.clone();
-        u.union_with(&b);
-        prop_assert_eq!(collect(&u), ma.union(&mb).copied().collect::<BTreeSet<_>>());
-        prop_assert_eq!(u.count(), ma.union(&mb).count());
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        prop_assert_eq!(collect(&i), inter);
-        let mut d = a.clone();
-        d.subtract(&b);
-        prop_assert_eq!(collect(&d), model_without);
+        prop_assert_eq!(collect(&with), inter);
+        prop_assert_eq!(collect(&without_set), model_without);
     }
 }
 
