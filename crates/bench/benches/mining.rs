@@ -102,19 +102,19 @@ fn bench_bms_strategies(c: &mut Criterion) {
     group.bench_function("horizontal", |b| {
         b.iter(|| {
             let mut counter = HorizontalCounter::new(black_box(&db));
-            run_bms(&db, &params, &mut counter)
+            run_bms(&db, &params, &mut counter).unwrap()
         })
     });
     group.bench_function("vertical", |b| {
         b.iter(|| {
             let mut counter = VerticalCounter::new(black_box(&db));
-            run_bms(&db, &params, &mut counter)
+            run_bms(&db, &params, &mut counter).unwrap()
         })
     });
     group.bench_function("parallel", |b| {
         b.iter(|| {
             let mut counter = ParallelCounter::with_available_parallelism(black_box(&db));
-            run_bms(&db, &params, &mut counter)
+            run_bms(&db, &params, &mut counter).unwrap()
         })
     });
     group.finish();

@@ -993,18 +993,27 @@ fn union_exceeds(sets: &[(usize, &BTreeSet<u32>)], limit: f64) -> Option<(Vec<us
             .collect();
         u.len()
     };
-    let mut kept: Vec<usize> = (0..sets.len()).collect();
-    if union_of(&kept) as f64 <= limit {
+    let all: Vec<usize> = (0..sets.len()).collect();
+    if union_of(&all) as f64 <= limit {
         return None;
     }
-    for pos in 0..sets.len() {
+    let kept = shrink_core(sets.len(), |trial| union_of(trial) as f64 > limit);
+    let size = union_of(&kept);
+    Some((kept.iter().map(|&p| sets[p].0).collect(), size))
+}
+
+/// Greedily shrinks the conflicting contributor positions `0..n` to a
+/// core: tries dropping each position in turn and keeps the drop when
+/// `still_conflicts` holds for what is left.
+fn shrink_core(n: usize, still_conflicts: impl Fn(&[usize]) -> bool) -> Vec<usize> {
+    let mut kept: Vec<usize> = (0..n).collect();
+    for pos in 0..n {
         let trial: Vec<usize> = kept.iter().copied().filter(|&p| p != pos).collect();
-        if union_of(&trial) as f64 > limit {
+        if still_conflicts(&trial) {
             kept = trial;
         }
     }
-    let size = union_of(&kept);
-    Some((kept.iter().map(|&p| sets[p].0).collect(), size))
+    kept
 }
 
 /// Geometry of the succinct constraints: the allowed-universe
@@ -1049,13 +1058,7 @@ fn universe_conflicts(
     let all: Vec<usize> = (0..contribs.len()).collect();
     let full = intersect(&all);
     if live(&full) < 2 {
-        let mut kept = all;
-        for p in 0..contribs.len() {
-            let trial: Vec<usize> = kept.iter().copied().filter(|&q| q != p).collect();
-            if live(&intersect(&trial)) < 2 {
-                kept = trial;
-            }
-        }
+        let kept = shrink_core(contribs.len(), |trial| live(&intersect(trial)) < 2);
         let survivors = live(&intersect(&kept));
         return vec![conflict(
             kept.iter().map(|&p| contribs[p].0).collect(),
@@ -1076,17 +1079,10 @@ fn universe_conflicts(
                 continue; // caught by single-constraint grounding
             }
             if class.iter().all(|it| !full[it.index()]) {
-                let excluded = |positions: &[usize]| {
-                    let m = intersect(positions);
+                let kept = shrink_core(contribs.len(), |trial| {
+                    let m = intersect(trial);
                     class.iter().all(|it| !m[it.index()])
-                };
-                let mut kept: Vec<usize> = (0..contribs.len()).collect();
-                for p in 0..contribs.len() {
-                    let trial: Vec<usize> = kept.iter().copied().filter(|&q| q != p).collect();
-                    if excluded(&trial) {
-                        kept = trial;
-                    }
-                }
+                });
                 let mut core: Vec<usize> = kept.iter().map(|&p| contribs[p].0).collect();
                 core.push(i);
                 out.push(conflict(

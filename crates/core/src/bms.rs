@@ -29,6 +29,7 @@ use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
 use crate::params::MiningParams;
 use crate::prep::frequent_items;
+use crate::query::MiningError;
 
 /// The complete state Algorithm BMS leaves behind: `SIG` (all minimal
 /// correlated and CT-supported sets), `NOTSIG` (every CT-supported but
@@ -114,20 +115,15 @@ impl AlgorithmPolicy for BmsPolicy {
 
 /// Runs Algorithm BMS over `db` with the given statistical parameters.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `params` fail [`MiningParams::validate`]; this entry point
-/// returns no `Result`, so parameters are programmer input here. The
-/// query-level entry points report the same check as
-/// [`crate::MiningError::Params`].
+/// [`MiningError::Params`] if `params` fail [`MiningParams::validate`].
 pub fn run_bms<C: MintermCounter>(
     db: &TransactionDb,
     params: &MiningParams,
     counter: &mut C,
-) -> BmsOutput {
-    if let Err(e) = params.validate() {
-        panic!("invalid parameters: {e}");
-    }
+) -> Result<BmsOutput, MiningError> {
+    params.validate()?;
     let scope = MinerScope::begin(counter.stats());
     let mut engine = Engine::new(counter, params);
     let mut output = run_bms_with_engine(
@@ -140,7 +136,7 @@ pub fn run_bms<C: MintermCounter>(
     )
     .output;
     scope.seal(&engine, &mut output.metrics, output.sig.len());
-    output
+    Ok(output)
 }
 
 /// [`run_bms`] over a caller-owned [`Engine`], so a two-phase algorithm

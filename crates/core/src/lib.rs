@@ -55,9 +55,9 @@ pub use miner::{Algorithm, CountingStrategy, MiningOptions};
 pub use naive::{run_naive, NAIVE_MAX_ITEMS};
 pub use params::{MiningParams, ParamError};
 pub use persist::{
-    fingerprint_db, load_checkpoint, read_checkpoint_file, save_checkpoint, write_checkpoint_file,
-    Checkpoint, CheckpointCadence, CheckpointError, CheckpointPolicy, CheckpointReport,
-    CheckpointSink, CheckpointStatus, DbFingerprint, FileSink, MemorySink,
+    fingerprint_db, read_checkpoint_file, Checkpoint, CheckpointCadence, CheckpointError,
+    CheckpointPolicy, CheckpointReport, CheckpointSink, CheckpointStatus, DbFingerprint, FileSink,
+    MemorySink,
 };
 pub use query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 pub use session::{mine_on, resume_on, MineOutcome, MineRequest, MiningSession};

@@ -238,9 +238,9 @@ impl std::str::FromStr for CountingStrategy {
             "horizontal" => Ok(CountingStrategy::Horizontal),
             "vertical" => Ok(CountingStrategy::Vertical),
             "parallel" => Ok(CountingStrategy::Parallel),
-            "vertical-par" | "vertical_par" => Ok(CountingStrategy::VerticalPar),
+            "vertical-par" => Ok(CountingStrategy::VerticalPar),
             "sharded" => Ok(CountingStrategy::Sharded),
-            "fp-tree" | "fptree" => Ok(CountingStrategy::FpTree),
+            "fp-tree" => Ok(CountingStrategy::FpTree),
             "auto" => Ok(CountingStrategy::Auto),
             other => Err(format!(
                 "unknown counting strategy '{other}' \
@@ -479,8 +479,8 @@ mod tests {
         assert_eq!(VerticalPar.to_string(), "vertical-par");
         assert_eq!(Sharded.to_string(), "sharded");
         assert_eq!(FpTree.to_string(), "fp-tree");
-        // The underscore-free alias parses too.
-        assert_eq!("fptree".parse::<CountingStrategy>().unwrap(), FpTree);
+        // One spelling per strategy: no aliases.
+        assert!("fptree".parse::<CountingStrategy>().is_err());
     }
 
     #[test]

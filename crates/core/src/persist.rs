@@ -1234,39 +1234,6 @@ impl CheckpointSink for MemorySink {
     }
 }
 
-/// Saves `ckpt` through a sink, mapping sink failures to
-/// [`CheckpointError::Io`].
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] when the sink's commit fails.
-pub fn save_checkpoint(
-    sink: &mut dyn CheckpointSink,
-    ckpt: &Checkpoint,
-) -> Result<(), CheckpointError> {
-    sink.commit(&ckpt.to_bytes())
-        .map_err(|e| CheckpointError::io("committing the snapshot", e))
-}
-
-/// Loads and validates the sink's current snapshot; `Ok(None)` when the
-/// sink holds nothing yet.
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] on read failure, plus every
-/// [`Checkpoint::from_bytes`] validation error.
-pub fn load_checkpoint(
-    sink: &mut dyn CheckpointSink,
-) -> Result<Option<Checkpoint>, CheckpointError> {
-    match sink
-        .load()
-        .map_err(|e| CheckpointError::io("reading the snapshot", e))?
-    {
-        None => Ok(None),
-        Some(bytes) => Checkpoint::from_bytes(&bytes).map(Some),
-    }
-}
-
 /// Reads and validates the checkpoint file at `path`.
 ///
 /// # Errors
@@ -1279,18 +1246,6 @@ pub fn read_checkpoint_file(path: impl AsRef<Path>) -> Result<Checkpoint, Checkp
     let bytes = fs::read(path)
         .map_err(|e| CheckpointError::io(format!("reading {}", path.display()), e))?;
     Checkpoint::from_bytes(&bytes)
-}
-
-/// Atomically writes `ckpt` to `path` via a [`FileSink`].
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] when the write, fsync, or rename fails.
-pub fn write_checkpoint_file(
-    path: impl AsRef<Path>,
-    ckpt: &Checkpoint,
-) -> Result<(), CheckpointError> {
-    save_checkpoint(&mut FileSink::new(path.as_ref()), ckpt)
 }
 
 // ---------------------------------------------------------------------
@@ -1907,10 +1862,11 @@ mod tests {
     #[test]
     fn memory_sink_save_load_round_trip() {
         let mut sink = MemorySink::new();
-        assert!(load_checkpoint(&mut sink).unwrap().is_none());
+        assert!(sink.load().unwrap().is_none());
         let ckpt = sample_checkpoint();
-        save_checkpoint(&mut sink, &ckpt).unwrap();
-        assert_eq!(load_checkpoint(&mut sink).unwrap(), Some(ckpt));
+        sink.commit(&ckpt.to_bytes()).unwrap();
+        let bytes = sink.load().unwrap().unwrap();
+        assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), ckpt);
     }
 
     #[test]
@@ -1921,12 +1877,15 @@ mod tests {
         let mut sink = FileSink::new(&path);
         assert!(sink.load().unwrap().is_none());
         let ckpt = sample_checkpoint();
-        save_checkpoint(&mut sink, &ckpt).unwrap();
+        sink.commit(&ckpt.to_bytes()).unwrap();
         assert!(!sink.tmp_path().exists(), "temp file must be renamed away");
         assert_eq!(read_checkpoint_file(&path).unwrap(), ckpt);
         let mut second = sample_checkpoint();
         second.answers.clear();
-        write_checkpoint_file(&path, &second).unwrap();
+        sink.commit(&second.to_bytes()).unwrap();
+        assert!(!sink.tmp_path().exists(), "temp file must be renamed away");
+        let bytes = sink.load().unwrap().unwrap();
+        assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), second);
         assert_eq!(read_checkpoint_file(&path).unwrap(), second);
         fs::remove_dir_all(&dir).unwrap();
     }

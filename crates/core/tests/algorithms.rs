@@ -45,7 +45,7 @@ mod bms {
     fn finds_the_planted_pair() {
         let db = correlated_db();
         let mut counter = HorizontalCounter::new(&db);
-        let out = run_bms(&db, &params(), &mut counter);
+        let out = run_bms(&db, &params(), &mut counter).unwrap();
         assert!(
             out.sig.contains(&Itemset::from_ids([0, 1])),
             "planted pair not found; SIG = {:?}",
@@ -57,7 +57,7 @@ mod bms {
     fn independent_pairs_land_in_notsig() {
         let db = correlated_db();
         let mut counter = HorizontalCounter::new(&db);
-        let out = run_bms(&db, &params(), &mut counter);
+        let out = run_bms(&db, &params(), &mut counter).unwrap();
         // {0,2} is independent: must not be in SIG.
         assert!(!out.sig.contains(&Itemset::from_ids([0, 2])));
     }
@@ -66,7 +66,7 @@ mod bms {
     fn sig_sets_are_minimal() {
         let db = correlated_db();
         let mut counter = HorizontalCounter::new(&db);
-        let out = run_bms(&db, &params(), &mut counter);
+        let out = run_bms(&db, &params(), &mut counter).unwrap();
         for (i, a) in out.sig.iter().enumerate() {
             for b in &out.sig[i + 1..] {
                 assert!(
@@ -81,7 +81,7 @@ mod bms {
     fn metrics_count_tables() {
         let db = correlated_db();
         let mut counter = HorizontalCounter::new(&db);
-        let out = run_bms(&db, &params(), &mut counter);
+        let out = run_bms(&db, &params(), &mut counter).unwrap();
         // 3 items → 3 pairs at level 2, plus whatever level 3 considered.
         assert!(out.metrics.tables_built >= 3);
         // Level-batched counting: at most one scan per level, never more
@@ -101,7 +101,7 @@ mod bms {
             ..params()
         };
         let mut counter = HorizontalCounter::new(&db);
-        let out = run_bms(&db, &p, &mut counter);
+        let out = run_bms(&db, &p, &mut counter).unwrap();
         assert_eq!(out.level1, vec![Item(0), Item(1)]);
     }
 
@@ -109,10 +109,31 @@ mod bms {
     fn empty_database_yields_nothing() {
         let db = TransactionDb::from_ids(4, Vec::<Vec<u32>>::new());
         let mut counter = HorizontalCounter::new(&db);
-        let out = run_bms(&db, &params(), &mut counter);
+        let out = run_bms(&db, &params(), &mut counter).unwrap();
         // With zero transactions every table is all-zeros: chi2 = 0, so
         // nothing is correlated.
         assert!(out.sig.is_empty());
+    }
+
+    #[test]
+    fn out_of_range_params_are_an_error() {
+        let db = correlated_db();
+        let mut counter = HorizontalCounter::new(&db);
+        let p = MiningParams {
+            support_fraction: 1.5,
+            ..params()
+        };
+        let err = run_bms(&db, &p, &mut counter).unwrap_err();
+        assert!(matches!(err, MiningError::Params(_)), "{err}");
+        let p = MiningParams {
+            max_level: 1,
+            ..params()
+        };
+        assert!(matches!(
+            run_bms(&db, &p, &mut counter),
+            Err(MiningError::Params(_))
+        ));
+        assert_eq!(counter.stats().tables_built, 0, "nothing was counted");
     }
 }
 

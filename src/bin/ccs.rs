@@ -91,8 +91,8 @@ fn print_usage() {
                            spelling), all-confidence, bond — --threshold
                            sets the cutoff for any measure
                counting:   horizontal vertical parallel vertical-par
-                           sharded fp-tree auto (--strategy is accepted
-                           as an alias; --shards N splits the tid range)
+                           sharded fp-tree auto (--shards N splits the
+                           tid range)
                --checkpoint stamps a crash-safe snapshot at every level
                boundary (every Nth with --checkpoint-every) and on any
                budget trip, so a truncated or killed run can continue
@@ -373,13 +373,7 @@ fn parse_algorithm(flags: &Flags<'_>) -> Result<Algorithm, String> {
 
 /// Parses the counting flags shared by `mine` and `resume`.
 fn parse_counting(flags: &Flags<'_>) -> Result<MiningOptions, String> {
-    // `--counting` is the canonical flag; `--strategy` remains as an
-    // alias for scripts written against older releases.
-    let strategy: CountingStrategy = flags
-        .get("--counting")
-        .or_else(|| flags.get("--strategy"))
-        .unwrap_or("horizontal")
-        .parse()?;
+    let strategy: CountingStrategy = flags.get("--counting").unwrap_or("horizontal").parse()?;
     let threads: Option<usize> = flags.parse_opt("--threads")?;
     if threads == Some(0) {
         return Err("--threads must be at least 1".to_owned());
@@ -512,7 +506,6 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
             "--query",
             "--algorithm",
             "--counting",
-            "--strategy",
             "--threads",
             "--shards",
             "--measure",
@@ -626,7 +619,6 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             "--query",
             "--algorithm",
             "--counting",
-            "--strategy",
             "--threads",
             "--shards",
             "--timeout",

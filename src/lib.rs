@@ -61,12 +61,12 @@ pub mod prelude {
     };
     pub use ccs_core::{
         discover_causality, fingerprint_db, mine_on, read_checkpoint_file, resume_on,
-        solution_space, write_checkpoint_file, Algorithm, CausalAnalysis, CausalFinding,
-        Checkpoint, CheckpointCadence, CheckpointError, CheckpointPolicy, CheckpointReport,
-        CheckpointSink, CheckpointStatus, Completion, CorrelationQuery, CountingStrategy,
-        DbFingerprint, FileSink, GuardLimits, MemorySink, MineOutcome, MineRequest, MiningError,
-        MiningMetrics, MiningOptions, MiningParams, MiningResult, MiningSession, ResumeState,
-        RunGuard, Semantics, SolutionSpace, TruncationReason,
+        solution_space, Algorithm, CausalAnalysis, CausalFinding, Checkpoint, CheckpointCadence,
+        CheckpointError, CheckpointPolicy, CheckpointReport, CheckpointSink, CheckpointStatus,
+        Completion, CorrelationQuery, CountingStrategy, DbFingerprint, FileSink, GuardLimits,
+        MemorySink, MineOutcome, MineRequest, MiningError, MiningMetrics, MiningOptions,
+        MiningParams, MiningResult, MiningSession, ResumeState, RunGuard, Semantics, SolutionSpace,
+        TruncationReason,
     };
     pub use ccs_datagen::{generate_quest, generate_rules, QuestParams, RuleParams};
     pub use ccs_itemset::{Item, Itemset, TransactionDb};

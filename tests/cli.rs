@@ -1,6 +1,10 @@
 //! End-to-end tests of the `ccs` binary: exit codes and error messages
 //! of the argument and parameter paths of `mine` and `resume`.
 
+// Helper fns outside `#[test]` bodies still trip `unwrap_used`; in a
+// test binary a panic is the failure report.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 

@@ -11,9 +11,6 @@
 //! minterm counts on arbitrary databases, for candidate sets up to
 //! k = 6. This is the invariant that lets the miners pick a strategy
 //! freely.
-//!
-//! `CCS_TEST_STRATEGY` (the CI forced-strategy job) narrows the sweep
-//! to one strategy's blocks, always against the horizontal reference.
 
 use proptest::prelude::*;
 
@@ -41,16 +38,6 @@ fn sets_strategy() -> impl Strategy<Value = Vec<Itemset>> {
     .prop_map(|sets| sets.into_iter().map(Itemset::from_ids).collect())
 }
 
-/// `CCS_TEST_STRATEGY`, when set, runs only the named strategy's blocks
-/// (still against the horizontal reference) — the forced focused pass
-/// CI uses, mirroring `CCS_TEST_SHARDS`.
-fn strategy_enabled(name: &str) -> bool {
-    match std::env::var("CCS_TEST_STRATEGY") {
-        Ok(forced) => forced == name,
-        Err(_) => true,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -64,94 +51,77 @@ proptest! {
             sets.iter().map(|s| reference.minterm_counts(s)).collect();
 
         // Horizontal batch: one scan for the whole level.
-        if strategy_enabled("horizontal") {
-            let mut horizontal = HorizontalCounter::new(&db);
-            prop_assert_eq!(&horizontal.minterm_counts_batch(&sets), &expected);
-        }
+        let mut horizontal = HorizontalCounter::new(&db);
+        prop_assert_eq!(&horizontal.minterm_counts_batch(&sets), &expected);
 
         // Vertical, per candidate and prefix-sharing batch.
-        if strategy_enabled("vertical") {
-            let mut vertical = VerticalCounter::new(&db);
-            let vertical_singles: Vec<Vec<u64>> =
-                sets.iter().map(|s| vertical.minterm_counts(s)).collect();
-            prop_assert_eq!(&vertical_singles, &expected);
-            prop_assert_eq!(&vertical.minterm_counts_batch(&sets), &expected);
-        }
+        let mut vertical = VerticalCounter::new(&db);
+        let vertical_singles: Vec<Vec<u64>> =
+            sets.iter().map(|s| vertical.minterm_counts(s)).collect();
+        prop_assert_eq!(&vertical_singles, &expected);
+        prop_assert_eq!(&vertical.minterm_counts_batch(&sets), &expected);
 
         // Parallel, across thread counts, per candidate and batched.
-        if strategy_enabled("parallel") {
-            for threads in [1usize, 2, 5] {
-                let mut parallel = ParallelCounter::new(&db, threads);
-                parallel.set_work_floor(0); // force pool dispatch even on tiny inputs
-                let parallel_singles: Vec<Vec<u64>> =
-                    sets.iter().map(|s| parallel.minterm_counts(s)).collect();
-                prop_assert_eq!(&parallel_singles, &expected);
-                prop_assert_eq!(&parallel.minterm_counts_batch(&sets), &expected);
-            }
+        for threads in [1usize, 2, 5] {
+            let mut parallel = ParallelCounter::new(&db, threads);
+            parallel.set_work_floor(0); // force pool dispatch even on tiny inputs
+            let parallel_singles: Vec<Vec<u64>> =
+                sets.iter().map(|s| parallel.minterm_counts(s)).collect();
+            prop_assert_eq!(&parallel_singles, &expected);
+            prop_assert_eq!(&parallel.minterm_counts_batch(&sets), &expected);
         }
 
         // Parallel-vertical: pool fan-out over prefix-equivalence
         // classes, swept across worker counts including the machine's
         // own parallelism, with the work floor zeroed so even these
         // small batches take the pooled path.
-        if strategy_enabled("vertical-par") {
-            let machine = std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1);
-            for workers in [1usize, 2, machine] {
-                let mut index = ParallelVerticalIndex::build_with_workers(&db, workers);
-                index.set_work_floor(0);
-                let par_singles: Vec<Vec<u64>> =
-                    sets.iter().map(|s| index.minterm_counts(s)).collect();
-                prop_assert_eq!(&par_singles, &expected);
-                prop_assert_eq!(&index.minterm_counts_batch(&sets), &expected);
-            }
-
-            // And the full counter wrapper (ladder at its top rung).
-            let mut par_counter = ParallelVerticalCounter::with_workers(&db, 2);
-            par_counter.index_mut().set_work_floor(0);
-            prop_assert_eq!(&par_counter.minterm_counts_batch(&sets), &expected);
+        let machine = std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1);
+        for workers in [1usize, 2, machine] {
+            let mut index = ParallelVerticalIndex::build_with_workers(&db, workers);
+            index.set_work_floor(0);
+            let par_singles: Vec<Vec<u64>> =
+                sets.iter().map(|s| index.minterm_counts(s)).collect();
+            prop_assert_eq!(&par_singles, &expected);
+            prop_assert_eq!(&index.minterm_counts_batch(&sets), &expected);
         }
+
+        // And the full counter wrapper (ladder at its top rung).
+        let mut par_counter = ParallelVerticalCounter::with_workers(&db, 2);
+        par_counter.index_mut().set_work_floor(0);
+        prop_assert_eq!(&par_counter.minterm_counts_batch(&sets), &expected);
 
         // Sharded: horizontally partitioned tid ranges, per-shard tables
         // merged elementwise. Shard counts are deliberately not powers
         // of two so shard boundaries land mid-superblock and shards get
         // unequal lengths; the work floor is zeroed so even tiny batches
-        // take the pooled merge path. `CCS_TEST_SHARDS` (the CI
-        // forced-shards job) narrows the sweep to that single count.
-        if strategy_enabled("sharded") {
-            let shard_counts: Vec<usize> = match std::env::var("CCS_TEST_SHARDS") {
-                Ok(s) => vec![s.parse().expect("CCS_TEST_SHARDS must be a shard count")],
-                Err(_) => vec![1, 2, 3, 7],
-            };
-            for shards in shard_counts {
-                let mut index = ShardedVerticalIndex::build_with_shards_and_workers(&db, shards, 2);
-                index.set_work_floor(0);
-                let sharded_singles: Vec<Vec<u64>> =
-                    sets.iter().map(|s| index.minterm_counts(s)).collect();
-                prop_assert_eq!(&sharded_singles, &expected);
-                prop_assert_eq!(&index.minterm_counts_batch(&sets), &expected);
-            }
-
-            // And the sharded counter wrapper at its top rung.
-            let mut sharded_counter = ShardedVerticalCounter::with_shards_and_workers(&db, 3, 2);
-            sharded_counter.index_mut().set_work_floor(0);
-            prop_assert_eq!(&sharded_counter.minterm_counts_batch(&sets), &expected);
+        // take the pooled merge path.
+        for shards in [1usize, 2, 3, 7] {
+            let mut index = ShardedVerticalIndex::build_with_shards_and_workers(&db, shards, 2);
+            index.set_work_floor(0);
+            let sharded_singles: Vec<Vec<u64>> =
+                sets.iter().map(|s| index.minterm_counts(s)).collect();
+            prop_assert_eq!(&sharded_singles, &expected);
+            prop_assert_eq!(&index.minterm_counts_batch(&sets), &expected);
         }
+
+        // And the sharded counter wrapper at its top rung.
+        let mut sharded_counter = ShardedVerticalCounter::with_shards_and_workers(&db, 3, 2);
+        sharded_counter.index_mut().set_work_floor(0);
+        prop_assert_eq!(&sharded_counter.minterm_counts_batch(&sets), &expected);
 
         // FP-tree: pattern growth over the compressed prefix tree —
         // per candidate, projection-memoized batch, and the guarded
         // path under an inert probe, plus the counter wrapper at its
         // top rung.
-        if strategy_enabled("fp-tree") {
-            let tree = FpTree::build(&db);
-            let fp_singles: Vec<Vec<u64>> =
-                sets.iter().map(|s| tree.minterm_counts(s)).collect();
-            prop_assert_eq!(&fp_singles, &expected);
-            prop_assert_eq!(&tree.minterm_counts_batch(&sets), &expected);
-            let guarded = tree.minterm_counts_batch_guarded(&sets, &NoProbe);
-            prop_assert_eq!(&guarded.expect("NoProbe never interrupts"), &expected);
+        let tree = FpTree::build(&db);
+        let fp_singles: Vec<Vec<u64>> =
+            sets.iter().map(|s| tree.minterm_counts(s)).collect();
+        prop_assert_eq!(&fp_singles, &expected);
+        prop_assert_eq!(&tree.minterm_counts_batch(&sets), &expected);
+        let guarded = tree.minterm_counts_batch_guarded(&sets, &NoProbe);
+        prop_assert_eq!(&guarded.expect("NoProbe never interrupts"), &expected);
 
-            let mut fp_counter = FpTreeCounter::new(&db);
-            prop_assert_eq!(&fp_counter.minterm_counts_batch(&sets), &expected);
-        }
+        let mut fp_counter = FpTreeCounter::new(&db);
+        prop_assert_eq!(&fp_counter.minterm_counts_batch(&sets), &expected);
     }
 }

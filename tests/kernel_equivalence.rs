@@ -8,12 +8,19 @@
 //! prefilter, a lost cache hit, an off-by-one level mark) shows up as a
 //! line-level diff here.
 //!
+//! The matrix runs once per correlation measure, each against its own
+//! golden: χ² against `kernel_equivalence.golden`, the downward-closed
+//! measures at their default thresholds against
+//! `kernel_equivalence.<measure>.golden`.
+//!
 //! The suite also asserts, independently of the goldens:
 //!
-//! * answers are bit-identical across every counting strategy,
+//! * answers are bit-identical across every counting strategy, with the
+//!   sharded and auto-routed engines also forced onto 3 tid-range
+//!   shards (a count that never divides the fixture sizes evenly),
 //! * answer sets are mutually minimal (no nested pairs).
 //!
-//! Regenerate after an *intentional* behaviour change with
+//! Regenerate every golden after an *intentional* behaviour change with
 //! `UPDATE_GOLDENS=1 cargo test --test kernel_equivalence`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -100,21 +107,9 @@ fn xor_db() -> TransactionDb {
     TransactionDb::from_ids(8, txns)
 }
 
-/// Measure override for this run: `CCS_TEST_MEASURE`, when set (CLI
-/// names), reruns the whole matrix under that correlation measure at
-/// its default threshold and compares against a per-measure golden
-/// (`kernel_equivalence.<measure>.golden`). The default χ² golden file
-/// is never touched by a forced run, so the plain leg still certifies
-/// that χ²-through-the-measure-layer is bit-identical.
-fn forced_measure() -> Option<Measure> {
-    std::env::var("CCS_TEST_MEASURE").ok().map(|s| {
-        s.parse()
-            .expect("CCS_TEST_MEASURE must name a correlation measure")
-    })
-}
-
-fn params() -> MiningParams {
-    let measure = forced_measure().unwrap_or(Measure::Chi2);
+/// χ² at the paper's 90% confidence; the downward-closed measures at
+/// their default thresholds.
+fn params(measure: Measure) -> MiningParams {
     MiningParams {
         measure,
         confidence: if measure == Measure::Chi2 {
@@ -213,29 +208,20 @@ fn mine_horizontal(
         .result
 }
 
-/// Shard-count override for this run: `CCS_TEST_SHARDS`, when set,
-/// forces every non-horizontal strategy onto that many tid-range shards
-/// (the CI forced-shards job exports 3, a count that never divides the
-/// fixture sizes evenly). It also routes `Auto` to the sharded engine,
-/// so the forced run exercises sharding across the whole matrix.
-fn forced_shards() -> Option<usize> {
-    std::env::var("CCS_TEST_SHARDS")
-        .ok()
-        .map(|s| s.parse().expect("CCS_TEST_SHARDS must be a shard count"))
-}
-
-/// Strategy override for this run: `CCS_TEST_STRATEGY`, when set,
-/// narrows the cross-strategy comparison to that single strategy (CLI
-/// names), so CI can run a focused forced pass — the fp-tree job
-/// exports `fp-tree`, driving pattern-growth counting through the whole
-/// algorithm × database × query matrix against the horizontal
-/// reference.
-fn forced_strategy() -> Option<CountingStrategy> {
-    std::env::var("CCS_TEST_STRATEGY").ok().map(|s| {
-        s.parse()
-            .expect("CCS_TEST_STRATEGY must name a counting strategy")
-    })
-}
+/// The cross-strategy rows: every non-horizontal strategy at its
+/// default shard count, plus the two strategies a shard count reaches
+/// (`Sharded`, and `Auto`, which it routes to the sharded engine) on 3
+/// shards, so shard boundaries land mid-superblock.
+const STRATEGY_ROWS: [(CountingStrategy, Option<usize>); 8] = [
+    (CountingStrategy::Vertical, None),
+    (CountingStrategy::Parallel, None),
+    (CountingStrategy::VerticalPar, None),
+    (CountingStrategy::Sharded, None),
+    (CountingStrategy::FpTree, None),
+    (CountingStrategy::Auto, None),
+    (CountingStrategy::Sharded, Some(3)),
+    (CountingStrategy::Auto, Some(3)),
+];
 
 /// Same query under a non-default strategy; only the answers must match.
 fn mine_with(
@@ -244,9 +230,10 @@ fn mine_with(
     q: &CorrelationQuery,
     algorithm: Algorithm,
     strategy: CountingStrategy,
+    shards: Option<usize>,
 ) -> MiningResult {
     let mut request = MineRequest::new(algorithm).strategy(strategy);
-    if let Some(shards) = forced_shards() {
+    if let Some(shards) = shards {
         request = request.shards(shards);
     }
     MiningSession::new(db, attrs)
@@ -255,15 +242,15 @@ fn mine_with(
         .result
 }
 
-fn baseline_bms(db: &TransactionDb) -> BmsOutput {
+fn baseline_bms(db: &TransactionDb, measure: Measure) -> BmsOutput {
     let mut counter = HorizontalCounter::new(db);
-    run_bms(db, &params(), &mut counter)
+    run_bms(db, &params(measure), &mut counter).unwrap()
 }
 
-/// Renders the full golden transcript: one line per
+/// Renders the full golden transcript under `measure`: one line per
 /// (database × query shape × algorithm), plus one BMS-baseline line per
 /// database.
-fn render_transcript() -> String {
+fn render_transcript(measure: Measure) -> String {
     let mut out = String::new();
     let databases: [(&str, TransactionDb); 3] = [
         ("pair", pair_db()),
@@ -272,7 +259,7 @@ fn render_transcript() -> String {
     ];
     for (db_name, db) in &databases {
         let attrs = AttributeTable::with_identity_prices(db.n_items());
-        let baseline = baseline_bms(db);
+        let baseline = baseline_bms(db, measure);
         let _ = writeln!(
             out,
             "{db_name}/-/BMS sig={} level1={} {}",
@@ -282,7 +269,7 @@ fn render_transcript() -> String {
         );
         for (shape, constraints) in query_shapes() {
             let q = CorrelationQuery {
-                params: params(),
+                params: params(measure),
                 constraints,
             };
             for algorithm in ALGORITHMS {
@@ -290,22 +277,11 @@ fn render_transcript() -> String {
                 let r = mine_horizontal(db, &attrs, &q, algorithm);
                 assert!(r.completion.is_complete(), "{context}: truncated");
                 assert_mutually_minimal(&context, &r.answers);
-                let strategies = match forced_strategy() {
-                    Some(s) => vec![s],
-                    None => vec![
-                        CountingStrategy::Vertical,
-                        CountingStrategy::Parallel,
-                        CountingStrategy::VerticalPar,
-                        CountingStrategy::Sharded,
-                        CountingStrategy::FpTree,
-                        CountingStrategy::Auto,
-                    ],
-                };
-                for strategy in strategies {
-                    let v = mine_with(db, &attrs, &q, algorithm, strategy);
+                for (strategy, shards) in STRATEGY_ROWS {
+                    let v = mine_with(db, &attrs, &q, algorithm, strategy, shards);
                     assert_eq!(
                         r.answers, v.answers,
-                        "{context}: {strategy} diverged from horizontal"
+                        "{context}: {strategy} ({shards:?} shards) diverged from horizontal"
                     );
                 }
                 let _ = writeln!(
@@ -320,10 +296,10 @@ fn render_transcript() -> String {
     out
 }
 
-fn golden_path() -> PathBuf {
-    let file = match forced_measure() {
-        Some(m) if m != Measure::Chi2 => format!("kernel_equivalence.{}.golden", m.name()),
-        _ => "kernel_equivalence.golden".to_owned(),
+fn golden_path(measure: Measure) -> PathBuf {
+    let file = match measure {
+        Measure::Chi2 => "kernel_equivalence.golden".to_owned(),
+        m => format!("kernel_equivalence.{}.golden", m.name()),
     };
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -331,10 +307,11 @@ fn golden_path() -> PathBuf {
         .join(file)
 }
 
-#[test]
-fn miners_match_the_golden_transcript() {
-    let transcript = render_transcript();
-    let path = golden_path();
+/// Renders the matrix under `measure` and compares it with its golden
+/// (or rewrites the golden under `UPDATE_GOLDENS`).
+fn check_golden(measure: Measure) {
+    let transcript = render_transcript(measure);
+    let path = golden_path(measure);
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &transcript).unwrap();
@@ -368,4 +345,19 @@ fn miners_match_the_golden_transcript() {
         );
         panic!("transcript differs from golden in whitespace only");
     }
+}
+
+#[test]
+fn miners_match_the_golden_transcript() {
+    check_golden(Measure::Chi2);
+}
+
+#[test]
+fn miners_match_the_all_confidence_golden_transcript() {
+    check_golden(Measure::AllConfidence);
+}
+
+#[test]
+fn miners_match_the_bond_golden_transcript() {
+    check_golden(Measure::Bond);
 }

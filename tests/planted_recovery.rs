@@ -113,9 +113,9 @@ fn batched_engine_recovers_the_same_rules() {
     let (data, _) = setup(23);
     let params = MiningParams::paper();
     let mut horizontal = HorizontalCounter::new(&data.db);
-    let h = run_bms(&data.db, &params, &mut horizontal);
+    let h = run_bms(&data.db, &params, &mut horizontal).unwrap();
     let mut vertical = VerticalCounter::new(&data.db);
-    let v = run_bms(&data.db, &params, &mut vertical);
+    let v = run_bms(&data.db, &params, &mut vertical).unwrap();
     assert_eq!(h.sig, v.sig);
     assert_eq!(h.notsig, v.notsig);
     // Level batching: levels 2..=max each cost one scan.
