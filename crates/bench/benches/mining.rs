@@ -2,6 +2,10 @@
 //! on both data methods, plus the horizontal-vs-vertical counting
 //! ablation on a full run.
 
+// A failed mining run aborts the benchmark; criterion has no error path,
+// so a panic is the failure report.
+#![allow(clippy::unwrap_used)]
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ccs_bench::{paper_mining_params, DataMethod};

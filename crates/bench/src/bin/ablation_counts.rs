@@ -18,6 +18,9 @@ use ccs_constraints::selectivity::threshold_for_le_selectivity;
 use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
 use ccs_core::Algorithm;
 
+/// A constraint class instantiated at a selectivity.
+type ConstraintAt = Box<dyn Fn(f64) -> ConstraintSet>;
+
 fn main() {
     let args = HarnessArgs::parse();
     let n_items = args.scale.n_items;
@@ -25,7 +28,7 @@ fn main() {
     let attrs = AttributeTable::with_identity_prices(n_items);
     let db = DataMethod::Rules.generate(n_items, baskets, args.seed);
 
-    let classes: Vec<(&str, f64, Box<dyn Fn(f64) -> ConstraintSet>)> = vec![
+    let classes: Vec<(&str, f64, ConstraintAt)> = vec![
         (
             "anti-monotone + succinct: max(price) <= v",
             0.0,

@@ -12,6 +12,10 @@
 //! cargo run --release -p ccs-bench --bin counting_baseline [-- --out <dir>]
 //! ```
 
+// A harness binary: a failed run or a missing row aborts the
+// measurement, and a panic is its failure report.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;

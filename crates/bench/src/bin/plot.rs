@@ -24,22 +24,24 @@ fn main() {
         if !csv.exists() {
             continue;
         }
-        match parse_csv(&csv) {
-            Ok(rows) => {
-                std::fs::write(
-                    dir.join(format!("fig{n}.svg")),
-                    render_svg(&rows, YAxis::Seconds),
-                )
-                .expect("write svg");
-                std::fs::write(
-                    dir.join(format!("fig{n}_tables.svg")),
-                    render_svg(&rows, YAxis::Tables),
-                )
-                .expect("write svg");
-                rendered += 1;
+        let rows = match parse_csv(&csv) {
+            Ok(rows) => rows,
+            Err(e) => {
+                eprintln!("skipping {}: {e}", csv.display());
+                continue;
             }
-            Err(e) => eprintln!("skipping {}: {e}", csv.display()),
+        };
+        for (svg, axis) in [
+            (format!("fig{n}.svg"), YAxis::Seconds),
+            (format!("fig{n}_tables.svg"), YAxis::Tables),
+        ] {
+            let path = dir.join(svg);
+            if let Err(e) = std::fs::write(&path, render_svg(&rows, axis)) {
+                eprintln!("error: write {}: {e}", path.display());
+                std::process::exit(1);
+            }
         }
+        rendered += 1;
     }
     if rendered == 0 {
         eprintln!(

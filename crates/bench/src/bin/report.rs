@@ -42,6 +42,9 @@ fn main() {
         std::process::exit(2);
     }
     let out = dir.join("REPORT.md");
-    std::fs::write(&out, doc).expect("write report");
+    if let Err(e) = std::fs::write(&out, doc) {
+        eprintln!("error: write {}: {e}", out.display());
+        std::process::exit(1);
+    }
     eprintln!("wrote {} ({found} figures)", out.display());
 }

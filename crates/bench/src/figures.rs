@@ -137,7 +137,11 @@ impl Figure {
         let rows = self.run(args);
         crate::print_table(&rows);
         let path = args.out_dir.join(format!("{}.csv", self.name()));
-        write_csv(&path, &rows);
+        if let Err(e) = write_csv(&path, &rows) {
+            // A harness binary has no meaningful recovery.
+            eprintln!("error: write {}: {e}", path.display());
+            std::process::exit(1);
+        }
         eprintln!("wrote {}", path.display());
         rows
     }

@@ -81,12 +81,12 @@ impl SweepRow {
 
 /// Writes rows as a CSV file, creating parent directories.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on I/O errors — harness binaries have no meaningful recovery.
-pub fn write_csv(path: &Path, rows: &[SweepRow]) {
+/// Propagates I/O errors from creating the directory or writing the file.
+pub fn write_csv(path: &Path, rows: &[SweepRow]) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir).expect("create results directory");
+        fs::create_dir_all(dir)?;
     }
     let mut out = String::with_capacity(rows.len() * 64 + 64);
     out.push_str(SweepRow::CSV_HEADER);
@@ -94,7 +94,7 @@ pub fn write_csv(path: &Path, rows: &[SweepRow]) {
     for r in rows {
         let _ = writeln!(out, "{}", r.to_csv());
     }
-    fs::write(path, out).expect("write results CSV");
+    fs::write(path, out)
 }
 
 /// The scale of an experiment run.

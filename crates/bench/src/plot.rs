@@ -64,17 +64,14 @@ pub fn render_svg(rows: &[SweepRow], y_axis: YAxis) -> String {
     let mut series: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
     for r in rows {
         let key = format!("{}/{}", r.dataset, r.algorithm);
-        let entry = match series.iter_mut().find(|(k, _)| *k == key) {
-            Some(e) => e,
-            None => {
-                series.push((key, Vec::new()));
-                series.last_mut().expect("just pushed")
-            }
-        };
-        entry.1.push((r.x, y_axis.value(r)));
+        let point = (r.x, y_axis.value(r));
+        match series.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, pts)) => pts.push(point),
+            None => series.push((key, vec![point])),
+        }
     }
     for (_, pts) in &mut series {
-        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite x"));
+        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
     }
 
     let xs: Vec<f64> = rows.iter().map(|r| r.x).collect();

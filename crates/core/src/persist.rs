@@ -201,23 +201,14 @@ pub struct DbFingerprint {
     pub content_hash: u64,
 }
 
-/// Computes the [`DbFingerprint`] of `db`. One full pass over the
-/// transactions; called once per save and once per load.
+/// Computes the [`DbFingerprint`] of `db`. The content hash is computed
+/// once per database ([`TransactionDb::content_hash`]) and read back by
+/// every later save, load and verify against the same database.
 pub fn fingerprint_db(db: &TransactionDb) -> DbFingerprint {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |b: u8| h = (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
-    for txn in db.transactions() {
-        for item in txn {
-            for b in item.id().to_le_bytes() {
-                eat(b);
-            }
-        }
-        eat(0xFF); // transaction separator
-    }
     DbFingerprint {
         n_transactions: db.len() as u64,
         n_items: db.n_items(),
-        content_hash: h,
+        content_hash: db.content_hash(),
     }
 }
 
@@ -1842,6 +1833,40 @@ mod tests {
             ckpt.verify_db(&other),
             Err(CheckpointError::DbMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn fingerprint_of_a_fixed_database_is_pinned() {
+        // Checkpoint files store this value; it must never drift, or
+        // every existing checkpoint stops verifying.
+        let db = TransactionDb::from_ids(300, vec![vec![2, 0, 1], vec![], vec![299, 7], vec![256]]);
+        assert_eq!(
+            fingerprint_db(&db),
+            DbFingerprint {
+                n_transactions: 4,
+                n_items: 300,
+                content_hash: 0xEE16_D88A_2EA2_6988,
+            }
+        );
+        // Ids of one to four significant bytes, zero bytes in between.
+        let wide = TransactionDb::from_ids(
+            0x100_0006,
+            vec![
+                vec![0, 255, 256],
+                vec![65535, 65536],
+                vec![],
+                vec![0xFF_FFFF, 0x100_0000, 0x100_0005],
+                vec![0x1_0203],
+            ],
+        );
+        assert_eq!(
+            fingerprint_db(&wide),
+            DbFingerprint {
+                n_transactions: 5,
+                n_items: 0x100_0006,
+                content_hash: 0x9475_BDFE_0E27_654D,
+            }
+        );
     }
 
     #[test]

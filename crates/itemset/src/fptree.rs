@@ -117,8 +117,8 @@ pub struct FpTree {
 }
 
 impl FpTree {
-    /// Builds the tree: one support-counting pass to fix the item order,
-    /// then one insertion pass over the transactions.
+    /// Builds the tree: the database's stored item supports fix the item
+    /// order, then one insertion pass over the transactions.
     pub fn build(db: &TransactionDb) -> Self {
         let n_items = db.n_items() as usize;
         let supports = db.item_supports();
@@ -177,7 +177,7 @@ impl FpTree {
         FpTree {
             n_transactions: db.len(),
             rank_of,
-            item_supports: supports.into_iter().map(|s| s as u64).collect(),
+            item_supports: supports.iter().map(|&s| s as u64).collect(),
             nodes,
             headers,
             proj_bytes,

@@ -48,7 +48,7 @@ pub use counting::{
     BatchInterrupted, CountProbe, CountingStats, DegradationRung, HorizontalCounter,
     MintermCounter, NoProbe, VerticalCounter,
 };
-pub use database::TransactionDb;
+pub use database::{TransactionDb, TransactionDbBuilder};
 pub use fptree::{FpTree, FpTreeCounter};
 pub use hash::{ItemsetMap, ItemsetSet};
 pub use item::Item;

@@ -54,7 +54,6 @@ use std::sync::Arc;
 
 use crate::counting::{unguarded, BatchInterrupted, CountProbe, NoProbe, Tiered, TieredEngine};
 use crate::database::TransactionDb;
-use crate::item::Item;
 use crate::itemset::Itemset;
 use crate::pool::WorkerPool;
 use crate::vertical::{
@@ -77,7 +76,7 @@ pub struct ShardedVerticalIndex {
     /// arena the calling thread counts with. Pool jobs own their arenas.
     shards: Vec<VerticalIndex>,
     n_transactions: usize,
-    /// Whole-database per-item supports (summed across shards), so
+    /// Whole-database per-item supports (the database's own), so
     /// trivial 0-/1-item candidates are answered without touching any
     /// single shard's bitmaps.
     item_supports: Vec<u64>,
@@ -126,18 +125,10 @@ impl ShardedVerticalIndex {
                 VerticalIndex::from_core(Arc::new(VerticalCore::build_range(db, start, end)))
             })
             .collect();
-        let item_supports = (0..db.n_items())
-            .map(|i| {
-                shards
-                    .iter()
-                    .map(|s| s.tidset(Item::new(i)).count() as u64)
-                    .sum()
-            })
-            .collect();
         ShardedVerticalIndex {
             shards,
             n_transactions: db.len(),
-            item_supports,
+            item_supports: db.item_supports().iter().map(|&s| s as u64).collect(),
             pool,
             work_floor: POOL_WORK_FLOOR,
         }

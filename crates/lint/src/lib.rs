@@ -117,6 +117,9 @@ fn to_violation(
     }
 }
 
+/// A meta-rule finding: the byte span of an invalid allow and why.
+type MetaFinding = ((usize, usize), String);
+
 /// Finds every `ccs-lint: allow(...)` comment, resolves the line each one
 /// covers, and validates it against the meta-rule: the named rule must
 /// exist and the reason is mandatory. Invalid allows come back as
@@ -126,7 +129,7 @@ fn collect_suppressions(
     toks: &[Tok],
     sig: &[Tok],
     index: &LineIndex,
-) -> (Vec<Suppression>, Vec<((usize, usize), String)>) {
+) -> (Vec<Suppression>, Vec<MetaFinding>) {
     let mut out = Vec::new();
     let mut meta = Vec::new();
     for t in toks {

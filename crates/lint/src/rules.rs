@@ -183,16 +183,16 @@ fn check_level_loop(path: &str, src: &str, sig: &[Tok], ctx: &Context, out: &mut
         // binding up to `in` — `for set in level` iterates one level's
         // *contents*, which is fine anywhere; `for level in …` is the
         // level loop itself.
-        for j in i + 1..sig.len().min(i + 64) {
-            match sig[j].text(src) {
+        for tok in sig.iter().take(i + 64).skip(i + 1) {
+            match tok.text(src) {
                 "{" | ";" => break,
-                "in" if kw == "for" && sig[j].kind == TokKind::Ident => break,
+                "in" if kw == "for" && tok.kind == TokKind::Ident => break,
                 name @ ("level" | "cands")
-                    if sig[j].kind == TokKind::Ident && (name == "level" || kw == "while") =>
+                    if tok.kind == TokKind::Ident && (name == "level" || kw == "while") =>
                 {
                     out.push(Finding {
                         rule: "level-loop-outside-kernel",
-                        span: (t.start, sig[j].end),
+                        span: (t.start, tok.end),
                         message: format!("`{kw}` loop over `{name}` outside the levelwise kernel"),
                     });
                     break;
@@ -293,13 +293,13 @@ fn check_stats_merge(_path: &str, src: &str, sig: &[Tok], ctx: &Context, out: &m
         }
         // The right-hand side, up to the statement end: the same field
         // name appearing there means this is a merge, not an increment.
-        for j in i + 4..sig.len().min(i + 64) {
-            match sig[j].text(src) {
+        for tok in sig.iter().take(i + 64).skip(i + 4) {
+            match tok.text(src) {
                 ";" => break,
-                t if t == name && sig[j].kind == TokKind::Ident => {
+                t if t == name && tok.kind == TokKind::Ident => {
                     out.push(Finding {
                         rule: "counting-stats-merge-via-addassign",
-                        span: (field.start, sig[j].end),
+                        span: (field.start, tok.end),
                         message: format!(
                             "field-wise `CountingStats` merge (`{name} += …{name}`) outside \
                              the AddAssign impl"

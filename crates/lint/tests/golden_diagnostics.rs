@@ -13,6 +13,10 @@
 //! CCS_LINT_BLESS=1 cargo test -p ccs-lint --test golden_diagnostics
 //! ```
 
+// Helper fns outside `#[test]` bodies still trip `expect_used`; in a
+// test binary a panic is the failure report.
+#![allow(clippy::expect_used)]
+
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;

@@ -3,6 +3,10 @@
 //! this inside `cargo test` means a violation fails the ordinary test
 //! suite on any machine — the invariants cannot drift between CI runs.
 
+// Helper fns outside `#[test]` bodies still trip `expect_used`; in a
+// test binary a panic is the failure report.
+#![allow(clippy::expect_used)]
+
 use std::path::{Path, PathBuf};
 
 use ccs_lint::{lint_tree, vendor};

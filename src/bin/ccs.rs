@@ -323,7 +323,7 @@ fn cmd_attrs(args: &[String]) -> Result<(), String> {
 
 fn load_db(path: &str) -> Result<TransactionDb, String> {
     let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    read_db(BufReader::new(file)).map_err(|e| format!("parse {path}: {e}"))
+    read_db(file).map_err(|e| format!("parse {path}: {e}"))
 }
 
 fn load_attrs(path: &str) -> Result<AttributeTable, String> {

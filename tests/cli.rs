@@ -113,3 +113,25 @@ fn zero_checkpoint_stride_is_rejected_by_mine_and_resume() {
     assert_error(&out, "error: --checkpoint-every must be at least 1");
     std::fs::remove_dir_all(dir).unwrap();
 }
+
+#[test]
+fn stats_summarises_a_small_database() {
+    let dir = std::env::temp_dir().join(format!("ccs-cli-{}-stats", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = path(&dir, "s.db");
+    // Unsorted and repeated ids, a blank (empty) basket and comments;
+    // items 1 and 3 tie for the most frequent, and the later id wins.
+    std::fs::write(&db, "# fixture\nitems 6\n3 1 1 0\n\n1 3\n# note\n5\n3 1\n").unwrap();
+    let out = ccs(&["stats", "--db", &db]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "baskets:          5\n\
+         items:            6\n\
+         avg basket size:  1.60\n\
+         max basket size:  3\n\
+         items occurring:  4\n\
+         most frequent:    i3 (3 baskets, 60.0%)\n"
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
