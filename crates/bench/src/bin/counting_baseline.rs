@@ -18,6 +18,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ccs_bench::DataMethod;
@@ -29,7 +30,7 @@ use ccs_core::{
 use ccs_itemset::{
     FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, ParallelCounter,
     ParallelVerticalCounter, ParallelVerticalIndex, ShardedVerticalCounter, ShardedVerticalIndex,
-    TransactionDb, VerticalCounter,
+    TransactionDb, VerticalCounter, WorkerPool,
 };
 use ccs_stats::{chi2_quantile, ContingencyTable, Measure, MeasureContext};
 
@@ -374,7 +375,7 @@ fn main() {
     }
     let mut scaling: Vec<ScalePoint> = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let mut index = ParallelVerticalIndex::build_with_workers(&db, workers);
+        let mut index = ParallelVerticalIndex::with_pool(&db, Arc::new(WorkerPool::new(workers)));
         index.set_work_floor(0); // measure the pooled path at every width
         let pass = |index: &mut ParallelVerticalIndex, level: &[Itemset]| {
             std::hint::black_box(index.minterm_counts_batch(level));
@@ -399,7 +400,8 @@ fn main() {
     // shows the merge overhead of many-small-shards.
     let mut shard_scaling: Vec<ScalePoint> = Vec::new();
     for shards in [1usize, 2, 4, 8] {
-        let mut index = ShardedVerticalIndex::build_with_shards(&db, shards);
+        let mut index =
+            ShardedVerticalIndex::with_pool(&db, shards, Arc::clone(WorkerPool::global()));
         index.set_work_floor(0); // measure the pooled path at every width
         let pass = |index: &mut ShardedVerticalIndex, level: &[Itemset]| {
             std::hint::black_box(index.minterm_counts_batch(level));

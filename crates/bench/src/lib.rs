@@ -20,9 +20,10 @@
 //!   it was in 2000.
 
 #![warn(missing_docs)]
-// The harness must measure the current library surface, never the
-// deprecated `mine*`/`resume*` shims (CI runs a dedicated `-D
-// deprecated` job over this crate and the CLI binary).
+// The harness must measure the current library surface: using a
+// deprecated item is a compile error here, and CI's `clippy
+// --all-targets -D warnings` step turns the `deprecated` lint into an
+// error in the bench bins too.
 #![deny(deprecated)]
 
 use std::fmt::Write as _;

@@ -1,6 +1,6 @@
 //! Per-attribute interval reasoning over aggregate bounds.
 //!
-//! The static analyzer ([`crate::analyze`]) folds every aggregate
+//! The static analyzer ([`crate::analyze`](mod@crate::analyze)) folds every aggregate
 //! constraint of a conjunction into a small set of intervals — one per
 //! `(attribute, aggregate)` pair — and then applies algebraic relations
 //! between aggregates (`min(S) ≤ avg(S) ≤ max(S)`, `sum(S) ≥ max(S)` on

@@ -16,7 +16,7 @@
 //!   for the experiment sweeps,
 //! * [`interval`] — per-attribute interval reasoning over aggregate
 //!   bounds,
-//! * [`analyze`] — the static query analyzer: satisfiability verdicts
+//! * [`analyze`](mod@analyze) — the static query analyzer: satisfiability verdicts
 //!   with minimal conflicting cores, conjunction normalization, and
 //!   push-plan diagnostics, all before any counting.
 

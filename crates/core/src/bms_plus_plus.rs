@@ -3,7 +3,8 @@
 //! Modifies Algorithm BMS in the three ways of §3.1 of the paper
 //! (DESIGN.md §11 maps them onto the kernel's policy hooks):
 //!
-//! I. **Preprocessing.** `GOOD₁`, `L1⁺`, `L1⁻` — see [`crate::prep`].
+//! I. **Preprocessing.** `GOOD₁`, `L1⁺`, `L1⁻` — see the crate-private
+//!    `prep` module.
 //!
 //! II. **Candidate formation.** `CAND₂ = {{i₁,i₂} | i₁ ∈ L1⁺, i₂ ∈ L1⁺ ∪
 //!     L1⁻}`. For `k > 2`, a `k`-set is a candidate when every

@@ -25,8 +25,8 @@
 //! has already classified.
 //!
 //! Both phases are kernel policies over one shared engine; after a
-//! phase-1 trip, phase 2 re-enters in [`GuardMode::Bypass`] so the
-//! cache-only sweep survives the already-tripped guard.
+//! phase-1 trip, phase 2 re-enters in the kernel's `GuardMode::Bypass`
+//! so the cache-only sweep survives the already-tripped guard.
 
 use std::collections::HashMap;
 

@@ -51,7 +51,7 @@ pub use border::{solution_space, SolutionSpace};
 pub use causality::{discover_causality, CausalAnalysis, CausalFinding};
 pub use guard::{Completion, GuardLimits, ResumeState, RunGuard, TruncationReason};
 pub use metrics::MiningMetrics;
-pub use miner::{Algorithm, CountingStrategy, MiningOptions};
+pub use miner::{Algorithm, CountingStrategy};
 pub use naive::{run_naive, NAIVE_MAX_ITEMS};
 pub use params::{MiningParams, ParamError};
 pub use persist::{

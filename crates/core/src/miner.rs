@@ -111,8 +111,10 @@ pub enum CountingStrategy {
     /// classes are pulled by `max(1, workers / shards)` pool jobs with
     /// their own arenas, and per-shard contingency tables merge
     /// elementwise into exact whole-database tables (DESIGN.md §6.2,
-    /// §6.3). The shard count comes from [`MiningOptions::shards`]
-    /// (default: one shard per worker).
+    /// §6.3). A session runs one shard per worker of the process-wide
+    /// pool; other shapes are built with
+    /// `ShardedVerticalCounter::with_pool` and run through
+    /// [`crate::mine_on`].
     Sharded,
     /// Pattern-growth counting over a compressed FP-tree: conditional
     /// projections are memoized across a batch, so a dense level pays
@@ -160,9 +162,11 @@ impl CountingStrategy {
     /// (`vertical_par/batch` is 0.70× `vertical/batch` and 8-shard is
     /// 0.64× 1-shard in `results/BENCH_counting.json`), so with one
     /// worker the hint is ignored in favour of the sequential engines.
-    /// Without a hint, sharding is chosen over class-parallelism only
-    /// when the database is large enough (`n ≥ 65536`) that each
-    /// worker's tid slice still spans many cache-line superblocks.
+    /// A [`crate::MiningSession`] passes neither a worker count nor a
+    /// shard hint: it resolves against the machine. Without a hint,
+    /// sharding is chosen over class-parallelism only when the database
+    /// is large enough (`n ≥ 65536`) that each worker's tid slice still
+    /// spans many cache-line superblocks.
     ///
     /// Dense low-cardinality shapes — a small item universe with long
     /// transactions, where baskets collapse into few distinct profiles —
@@ -251,32 +255,15 @@ impl std::str::FromStr for CountingStrategy {
     }
 }
 
-/// Counting configuration for a mining run: the strategy plus an
-/// optional worker-thread override for the pooled strategies.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MiningOptions {
-    /// Counting strategy (`Auto` resolves per database at run time).
-    pub strategy: CountingStrategy,
-    /// Worker threads for `Parallel` / `VerticalPar` / `Sharded` /
-    /// `Auto`. `None` uses the process-wide pool sized to the machine's
-    /// available parallelism; `Some(n)` builds a private `n`-worker pool
-    /// for this run (created once, reused across every level).
-    pub threads: Option<usize>,
-    /// Tid-range shard count for `Sharded` (and a routing hint for
-    /// `Auto` — see [`CountingStrategy::resolve`]). `None` uses one
-    /// shard per worker; `Some(n)` splits the tid range into `n`
-    /// contiguous shards (clamped to the transaction count, so empty
-    /// shards are never minted).
-    pub shards: Option<usize>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::MiningParams;
     use crate::query::CorrelationQuery;
-    use crate::session::{MineRequest, MiningSession};
+    use crate::session::{mine_on, MineRequest, MiningSession};
     use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
+    use ccs_itemset::{ParallelVerticalCounter, WorkerPool};
+    use std::sync::Arc;
 
     fn db() -> TransactionDb {
         let mut txns = Vec::new();
@@ -414,12 +401,13 @@ mod tests {
                 .unwrap()
                 .result
                 .answers;
-            for threads in [1, 2, 4] {
-                let request = MineRequest::new(a)
-                    .strategy(CountingStrategy::VerticalPar)
-                    .threads(threads);
-                let v = session.mine(&q, &request).unwrap().result.answers;
-                assert_eq!(h, v, "vertical-par({threads}) mismatch for {a}");
+            for workers in [1, 2, 4] {
+                let pool = Arc::new(WorkerPool::new(workers));
+                let mut counter = ParallelVerticalCounter::with_pool(&db, pool);
+                let v = mine_on(&db, &attrs, &q, &MineRequest::new(a), &mut counter)
+                    .unwrap()
+                    .answers;
+                assert_eq!(h, v, "vertical-par({workers} workers) mismatch for {a}");
             }
         }
     }

@@ -3,7 +3,7 @@
 //! [`MiningSession`] replaces the former `mine` / `mine_with_strategy` /
 //! `mine_with_options` / `mine_with_counter*` / `resume_with_*` matrix
 //! with a single surface: build a [`MineRequest`] (algorithm, counting
-//! options, guard), hand it to [`MiningSession::mine`] or
+//! strategy, guard), hand it to [`MiningSession::mine`] or
 //! [`MiningSession::resume`], get a [`MineOutcome`] back.
 //!
 //! A session owns the counting substrate and keeps it **warm across
@@ -33,18 +33,17 @@ use std::sync::Arc;
 use crate::guard::{GuardLimits, ResumeInner, ResumeState, RunGuard, RESUME_FORMAT};
 use crate::kernel::admit_plan;
 use crate::metrics::MiningMetrics;
-use crate::miner::{Algorithm, CountingStrategy, MiningOptions};
+use crate::miner::{Algorithm, CountingStrategy};
 use crate::naive::run_naive_guarded;
 use crate::persist::{fingerprint_db, CheckpointPolicy, CheckpointRecorder, CheckpointReport};
 use crate::query::{CorrelationQuery, MiningError, MiningResult};
 
-/// One mining request: the algorithm to run, the counting configuration,
-/// and the resource guard. Built fluently:
+/// One mining request: the algorithm to run, the counting strategy, the
+/// resource guard and the durability policy. Built fluently:
 ///
 /// ```ignore
 /// MineRequest::new(Algorithm::BmsPlusPlus)
 ///     .strategy(CountingStrategy::Auto)
-///     .threads(4)
 ///     .guard(guard)
 /// ```
 #[derive(Debug, Clone)]
@@ -54,8 +53,8 @@ pub struct MineRequest {
     /// [`MiningSession::mine`] run BMS++, the paper's best `VALID_MIN`
     /// algorithm.
     pub algorithm: Option<Algorithm>,
-    /// Counting strategy and thread override.
-    pub options: MiningOptions,
+    /// Counting strategy (`Auto` resolves per database at run time).
+    pub strategy: CountingStrategy,
     /// Resource governor; defaults to the inert unlimited guard.
     pub guard: RunGuard,
     /// Durability: where (and how often) the run stamps crash-safe
@@ -70,7 +69,7 @@ impl Default for MineRequest {
     fn default() -> Self {
         MineRequest {
             algorithm: None,
-            options: MiningOptions::default(),
+            strategy: CountingStrategy::default(),
             guard: RunGuard::unlimited(),
             checkpoint: None,
         }
@@ -83,7 +82,7 @@ impl MineRequest {
     pub fn new(algorithm: Algorithm) -> Self {
         MineRequest {
             algorithm: Some(algorithm),
-            options: MiningOptions::default(),
+            strategy: CountingStrategy::default(),
             guard: RunGuard::unlimited(),
             checkpoint: None,
         }
@@ -99,29 +98,7 @@ impl MineRequest {
     /// Sets the counting strategy (`Auto` resolves per database).
     #[must_use]
     pub fn strategy(mut self, strategy: CountingStrategy) -> Self {
-        self.options.strategy = strategy;
-        self
-    }
-
-    /// Overrides the worker-thread count for pooled strategies.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = Some(threads);
-        self
-    }
-
-    /// Overrides the tid-range shard count for the sharded strategy
-    /// (and routes `Auto` to it — see [`CountingStrategy::resolve`]).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.options.shards = Some(shards);
-        self
-    }
-
-    /// Replaces the full counting options.
-    #[must_use]
-    pub fn options(mut self, options: MiningOptions) -> Self {
-        self.options = options;
+        self.strategy = strategy;
         self
     }
 
@@ -165,9 +142,8 @@ pub struct MineOutcome {
 /// for every algorithm, counting strategy, guard, and resume path.
 ///
 /// The counting substrate is cached between queries (keyed by resolved
-/// strategy + thread override), so an interactive loop that re-mines
-/// under changing constraints pays the vertical index or pool spin-up
-/// once. Statistics are delta-based per run, so reuse never skews
+/// strategy), so an interactive loop that re-mines under changing
+/// constraints pays the vertical index or pool spin-up once. Statistics are delta-based per run, so reuse never skews
 /// metrics.
 pub struct MiningSession<'a> {
     db: &'a TransactionDb,
@@ -177,8 +153,6 @@ pub struct MiningSession<'a> {
 
 struct CachedCounter<'a> {
     strategy: CountingStrategy,
-    threads: Option<usize>,
-    shards: Option<usize>,
     counter: Box<dyn MintermCounter + 'a>,
 }
 
@@ -248,23 +222,11 @@ impl<'a> MiningSession<'a> {
         algorithm: Algorithm,
         resume: Option<ResumeInner>,
     ) -> Result<MineOutcome, MiningError> {
-        let strategy = request.options.strategy.resolve(
-            self.db,
-            request.options.threads,
-            request.options.shards,
-        );
-        let threads = request.options.threads;
-        let shards = request.options.shards;
-        let reusable = matches!(
-            &self.counter,
-            Some(c) if c.strategy == strategy && c.threads == threads && c.shards == shards
-        );
-        if !reusable {
+        let strategy = request.strategy.resolve(self.db, None, None);
+        if !matches!(&self.counter, Some(c) if c.strategy == strategy) {
             self.counter = Some(CachedCounter {
                 strategy,
-                threads,
-                shards,
-                counter: make_counter(self.db, strategy, threads, shards),
+                counter: make_counter(self.db, strategy),
             });
         }
         #[allow(clippy::expect_used)] // just installed above
@@ -316,7 +278,7 @@ fn checkpoint_setup(
 
 /// Runs one request against a caller-owned counter — the expert path for
 /// custom substrates, fault injection, and post-run counter inspection.
-/// The request's counting options are ignored (the counter *is* the
+/// The request's counting strategy is ignored (the counter *is* the
 /// strategy).
 ///
 /// # Errors
@@ -404,32 +366,15 @@ fn check_resume(
 
 /// Builds the counter for a resolved strategy. The single place the
 /// strategy enum turns into a concrete counter — every mine/resume
-/// entry point funnels through here.
-fn make_counter<'a>(
-    db: &'a TransactionDb,
-    strategy: CountingStrategy,
-    threads: Option<usize>,
-    shards: Option<usize>,
-) -> Box<dyn MintermCounter + 'a> {
+/// entry point funnels through here. The pooled counters run on the
+/// process-wide pool.
+fn make_counter(db: &TransactionDb, strategy: CountingStrategy) -> Box<dyn MintermCounter + '_> {
     match strategy {
         CountingStrategy::Horizontal => Box::new(HorizontalCounter::new(db)),
         CountingStrategy::Vertical => Box::new(VerticalCounter::new(db)),
-        CountingStrategy::Parallel => match threads {
-            Some(n) => Box::new(ParallelCounter::new(db, n)),
-            None => Box::new(ParallelCounter::with_available_parallelism(db)),
-        },
-        CountingStrategy::VerticalPar => match threads {
-            Some(n) => Box::new(ParallelVerticalCounter::with_workers(db, n)),
-            None => Box::new(ParallelVerticalCounter::new(db)),
-        },
-        CountingStrategy::Sharded => match (shards, threads) {
-            (Some(s), Some(t)) => {
-                Box::new(ShardedVerticalCounter::with_shards_and_workers(db, s, t))
-            }
-            (Some(s), None) => Box::new(ShardedVerticalCounter::with_shards(db, s)),
-            (None, Some(t)) => Box::new(ShardedVerticalCounter::with_shards_and_workers(db, t, t)),
-            (None, None) => Box::new(ShardedVerticalCounter::new(db)),
-        },
+        CountingStrategy::Parallel => Box::new(ParallelCounter::with_available_parallelism(db)),
+        CountingStrategy::VerticalPar => Box::new(ParallelVerticalCounter::new(db)),
+        CountingStrategy::Sharded => Box::new(ShardedVerticalCounter::new(db)),
         CountingStrategy::FpTree => Box::new(FpTreeCounter::new(db)),
         CountingStrategy::Auto => unreachable!("resolve() never returns Auto"),
     }

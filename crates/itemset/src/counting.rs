@@ -1019,7 +1019,9 @@ mod tests {
     #[test]
     fn every_tiered_counter_shares_one_ladder_contract() {
         use crate::fptree::FpTreeCounter;
+        use crate::pool::WorkerPool;
         use crate::sharded::{ParallelVerticalCounter, ShardedVerticalCounter};
+        use std::sync::Arc;
 
         type Make = fn(&TransactionDb) -> Box<dyn Ladder + '_>;
         // (name, counter, build scans, extra scans for the vertical twin —
@@ -1029,7 +1031,7 @@ mod tests {
             (
                 "vertical-par",
                 |d| {
-                    let mut c = ParallelVerticalCounter::with_workers(d, 2);
+                    let mut c = ParallelVerticalCounter::with_pool(d, Arc::new(WorkerPool::new(2)));
                     c.index_mut().set_work_floor(0);
                     Box::new(c)
                 },
@@ -1039,7 +1041,8 @@ mod tests {
             (
                 "sharded",
                 |d| {
-                    let mut c = ShardedVerticalCounter::with_shards_and_workers(d, 3, 2);
+                    let mut c =
+                        ShardedVerticalCounter::with_pool(d, 3, Arc::new(WorkerPool::new(2)));
                     c.index_mut().set_work_floor(0);
                     Box::new(c)
                 },

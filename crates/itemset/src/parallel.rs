@@ -62,19 +62,13 @@ pub struct ParallelCounter<'a> {
 }
 
 impl<'a> ParallelCounter<'a> {
-    /// Creates a counter over `db` with a private pool of up to
-    /// `n_threads` workers (clamped to at least 1).
-    pub fn new(db: &'a TransactionDb, n_threads: usize) -> Self {
-        Self::with_pool(db, Arc::new(WorkerPool::new(n_threads)))
-    }
-
     /// Creates a counter on the process-wide pool (sized to the
     /// machine's available parallelism).
     pub fn with_available_parallelism(db: &'a TransactionDb) -> Self {
         Self::with_pool(db, Arc::clone(WorkerPool::global()))
     }
 
-    /// Creates a counter on an existing pool.
+    /// Creates a counter on `pool`.
     pub fn with_pool(db: &'a TransactionDb, pool: Arc<WorkerPool>) -> Self {
         ParallelCounter {
             db,
@@ -211,6 +205,11 @@ mod tests {
     use super::*;
     use crate::counting::HorizontalCounter;
 
+    /// A counter on a private pool of `threads` workers.
+    fn on_workers(db: &TransactionDb, threads: usize) -> ParallelCounter<'_> {
+        ParallelCounter::with_pool(db, Arc::new(WorkerPool::new(threads)))
+    }
+
     fn db(n: usize) -> TransactionDb {
         TransactionDb::from_ids(
             6,
@@ -247,7 +246,7 @@ mod tests {
             let d = db(n);
             for threads in [1usize, 2, 4, 16] {
                 let shape = format!("n={n} threads={threads}");
-                let mut par = ParallelCounter::new(&d, threads);
+                let mut par = on_workers(&d, threads);
                 let mut seq = HorizontalCounter::new(&d);
                 assert_eq!(
                     par.minterm_counts_batch(&sets),
@@ -275,7 +274,7 @@ mod tests {
         let mut seq = HorizontalCounter::new(&d);
         let expected = seq.minterm_counts_batch(&sets);
         for threads in [2usize, 4] {
-            let mut par = ParallelCounter::new(&d, threads);
+            let mut par = on_workers(&d, threads);
             par.set_work_floor(0); // force pool dispatch
             assert_eq!(
                 par.minterm_counts_batch(&sets),
@@ -292,7 +291,7 @@ mod tests {
     #[test]
     fn pool_is_reused_across_scans() {
         let d = db(5000);
-        let mut par = ParallelCounter::new(&d, 2);
+        let mut par = on_workers(&d, 2);
         par.set_work_floor(0);
         let sets = vec![Itemset::from_ids([0, 1]), Itemset::from_ids([0, 2])];
         let mut first = par.minterm_counts_batch(&sets);
@@ -309,7 +308,7 @@ mod tests {
     #[test]
     fn stats_count_logical_scans() {
         let d = db(5000);
-        let mut par = ParallelCounter::new(&d, 4);
+        let mut par = on_workers(&d, 4);
         par.minterm_counts(&Itemset::from_ids([0, 1]));
         par.minterm_counts(&Itemset::from_ids([0, 2]));
         let s = par.stats();
@@ -321,7 +320,7 @@ mod tests {
     #[test]
     fn small_scans_never_snapshot_the_database() {
         let d = db(100);
-        let mut par = ParallelCounter::new(&d, 4);
+        let mut par = on_workers(&d, 4);
         par.minterm_counts_batch(&[Itemset::from_ids([0, 1])]);
         assert!(
             par.shared_db.is_none(),
@@ -350,7 +349,7 @@ mod tests {
             (2000, 0),
         ] {
             let d = db(n);
-            let mut par = ParallelCounter::new(&d, 4);
+            let mut par = on_workers(&d, 4);
             par.set_work_floor(floor);
             par.minterm_counts(&Itemset::from_ids([0]));
             let before = par.stats();
@@ -369,7 +368,7 @@ mod tests {
     #[test]
     fn thread_count_is_clamped() {
         let d = db(10);
-        assert_eq!(ParallelCounter::new(&d, 0).n_threads(), 1);
+        assert_eq!(on_workers(&d, 0).n_threads(), 1);
         assert!(ParallelCounter::with_available_parallelism(&d).n_threads() >= 1);
     }
 }

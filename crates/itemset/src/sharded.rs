@@ -101,23 +101,8 @@ impl ShardedVerticalIndex {
         Self::with_pool(db, shards, pool)
     }
 
-    /// Builds with an explicit shard count on the process-wide pool.
-    pub fn build_with_shards(db: &TransactionDb, shards: usize) -> Self {
-        Self::with_pool(db, shards, Arc::clone(WorkerPool::global()))
-    }
-
-    /// Builds with an explicit shard count on a private pool of
-    /// `n_workers` threads.
-    pub fn build_with_shards_and_workers(
-        db: &TransactionDb,
-        shards: usize,
-        n_workers: usize,
-    ) -> Self {
-        Self::with_pool(db, shards, Arc::new(WorkerPool::new(n_workers)))
-    }
-
-    /// Builds `shards` range cores (one database pass in total) on an
-    /// existing pool.
+    /// Builds `shards` range cores (one database pass in total) on
+    /// `pool`.
     pub fn with_pool(db: &TransactionDb, shards: usize, pool: Arc<WorkerPool>) -> Self {
         let shards: Vec<VerticalIndex> = shard_bounds(db.len(), shards)
             .into_iter()
@@ -260,17 +245,9 @@ impl<'a> ShardedVerticalCounter<'a> {
         Tiered::from_engine(db, ShardedVerticalIndex::build(db))
     }
 
-    /// Builds with an explicit shard count on the process-wide pool.
-    pub fn with_shards(db: &'a TransactionDb, shards: usize) -> Self {
-        Tiered::from_engine(db, ShardedVerticalIndex::build_with_shards(db, shards))
-    }
-
-    /// Builds with explicit shard and private-pool worker counts.
-    pub fn with_shards_and_workers(db: &'a TransactionDb, shards: usize, workers: usize) -> Self {
-        Tiered::from_engine(
-            db,
-            ShardedVerticalIndex::build_with_shards_and_workers(db, shards, workers),
-        )
+    /// Builds `shards` range cores on `pool`.
+    pub fn with_pool(db: &'a TransactionDb, shards: usize, pool: Arc<WorkerPool>) -> Self {
+        Tiered::from_engine(db, ShardedVerticalIndex::with_pool(db, shards, pool))
     }
 }
 
@@ -317,14 +294,12 @@ pub struct ParallelVerticalIndex(ShardedVerticalIndex);
 impl ParallelVerticalIndex {
     /// Builds the index (one database pass) on the process-wide pool.
     pub fn build(db: &TransactionDb) -> Self {
-        ParallelVerticalIndex(ShardedVerticalIndex::build_with_shards(db, 1))
+        Self::with_pool(db, Arc::clone(WorkerPool::global()))
     }
 
-    /// Builds the index on a private pool of `n_workers` threads.
-    pub fn build_with_workers(db: &TransactionDb, n_workers: usize) -> Self {
-        ParallelVerticalIndex(ShardedVerticalIndex::build_with_shards_and_workers(
-            db, 1, n_workers,
-        ))
+    /// Builds the index (one database pass) on `pool`.
+    pub fn with_pool(db: &TransactionDb, pool: Arc<WorkerPool>) -> Self {
+        ParallelVerticalIndex(ShardedVerticalIndex::with_pool(db, 1, pool))
     }
 }
 
@@ -355,9 +330,9 @@ impl<'a> ParallelVerticalCounter<'a> {
         Tiered::from_engine(db, ParallelVerticalIndex::build(db))
     }
 
-    /// Builds on a private pool of `n_workers` threads.
-    pub fn with_workers(db: &'a TransactionDb, n_workers: usize) -> Self {
-        Tiered::from_engine(db, ParallelVerticalIndex::build_with_workers(db, n_workers))
+    /// Builds the index over `db` (one scan) on `pool`.
+    pub fn with_pool(db: &'a TransactionDb, pool: Arc<WorkerPool>) -> Self {
+        Tiered::from_engine(db, ParallelVerticalIndex::with_pool(db, pool))
     }
 }
 
@@ -437,14 +412,16 @@ mod tests {
     /// An engine of the given shape with its work floor zeroed, so every
     /// batch of two or more work units takes the pool.
     fn pooled(d: &TransactionDb, shards: usize, workers: usize) -> ShardedVerticalIndex {
-        let mut idx = ShardedVerticalIndex::build_with_shards_and_workers(d, shards, workers);
+        let mut idx =
+            ShardedVerticalIndex::with_pool(d, shards, Arc::new(WorkerPool::new(workers)));
         idx.set_work_floor(0);
         idx
     }
 
     /// The counter over [`pooled`]'s engine.
     fn counter(d: &TransactionDb, shards: usize, workers: usize) -> ShardedVerticalCounter<'_> {
-        let mut c = ShardedVerticalCounter::with_shards_and_workers(d, shards, workers);
+        let mut c =
+            ShardedVerticalCounter::with_pool(d, shards, Arc::new(WorkerPool::new(workers)));
         c.index_mut().set_work_floor(0);
         c
     }
@@ -531,7 +508,8 @@ mod tests {
         let sets = level();
         let expected = VerticalIndex::build(&d).minterm_counts_batch(&sets);
         for (shards, workers) in SHAPES {
-            let mut idx = ShardedVerticalIndex::build_with_shards_and_workers(&d, shards, workers);
+            let mut idx =
+                ShardedVerticalIndex::with_pool(&d, shards, Arc::new(WorkerPool::new(workers)));
             let before = idx.pool.jobs_run();
             assert_eq!(idx.minterm_counts_batch(&sets), expected);
             assert_eq!(

@@ -15,12 +15,13 @@
 #![allow(clippy::unwrap_used)]
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use ccs_itemset::{
     CountingStats, Itemset, MintermCounter, ShardedVerticalIndex, TidSet, TransactionDb,
-    VerticalCounter,
+    VerticalCounter, WorkerPool,
 };
 
 /// Capacities biased toward the layout's seams: block boundaries (64),
@@ -134,7 +135,7 @@ proptest! {
         // Deliberately non-power-of-two shard counts: boundaries land
         // mid-superblock and shard lengths come out unequal.
         for shards in [1usize, 2, 3, 7] {
-            let mut index = ShardedVerticalIndex::build_with_shards_and_workers(&db, shards, 2);
+            let mut index = ShardedVerticalIndex::with_pool(&db, shards, Arc::new(WorkerPool::new(2)));
             index.set_work_floor(0);
             prop_assert_eq!(
                 &index.minterm_counts_batch(&sets),

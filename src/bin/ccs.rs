@@ -13,9 +13,10 @@
 // The binary carries exactly one `unsafe` block — the raw `signal(2)`
 // binding in `sigint` — and that module opts back in explicitly.
 #![deny(unsafe_code)]
-// The CLI must stay on the current library surface: the deprecated
-// `mine*`/`resume*` shims are compile errors here (CI runs a dedicated
-// `-D deprecated` job over the binary and the bench crate too).
+// The CLI must stay on the current library surface: using a deprecated
+// item is a compile error here, and CI's `clippy --all-targets -D
+// warnings` step turns the `deprecated` lint into an error in every
+// other target too.
 #![deny(deprecated)]
 
 use std::fs::File;
@@ -23,7 +24,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use ccs::dataset::{read_attrs, read_db, write_attrs, write_db};
+use ccs::dataset::{read_attrs, read_db, write_attrs, write_db, MAX_ITEMS};
 use ccs::prelude::*;
 
 /// Exit codes: 0 = complete answer set (or satisfiable analysis), 2 =
@@ -83,23 +84,22 @@ fn print_usage() {
   ccs mine     --db <file> [--attrs <file>] --query <q> [--algorithm <a>]
                [--measure chi2|all-confidence|bond] [--threshold <f>]
                [--support <f>] [--ct <f>] [--confidence <f>] [--counting <s>]
-               [--threads <N>] [--shards <N>] [--timeout <secs>]
-               [--max-cells <N>] [--max-mem-mb <N>] [--explain]
+               [--timeout <secs>] [--max-cells <N>] [--max-mem-mb <N>] [--explain]
                [--checkpoint <file>] [--checkpoint-every <N>]
                algorithms: bms+ bms++ bms* bms** naive naive-min-valid
                measures:   chi2 (default; --confidence is its threshold
                            spelling), all-confidence, bond — --threshold
                            sets the cutoff for any measure
                counting:   horizontal vertical parallel vertical-par
-                           sharded fp-tree auto (--shards N splits the
-                           tid range)
+                           sharded fp-tree auto (pooled strategies use
+                           one worker per CPU)
                --checkpoint stamps a crash-safe snapshot at every level
                boundary (every Nth with --checkpoint-every) and on any
                budget trip, so a truncated or killed run can continue
                exits 0 when complete, 2 when truncated by a budget or Ctrl-C
   ccs resume   <checkpoint> --db <file> [--attrs <file>] [--query <q>]
-               [--counting <s>] [--threads <N>] [--shards <N>]
-               [--timeout <secs>] [--max-cells <N>] [--max-mem-mb <N>]
+               [--counting <s>] [--timeout <secs>] [--max-cells <N>]
+               [--max-mem-mb <N>] [--checkpoint-every <N>]
                continue an interrupted run from its checkpoint file; the
                snapshot pins the algorithm and the original query, and the
                database must fingerprint-match the one the run started on.
@@ -257,6 +257,16 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// Rejects an `--items` universe larger than a dataset file may declare.
+fn bounded_items(items: u32) -> Result<u32, String> {
+    if items > MAX_ITEMS {
+        return Err(format!(
+            "--items {items} exceeds the limit of {MAX_ITEMS} items"
+        ));
+    }
+    Ok(items)
+}
+
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let flags = Flags::new(
         args,
@@ -264,7 +274,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     )?;
     let method = flags.require("--method")?;
     let baskets: usize = flags.parse_or("--baskets", 10_000)?;
-    let items: u32 = flags.parse_or("--items", 100)?;
+    let items = bounded_items(flags.parse_or("--items", 100)?)?;
     let seed: u64 = flags.parse_or("--seed", 42)?;
     let out_path = flags.require("--db")?;
 
@@ -311,7 +321,8 @@ fn cmd_attrs(args: &[String]) -> Result<(), String> {
     let items: u32 = flags
         .require("--items")?
         .parse()
-        .map_err(|_| "bad value for --items".to_owned())?;
+        .map_err(|_| "bad value for --items".to_owned())
+        .and_then(bounded_items)?;
     let out_path = flags.require("--db")?;
     let attrs = AttributeTable::with_identity_prices(items);
     let file = File::create(out_path).map_err(|e| format!("create {out_path}: {e}"))?;
@@ -341,7 +352,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     let attrs = if let Some(path) = flags.get("--attrs") {
         load_attrs(path)?
     } else if let Some(items) = flags.parse_opt::<u32>("--items")? {
-        AttributeTable::with_identity_prices(items)
+        AttributeTable::with_identity_prices(bounded_items(items)?)
     } else if let Some(path) = flags.get("--db") {
         AttributeTable::with_identity_prices(load_db(path)?.n_items())
     } else {
@@ -371,22 +382,10 @@ fn parse_algorithm(flags: &Flags<'_>) -> Result<Algorithm, String> {
     flags.get("--algorithm").unwrap_or("bms++").parse()
 }
 
-/// Parses the counting flags shared by `mine` and `resume`.
-fn parse_counting(flags: &Flags<'_>) -> Result<MiningOptions, String> {
-    let strategy: CountingStrategy = flags.get("--counting").unwrap_or("horizontal").parse()?;
-    let threads: Option<usize> = flags.parse_opt("--threads")?;
-    if threads == Some(0) {
-        return Err("--threads must be at least 1".to_owned());
-    }
-    let shards: Option<usize> = flags.parse_opt("--shards")?;
-    if shards == Some(0) {
-        return Err("--shards must be at least 1".to_owned());
-    }
-    Ok(MiningOptions {
-        strategy,
-        threads,
-        shards,
-    })
+/// The `--counting` strategy shared by `mine` and `resume`; horizontal
+/// by default.
+fn parse_counting(flags: &Flags<'_>) -> Result<CountingStrategy, String> {
+    flags.get("--counting").unwrap_or("horizontal").parse()
 }
 
 /// Builds the run guard shared by `mine` and `resume`: budgets from the
@@ -506,8 +505,6 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
             "--query",
             "--algorithm",
             "--counting",
-            "--threads",
-            "--shards",
             "--measure",
             "--threshold",
             "--confidence",
@@ -531,7 +528,7 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
     let query_text = flags.get("--query").unwrap_or("correlated & ct_supported");
     let parsed = parse_query(query_text, &attrs).map_err(|e| format!("query: {e}"))?;
     let algorithm = parse_algorithm(&flags)?;
-    let options = parse_counting(&flags)?;
+    let strategy = parse_counting(&flags)?;
     let measure: Measure = flags
         .get("--measure")
         .unwrap_or("chi2")
@@ -595,14 +592,14 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
     let guard = parse_guard(&flags)?;
     let checkpoint_path = flags.get("--checkpoint");
 
-    let mut request = MineRequest::new(algorithm).options(options).guard(guard);
+    let mut request = MineRequest::new(algorithm).strategy(strategy).guard(guard);
     if let Some(policy) = parse_checkpoint(&flags)? {
         request = request.checkpoint(policy);
     }
     let outcome = MiningSession::new(&db, &attrs)
         .mine(&query, &request)
         .map_err(|e| e.to_string())?;
-    emit_outcome(&outcome, options.strategy, checkpoint_path)
+    emit_outcome(&outcome, strategy, checkpoint_path)
 }
 
 fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
@@ -619,8 +616,6 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             "--query",
             "--algorithm",
             "--counting",
-            "--threads",
-            "--shards",
             "--timeout",
             "--max-cells",
             "--max-mem-mb",
@@ -632,12 +627,12 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
         Some(p) => load_attrs(p)?,
         None => AttributeTable::with_identity_prices(db.n_items()),
     };
-    let options = parse_counting(&flags)?;
+    let strategy = parse_counting(&flags)?;
     let guard = parse_guard(&flags)?;
     // The resumed run keeps stamping into the same file, so a second
     // interruption is just another `ccs resume`.
     let request = MineRequest::default()
-        .options(options)
+        .strategy(strategy)
         .guard(guard)
         .checkpoint(CheckpointPolicy::file(path, parse_cadence(&flags)?));
 
@@ -665,7 +660,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             let outcome = MiningSession::new(&db, &attrs)
                 .mine(&query, &request)
                 .map_err(|e| e.to_string())?;
-            return emit_outcome(&outcome, options.strategy, Some(path));
+            return emit_outcome(&outcome, strategy, Some(path));
         }
         Err(e) => return Err(e.to_string()),
     };
@@ -685,7 +680,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     let outcome = MiningSession::new(&db, &attrs)
         .resume(&checkpoint.query, &request, checkpoint.resume)
         .map_err(|e| e.to_string())?;
-    emit_outcome(&outcome, options.strategy, Some(path))
+    emit_outcome(&outcome, strategy, Some(path))
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {

@@ -67,6 +67,30 @@ fn parse_err(line: usize, message: impl Into<String>) -> DatasetError {
     }
 }
 
+/// The largest item universe a file's `items <N>` header may declare
+/// (2^24 items). The database and every counter allocate per declared
+/// item, so a larger header is a parse error before anything is
+/// allocated.
+pub const MAX_ITEMS: u32 = 1 << 24;
+
+/// Parses the universe size that follows `items` on header line `lineno`.
+fn parse_universe<'a>(
+    lineno: usize,
+    mut parts: impl Iterator<Item = &'a str>,
+) -> Result<u32, DatasetError> {
+    let n: u32 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| parse_err(lineno, "expected a number after 'items'"))?;
+    if n > MAX_ITEMS {
+        return Err(parse_err(
+            lineno,
+            format!("'items {n}' exceeds the limit of {MAX_ITEMS} items"),
+        ));
+    }
+    Ok(n)
+}
+
 /// Writes a database in the basket text format.
 ///
 /// # Errors
@@ -101,8 +125,8 @@ pub fn write_db<W: Write>(db: &TransactionDb, out: &mut W) -> io::Result<()> {
 /// # Errors
 ///
 /// Returns [`DatasetError`] on I/O failures or malformed input
-/// (missing/duplicate `items` header, non-numeric ids, ids outside the
-/// declared universe). A line that is not valid UTF-8 is an
+/// (missing/duplicate `items` header, a universe over [`MAX_ITEMS`],
+/// non-numeric ids, ids outside the declared universe). A line that is not valid UTF-8 is an
 /// [`io::ErrorKind::InvalidData`] error, unless an earlier line failed
 /// first; a failing reader fails before any line is parsed.
 pub fn read_db<R: Read>(mut input: R) -> Result<TransactionDb, DatasetError> {
@@ -123,10 +147,7 @@ pub fn read_db<R: Read>(mut input: R) -> Result<TransactionDb, DatasetError> {
         if parts.next() != Some("items") {
             return Err(parse_err(lineno, "expected 'items <N>' header"));
         }
-        break parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(lineno, "expected a number after 'items'"))?;
+        break parse_universe(lineno, parts)?;
     };
     let mut db = TransactionDbBuilder::new(n);
     while !rest.is_empty() {
@@ -265,7 +286,8 @@ pub fn write_attrs<W: Write>(attrs: &AttributeTable, out: &mut W) -> io::Result<
 /// # Errors
 ///
 /// Returns [`DatasetError`] on I/O failures or malformed input (missing
-/// header, wrong value counts, non-numeric values in `numeric` columns).
+/// header, a universe over [`MAX_ITEMS`], wrong value counts,
+/// non-numeric values in `numeric` columns).
 pub fn read_attrs<R: Read>(input: R) -> Result<AttributeTable, DatasetError> {
     let reader = BufReader::new(input);
     let mut table: Option<AttributeTable> = None;
@@ -281,13 +303,7 @@ pub fn read_attrs<R: Read>(input: R) -> Result<AttributeTable, DatasetError> {
             continue; // unreachable: blank lines were skipped above
         };
         match (keyword, &mut table) {
-            ("items", None) => {
-                let n: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| parse_err(lineno, "expected a number after 'items'"))?;
-                table = Some(AttributeTable::new(n));
-            }
+            ("items", None) => table = Some(AttributeTable::new(parse_universe(lineno, parts)?)),
             ("items", Some(_)) => return Err(parse_err(lineno, "duplicate 'items' header")),
             (kw @ ("numeric" | "categorical"), Some(t)) => {
                 let name = parts
@@ -356,6 +372,14 @@ mod tests {
                         .next()
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| parse_err(lineno, "expected a number after 'items'"))?;
+                    // The one check added since `read_db` replaced this
+                    // parser: the bound on the declared universe.
+                    if n > MAX_ITEMS {
+                        return Err(parse_err(
+                            lineno,
+                            format!("'items {n}' exceeds the limit of {MAX_ITEMS} items"),
+                        ));
+                    }
                     n_items = Some(n);
                     continue;
                 }
@@ -409,6 +433,7 @@ mod tests {
         b"# c\n\n  \nitems 006\n",
         "\u{a0}items\t300 extra\n".as_bytes(),
         b"items 4294967296\n",
+        b"items 16777217\n",
         b"item 6\n",
         b"items\n",
         b"items 0\n",
@@ -687,5 +712,24 @@ mod tests {
         assert!(read_attrs("items 2\nnumeric price a b\n".as_bytes()).is_err()); // non-numeric
         assert!(read_attrs("items 2\nitems 2\n".as_bytes()).is_err()); // dup header
         assert!(read_attrs("items 2\nboolean x 0 1\n".as_bytes()).is_err()); // keyword
+    }
+
+    #[test]
+    fn universe_over_the_limit_is_a_parse_error() {
+        let header = |n: u32| format!("items {n}");
+        assert_eq!(
+            parse_universe(1, header(MAX_ITEMS).split_whitespace().skip(1)).unwrap(),
+            MAX_ITEMS
+        );
+        for n in [MAX_ITEMS + 1, u32::MAX] {
+            let want = format!("line 3: 'items {n}' exceeds the limit of {MAX_ITEMS} items");
+            let file = format!("# c\n\n{}\n0\n", header(n));
+            let err = read_db(file.as_bytes()).unwrap_err();
+            assert!(matches!(err, DatasetError::Parse { line: 3, .. }));
+            assert_eq!(err.to_string(), want);
+            let err = read_attrs(file.as_bytes()).unwrap_err();
+            assert!(matches!(err, DatasetError::Parse { line: 3, .. }));
+            assert_eq!(err.to_string(), want);
+        }
     }
 }

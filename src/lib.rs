@@ -64,8 +64,8 @@ pub mod prelude {
         solution_space, Algorithm, CausalAnalysis, CausalFinding, Checkpoint, CheckpointCadence,
         CheckpointError, CheckpointPolicy, CheckpointReport, CheckpointSink, CheckpointStatus,
         Completion, CorrelationQuery, CountingStrategy, DbFingerprint, FileSink, GuardLimits,
-        MemorySink, MineOutcome, MineRequest, MiningError, MiningMetrics, MiningOptions,
-        MiningParams, MiningResult, MiningSession, ResumeState, RunGuard, Semantics, SolutionSpace,
+        MemorySink, MineOutcome, MineRequest, MiningError, MiningMetrics, MiningParams,
+        MiningResult, MiningSession, ResumeState, RunGuard, Semantics, SolutionSpace,
         TruncationReason,
     };
     pub use ccs_datagen::{generate_quest, generate_rules, QuestParams, RuleParams};

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `ccs` binary: exit codes and error messages
-//! of the argument and parameter paths of `mine` and `resume`.
+//! of the argument and parameter paths of `mine` and `resume`, the
+//! dataset limits, and the answers of the pooled counting strategies.
 
 // Helper fns outside `#[test]` bodies still trip `unwrap_used`; in a
 // test binary a panic is the failure report.
@@ -133,5 +134,102 @@ fn stats_summarises_a_small_database() {
          items occurring:  4\n\
          most frequent:    i3 (3 baskets, 60.0%)\n"
     );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn thread_and_shard_flags_are_unknown() {
+    let dir = scratch("overrides");
+    let db = path(&dir, "q.db");
+    let ckpt = path(&dir, "run.ckpt");
+    for flag in ["--threads", "--shards"] {
+        let out = ccs(&["mine", "--db", &db, "--counting", "sharded", flag, "2"]);
+        assert_error(&out, &format!("error: unknown flag '{flag}'"));
+        let out = ccs(&["resume", &ckpt, "--db", &db, flag, "2"]);
+        assert_error(&out, &format!("error: unknown flag '{flag}'"));
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn pooled_counting_prints_the_horizontal_answers() {
+    let dir = std::env::temp_dir().join(format!("ccs-cli-{}-pooled", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = path(&dir, "x.db");
+    // Item 2 is the xor of items 0 and 1, so {0, 1, 2} is correlated
+    // while none of its pairs is; item 3 follows item 0.
+    let mut text = String::from("# fixture\nitems 4\n");
+    for _ in 0..12 {
+        text.push_str("0 2 3\n1 2\n0 1 3\n\n");
+    }
+    text.push_str("0 1\n2\n");
+    std::fs::write(&db, text).unwrap();
+    for algorithm in ["bms++", "bms**"] {
+        let answers = |counting: &str| {
+            let out = ccs(&[
+                "mine",
+                "--db",
+                &db,
+                "--algorithm",
+                algorithm,
+                "--support",
+                "0.2",
+                "--ct",
+                "0.2",
+                "--counting",
+                counting,
+            ]);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{algorithm} {counting}: {out:?}"
+            );
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let horizontal = answers("horizontal");
+        assert_eq!(
+            horizontal, "{i0, i1, i2}\n{i0, i3}\n{i1, i2, i3}\n",
+            "{algorithm}"
+        );
+        for counting in ["sharded", "vertical-par"] {
+            assert_eq!(answers(counting), horizontal, "{algorithm} {counting}");
+        }
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn universe_over_the_limit_is_rejected() {
+    let dir = std::env::temp_dir().join(format!("ccs-cli-{}-universe", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let baskets = path(&dir, "huge.db");
+    std::fs::write(&baskets, "# too many items\nitems 4294967295\n0\n").unwrap();
+    let out = ccs(&["stats", "--db", &baskets]);
+    assert_error(
+        &out,
+        "line 2: 'items 4294967295' exceeds the limit of 16777216 items",
+    );
+    let attrs = path(&dir, "huge.attrs");
+    std::fs::write(&attrs, "items 16777217\n").unwrap();
+    let out = ccs(&["analyze", "--query", "max(price) <= 5", "--attrs", &attrs]);
+    assert_error(
+        &out,
+        "line 1: 'items 16777217' exceeds the limit of 16777216 items",
+    );
+    let too_many = "--items 16777217 exceeds the limit of 16777216 items";
+    let out = ccs(&[
+        "generate", "--method", "quest", "--items", "16777217", "--db", &baskets,
+    ]);
+    assert_error(&out, too_many);
+    let out = ccs(&["attrs", "--items", "16777217", "--db", &attrs]);
+    assert_error(&out, too_many);
+    let out = ccs(&[
+        "analyze",
+        "--query",
+        "max(price) <= 5",
+        "--items",
+        "16777217",
+    ]);
+    assert_error(&out, too_many);
     std::fs::remove_dir_all(dir).unwrap();
 }

@@ -10,9 +10,11 @@
 // panic is the failure report.
 #![allow(dead_code, clippy::unwrap_used, clippy::expect_used)]
 
+use std::sync::Arc;
+
 use ccs::itemset::{
     BatchInterrupted, CountProbe, CountingStats, FpTreeCounter, HorizontalCounter, MintermCounter,
-    ParallelVerticalCounter, ShardedVerticalCounter,
+    ParallelCounter, ParallelVerticalCounter, ShardedVerticalCounter, WorkerPool,
 };
 use ccs::prelude::*;
 
@@ -94,7 +96,7 @@ pub fn horizontal_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
 /// A 2-worker pooled vertical counter with its work floor zeroed, so
 /// even the toy dataset's batches take the pool fan-out path.
 pub fn vertical_par_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
-    let mut counter = ParallelVerticalCounter::with_workers(db, 2);
+    let mut counter = ParallelVerticalCounter::with_pool(db, Arc::new(WorkerPool::new(2)));
     counter.index_mut().set_work_floor(0);
     Box::new(counter)
 }
@@ -104,7 +106,7 @@ pub fn vertical_par_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> 
 /// owns multiple shards, and the odd shard count leaves unequal shard
 /// lengths, so trips land mid-shard with other shards still in flight.
 pub fn sharded_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
-    let mut counter = ShardedVerticalCounter::with_shards_and_workers(db, 3, 2);
+    let mut counter = ShardedVerticalCounter::with_pool(db, 3, Arc::new(WorkerPool::new(2)));
     counter.index_mut().set_work_floor(0);
     Box::new(counter)
 }
@@ -113,7 +115,7 @@ pub fn sharded_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
 /// zeroed: each shard gets two jobs draining one shared class cursor, so
 /// trips land while a shard's classes are split across jobs.
 pub fn shared_cursor_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
-    let mut counter = ShardedVerticalCounter::with_shards_and_workers(db, 2, 4);
+    let mut counter = ShardedVerticalCounter::with_pool(db, 2, Arc::new(WorkerPool::new(4)));
     counter.index_mut().set_work_floor(0);
     Box::new(counter)
 }
@@ -133,7 +135,7 @@ pub const ALL_FACTORIES: [(&str, CounterFactory); 6] = [
         Box::new(ccs::itemset::VerticalCounter::new(db))
     }),
     ("parallel", |db| {
-        Box::new(ccs::itemset::ParallelCounter::new(db, 2))
+        Box::new(ParallelCounter::with_pool(db, Arc::new(WorkerPool::new(2))))
     }),
     ("vertical-par", vertical_par_factory),
     ("sharded", sharded_factory),

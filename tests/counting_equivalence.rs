@@ -12,13 +12,20 @@
 //! k = 6. This is the invariant that lets the miners pick a strategy
 //! freely.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use ccs::itemset::{
     FpTree, FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, NoProbe, ParallelCounter,
     ParallelVerticalCounter, ParallelVerticalIndex, ShardedVerticalCounter, ShardedVerticalIndex,
-    TransactionDb, VerticalCounter,
+    TransactionDb, VerticalCounter, WorkerPool,
 };
+
+/// A private pool of `workers` threads.
+fn pool(workers: usize) -> Arc<WorkerPool> {
+    Arc::new(WorkerPool::new(workers))
+}
 
 const N_ITEMS: u32 = 8;
 
@@ -63,7 +70,7 @@ proptest! {
 
         // Parallel, across thread counts, per candidate and batched.
         for threads in [1usize, 2, 5] {
-            let mut parallel = ParallelCounter::new(&db, threads);
+            let mut parallel = ParallelCounter::with_pool(&db, pool(threads));
             parallel.set_work_floor(0); // force pool dispatch even on tiny inputs
             let parallel_singles: Vec<Vec<u64>> =
                 sets.iter().map(|s| parallel.minterm_counts(s)).collect();
@@ -77,7 +84,7 @@ proptest! {
         // small batches take the pooled path.
         let machine = std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1);
         for workers in [1usize, 2, machine] {
-            let mut index = ParallelVerticalIndex::build_with_workers(&db, workers);
+            let mut index = ParallelVerticalIndex::with_pool(&db, pool(workers));
             index.set_work_floor(0);
             let par_singles: Vec<Vec<u64>> =
                 sets.iter().map(|s| index.minterm_counts(s)).collect();
@@ -86,7 +93,7 @@ proptest! {
         }
 
         // And the full counter wrapper (ladder at its top rung).
-        let mut par_counter = ParallelVerticalCounter::with_workers(&db, 2);
+        let mut par_counter = ParallelVerticalCounter::with_pool(&db, pool(2));
         par_counter.index_mut().set_work_floor(0);
         prop_assert_eq!(&par_counter.minterm_counts_batch(&sets), &expected);
 
@@ -96,7 +103,7 @@ proptest! {
         // unequal lengths; the work floor is zeroed so even tiny batches
         // take the pooled merge path.
         for shards in [1usize, 2, 3, 7] {
-            let mut index = ShardedVerticalIndex::build_with_shards_and_workers(&db, shards, 2);
+            let mut index = ShardedVerticalIndex::with_pool(&db, shards, pool(2));
             index.set_work_floor(0);
             let sharded_singles: Vec<Vec<u64>> =
                 sets.iter().map(|s| index.minterm_counts(s)).collect();
@@ -105,7 +112,7 @@ proptest! {
         }
 
         // And the sharded counter wrapper at its top rung.
-        let mut sharded_counter = ShardedVerticalCounter::with_shards_and_workers(&db, 3, 2);
+        let mut sharded_counter = ShardedVerticalCounter::with_pool(&db, 3, pool(2));
         sharded_counter.index_mut().set_work_floor(0);
         prop_assert_eq!(&sharded_counter.minterm_counts_batch(&sets), &expected);
 

@@ -15,9 +15,9 @@
 //!
 //! The suite also asserts, independently of the goldens:
 //!
-//! * answers are bit-identical across every counting strategy, with the
-//!   sharded and auto-routed engines also forced onto 3 tid-range
-//!   shards (a count that never divides the fixture sizes evenly),
+//! * answers are bit-identical across every counting strategy, and on a
+//!   sharded counter built over 3 tid-range shards (a count that never
+//!   divides the fixture sizes evenly),
 //! * answer sets are mutually minimal (no nested pairs).
 //!
 //! Regenerate every golden after an *intentional* behaviour change with
@@ -27,9 +27,10 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use ccs::core::{run_bms, BmsOutput};
-use ccs::itemset::HorizontalCounter;
+use ccs::itemset::{HorizontalCounter, ShardedVerticalCounter, WorkerPool};
 use ccs::prelude::*;
 
 /// Perfectly-correlated pair {0,1} plus sparse fill — the smallest shape.
@@ -208,19 +209,14 @@ fn mine_horizontal(
         .result
 }
 
-/// The cross-strategy rows: every non-horizontal strategy at its
-/// default shard count, plus the two strategies a shard count reaches
-/// (`Sharded`, and `Auto`, which it routes to the sharded engine) on 3
-/// shards, so shard boundaries land mid-superblock.
-const STRATEGY_ROWS: [(CountingStrategy, Option<usize>); 8] = [
-    (CountingStrategy::Vertical, None),
-    (CountingStrategy::Parallel, None),
-    (CountingStrategy::VerticalPar, None),
-    (CountingStrategy::Sharded, None),
-    (CountingStrategy::FpTree, None),
-    (CountingStrategy::Auto, None),
-    (CountingStrategy::Sharded, Some(3)),
-    (CountingStrategy::Auto, Some(3)),
+/// The cross-strategy rows: every non-horizontal strategy.
+const STRATEGY_ROWS: [CountingStrategy; 6] = [
+    CountingStrategy::Vertical,
+    CountingStrategy::Parallel,
+    CountingStrategy::VerticalPar,
+    CountingStrategy::Sharded,
+    CountingStrategy::FpTree,
+    CountingStrategy::Auto,
 ];
 
 /// Same query under a non-default strategy; only the answers must match.
@@ -230,16 +226,23 @@ fn mine_with(
     q: &CorrelationQuery,
     algorithm: Algorithm,
     strategy: CountingStrategy,
-    shards: Option<usize>,
 ) -> MiningResult {
-    let mut request = MineRequest::new(algorithm).strategy(strategy);
-    if let Some(shards) = shards {
-        request = request.shards(shards);
-    }
     MiningSession::new(db, attrs)
-        .mine(q, &request)
+        .mine(q, &MineRequest::new(algorithm).strategy(strategy))
         .unwrap()
         .result
+}
+
+/// Same query on a sharded counter over 3 tid-range shards of the
+/// process-wide pool, so shard boundaries land mid-superblock.
+fn mine_on_three_shards(
+    db: &TransactionDb,
+    attrs: &AttributeTable,
+    q: &CorrelationQuery,
+    algorithm: Algorithm,
+) -> MiningResult {
+    let mut counter = ShardedVerticalCounter::with_pool(db, 3, Arc::clone(WorkerPool::global()));
+    mine_on(db, attrs, q, &MineRequest::new(algorithm), &mut counter).unwrap()
 }
 
 fn baseline_bms(db: &TransactionDb, measure: Measure) -> BmsOutput {
@@ -277,13 +280,18 @@ fn render_transcript(measure: Measure) -> String {
                 let r = mine_horizontal(db, &attrs, &q, algorithm);
                 assert!(r.completion.is_complete(), "{context}: truncated");
                 assert_mutually_minimal(&context, &r.answers);
-                for (strategy, shards) in STRATEGY_ROWS {
-                    let v = mine_with(db, &attrs, &q, algorithm, strategy, shards);
+                for strategy in STRATEGY_ROWS {
+                    let v = mine_with(db, &attrs, &q, algorithm, strategy);
                     assert_eq!(
                         r.answers, v.answers,
-                        "{context}: {strategy} ({shards:?} shards) diverged from horizontal"
+                        "{context}: {strategy} diverged from horizontal"
                     );
                 }
+                let v = mine_on_three_shards(db, &attrs, &q, algorithm);
+                assert_eq!(
+                    r.answers, v.answers,
+                    "{context}: sharded on 3 shards diverged from horizontal"
+                );
                 let _ = writeln!(
                     out,
                     "{context} answers={} {}",
