@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use ccs_bench::DataMethod;
 use ccs_itemset::{
     candidate, HorizontalCounter, Item, Itemset, ItemsetSet, MintermCounter, ParallelCounter,
-    ParallelVerticalIndex, TidSet, VerticalCounter,
+    ParallelVerticalCounter, TidSet, VerticalCounter,
 };
 use ccs_stats::{chi2_quantile, ContingencyTable};
 
@@ -106,8 +106,8 @@ fn bench_counting_batch(c: &mut Criterion) {
     group.bench_function("parallel_batch", |bench| {
         bench.iter(|| black_box(parallel.minterm_counts_batch(black_box(&level))))
     });
-    let mut vertical_par = ParallelVerticalIndex::build(&db);
-    vertical_par.set_work_floor(0); // measure the pooled path
+    let mut vertical_par = ParallelVerticalCounter::new(&db);
+    vertical_par.index_mut().set_work_floor(0); // measure the pooled path
     group.bench_function("vertical_par_batch", |bench| {
         bench.iter(|| black_box(vertical_par.minterm_counts_batch(black_box(&level))))
     });
@@ -127,13 +127,13 @@ fn bench_pool_dispatch(c: &mut Criterion) {
     let pairs: Vec<Itemset> = (0..32u32)
         .map(|i| Itemset::from_ids([i % 59, i % 59 + 1]))
         .collect();
-    let mut index = ParallelVerticalIndex::build(&db);
-    index.set_work_floor(0);
+    let mut counter = ParallelVerticalCounter::new(&db);
+    counter.index_mut().set_work_floor(0);
     group.bench_function("trivial_classes_inline", |bench| {
-        bench.iter(|| black_box(index.minterm_counts_batch(black_box(&trivial))))
+        bench.iter(|| black_box(counter.minterm_counts_batch(black_box(&trivial))))
     });
     group.bench_function("pair_classes_pooled", |bench| {
-        bench.iter(|| black_box(index.minterm_counts_batch(black_box(&pairs))))
+        bench.iter(|| black_box(counter.minterm_counts_batch(black_box(&pairs))))
     });
     group.finish();
 }

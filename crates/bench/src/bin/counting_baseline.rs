@@ -29,8 +29,7 @@ use ccs_core::{
 };
 use ccs_itemset::{
     FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, ParallelCounter,
-    ParallelVerticalCounter, ParallelVerticalIndex, ShardedVerticalCounter, ShardedVerticalIndex,
-    TransactionDb, VerticalCounter, WorkerPool,
+    ParallelVerticalCounter, ShardedVerticalCounter, TransactionDb, VerticalCounter, WorkerPool,
 };
 use ccs_stats::{chi2_quantile, ContingencyTable, Measure, MeasureContext};
 
@@ -375,16 +374,17 @@ fn main() {
     }
     let mut scaling: Vec<ScalePoint> = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let mut index = ParallelVerticalIndex::with_pool(&db, Arc::new(WorkerPool::new(workers)));
-        index.set_work_floor(0); // measure the pooled path at every width
-        let pass = |index: &mut ParallelVerticalIndex, level: &[Itemset]| {
-            std::hint::black_box(index.minterm_counts_batch(level));
+        let mut counter =
+            ParallelVerticalCounter::with_pool(&db, Arc::new(WorkerPool::new(workers)));
+        counter.index_mut().set_work_floor(0); // measure the pooled path at every width
+        let pass = |counter: &mut ParallelVerticalCounter, level: &[Itemset]| {
+            std::hint::black_box(counter.minterm_counts_batch(level));
         };
-        pass(&mut index, &level); // warm-up
+        pass(&mut counter, &level); // warm-up
         let mut secs: Vec<f64> = (0..REPS)
             .map(|_| {
                 let t0 = Instant::now();
-                pass(&mut index, &level);
+                pass(&mut counter, &level);
                 t0.elapsed().as_secs_f64()
             })
             .collect();
@@ -400,17 +400,17 @@ fn main() {
     // shows the merge overhead of many-small-shards.
     let mut shard_scaling: Vec<ScalePoint> = Vec::new();
     for shards in [1usize, 2, 4, 8] {
-        let mut index =
-            ShardedVerticalIndex::with_pool(&db, shards, Arc::clone(WorkerPool::global()));
-        index.set_work_floor(0); // measure the pooled path at every width
-        let pass = |index: &mut ShardedVerticalIndex, level: &[Itemset]| {
-            std::hint::black_box(index.minterm_counts_batch(level));
+        let mut counter =
+            ShardedVerticalCounter::with_pool(&db, shards, Arc::clone(WorkerPool::global()));
+        counter.index_mut().set_work_floor(0); // measure the pooled path at every width
+        let pass = |counter: &mut ShardedVerticalCounter, level: &[Itemset]| {
+            std::hint::black_box(counter.minterm_counts_batch(level));
         };
-        pass(&mut index, &level); // warm-up
+        pass(&mut counter, &level); // warm-up
         let mut secs: Vec<f64> = (0..REPS)
             .map(|_| {
                 let t0 = Instant::now();
-                pass(&mut index, &level);
+                pass(&mut counter, &level);
                 t0.elapsed().as_secs_f64()
             })
             .collect();

@@ -63,16 +63,6 @@ impl Constraint {
         }
     }
 
-    /// `true` iff the constraint is anti-monotone.
-    pub fn is_anti_monotone(&self) -> bool {
-        self.monotonicity() == Monotonicity::AntiMonotone
-    }
-
-    /// `true` iff the constraint is monotone.
-    pub fn is_monotone(&self) -> bool {
-        self.monotonicity() == Monotonicity::Monotone
-    }
-
     /// `true` iff the constraint is succinct (its solution space is a
     /// powerset expression over selections of `Item`).
     ///

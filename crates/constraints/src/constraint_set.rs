@@ -320,11 +320,6 @@ impl ConstraintAnalysis {
         &self.m_residual
     }
 
-    /// Indices of the neither-monotone constraints.
-    pub fn neither_indices(&self) -> &[usize] {
-        &self.neither
-    }
-
     /// Index of the constraint whose witness class seeds `L1⁺`, if any.
     pub fn witness_source(&self) -> Option<usize> {
         self.witness_source

@@ -7,7 +7,10 @@
 //! [`crate::session::MineRequest`] — with one-release `#[deprecated]`
 //! shims since removed.
 
-use ccs_itemset::TransactionDb;
+use ccs_itemset::{
+    FpTreeCounter, HorizontalCounter, MintermCounter, ParallelCounter, ParallelVerticalCounter,
+    ShardedVerticalCounter, TransactionDb, VerticalCounter,
+};
 
 use crate::query::Semantics;
 
@@ -214,6 +217,23 @@ impl CountingStrategy {
         CountingStrategy::Vertical
     }
 
+    /// Builds this strategy's counter over `db`: the single place a
+    /// strategy turns into a concrete counter, and the one a
+    /// [`crate::MiningSession`] uses. `Auto` builds the counter of the
+    /// strategy it [resolves](Self::resolve) to on this machine. The
+    /// pooled counters run on the process-wide pool.
+    pub fn counter(self, db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
+        match self {
+            CountingStrategy::Horizontal => Box::new(HorizontalCounter::new(db)),
+            CountingStrategy::Vertical => Box::new(VerticalCounter::new(db)),
+            CountingStrategy::Parallel => Box::new(ParallelCounter::with_available_parallelism(db)),
+            CountingStrategy::VerticalPar => Box::new(ParallelVerticalCounter::new(db)),
+            CountingStrategy::Sharded => Box::new(ShardedVerticalCounter::new(db)),
+            CountingStrategy::FpTree => Box::new(FpTreeCounter::new(db)),
+            CountingStrategy::Auto => self.resolve(db, None, None).counter(db),
+        }
+    }
+
     /// The CLI-facing name (also what [`std::str::FromStr`] accepts).
     pub fn name(self) -> &'static str {
         match self {
@@ -262,7 +282,7 @@ mod tests {
     use crate::query::CorrelationQuery;
     use crate::session::{mine_on, MineRequest, MiningSession};
     use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
-    use ccs_itemset::{ParallelVerticalCounter, WorkerPool};
+    use ccs_itemset::{Itemset, ParallelVerticalCounter, WorkerPool};
     use std::sync::Arc;
 
     fn db() -> TransactionDb {
@@ -447,6 +467,32 @@ mod tests {
         );
         assert_eq!(Auto.resolve(&dense, Some(8), None), FpTree);
         assert_eq!(Auto.resolve(&dense, Some(1), None), FpTree);
+    }
+
+    #[test]
+    fn every_strategy_builds_a_counter_with_horizontal_tables() {
+        use CountingStrategy::*;
+        let db = db();
+        let sets = vec![
+            Itemset::from_ids([0, 1]),
+            Itemset::from_ids([0, 2]),
+            Itemset::from_ids([0, 1, 2]),
+        ];
+        let expected = HorizontalCounter::new(&db).minterm_counts_batch(&sets);
+        for s in [
+            Horizontal,
+            Vertical,
+            Parallel,
+            VerticalPar,
+            Sharded,
+            FpTree,
+            Auto,
+        ] {
+            let mut counter = s.counter(&db);
+            assert_eq!(counter.minterm_counts_batch(&sets), expected, "{s}");
+            assert_eq!(counter.minterm_counts(&sets[2]), expected[2], "{s}");
+            assert_eq!(counter.n_transactions(), db.len(), "{s}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Mining parameters shared by every algorithm.
 
+use ccs_itemset::MAX_TABLE_WIDTH;
 use ccs_stats::{Measure, MeasureContext, MeasureError};
 use thiserror::Error;
 
@@ -21,16 +22,11 @@ pub enum ParamError {
     /// `max_level` is below 2: no level of pairs would be mined.
     #[error("max_level must be at least 2, got {0}")]
     MaxLevel(usize),
-    /// `max_level` is above 30: one table of a set that wide
-    /// would not fit in memory.
-    #[error("max_level must be at most {MAX_WIDTH}, since a k-item contingency table has 2^k cells, got {0}")]
+    /// `max_level` is above [`MAX_TABLE_WIDTH`] (20), the widest
+    /// contingency table the tid-set and FP-tree counters build.
+    #[error("max_level must be at most {MAX_TABLE_WIDTH}, since a k-item contingency table has 2^k cells, got {0}")]
     Width(usize),
 }
-
-/// The widest itemset a run may count. A `k`-set's contingency table
-/// has `2^k` `u64` cells, so one table at this width already takes
-/// 8 GiB.
-pub(crate) const MAX_WIDTH: usize = 30;
 
 /// The statistical parameters of a correlation query: the correlation
 /// measure and its threshold, the cell-support threshold `s` (as a
@@ -111,7 +107,7 @@ impl MiningParams {
         if self.max_level < 2 {
             return Err(ParamError::MaxLevel(self.max_level));
         }
-        if self.max_level > MAX_WIDTH {
+        if self.max_level > MAX_TABLE_WIDTH {
             return Err(ParamError::Width(self.max_level));
         }
         Ok(())
@@ -217,7 +213,7 @@ mod tests {
                 ..paper
             },
             MiningParams {
-                max_level: MAX_WIDTH + 1,
+                max_level: MAX_TABLE_WIDTH + 1,
                 ..paper
             },
         ];
@@ -232,10 +228,10 @@ mod tests {
         assert_eq!(errors[4], "max_level must be at least 2, got 1");
         assert_eq!(
             errors[5],
-            "max_level must be at most 30, since a k-item contingency table has 2^k cells, got 31"
+            "max_level must be at most 20, since a k-item contingency table has 2^k cells, got 21"
         );
         let widest = MiningParams {
-            max_level: MAX_WIDTH,
+            max_level: MAX_TABLE_WIDTH,
             ..paper
         };
         assert_eq!(widest.validate(), Ok(()));

@@ -19,10 +19,7 @@
 //! run one request against a borrowed counter.
 
 use ccs_constraints::AttributeTable;
-use ccs_itemset::{
-    FpTreeCounter, HorizontalCounter, MintermCounter, ParallelCounter, ParallelVerticalCounter,
-    ShardedVerticalCounter, TransactionDb, VerticalCounter,
-};
+use ccs_itemset::{MintermCounter, TransactionDb};
 
 use crate::bms_plus::run_bms_plus_guarded;
 use crate::bms_plus_plus::run_bms_plus_plus_guarded;
@@ -226,7 +223,7 @@ impl<'a> MiningSession<'a> {
         if !matches!(&self.counter, Some(c) if c.strategy == strategy) {
             self.counter = Some(CachedCounter {
                 strategy,
-                counter: make_counter(self.db, strategy),
+                counter: strategy.counter(self.db),
             });
         }
         #[allow(clippy::expect_used)] // just installed above
@@ -362,22 +359,6 @@ fn check_resume(
         }
     }
     Ok(algorithm)
-}
-
-/// Builds the counter for a resolved strategy. The single place the
-/// strategy enum turns into a concrete counter — every mine/resume
-/// entry point funnels through here. The pooled counters run on the
-/// process-wide pool.
-fn make_counter(db: &TransactionDb, strategy: CountingStrategy) -> Box<dyn MintermCounter + '_> {
-    match strategy {
-        CountingStrategy::Horizontal => Box::new(HorizontalCounter::new(db)),
-        CountingStrategy::Vertical => Box::new(VerticalCounter::new(db)),
-        CountingStrategy::Parallel => Box::new(ParallelCounter::with_available_parallelism(db)),
-        CountingStrategy::VerticalPar => Box::new(ParallelVerticalCounter::new(db)),
-        CountingStrategy::Sharded => Box::new(ShardedVerticalCounter::new(db)),
-        CountingStrategy::FpTree => Box::new(FpTreeCounter::new(db)),
-        CountingStrategy::Auto => unreachable!("resolve() never returns Auto"),
-    }
 }
 
 /// The single dispatch point every entry funnels into: one algorithm,

@@ -18,6 +18,17 @@
 //! * [`crate::parallel::ParallelCounter`] divides the horizontal scan
 //!   across a worker pool.
 //!
+//! # One counting path
+//!
+//! Every table is counted by a guarded batch: each backend has exactly
+//! one, [`MintermCounter::minterm_counts_batch_guarded`] for the
+//! horizontal counters and [`TieredEngine::count_batch_guarded`] for an
+//! engine, which has no counting method of its own. A single set is a
+//! batch of one under [`NoProbe`]: [`MintermCounter::minterm_counts`]
+//! charges exactly what that batch charges (one scan, every row and one
+//! table for a horizontal counter; one table for a tiered one, whose
+//! single sets skip the ladder and always reach the preferred engine).
+//!
 //! All implementations keep work counters so experiments can report
 //! *sets considered* / *tables built* alongside wall-clock time.
 //!
@@ -42,12 +53,22 @@
 //! and abandons the batch with [`BatchInterrupted`] when the probe asks
 //! it to stop. Work statistics stay accurate across an abandoned batch:
 //! every *completed* unit (scan, prefix class, table) is flushed into
-//! [`CountingStats`] before the error returns. The unguarded methods are
-//! the guarded ones driven by [`NoProbe`].
+//! [`CountingStats`] before the error returns. A unit in hand when the
+//! budget runs out is finished, so a horizontal counter counts up to a
+//! whole batch past a work budget, a sequential tid-set batch one
+//! prefix class and the FP-tree one candidate; a pooled tid-set batch
+//! may finish every class its jobs reach before the calling thread
+//! merges the class that tripped it. The unguarded methods are the
+//! guarded ones driven by [`NoProbe`].
 
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
 use crate::vertical::VerticalIndex;
+
+/// The widest itemset whose contingency table the tid-set and FP-tree
+/// counters build: a `k`-set's table has `2^k` cells, so a table at this
+/// width already takes 8 MiB. `ccs-core` refuses a `max_level` above it.
+pub const MAX_TABLE_WIDTH: usize = 20;
 
 /// How many transactions a horizontal scan processes between probe
 /// checks. Small enough to stay responsive on multi-million-row
@@ -208,6 +229,12 @@ pub(crate) fn unguarded<T>(outcome: Result<T, BatchInterrupted>) -> T {
     }
 }
 
+/// The table of a batch of one counted under [`NoProbe`]: how every
+/// counter answers [`MintermCounter::minterm_counts`].
+pub(crate) fn sole_table(outcome: Result<Vec<Vec<u64>>, BatchInterrupted>) -> Vec<u64> {
+    unguarded(outcome).swap_remove(0)
+}
+
 /// Adds `part`'s tables into `acc` cell by cell — how per-chunk and
 /// per-shard partial tables merge into whole-database tables.
 pub(crate) fn add_tables(acc: &mut [Vec<u64>], part: &[Vec<u64>]) {
@@ -220,9 +247,23 @@ pub(crate) fn add_tables(acc: &mut [Vec<u64>], part: &[Vec<u64>]) {
 
 /// A strategy for counting the `2^k` minterms of an itemset.
 pub trait MintermCounter {
-    /// Counts all `2^|set|` minterm cells. Cell indexing follows
-    /// [`VerticalIndex::minterm_counts`]: bit `j` of the cell index is 1 iff
-    /// the `j`-th smallest item of `set` is present.
+    /// Counts all `2^k` minterms (contingency-table cells) of a
+    /// `k`-itemset.
+    ///
+    /// Cell indexing: for the sorted items `s_0 < … < s_{k-1}` of `set`,
+    /// the count at index `c` is the number of transactions that contain
+    /// exactly the items `{ s_j | bit j of c is 1 }` among the items of
+    /// `set` (other items are unconstrained). Index `2^k - 1` is "all
+    /// present", index `0` is "none present". Every counter and every
+    /// batch path uses this indexing.
+    ///
+    /// Every counter in this crate answers a single set as a batch of
+    /// one under [`NoProbe`].
+    ///
+    /// # Panics
+    ///
+    /// The tid-set and FP-tree counters panic if `set.len()` exceeds
+    /// [`MAX_TABLE_WIDTH`].
     fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64>;
 
     /// Counts a whole level of candidates, returning one `2^k` count
@@ -305,31 +346,11 @@ impl MintermCounter for Box<dyn MintermCounter + '_> {
     }
 }
 
-/// One horizontal scan over `db` counting a single set's table: the
-/// whole of [`HorizontalCounter::minterm_counts`] and of a below-floor
-/// [`crate::parallel::ParallelCounter`] single set. Charges one scan,
-/// every row and one table to `stats`.
-pub(crate) fn horizontal_single(
-    db: &TransactionDb,
-    set: &Itemset,
-    stats: &mut CountingStats,
-) -> Vec<u64> {
-    let mut counts = vec![0u64; 1usize << set.len()];
-    for t in db.transactions() {
-        counts[cell_index(t, set)] += 1;
-    }
-    *stats += CountingStats {
-        db_scans: 1,
-        transactions_visited: db.len() as u64,
-        ..CountingStats::tables(1, counts.len() as u64)
-    };
-    counts
-}
-
 /// One guarded horizontal scan over `db`, updating every candidate's
-/// table per transaction: the whole of [`HorizontalCounter`]'s batch, a
-/// below-floor [`crate::parallel::ParallelCounter`] batch, and the
-/// bottom rung of every [`Tiered`] ladder. Flushes `stats` for the
+/// table per transaction: the whole of [`HorizontalCounter`]'s counting,
+/// a below-floor [`crate::parallel::ParallelCounter`] batch, and the
+/// bottom rung of every [`Tiered`] ladder. A batch of one set charges
+/// one scan, every row and one table. Flushes `stats` for the
 /// scan's completed work whether or not the scan finishes: `db_scans`
 /// counts the started scan, `transactions_visited` the rows actually
 /// read, and `tables_built`/`cells_counted` only move when the scan
@@ -395,7 +416,7 @@ impl<'a> HorizontalCounter<'a> {
 
 impl MintermCounter for HorizontalCounter<'_> {
     fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        horizontal_single(self.db, set, &mut self.stats)
+        sole_table(self.minterm_counts_batch_guarded(std::slice::from_ref(set), &NoProbe))
     }
 
     /// Counts minterms for a whole level of candidates in a *single* scan,
@@ -445,12 +466,9 @@ pub trait TieredEngine {
     /// Number of transactions the engine counts over.
     fn n_transactions(&self) -> usize;
 
-    /// Counts one set; see [`VerticalIndex::minterm_counts`] for cell
-    /// indexing.
-    fn count(&mut self, set: &Itemset) -> Vec<u64>;
-
-    /// The engine's guarded batch: tables in input order, or the exact
-    /// completed work when `probe` interrupts it.
+    /// The engine's guarded batch, its one way to count: tables in input
+    /// order (cells indexed as [`MintermCounter::minterm_counts`]
+    /// states), or the exact completed work when `probe` interrupts it.
     fn count_batch_guarded(
         &mut self,
         sets: &[Itemset],
@@ -544,9 +562,15 @@ impl<'a, E: TieredEngine> Tiered<'a, E> {
 }
 
 impl<E: TieredEngine> MintermCounter for Tiered<'_, E> {
+    /// The preferred engine's batch of one, whatever the rung: a single
+    /// set never moves the ladder or counts as a degraded batch.
     fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        self.stats += CountingStats::tables(1, 1u64 << set.len());
-        self.engine.count(set)
+        let counts = sole_table(
+            self.engine
+                .count_batch_guarded(std::slice::from_ref(set), &NoProbe),
+        );
+        self.stats += CountingStats::tables(1, counts.len() as u64);
+        counts
     }
 
     fn minterm_counts_batch_guarded(
@@ -569,7 +593,7 @@ impl<E: TieredEngine> MintermCounter for Tiered<'_, E> {
                     stats.db_scans += 1;
                     VerticalIndex::build(db)
                 });
-                twin.minterm_counts_batch_guarded(sets, probe)
+                twin.count_batch_guarded(sets, probe)
             }
             DegradationRung::Horizontal => {
                 return horizontal_batch_guarded(self.db, sets, probe, &mut self.stats);
@@ -606,30 +630,6 @@ impl<'a> VerticalCounter<'a> {
     /// Builds the vertical index over `db` (one scan) and wraps it.
     pub fn new(db: &'a TransactionDb) -> Self {
         Tiered::from_engine(db, VerticalIndex::build(db))
-    }
-}
-
-impl TieredEngine for VerticalIndex {
-    fn n_transactions(&self) -> usize {
-        VerticalIndex::n_transactions(self)
-    }
-
-    fn count(&mut self, set: &Itemset) -> Vec<u64> {
-        self.minterm_counts(set)
-    }
-
-    /// Eclat-style prefix sharing; see
-    /// [`VerticalIndex::minterm_counts_batch`].
-    fn count_batch_guarded(
-        &mut self,
-        sets: &[Itemset],
-        probe: &dyn CountProbe,
-    ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
-        self.minterm_counts_batch_guarded(sets, probe)
-    }
-
-    fn footprint_bytes(&self, _sets: &[Itemset], depths: usize) -> u64 {
-        VerticalIndex::scratch_bytes(VerticalIndex::n_transactions(self), depths) as u64
     }
 }
 

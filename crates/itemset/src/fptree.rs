@@ -40,11 +40,13 @@
 //!
 //! # Batching: conditional projections, memoized
 //!
-//! [`FpTree::minterm_counts_batch_guarded`] groups a level's candidates
-//! by their *suffix item* (the deepest-ranked member) and materialises
-//! each header item's **conditional projection** — the node-link chain
-//! flattened into `(root-path items, count)` entries — at most once per
-//! batch, memoized across every candidate that touches the item. A
+//! The tree counts only in batches, through its
+//! [`TieredEngine::count_batch_guarded`]; a single set is a batch of
+//! one. The batch groups a level's candidates by their *suffix item*
+//! (the deepest-ranked member) and materialises each header item's
+//! **conditional projection** — the node-link chain flattened into
+//! `(root-path items, count)` entries — at most once per batch,
+//! memoized across every candidate that touches the item. A
 //! dense level whose candidates are drawn from one correlated module
 //! thus pays one projection per header item plus a cheap mask fold per
 //! candidate, instead of one intersection recursion per candidate.
@@ -55,7 +57,8 @@
 //! boundary (before each candidate's projection walks) and charges each
 //! completed table, so a trip abandons the batch with exact
 //! completed-candidate accounting — identical first-trip-wins contract
-//! to the vertical engines; a half-counted table never escapes.
+//! to the vertical engines; a half-counted table never escapes, and at
+//! most one candidate is counted past a work budget.
 //! [`FpTreeCounter`] is the tree on the shared memory-pressure ladder
 //! ([`Tiered`]): when a probe's arena budget cannot hold the batch's
 //! memoized projections it degrades (stickily) to a lazily built
@@ -64,7 +67,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::counting::{unguarded, BatchInterrupted, CountProbe, NoProbe, Tiered, TieredEngine};
+use crate::counting::{BatchInterrupted, CountProbe, Tiered, TieredEngine};
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
 use crate::vertical::alloc_results;
@@ -245,10 +248,10 @@ impl FpTree {
             .collect()
     }
 
-    /// Counts all `2^k` cells of `set` into `out` (zeroed, `2^k` long).
-    /// Cell indexing follows [`crate::VerticalIndex::minterm_counts`]: bit `j`
-    /// of the cell index is 1 iff the `j`-th smallest item of `set` is
-    /// present. `bit_of` is reusable scratch of `n_items` entries, all
+    /// Counts all `2^k` cells of a set of at least two items into `out`
+    /// (zeroed, `2^k` long), indexed as
+    /// [`MintermCounter::minterm_counts`](crate::MintermCounter::minterm_counts)
+    /// states. `bit_of` is reusable scratch of `n_items` entries, all
     /// [`NOT_IN_SET`] on entry and restored to that on exit.
     fn count_set_into(
         &self,
@@ -258,21 +261,9 @@ impl FpTree {
         out: &mut [u64],
     ) {
         let k = set.len();
+        debug_assert!(k >= 2, "0-/1-item sets are answered from item supports");
         debug_assert_eq!(out.len(), 1usize << k);
         let n = self.n_transactions as u64;
-        match set.items() {
-            [] => {
-                out[0] = n;
-                return;
-            }
-            [a] => {
-                let s = self.item_supports[a.index()];
-                out[1] = s;
-                out[0] = n - s;
-                return;
-            }
-            _ => {}
-        }
         // The candidate's items in tree order (shallowest first), each
         // carrying its cell-index bit from the original sorted-item
         // position.
@@ -333,37 +324,40 @@ impl FpTree {
             bit_of[id as usize] = NOT_IN_SET;
         }
     }
+}
 
-    /// Counts all `2^k` minterms of a `k`-itemset from the tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set.len() > 20` (as every counting substrate does).
-    pub fn minterm_counts(&self, set: &Itemset) -> Vec<u64> {
-        let sets = std::slice::from_ref(set);
-        let mut results = alloc_results(sets);
-        let mut cache = HashMap::new();
-        let mut bit_of = vec![NOT_IN_SET; self.headers.len()];
-        self.count_set_into(set, &mut cache, &mut bit_of, &mut results[0]);
-        results.swap_remove(0)
+/// Pattern-growth counter: answers contingency tables from an
+/// [`FpTree`] (two build passes). Its footprint is the batch's memoized
+/// projections; below that it drops to a full-range vertical twin, built
+/// on first use (one extra database scan, recorded in
+/// [`crate::CountingStats::db_scans`]), then to horizontal scans.
+pub type FpTreeCounter<'a> = Tiered<'a, FpTree>;
+
+impl<'a> FpTreeCounter<'a> {
+    /// Builds the FP-tree (one support-ordering pass plus one insertion
+    /// pass, recorded as two database scans) and wraps it.
+    pub fn new(db: &'a TransactionDb) -> Self {
+        Tiered::from_engine(db, FpTree::build(db))
+    }
+}
+
+impl TieredEngine for FpTree {
+    const BUILD_SCANS: u64 = 2;
+
+    fn n_transactions(&self) -> usize {
+        self.n_transactions
     }
 
-    /// Batch minterm counting with per-batch projection memoization;
-    /// results come back in input order.
-    pub fn minterm_counts_batch(&self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        unguarded(self.minterm_counts_batch_guarded(sets, &NoProbe))
-    }
-
-    /// [`minterm_counts_batch`](Self::minterm_counts_batch) with a
-    /// cooperative-interruption probe consulted at projection
-    /// boundaries: trivial 0-/1-item candidates are answered (and
-    /// charged) up front from whole-tree totals, then candidates run
-    /// grouped by suffix item, with `should_stop` checked before and
-    /// the table charged after each one. On interruption the batch is
-    /// abandoned with a [`BatchInterrupted`] carrying exact
+    /// Batch counting with per-batch projection memoization; results
+    /// come back in input order. Trivial 0-/1-item candidates are
+    /// answered (and charged) up front from whole-tree totals, then
+    /// candidates run grouped by suffix item, with `should_stop` checked
+    /// before and the table charged after each one, so at most the
+    /// candidate in hand is counted past a work budget. On interruption
+    /// the batch is abandoned with a [`BatchInterrupted`] carrying exact
     /// completed-candidate accounting; in-flight tables are discarded.
-    pub fn minterm_counts_batch_guarded(
-        &self,
+    fn count_batch_guarded(
+        &mut self,
         sets: &[Itemset],
         probe: &dyn CountProbe,
     ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
@@ -429,41 +423,6 @@ impl FpTree {
         }
         done.settle(interrupted, results)
     }
-}
-
-/// Pattern-growth counter: answers contingency tables from an
-/// [`FpTree`] (two build passes). Its footprint is the batch's memoized
-/// projections; below that it drops to a full-range vertical twin, built
-/// on first use (one extra database scan, recorded in
-/// [`crate::CountingStats::db_scans`]), then to horizontal scans.
-pub type FpTreeCounter<'a> = Tiered<'a, FpTree>;
-
-impl<'a> FpTreeCounter<'a> {
-    /// Builds the FP-tree (one support-ordering pass plus one insertion
-    /// pass, recorded as two database scans) and wraps it.
-    pub fn new(db: &'a TransactionDb) -> Self {
-        Tiered::from_engine(db, FpTree::build(db))
-    }
-}
-
-impl TieredEngine for FpTree {
-    const BUILD_SCANS: u64 = 2;
-
-    fn n_transactions(&self) -> usize {
-        self.n_transactions
-    }
-
-    fn count(&mut self, set: &Itemset) -> Vec<u64> {
-        self.minterm_counts(set)
-    }
-
-    fn count_batch_guarded(
-        &mut self,
-        sets: &[Itemset],
-        probe: &dyn CountProbe,
-    ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
-        self.minterm_counts_batch_guarded(sets, probe)
-    }
 
     fn footprint_bytes(&self, sets: &[Itemset], _depths: usize) -> u64 {
         self.projection_bytes(sets)
@@ -473,7 +432,7 @@ impl TieredEngine for FpTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::{DegradationRung, HorizontalCounter, MintermCounter};
+    use crate::counting::{DegradationRung, HorizontalCounter, MintermCounter, NoProbe};
     use crate::vertical::VerticalIndex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -522,7 +481,7 @@ mod tests {
     #[test]
     fn tables_match_horizontal_reference() {
         let d = db();
-        let t = FpTree::build(&d);
+        let mut t = FpTreeCounter::new(&d);
         let mut h = HorizontalCounter::new(&d);
         for set in level() {
             assert_eq!(
@@ -537,7 +496,7 @@ mod tests {
     fn batch_matches_singles_and_counter_matches_horizontal() {
         let d = db();
         let sets = level();
-        let t = FpTree::build(&d);
+        let mut t = FpTreeCounter::new(&d);
         let batch = t.minterm_counts_batch(&sets);
         for (set, got) in sets.iter().zip(&batch) {
             assert_eq!(got, &t.minterm_counts(set), "batch diverged for {set}");
@@ -552,7 +511,7 @@ mod tests {
     #[test]
     fn counts_partition_the_database() {
         let d = db();
-        let t = FpTree::build(&d);
+        let mut t = FpTreeCounter::new(&d);
         for set in level() {
             let counts = t.minterm_counts(&set);
             assert_eq!(
@@ -626,7 +585,7 @@ mod tests {
     fn noprobe_guarded_matches_unguarded() {
         let d = db();
         let sets = level();
-        let t = FpTree::build(&d);
+        let mut t = FpTreeCounter::new(&d);
         assert_eq!(
             t.minterm_counts_batch_guarded(&sets, &NoProbe).unwrap(),
             t.minterm_counts_batch(&sets)
@@ -693,10 +652,9 @@ mod tests {
     #[test]
     fn empty_inputs_answer_trivially() {
         let empty = TransactionDb::from_ids(3, Vec::<Vec<u32>>::new());
-        let t = FpTree::build(&empty);
-        assert_eq!(t.minterm_counts(&Itemset::empty()), vec![0]);
-        assert_eq!(t.minterm_counts(&Itemset::from_ids([1])), vec![0, 0]);
         let mut c = FpTreeCounter::new(&empty);
+        assert_eq!(c.minterm_counts(&Itemset::empty()), vec![0]);
+        assert_eq!(c.minterm_counts(&Itemset::from_ids([1])), vec![0, 0]);
         assert!(c.minterm_counts_batch(&[]).is_empty());
     }
 

@@ -46,7 +46,7 @@ pub mod vertical;
 
 pub use counting::{
     BatchInterrupted, CountProbe, CountingStats, DegradationRung, HorizontalCounter,
-    MintermCounter, NoProbe, VerticalCounter,
+    MintermCounter, NoProbe, VerticalCounter, MAX_TABLE_WIDTH,
 };
 pub use database::{TransactionDb, TransactionDbBuilder};
 pub use fptree::{FpTree, FpTreeCounter};

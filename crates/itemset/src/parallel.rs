@@ -17,8 +17,9 @@
 //!   the life of the counter.
 //! * **A sequential work floor.** When `candidates × transactions` is
 //!   small, dispatch overhead dominates; such scans run the horizontal
-//!   counter's own scan (`counting::horizontal_batch_guarded`, or its
-//!   single-set twin) inline on the calling thread.
+//!   counter's own scan (`counting::horizontal_batch_guarded`) inline on
+//!   the calling thread. A single set is a batch of one, so it takes the
+//!   same choice and charges what a horizontal scan charges.
 //!
 //! Pool jobs are `'static`, so the first pooled scan snapshots the
 //! database into an `Arc` (one full copy, kept for the counter's life).
@@ -37,8 +38,8 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use crate::counting::{
-    add_tables, cell_index, horizontal_batch_guarded, horizontal_single, scan_completed, unguarded,
-    BatchInterrupted, CountProbe, CountingStats, MintermCounter, NoProbe, PROBE_CHUNK,
+    add_tables, cell_index, horizontal_batch_guarded, scan_completed, sole_table, BatchInterrupted,
+    CountProbe, CountingStats, MintermCounter, NoProbe, PROBE_CHUNK,
 };
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
@@ -156,15 +157,7 @@ impl<'a> ParallelCounter<'a> {
 
 impl MintermCounter for ParallelCounter<'_> {
     fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        if self.pool.n_workers() <= 1 || (self.db.len() as u64) < self.work_floor {
-            // Below the floor a single set is the horizontal counter's
-            // scan: none of the batch plumbing, so per-candidate
-            // parallel counting costs exactly what sequential counting
-            // does on small work.
-            return horizontal_single(self.db, set, &mut self.stats);
-        }
-        unguarded(self.minterm_counts_batch_guarded(std::slice::from_ref(set), &NoProbe))
-            .swap_remove(0)
+        sole_table(self.minterm_counts_batch_guarded(std::slice::from_ref(set), &NoProbe))
     }
 
     /// Counts a whole level in one logical scan, fanned out across

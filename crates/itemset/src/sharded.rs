@@ -29,9 +29,12 @@
 //!
 //! Below the floor, the batch runs on the calling thread through the one
 //! sequential class runner it shares with [`VerticalIndex`]: shard 0
-//! counts each class in place and the other shards are added in. A
-//! single set sums the shards' direct counts, and 0-/1-item sets are
-//! answered from whole-database item supports.
+//! counts each class in place and the other shards are added in. In
+//! both schedules 0-/1-item sets are answered from whole-database item
+//! supports. The engine counts only through its
+//! [`TieredEngine::count_batch_guarded`]; a single set reaches it as a
+//! batch of one (one class), through [`ShardedVerticalCounter`] or
+//! [`ParallelVerticalCounter`].
 //!
 //! # Interruption protocol
 //!
@@ -52,7 +55,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use crate::counting::{unguarded, BatchInterrupted, CountProbe, NoProbe, Tiered, TieredEngine};
+use crate::counting::{BatchInterrupted, CountProbe, Tiered, TieredEngine};
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
 use crate::pool::WorkerPool;
@@ -141,31 +144,37 @@ impl ShardedVerticalIndex {
     fn jobs_per_shard(&self) -> usize {
         (self.pool.n_workers() / self.shards.len()).max(1)
     }
+}
 
-    /// Counts one set on the calling thread, summing the shards' tables;
-    /// see [`VerticalIndex::minterm_counts`] for cell indexing.
-    pub fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        let (first, rest) = self.shards.split_at_mut(1);
-        let mut counts = first[0].minterm_counts(set);
-        for shard in rest {
-            for (cell, add) in counts.iter_mut().zip(shard.minterm_counts(set)) {
-                *cell += add;
-            }
-        }
-        counts
+/// Tid-set counter over a horizontally sharded database. Below its
+/// footprint it drops to a full-range vertical twin — built on first use
+/// (one extra database scan, recorded in
+/// [`crate::CountingStats::db_scans`]) unless there is only one shard,
+/// whose core the twin shares — then to horizontal scans.
+pub type ShardedVerticalCounter<'a> = Tiered<'a, ShardedVerticalIndex>;
+
+impl<'a> ShardedVerticalCounter<'a> {
+    /// Builds with one shard per worker of the process-wide pool.
+    pub fn new(db: &'a TransactionDb) -> Self {
+        Tiered::from_engine(db, ShardedVerticalIndex::build(db))
     }
 
-    /// Batch minterm counting across shards. Results are bit-identical
-    /// to [`VerticalIndex::minterm_counts_batch`] in input order.
-    pub fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        unguarded(self.minterm_counts_batch_guarded(sets, &NoProbe))
+    /// Builds `shards` range cores on `pool`.
+    pub fn with_pool(db: &'a TransactionDb, shards: usize, pool: Arc<WorkerPool>) -> Self {
+        Tiered::from_engine(db, ShardedVerticalIndex::with_pool(db, shards, pool))
+    }
+}
+
+impl TieredEngine for ShardedVerticalIndex {
+    fn n_transactions(&self) -> usize {
+        self.n_transactions
     }
 
-    /// Guarded batch counting; see the module docs for the schedule and
-    /// the interruption protocol. A class counts as completed only once
-    /// every shard's table has been merged; partially merged classes
-    /// never escape.
-    pub fn minterm_counts_batch_guarded(
+    /// Bit-identical to the full-range [`VerticalIndex`]'s batch. See
+    /// the module docs for the schedule and the interruption protocol:
+    /// a class counts as completed only once every shard's table has
+    /// been merged; partially merged classes never escape.
+    fn count_batch_guarded(
         &mut self,
         sets: &[Itemset],
         probe: &dyn CountProbe,
@@ -229,43 +238,6 @@ impl ShardedVerticalIndex {
             run_classes_sequential(&mut self.shards, &classes, probe, &mut results, &mut done)
         };
         done.settle(interrupted, results)
-    }
-}
-
-/// Tid-set counter over a horizontally sharded database. Below its
-/// footprint it drops to a full-range vertical twin — built on first use
-/// (one extra database scan, recorded in
-/// [`crate::CountingStats::db_scans`]) unless there is only one shard,
-/// whose core the twin shares — then to horizontal scans.
-pub type ShardedVerticalCounter<'a> = Tiered<'a, ShardedVerticalIndex>;
-
-impl<'a> ShardedVerticalCounter<'a> {
-    /// Builds with one shard per worker of the process-wide pool.
-    pub fn new(db: &'a TransactionDb) -> Self {
-        Tiered::from_engine(db, ShardedVerticalIndex::build(db))
-    }
-
-    /// Builds `shards` range cores on `pool`.
-    pub fn with_pool(db: &'a TransactionDb, shards: usize, pool: Arc<WorkerPool>) -> Self {
-        Tiered::from_engine(db, ShardedVerticalIndex::with_pool(db, shards, pool))
-    }
-}
-
-impl TieredEngine for ShardedVerticalIndex {
-    fn n_transactions(&self) -> usize {
-        self.n_transactions
-    }
-
-    fn count(&mut self, set: &Itemset) -> Vec<u64> {
-        self.minterm_counts(set)
-    }
-
-    fn count_batch_guarded(
-        &mut self,
-        sets: &[Itemset],
-        probe: &dyn CountProbe,
-    ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
-        self.minterm_counts_batch_guarded(sets, probe)
     }
 
     fn footprint_bytes(&self, _sets: &[Itemset], depths: usize) -> u64 {
@@ -341,10 +313,6 @@ impl TieredEngine for ParallelVerticalIndex {
         self.0.n_transactions
     }
 
-    fn count(&mut self, set: &Itemset) -> Vec<u64> {
-        self.0.count(set)
-    }
-
     fn count_batch_guarded(
         &mut self,
         sets: &[Itemset],
@@ -365,7 +333,7 @@ impl TieredEngine for ParallelVerticalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::{DegradationRung, HorizontalCounter, MintermCounter};
+    use crate::counting::{DegradationRung, HorizontalCounter, MintermCounter, VerticalCounter};
     use std::sync::atomic::AtomicU64;
 
     /// Every `(shards, workers)` shape the engine tests run: one shard
@@ -409,16 +377,8 @@ mod tests {
         ]
     }
 
-    /// An engine of the given shape with its work floor zeroed, so every
+    /// A counter of the given shape with its work floor zeroed, so every
     /// batch of two or more work units takes the pool.
-    fn pooled(d: &TransactionDb, shards: usize, workers: usize) -> ShardedVerticalIndex {
-        let mut idx =
-            ShardedVerticalIndex::with_pool(d, shards, Arc::new(WorkerPool::new(workers)));
-        idx.set_work_floor(0);
-        idx
-    }
-
-    /// The counter over [`pooled`]'s engine.
     fn counter(d: &TransactionDb, shards: usize, workers: usize) -> ShardedVerticalCounter<'_> {
         let mut c =
             ShardedVerticalCounter::with_pool(d, shards, Arc::new(WorkerPool::new(workers)));
@@ -473,10 +433,10 @@ mod tests {
     fn batches_and_single_sets_match_sequential_vertical() {
         let d = db(600);
         let sets = level();
-        let mut seq = VerticalIndex::build(&d);
+        let mut seq = VerticalCounter::new(&d);
         let expected = seq.minterm_counts_batch(&sets);
         for (shards, workers) in SHAPES {
-            let mut idx = pooled(&d, shards, workers);
+            let mut idx = counter(&d, shards, workers);
             let shape = format!("shards={shards} workers={workers}");
             assert_eq!(idx.minterm_counts_batch(&sets), expected, "{shape}");
             for (set, want) in sets.iter().zip(&expected) {
@@ -506,14 +466,14 @@ mod tests {
     fn work_floor_routes_small_batches_sequentially() {
         let d = db(60);
         let sets = level();
-        let expected = VerticalIndex::build(&d).minterm_counts_batch(&sets);
+        let expected = VerticalCounter::new(&d).minterm_counts_batch(&sets);
         for (shards, workers) in SHAPES {
             let mut idx =
-                ShardedVerticalIndex::with_pool(&d, shards, Arc::new(WorkerPool::new(workers)));
-            let before = idx.pool.jobs_run();
+                ShardedVerticalCounter::with_pool(&d, shards, Arc::new(WorkerPool::new(workers)));
+            let before = idx.index().pool.jobs_run();
             assert_eq!(idx.minterm_counts_batch(&sets), expected);
             assert_eq!(
-                idx.pool.jobs_run(),
+                idx.index().pool.jobs_run(),
                 before,
                 "shards={shards} workers={workers}: a tiny batch must not dispatch pool jobs"
             );
@@ -533,11 +493,11 @@ mod tests {
         // one per shard once shards ≥ workers, and `workers / shards`
         // per shard in between.
         for (shards, workers, jobs) in [(1, 2, 2), (1, 4, 3), (2, 2, 2), (3, 2, 3), (2, 4, 4)] {
-            let mut idx = pooled(&d, shards, workers);
-            let before = idx.pool.jobs_run();
+            let mut idx = counter(&d, shards, workers);
+            let before = idx.index().pool.jobs_run();
             idx.minterm_counts_batch(&sets);
             assert_eq!(
-                idx.pool.jobs_run() - before,
+                idx.index().pool.jobs_run() - before,
                 jobs,
                 "shards={shards} workers={workers}"
             );
@@ -553,7 +513,7 @@ mod tests {
             spent: AtomicU64::new(0),
         };
         for (shards, workers) in SHAPES {
-            let err = pooled(&d, shards, workers)
+            let err = counter(&d, shards, workers)
                 .minterm_counts_batch_guarded(&sets, &stopped)
                 .unwrap_err();
             assert_eq!(err.tables_completed, 0, "shards={shards} workers={workers}");
@@ -657,8 +617,8 @@ mod tests {
             Itemset::from_ids([0, 1]),
         ];
         for (shards, workers) in SHAPES {
-            let mut idx = pooled(&d, shards, workers);
-            assert_eq!(idx.n_shards(), 1, "no empty shards are minted");
+            let mut idx = counter(&d, shards, workers);
+            assert_eq!(idx.index().n_shards(), 1, "no empty shards are minted");
             let got = idx.minterm_counts_batch(&sets);
             assert_eq!(got, vec![vec![0], vec![0, 0], vec![0, 0, 0, 0]]);
         }

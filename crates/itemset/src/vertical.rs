@@ -17,13 +17,16 @@
 //!   [`TidSet::triple_intersection_count`] pass (`|L ∩ a ∩ b|`) plus
 //!   `|L ∩ a|`, `|L ∩ b|`, and `|L|`.
 //!
-//! [`minterm_counts_batch`](VerticalIndex::minterm_counts_batch) adds
-//! Eclat-style prefix sharing on top: candidates are grouped into
-//! equivalence classes by their `(k-2)`-item prefix, the prefix's split
-//! tree is walked once per class, and at each of its leaves the
-//! class-shared quantities — the node total `|L|` and the per-item
-//! counts `|L ∩ a|` — are computed once, so each member's marginal cost
-//! is a single triple-intersection popcount pass per leaf.
+//! The index counts only in batches (its
+//! [`TieredEngine::count_batch_guarded`], reached through
+//! [`crate::VerticalCounter`]), with Eclat-style prefix sharing:
+//! candidates are grouped into equivalence classes by their
+//! `(k-2)`-item prefix, the prefix's split tree is walked once per
+//! class, and at each of its leaves the class-shared quantities — the
+//! node total `|L|` and the per-item counts `|L ∩ a|` — are computed
+//! once, so each member's marginal cost is a single triple-intersection
+//! popcount pass per leaf. A single set is a batch of one: one class of
+//! one member.
 //!
 //! Internally the immutable state (tid-sets + universe) lives in a
 //! `VerticalCore` behind an `Arc`, and a level batch is planned into
@@ -41,7 +44,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use crate::counting::{add_tables, unguarded, BatchInterrupted, CountProbe, NoProbe};
+use crate::counting::{add_tables, BatchInterrupted, CountProbe, TieredEngine, MAX_TABLE_WIDTH};
 use crate::database::TransactionDb;
 use crate::item::Item;
 use crate::itemset::Itemset;
@@ -296,38 +299,6 @@ impl VerticalCore {
         &self.tidsets[item.index()]
     }
 
-    /// Counts all `2^k` minterms of one set, growing `scratch` on demand;
-    /// see [`VerticalIndex::minterm_counts`].
-    pub(crate) fn minterm_counts(&self, set: &Itemset, scratch: &mut Vec<TidSet>) -> Vec<u64> {
-        let k = set.len();
-        assert!(k <= 20, "refusing to build a 2^{k}-cell contingency table");
-        let mut counts = vec![0u64; 1usize << k];
-        match set.items() {
-            [] => counts[0] = self.n_transactions as u64,
-            [a] => {
-                let with = self.tidset(*a).count() as u64;
-                counts[1] = with;
-                counts[0] = self.n_transactions as u64 - with;
-            }
-            [prefix @ .., a, b] => {
-                // Itemset items are sorted and distinct, so [a, b] is
-                // already a valid deduped suffix-item list.
-                let class = OwnedClass {
-                    prefix: prefix.to_vec(),
-                    items: vec![*a, *b],
-                    members: vec![(0, 1)],
-                    rows: vec![0],
-                };
-                let mut item_counts = vec![0usize; 2];
-                let mut out = [counts];
-                self.count_class(&class, &mut item_counts, scratch, &mut out);
-                let [c] = out;
-                counts = c;
-            }
-        }
-        counts
-    }
-
     /// Counts one class into freshly zeroed member tables.
     pub(crate) fn class_tables(
         &self,
@@ -534,56 +505,33 @@ impl VerticalIndex {
     pub fn tidset(&self, item: Item) -> &TidSet {
         self.core.tidset(item)
     }
+}
 
-    /// Counts all `2^k` minterms (contingency-table cells) of a `k`-itemset.
-    ///
-    /// Cell indexing: for the sorted items `s_0 < … < s_{k-1}` of `set`, the
-    /// count at index `c` is the number of transactions that contain exactly
-    /// the items `{ s_j | bit j of c is 1 }` among the items of `set`
-    /// (other items are unconstrained). Index `2^k - 1` is "all present",
-    /// index `0` is "none present".
-    ///
-    /// Runs in `O(2^k · n/64)` via recursive tid-set splitting. The only
-    /// heap allocation per call is the returned counts vector: interior
-    /// nodes use the scratch arena and the final item pair is finished
-    /// with fused popcount kernels, never materialising a bitmap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set.len() > 20` (a `2^k` table would be astronomically
-    /// large; the miners never get near this).
-    pub fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        self.core.minterm_counts(set, &mut self.scratch)
+/// Eclat-style prefix sharing. Candidates are grouped into equivalence
+/// classes by their `(k-2)`-item prefix (the class key of the sorted
+/// item list minus its last two elements). Each class walks the
+/// prefix's split tree **once**; at every one of its `2^(k-2)` leaves
+/// the node total and the per-item intersection counts are computed once
+/// for the whole class, so a member's marginal cost is a single
+/// [`TidSet::triple_intersection_count`] pass per leaf — its four cells
+/// follow by inclusion–exclusion. A level of `m` same-prefix candidates
+/// thus costs one tree walk plus `m` fused popcount passes per leaf
+/// instead of `m` full tree walks; a batch of one set is one class.
+/// Sets of mixed sizes are allowed (each size/prefix combination forms
+/// its own class).
+///
+/// The probe is consulted at prefix-class boundaries: `should_stop`
+/// before each class is walked, and each completed class's cells are
+/// charged against the work budget. On interruption the batch is
+/// abandoned with a [`BatchInterrupted`] recording the tables and cells
+/// that *did* fully complete (trivial 0-/1-item sets plus every finished
+/// class), so at most the class in hand is counted past a work budget.
+impl TieredEngine for VerticalIndex {
+    fn n_transactions(&self) -> usize {
+        VerticalIndex::n_transactions(self)
     }
 
-    /// Batch minterm counting with Eclat-style prefix sharing.
-    ///
-    /// Candidates are grouped into equivalence classes by their
-    /// `(k-2)`-item prefix (the class key of the sorted item list minus
-    /// its last two elements). Each class walks the prefix's split tree
-    /// **once**; at every one of its `2^(k-2)` leaves the node total and
-    /// the per-item intersection counts are computed once for the whole
-    /// class, so a member's marginal cost is a single
-    /// [`TidSet::triple_intersection_count`] pass per leaf — its four
-    /// cells follow by inclusion–exclusion. A level of `m` same-prefix
-    /// candidates thus costs one tree walk plus `m` fused popcount
-    /// passes per leaf instead of `m` full tree walks.
-    ///
-    /// Results are returned in input order; sets of mixed sizes are
-    /// allowed (each size/prefix combination forms its own class).
-    pub fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        unguarded(self.minterm_counts_batch_guarded(sets, &NoProbe))
-    }
-
-    /// [`minterm_counts_batch`](Self::minterm_counts_batch) with a
-    /// cooperative-interruption probe consulted at prefix-class
-    /// boundaries: before each equivalence class is walked the probe's
-    /// `should_stop` is checked, and after each class completes its cells
-    /// are charged against the work budget. On interruption the batch is
-    /// abandoned with a [`BatchInterrupted`] recording the tables and
-    /// cells that *did* fully complete (trivial 0-/1-item sets plus every
-    /// finished class); partially-walked classes are discarded.
-    pub fn minterm_counts_batch_guarded(
+    fn count_batch_guarded(
         &mut self,
         sets: &[Itemset],
         probe: &dyn CountProbe,
@@ -610,15 +558,19 @@ impl VerticalIndex {
         );
         done.settle(interrupted, results)
     }
+
+    fn footprint_bytes(&self, _sets: &[Itemset], depths: usize) -> u64 {
+        VerticalIndex::scratch_bytes(VerticalIndex::n_transactions(self), depths) as u64
+    }
 }
 
 /// Allocates the zeroed `2^k` result vector for every candidate,
-/// rejecting absurd table sizes.
+/// rejecting tables wider than [`MAX_TABLE_WIDTH`] items.
 pub(crate) fn alloc_results(sets: &[Itemset]) -> Vec<Vec<u64>> {
     sets.iter()
         .map(|s| {
             assert!(
-                s.len() <= 20,
+                s.len() <= MAX_TABLE_WIDTH,
                 "refusing to build a 2^{}-cell table",
                 s.len()
             );
@@ -630,6 +582,7 @@ pub(crate) fn alloc_results(sets: &[Itemset]) -> Vec<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counting::{MintermCounter, Tiered, VerticalCounter};
 
     fn db() -> TransactionDb {
         // 0: {a,b}  1: {a}  2: {b}  3: {}  4: {a,b}
@@ -638,7 +591,8 @@ mod tests {
 
     #[test]
     fn pair_minterms_partition_the_database() {
-        let mut v = VerticalIndex::build(&db());
+        let d = db();
+        let mut v = VerticalCounter::new(&d);
         let counts = v.minterm_counts(&Itemset::from_ids([0, 1]));
         // bit0 = item 0 present, bit1 = item 1 present.
         assert_eq!(counts[0b00], 1); // {}
@@ -650,14 +604,16 @@ mod tests {
 
     #[test]
     fn singleton_minterms() {
-        let mut v = VerticalIndex::build(&db());
+        let d = db();
+        let mut v = VerticalCounter::new(&d);
         let counts = v.minterm_counts(&Itemset::from_ids([0]));
         assert_eq!(counts, vec![2, 3]); // absent, present
     }
 
     #[test]
     fn empty_set_minterms_is_total_count() {
-        let mut v = VerticalIndex::build(&db());
+        let d = db();
+        let mut v = VerticalCounter::new(&d);
         assert_eq!(v.minterm_counts(&Itemset::empty()), vec![5]);
     }
 
@@ -674,7 +630,7 @@ mod tests {
                 vec![],
             ],
         );
-        let mut v = VerticalIndex::build(&d);
+        let mut v = VerticalCounter::new(&d);
         let set = Itemset::from_ids([0, 1, 2]);
         let counts = v.minterm_counts(&set);
         assert_eq!(counts.iter().sum::<u64>(), 6);
@@ -691,7 +647,7 @@ mod tests {
     #[test]
     fn all_present_cell_equals_support() {
         let d = db();
-        let mut v = VerticalIndex::build(&d);
+        let mut v = VerticalCounter::new(&d);
         let set = Itemset::from_ids([0, 1]);
         let counts = v.minterm_counts(&set);
         assert_eq!(counts[counts.len() - 1] as usize, d.support(&set));
@@ -709,15 +665,15 @@ mod tests {
                 vec![3],
             ],
         );
-        let mut v = VerticalIndex::build(&d);
+        let mut v = VerticalCounter::new(&d);
         let first = v.minterm_counts(&Itemset::from_ids([0, 1, 2, 3]));
-        let arena_after_first = v.scratch.len();
+        let arena_after_first = v.index().scratch.len();
         assert_eq!(arena_after_first, 2 * 2, "k=4 splits two prefix depths");
         // Same and smaller tables must not grow the arena, and a dirty
         // arena must not corrupt later counts.
         let again = v.minterm_counts(&Itemset::from_ids([0, 1, 2, 3]));
         let smaller = v.minterm_counts(&Itemset::from_ids([1, 3]));
-        assert_eq!(v.scratch.len(), arena_after_first);
+        assert_eq!(v.index().scratch.len(), arena_after_first);
         assert_eq!(first, again);
         assert_eq!(smaller.iter().sum::<u64>(), 5);
     }
@@ -725,10 +681,14 @@ mod tests {
     #[test]
     fn clone_shares_the_core_but_not_the_arena() {
         let d = db();
-        let mut v = VerticalIndex::build(&d);
+        let mut v = VerticalCounter::new(&d);
         let _ = v.minterm_counts(&Itemset::from_ids([0, 1]));
-        let mut clone = v.clone();
-        assert!(Arc::ptr_eq(&v.core, &clone.core));
+        let mut clone = Tiered::from_engine(&d, v.index().clone());
+        assert!(Arc::ptr_eq(&v.index().core, &clone.index().core));
+        assert!(
+            clone.index().scratch.is_empty(),
+            "a clone starts a fresh arena"
+        );
         assert_eq!(
             clone.minterm_counts(&Itemset::from_ids([0, 1])),
             v.minterm_counts(&Itemset::from_ids([0, 1]))
@@ -749,7 +709,7 @@ mod tests {
                 vec![0, 1, 4],
             ],
         );
-        let mut v = VerticalIndex::build(&d);
+        let mut v = VerticalCounter::new(&d);
         // A level with shared prefixes ({0,1},{0,2} share [0]; the triples
         // share [0,1]), a mixed size, and the empty set.
         let sets = vec![
@@ -769,7 +729,8 @@ mod tests {
 
     #[test]
     fn batch_of_empty_slice_is_empty() {
-        let mut v = VerticalIndex::build(&db());
+        let d = db();
+        let mut v = VerticalCounter::new(&d);
         assert!(v.minterm_counts_batch(&[]).is_empty());
     }
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ccs_itemset::{
-    CountingStats, Itemset, MintermCounter, ShardedVerticalIndex, TidSet, TransactionDb,
+    CountingStats, Itemset, MintermCounter, ShardedVerticalCounter, TidSet, TransactionDb,
     VerticalCounter, WorkerPool,
 };
 
@@ -135,10 +135,10 @@ proptest! {
         // Deliberately non-power-of-two shard counts: boundaries land
         // mid-superblock and shard lengths come out unequal.
         for shards in [1usize, 2, 3, 7] {
-            let mut index = ShardedVerticalIndex::with_pool(&db, shards, Arc::new(WorkerPool::new(2)));
-            index.set_work_floor(0);
+            let mut counter = ShardedVerticalCounter::with_pool(&db, shards, Arc::new(WorkerPool::new(2)));
+            counter.index_mut().set_work_floor(0);
             prop_assert_eq!(
-                &index.minterm_counts_batch(&sets),
+                &counter.minterm_counts_batch(&sets),
                 &expected,
                 "{} shards diverged", shards
             );

@@ -73,11 +73,6 @@ impl ContingencyTable {
         self.n
     }
 
-    /// Number of cells (`2^k`).
-    pub fn n_cells(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Marginal frequency of the `j`-th smallest item of the set: the
     /// fraction of transactions containing it.
     pub fn marginal(&self, j: usize) -> f64 {

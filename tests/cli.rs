@@ -70,6 +70,39 @@ fn unsatisfiable_query_still_validates_parameters() {
 }
 
 #[test]
+fn max_level_is_bounded_by_the_widest_countable_table() {
+    // The tid-set and FP-tree counters refuse tables wider than 20
+    // items, so a wider `--max-level` is a parameter error, not a panic
+    // deep in a level that reaches it.
+    let dir = scratch("width");
+    let db = path(&dir, "q.db");
+    let query = "correlated & ct_supported";
+    for counting in ["horizontal", "fp-tree"] {
+        let mine = |level| {
+            ccs(&[
+                "mine",
+                "--db",
+                &db,
+                "--counting",
+                counting,
+                "--max-level",
+                level,
+                "--query",
+                query,
+            ])
+        };
+        assert_error(
+            &mine("21"),
+            "error: invalid parameters: max_level must be at most 20, \
+             since a k-item contingency table has 2^k cells, got 21",
+        );
+        let out = mine("20");
+        assert_eq!(out.status.code(), Some(0), "{counting}: {out:?}");
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
 fn unknown_algorithm_is_rejected_by_mine_and_by_resume_restart() {
     let dir = scratch("algorithm");
     let db = path(&dir, "q.db");

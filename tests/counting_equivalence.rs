@@ -17,9 +17,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ccs::itemset::{
-    FpTree, FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, NoProbe, ParallelCounter,
-    ParallelVerticalCounter, ParallelVerticalIndex, ShardedVerticalCounter, ShardedVerticalIndex,
-    TransactionDb, VerticalCounter, WorkerPool,
+    FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, NoProbe, ParallelCounter,
+    ParallelVerticalCounter, ShardedVerticalCounter, TransactionDb, VerticalCounter, WorkerPool,
 };
 
 /// A private pool of `workers` threads.
@@ -84,18 +83,13 @@ proptest! {
         // small batches take the pooled path.
         let machine = std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1);
         for workers in [1usize, 2, machine] {
-            let mut index = ParallelVerticalIndex::with_pool(&db, pool(workers));
-            index.set_work_floor(0);
+            let mut counter = ParallelVerticalCounter::with_pool(&db, pool(workers));
+            counter.index_mut().set_work_floor(0);
             let par_singles: Vec<Vec<u64>> =
-                sets.iter().map(|s| index.minterm_counts(s)).collect();
+                sets.iter().map(|s| counter.minterm_counts(s)).collect();
             prop_assert_eq!(&par_singles, &expected);
-            prop_assert_eq!(&index.minterm_counts_batch(&sets), &expected);
+            prop_assert_eq!(&counter.minterm_counts_batch(&sets), &expected);
         }
-
-        // And the full counter wrapper (ladder at its top rung).
-        let mut par_counter = ParallelVerticalCounter::with_pool(&db, pool(2));
-        par_counter.index_mut().set_work_floor(0);
-        prop_assert_eq!(&par_counter.minterm_counts_batch(&sets), &expected);
 
         // Sharded: horizontally partitioned tid ranges, per-shard tables
         // merged elementwise. Shard counts are deliberately not powers
@@ -103,32 +97,23 @@ proptest! {
         // unequal lengths; the work floor is zeroed so even tiny batches
         // take the pooled merge path.
         for shards in [1usize, 2, 3, 7] {
-            let mut index = ShardedVerticalIndex::with_pool(&db, shards, pool(2));
-            index.set_work_floor(0);
+            let mut counter = ShardedVerticalCounter::with_pool(&db, shards, pool(2));
+            counter.index_mut().set_work_floor(0);
             let sharded_singles: Vec<Vec<u64>> =
-                sets.iter().map(|s| index.minterm_counts(s)).collect();
+                sets.iter().map(|s| counter.minterm_counts(s)).collect();
             prop_assert_eq!(&sharded_singles, &expected);
-            prop_assert_eq!(&index.minterm_counts_batch(&sets), &expected);
+            prop_assert_eq!(&counter.minterm_counts_batch(&sets), &expected);
         }
-
-        // And the sharded counter wrapper at its top rung.
-        let mut sharded_counter = ShardedVerticalCounter::with_pool(&db, 3, pool(2));
-        sharded_counter.index_mut().set_work_floor(0);
-        prop_assert_eq!(&sharded_counter.minterm_counts_batch(&sets), &expected);
 
         // FP-tree: pattern growth over the compressed prefix tree —
         // per candidate, projection-memoized batch, and the guarded
-        // path under an inert probe, plus the counter wrapper at its
-        // top rung.
-        let tree = FpTree::build(&db);
-        let fp_singles: Vec<Vec<u64>> =
-            sets.iter().map(|s| tree.minterm_counts(s)).collect();
-        prop_assert_eq!(&fp_singles, &expected);
-        prop_assert_eq!(&tree.minterm_counts_batch(&sets), &expected);
-        let guarded = tree.minterm_counts_batch_guarded(&sets, &NoProbe);
-        prop_assert_eq!(&guarded.expect("NoProbe never interrupts"), &expected);
-
+        // path under an inert probe.
         let mut fp_counter = FpTreeCounter::new(&db);
+        let fp_singles: Vec<Vec<u64>> =
+            sets.iter().map(|s| fp_counter.minterm_counts(s)).collect();
+        prop_assert_eq!(&fp_singles, &expected);
         prop_assert_eq!(&fp_counter.minterm_counts_batch(&sets), &expected);
+        let guarded = fp_counter.minterm_counts_batch_guarded(&sets, &NoProbe);
+        prop_assert_eq!(&guarded.expect("NoProbe never interrupts"), &expected);
     }
 }

@@ -29,9 +29,13 @@
 
 mod common;
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use ccs::itemset::{HorizontalCounter, MintermCounter};
+use ccs::itemset::{
+    HorizontalCounter, MintermCounter, ParallelCounter, ParallelVerticalCounter,
+    ShardedVerticalCounter, VerticalCounter, WorkerPool,
+};
 use ccs::prelude::*;
 use common::{
     attrs, db, fptree_factory, horizontal_factory, mine, mine_with_counter_guarded,
@@ -666,6 +670,129 @@ fn tight_memory_budget_degrades_pooled_counting_without_truncation() {
                 "{algorithm} budget {budget}: degraded counting changed the answers"
             );
         }
+    }
+}
+
+/// How many cells a backend may count past a work budget, for
+/// [`work_budget_overshoot_is_bounded_per_backend`].
+enum Past {
+    Exactly(u64),
+    AtMost(u64),
+}
+
+#[test]
+fn work_budget_overshoot_is_bounded_per_backend() {
+    // The probe is consulted between units of work and a unit's cells
+    // are charged when it completes, so the unit in hand when a budget
+    // runs out is always finished (DESIGN.md §9). With a 1-cell budget
+    // the first unit trips it: a horizontal scan charges its whole
+    // batch, a tid-set backend one prefix class, the FP-tree one
+    // candidate. A pooled tid-set batch is bounded by the batch alone:
+    // the submitting thread sees the trip only when it merges a class,
+    // and by then the jobs may have counted every other class.
+    let db = db();
+    // Every triple over the 8 items: six prefix classes, and the first
+    // class walked (prefix {0}) has 21 members.
+    let items: Vec<u32> = (0..8).collect();
+    let mut level = Vec::new();
+    for (i, &a) in items.iter().enumerate() {
+        for (j, &b) in items.iter().enumerate().skip(i + 1) {
+            for &c in &items[j + 1..] {
+                level.push(Itemset::from_ids([a, b, c]));
+            }
+        }
+    }
+    let table = 8u64;
+    let batch = level.len() as u64 * table;
+    let budget = 1u64;
+    let cases: [(&str, CounterFactory, Past); 10] = [
+        (
+            "horizontal",
+            horizontal_factory,
+            Past::Exactly(batch - budget),
+        ),
+        (
+            "parallel, inline",
+            |d| Box::new(ParallelCounter::with_pool(d, Arc::new(WorkerPool::new(2)))),
+            Past::Exactly(batch - budget),
+        ),
+        (
+            "parallel, pooled",
+            |d| {
+                let mut c = ParallelCounter::with_pool(d, Arc::new(WorkerPool::new(2)));
+                c.set_work_floor(0);
+                Box::new(c)
+            },
+            Past::Exactly(batch - budget),
+        ),
+        (
+            "vertical",
+            |d| Box::new(VerticalCounter::new(d)),
+            Past::Exactly(21 * table - budget),
+        ),
+        (
+            "vertical-par, below the work floor",
+            |d| {
+                Box::new(ParallelVerticalCounter::with_pool(
+                    d,
+                    Arc::new(WorkerPool::new(2)),
+                ))
+            },
+            Past::Exactly(21 * table - budget),
+        ),
+        (
+            "sharded, below the work floor",
+            |d| {
+                Box::new(ShardedVerticalCounter::with_pool(
+                    d,
+                    3,
+                    Arc::new(WorkerPool::new(2)),
+                ))
+            },
+            Past::Exactly(21 * table - budget),
+        ),
+        (
+            "vertical-par, pooled",
+            vertical_par_factory,
+            Past::AtMost(batch - budget),
+        ),
+        (
+            "sharded, pooled",
+            sharded_factory,
+            Past::AtMost(batch - budget),
+        ),
+        (
+            "sharded, shared cursors",
+            shared_cursor_factory,
+            Past::AtMost(batch - budget),
+        ),
+        ("fp-tree", fptree_factory, Past::Exactly(table - budget)),
+    ];
+    for (name, factory, past) in cases {
+        let guard = RunGuard::new(GuardLimits {
+            work_budget_cells: Some(budget),
+            ..GuardLimits::default()
+        });
+        let mut counter = factory(&db);
+        let outcome = counter.minterm_counts_batch_guarded(&level, &guard);
+        assert_eq!(
+            guard.trip_reason(),
+            Some(TruncationReason::WorkBudget),
+            "{name}"
+        );
+        let counted = counter.stats().cells_counted;
+        assert_eq!(counted % table, 0, "{name}: a partial table was counted");
+        match past {
+            Past::Exactly(cells) => assert_eq!(counted - budget, cells, "{name}"),
+            Past::AtMost(cells) => {
+                assert!(
+                    counted >= budget && counted - budget <= cells,
+                    "{name}: {counted}"
+                )
+            }
+        }
+        // The batch completes exactly when the overshoot covered it.
+        assert_eq!(outcome.is_ok(), counted == batch, "{name}");
     }
 }
 
