@@ -2,12 +2,14 @@
 //! contingency-table counting (horizontal vs vertical — the DESIGN.md §5
 //! counting ablation), chi-squared machinery, and candidate generation.
 
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ccs_bench::DataMethod;
 use ccs_itemset::{
     candidate, HorizontalCounter, Item, Itemset, ItemsetSet, MintermCounter, ParallelCounter,
-    ParallelVerticalCounter, TidSet, VerticalCounter,
+    ParallelVerticalCounter, TidSet, VerticalCounter, WorkerPool,
 };
 use ccs_stats::{chi2_quantile, ContingencyTable};
 
@@ -117,23 +119,32 @@ fn bench_counting_batch(c: &mut Criterion) {
 /// The pool's fixed dispatch cost, isolated from counting work: an
 /// empty-class batch (every candidate is a 0/1-item set answered inline
 /// by the planner, so the pool is never engaged) against a same-size
-/// batch of pairs with the work floor zeroed (every class fans out).
-/// The gap is what one fan-out costs end to end — the number the
+/// batch of triples with the work floor zeroed. The triples have 32
+/// distinct leading items, so they form 32 prefix classes and the batch
+/// fans out over the bench's own 2-worker pool; setup asserts that it
+/// did. The gap is what one fan-out costs end to end — the number the
 /// `POOL_WORK_FLOOR` guard exists to amortise.
 fn bench_pool_dispatch(c: &mut Criterion) {
     let db = DataMethod::Quest.generate(60, 1_000, 7);
     let mut group = c.benchmark_group("pool/dispatch_overhead");
     let trivial: Vec<Itemset> = (0..32u32).map(|i| Itemset::from_ids([i % 60])).collect();
-    let pairs: Vec<Itemset> = (0..32u32)
-        .map(|i| Itemset::from_ids([i % 59, i % 59 + 1]))
+    let triples: Vec<Itemset> = (0..32u32)
+        .map(|i| Itemset::from_ids([i, i + 1, i + 2]))
         .collect();
-    let mut counter = ParallelVerticalCounter::new(&db);
+    let pool = Arc::new(WorkerPool::new(2));
+    let mut counter = ParallelVerticalCounter::with_pool(&db, Arc::clone(&pool));
     counter.index_mut().set_work_floor(0);
+    let jobs_before = pool.jobs_run();
+    black_box(counter.minterm_counts_batch(&triples));
+    assert!(
+        pool.jobs_run() > jobs_before,
+        "the pooled batch ran on the calling thread"
+    );
     group.bench_function("trivial_classes_inline", |bench| {
         bench.iter(|| black_box(counter.minterm_counts_batch(black_box(&trivial))))
     });
-    group.bench_function("pair_classes_pooled", |bench| {
-        bench.iter(|| black_box(counter.minterm_counts_batch(black_box(&pairs))))
+    group.bench_function("prefix_classes_pooled", |bench| {
+        bench.iter(|| black_box(counter.minterm_counts_batch(black_box(&triples))))
     });
     group.finish();
 }

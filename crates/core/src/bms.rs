@@ -22,8 +22,8 @@ use ccs_stats::MonotonicityClass;
 use crate::engine::{Engine, Verdict};
 use crate::guard::{sorted_sets, BmsSnapshot, ResumeInner};
 use crate::kernel::{
-    run_levelwise, staged, AlgorithmPolicy, GuardMode, KernelConfig, KernelTrip, LevelMark,
-    LevelSeed, MinerScope,
+    run_levelwise, staged, AlgorithmPolicy, KernelConfig, KernelTrip, LevelMark, LevelSeed,
+    MinerScope,
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
@@ -190,7 +190,6 @@ pub(crate) fn run_bms_with_engine(
         engine,
         &mut policy,
         KernelConfig::new(algorithm, LevelMark::Eager),
-        GuardMode::Checked,
         level,
         params.max_level,
         &mut metrics,

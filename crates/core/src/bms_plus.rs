@@ -13,29 +13,13 @@ use ccs_itemset::{MintermCounter, TransactionDb};
 use crate::bms::run_bms_with_engine;
 use crate::engine::Engine;
 use crate::guard::{ResumeInner, RunGuard};
-use crate::kernel::{admit, conclude, MinerScope};
+use crate::kernel::{conclude, MinerScope};
 use crate::miner::Algorithm;
 use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 
-/// Runs Algorithm BMS+ and returns `VALID_MIN(Q)`.
-///
-/// # Errors
-///
-/// Returns [`MiningError`] if the parameters or constraints fail
-/// validation, or the constraints contain a neither-monotone (`avg`)
-/// constraint.
-pub fn run_bms_plus<C: MintermCounter>(
-    db: &TransactionDb,
-    attrs: &AttributeTable,
-    query: &CorrelationQuery,
-    counter: &mut C,
-) -> Result<MiningResult, MiningError> {
-    admit(query, attrs)?;
-    run_bms_plus_guarded(db, attrs, query, counter, &RunGuard::unlimited(), None)
-}
-
-/// [`run_bms_plus`] under a resource guard, optionally re-entering a
-/// truncated run's level frontier. The query has passed the preamble.
+/// Runs Algorithm BMS+ under a resource guard and returns
+/// `VALID_MIN(Q)`, optionally re-entering a truncated run's level
+/// frontier. The query has passed the preamble.
 ///
 /// On truncation the partial `SIG` is still filtered by the constraints:
 /// level-wise growth means every set in it belongs to the complete

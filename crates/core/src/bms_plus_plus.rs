@@ -32,8 +32,8 @@ use ccs_stats::MonotonicityClass;
 use crate::engine::{Engine, Verdict};
 use crate::guard::{ResumeInner, RunGuard};
 use crate::kernel::{
-    admit, conclude, prune_am_residual, run_levelwise, staged, AlgorithmPolicy, GuardMode,
-    KernelConfig, LevelMark, LevelSeed, MinerScope,
+    conclude, prune_am_residual, run_levelwise, staged, AlgorithmPolicy, KernelConfig, LevelMark,
+    LevelSeed, MinerScope,
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
@@ -133,27 +133,10 @@ pub(crate) fn verify_single_witness(
     answers
 }
 
-/// Runs Algorithm BMS++ and returns `VALID_MIN(Q)`.
-///
-/// # Errors
-///
-/// Returns [`MiningError`] if the parameters or constraints fail
-/// validation, or the constraints contain a neither-monotone (`avg`)
-/// constraint.
-pub fn run_bms_plus_plus<C: MintermCounter>(
-    db: &TransactionDb,
-    attrs: &AttributeTable,
-    query: &CorrelationQuery,
-    counter: &mut C,
-) -> Result<MiningResult, MiningError> {
-    let plan = admit(query, attrs)?;
-    let guard = RunGuard::unlimited();
-    run_bms_plus_plus_guarded(db, attrs, query, &plan, counter, &guard, None)
-}
-
-/// [`run_bms_plus_plus`] under a resource guard, optionally re-entering a
-/// truncated run's level frontier. The query has passed the preamble,
-/// which produced its push `plan`.
+/// Runs Algorithm BMS++ under a resource guard and returns
+/// `VALID_MIN(Q)`, optionally re-entering a truncated run's level
+/// frontier. The query has passed the preamble, which produced its push
+/// `plan`.
 ///
 /// When the guard trips mid-sweep the accumulated SIG candidates still go
 /// through the single-witness verification epilogue (a bounded number of
@@ -206,7 +189,6 @@ pub(crate) fn run_bms_plus_plus_guarded(
         &mut engine,
         &mut policy,
         KernelConfig::new(Algorithm::BmsPlusPlus, LevelMark::Eager),
-        GuardMode::Checked,
         level,
         query.params.max_level,
         &mut metrics,

@@ -25,8 +25,8 @@
 //! has already classified.
 //!
 //! Both phases are kernel policies over one shared engine; after a
-//! phase-1 trip, phase 2 re-enters in the kernel's `GuardMode::Bypass`
-//! so the cache-only sweep survives the already-tripped guard.
+//! phase-1 trip the engine's guard is disarmed, so the cache-only
+//! phase-2 sweep survives the already-tripped guard.
 
 use std::collections::HashMap;
 
@@ -37,8 +37,8 @@ use ccs_stats::MonotonicityClass;
 use crate::engine::{Engine, Verdict};
 use crate::guard::{freeze_levels, sorted_sets, thaw_levels, ResumeInner, RunGuard};
 use crate::kernel::{
-    admit, conclude, prune_am_residual, prune_non_minimal, run_levelwise, staged, AlgorithmPolicy,
-    GuardMode, KernelConfig, KernelTrip, LevelMark, LevelSeed, MinerScope,
+    conclude, prune_am_residual, prune_non_minimal, run_levelwise, staged, AlgorithmPolicy,
+    KernelConfig, KernelTrip, LevelMark, LevelSeed, MinerScope,
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
@@ -155,27 +155,10 @@ impl AlgorithmPolicy for StarStarPhase2Policy<'_> {
     }
 }
 
-/// Runs Algorithm BMS** and returns `MIN_VALID(Q)`.
-///
-/// # Errors
-///
-/// Returns [`MiningError`] if the parameters or constraints fail
-/// validation, or the constraints contain a neither-monotone (`avg`)
-/// constraint.
-pub fn run_bms_star_star<C: MintermCounter>(
-    db: &TransactionDb,
-    attrs: &AttributeTable,
-    query: &CorrelationQuery,
-    counter: &mut C,
-) -> Result<MiningResult, MiningError> {
-    let plan = admit(query, attrs)?;
-    let guard = RunGuard::unlimited();
-    run_bms_star_star_guarded(db, attrs, query, &plan, counter, &guard, None)
-}
-
-/// [`run_bms_star_star`] under a resource guard, optionally re-entering a
-/// truncated run's snapshot (either phase). The query has passed the
-/// preamble, which produced its push `plan`.
+/// Runs Algorithm BMS** under a resource guard and returns
+/// `MIN_VALID(Q)`, optionally re-entering a truncated run's snapshot
+/// (either phase). The query has passed the preamble, which produced its
+/// push `plan`.
 ///
 /// A phase-1 (SUPP enumeration) trip still runs the full phase-2 sweep
 /// over the *completed* SUPP levels (memo-cache hits: no new tables);
@@ -236,7 +219,6 @@ pub(crate) fn run_bms_star_star_guarded(
                 &mut engine,
                 &mut policy,
                 KernelConfig::new(Algorithm::BmsStarStar, LevelMark::Eager),
-                GuardMode::Checked,
                 level,
                 query.params.max_level,
                 &mut metrics,
@@ -247,7 +229,7 @@ pub(crate) fn run_bms_star_star_guarded(
 
     // Phase 2: upward SIG sweep over SUPP — pure memo-cache work, no new
     // tables. After a phase-1 trip it still completes over the finished
-    // SUPP levels; bypass mode keeps the tripped guard out of it.
+    // SUPP levels; disarming keeps the tripped guard out of it.
     let (k, current, sig) = phase2_start.unwrap_or_else(|| {
         let current = sorted_sets(supp.get(&2).into_iter().flatten().cloned());
         (2usize, current, Vec::new())
@@ -261,14 +243,13 @@ pub(crate) fn run_bms_star_star_guarded(
         current,
         class: query.params.measure.monotonicity(),
     };
-    let mode = trip
-        .as_ref()
-        .map_or(GuardMode::Checked, |_| GuardMode::Bypass);
+    if trip.is_some() {
+        engine.disarm();
+    }
     let phase2_trip = run_levelwise(
         &mut engine,
         &mut policy,
         KernelConfig::new(Algorithm::BmsStarStar, LevelMark::Untouched).uncounted(),
-        mode,
         k,
         query.params.max_level,
         &mut metrics,

@@ -29,8 +29,8 @@ use ccs_itemset::{candidate, Itemset, ItemsetSet, MintermCounter, TransactionDb}
 use crate::engine::{Engine, Verdict};
 use crate::guard::ResumeInner;
 use crate::kernel::{
-    admit, prune_am_residual, run_levelwise, staged, AlgorithmPolicy, GuardMode, KernelConfig,
-    LevelMark, LevelSeed, MinerScope,
+    admit, prune_am_residual, run_levelwise, staged, AlgorithmPolicy, KernelConfig, LevelMark,
+    LevelSeed, MinerScope,
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
@@ -118,6 +118,11 @@ impl AlgorithmPolicy for BorderPolicy<'_> {
 /// CT-supported, anti-monotone-valid region (which contains the space
 /// and is downward closed, so Apriori candidate generation is exact).
 ///
+/// The query passes the miners' preamble first: a provably
+/// unsatisfiable conjunction has an empty space, returned without
+/// counting anything, and a satisfiable one is swept in its normalized
+/// form.
+///
 /// # Errors
 ///
 /// Returns [`MiningError`] if the parameters or constraints fail
@@ -130,7 +135,15 @@ pub fn solution_space<C: MintermCounter>(
     query: &CorrelationQuery,
     counter: &mut C,
 ) -> Result<SolutionSpace, MiningError> {
-    let plan = admit(query, attrs)?;
+    let Some((query, plan)) = admit(query, attrs, true)? else {
+        return Ok(SolutionSpace {
+            minimal: Vec::new(),
+            maximal: Vec::new(),
+            truncated: false,
+            metrics: MiningMetrics::default(),
+        });
+    };
+    let query = &query;
     let scope = MinerScope::begin(counter.stats());
     let mut metrics = MiningMetrics::default();
     let mut engine = Engine::new(counter, &query.params);
@@ -146,7 +159,6 @@ pub fn solution_space<C: MintermCounter>(
         &mut engine,
         &mut policy,
         KernelConfig::new(Algorithm::BmsStarStar, LevelMark::Eager),
-        GuardMode::Checked,
         2,
         query.params.max_level,
         &mut metrics,
@@ -188,8 +200,8 @@ pub fn solution_space<C: MintermCounter>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bms_star_star::run_bms_star_star;
     use crate::params::MiningParams;
+    use crate::session::{mine_on, MineRequest};
     use ccs_constraints::{Constraint, ConstraintSet};
     use ccs_itemset::HorizontalCounter;
 
@@ -246,7 +258,8 @@ mod tests {
                 solution_space(&db, &attrs, &q, &mut c).unwrap()
             };
             let mut c2 = HorizontalCounter::new(&db);
-            let mv = run_bms_star_star(&db, &attrs, &q, &mut c2).unwrap();
+            let request = MineRequest::new(Algorithm::BmsStarStar);
+            let mv = mine_on(&db, &attrs, &q, &request, &mut c2).unwrap();
             assert_eq!(
                 space.minimal, mv.answers,
                 "lower border vs MIN_VALID on {}",
@@ -330,5 +343,41 @@ mod tests {
             solution_space(&db, &attrs, &q, &mut c),
             Err(MiningError::NonMonotoneConstraint)
         ));
+    }
+
+    /// `max ≤ 1 ∧ min ≥ 3` over prices 1..=5: no pair satisfies it.
+    fn unsatisfiable() -> ConstraintSet {
+        ConstraintSet::new()
+            .and(Constraint::max_le("price", 1.0))
+            .and(Constraint::min_ge("price", 3.0))
+    }
+
+    #[test]
+    fn unsatisfiable_queries_have_an_empty_space_and_count_nothing() {
+        let db = db();
+        let attrs = AttributeTable::with_identity_prices(5);
+        let mut c = HorizontalCounter::new(&db);
+        let space = solution_space(&db, &attrs, &query(unsatisfiable()), &mut c).unwrap();
+        assert!(space.minimal.is_empty() && space.maximal.is_empty());
+        assert!(!space.truncated);
+        assert_eq!(space.metrics.tables_built, 0);
+        assert_eq!(c.stats().tables_built, 0);
+    }
+
+    #[test]
+    fn out_of_range_params_are_errors_even_when_unsatisfiable() {
+        let db = db();
+        let attrs = AttributeTable::with_identity_prices(5);
+        for constraints in [ConstraintSet::new(), unsatisfiable()] {
+            let mut q = query(constraints);
+            q.params.support_fraction = 1.5;
+            let mut c = HorizontalCounter::new(&db);
+            let got = solution_space(&db, &attrs, &q, &mut c);
+            assert!(
+                matches!(got, Err(MiningError::Params(_))),
+                "{}: {got:?}",
+                q.constraints
+            );
+        }
     }
 }

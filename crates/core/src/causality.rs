@@ -94,7 +94,10 @@ pub struct CausalAnalysis {
 ///
 /// Cost: one contingency table per surviving pair, plus one per
 /// candidate triple — quadratic/cubic in the pruned universe, which is
-/// precisely why pushing constraints matters here too.
+/// precisely why pushing constraints matters here too. The query passes
+/// the miners' preamble first: a provably unsatisfiable conjunction
+/// examines no triple and counts nothing, and a satisfiable one runs in
+/// its normalized form.
 ///
 /// # Errors
 ///
@@ -106,7 +109,14 @@ pub fn discover_causality<C: MintermCounter>(
     query: &CorrelationQuery,
     counter: &mut C,
 ) -> Result<CausalAnalysis, MiningError> {
-    let plan = admit(query, attrs)?;
+    let Some((query, plan)) = admit(query, attrs, true)? else {
+        return Ok(CausalAnalysis {
+            correlated_pairs: Vec::new(),
+            findings: Vec::new(),
+            metrics: MiningMetrics::default(),
+        });
+    };
+    let query = &query;
     let scope = MinerScope::begin(counter.stats());
     let mut metrics = MiningMetrics::default();
     let mut engine = Engine::new(counter, &query.params);
@@ -463,5 +473,35 @@ mod tests {
         // x and z independent in both slices: chi2 ≈ 0.
         let uniform = vec![50u64; 8];
         assert!(conditional_chi2(&uniform, 0, 1, 2) < 1e-9);
+    }
+
+    #[test]
+    fn unsatisfiable_queries_find_nothing_and_count_nothing() {
+        let db = collider_db(400, 3);
+        let attrs = AttributeTable::with_identity_prices(3);
+        // `max ≤ 1 ∧ min ≥ 2` over prices 1, 2, 3: no pair satisfies it.
+        let q = CorrelationQuery {
+            params: params(),
+            constraints: ConstraintSet::new()
+                .and(Constraint::max_le("price", 1.0))
+                .and(Constraint::min_ge("price", 2.0)),
+        };
+        let mut c = HorizontalCounter::new(&db);
+        let out = discover_causality(&db, &attrs, &q, &mut c).unwrap();
+        assert!(out.correlated_pairs.is_empty() && out.findings.is_empty());
+        assert_eq!(out.metrics.tables_built, 0);
+        assert_eq!(c.stats().tables_built, 0);
+        // Parameters are validated before the short-circuit.
+        let bad = CorrelationQuery {
+            params: MiningParams {
+                max_level: 1,
+                ..params()
+            },
+            ..q
+        };
+        assert!(matches!(
+            discover_causality(&db, &attrs, &bad, &mut c),
+            Err(MiningError::Params(_))
+        ));
     }
 }

@@ -109,6 +109,14 @@ impl<'a> Engine<'a> {
         &self.guard
     }
 
+    /// Swaps the guard for the inert unlimited one: later sweeps on this
+    /// engine take no snapshots, stamp no checkpoints and never trip.
+    /// BMS** phase 2 runs so after a phase-1 trip; its sweep over the
+    /// completed SUPP levels is pure cache work.
+    pub(crate) fn disarm(&mut self) {
+        self.guard = RunGuard::unlimited();
+    }
+
     /// The run's validated measure criterion.
     pub(crate) fn measure_context(&self) -> &MeasureContext {
         &self.ctx

@@ -11,9 +11,7 @@
 //! * guard probing and the trip path: per-level [`ResumeState`] stamping,
 //!   `max_level_reached` bookkeeping ([`LevelMark`]), and the
 //!   `frontier_level = level − 1` contract the fault-injection harness
-//!   checks,
-//! * the guard-bypassing epilogue mode ([`GuardMode::Bypass`]) that lets
-//!   BMS** finish its cache-only phase-2 sweep after a phase-1 trip.
+//!   checks.
 //!
 //! Each algorithm contributes only an [`AlgorithmPolicy`]: candidate
 //! seeding, the pre-count constraint phase, the post-count acceptance
@@ -62,20 +60,6 @@ pub(crate) enum LevelMark {
     /// Leave the field alone; the wrapper sets it in its epilogue
     /// (naive, BMS** phase 2).
     Untouched,
-}
-
-/// Whether the kernel consults the guard.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GuardMode {
-    /// Normal operation: snapshot at each level boundary, evaluate the
-    /// level as one guarded batch, trip on guard exhaustion.
-    Checked,
-    /// Post-trip epilogue: no snapshots, no checkpoints, per-set
-    /// evaluation straight from the verdict cache. Used by BMS** phase 2
-    /// after its phase-1 SUPP enumeration was truncated — the sweep over
-    /// the *completed* SUPP levels is pure cache work and must not be
-    /// abandoned by the already-tripped guard.
-    Bypass,
 }
 
 /// Per-policy kernel configuration.
@@ -154,13 +138,13 @@ pub(crate) trait AlgorithmPolicy {
 /// Runs the levelwise sweep from `start_level` through `max_level`
 /// (inclusive). Returns `Some` if the guard tripped; the policy then
 /// holds the sound partial state accumulated through the last completed
-/// level, and the trip carries the snapshot to resume from. In
-/// [`GuardMode::Bypass`] the sweep never trips.
+/// level, and the trip carries the snapshot to resume from. Under an
+/// unarmed guard the sweep takes no snapshots, stamps no checkpoints and
+/// never trips.
 pub(crate) fn run_levelwise(
     engine: &mut Engine<'_>,
     policy: &mut dyn AlgorithmPolicy,
     config: KernelConfig,
-    mode: GuardMode,
     start_level: usize,
     max_level: usize,
     metrics: &mut MiningMetrics,
@@ -175,7 +159,9 @@ pub(crate) fn run_levelwise(
             }
             LevelSeed::Cands(c) => c,
         };
-        let snapshot = (mode == GuardMode::Checked && engine.guard().is_armed())
+        let snapshot = engine
+            .guard()
+            .is_armed()
             .then(|| policy.snapshot(level, &cands));
         // Durability: stamp a checkpoint at exactly the points a resume
         // snapshot exists — the same level-boundary contract, so a crash
@@ -201,27 +187,24 @@ pub(crate) fn run_levelwise(
         if config.mark == LevelMark::Survivors && !survivors.is_empty() {
             metrics.max_level_reached = metrics.max_level_reached.max(level);
         }
-        let verdicts = match mode {
-            GuardMode::Bypass => survivors.iter().map(|s| engine.evaluate(s)).collect(),
-            GuardMode::Checked => match engine.evaluate_level(&survivors) {
-                Ok(v) => v,
-                Err(reason) => {
-                    if config.mark == LevelMark::Eager {
-                        metrics.max_level_reached = level - 1;
-                    }
-                    #[allow(clippy::expect_used)] // invariant: a trip implies an armed guard
-                    let inner = snapshot.expect("a trip implies an armed guard");
-                    return Some(KernelTrip {
-                        reason,
-                        state: ResumeState {
-                            format: RESUME_FORMAT,
-                            algorithm: config.algorithm,
-                            inner,
-                        },
-                        frontier_level: level - 1,
-                    });
+        let verdicts = match engine.evaluate_level(&survivors) {
+            Ok(v) => v,
+            Err(reason) => {
+                if config.mark == LevelMark::Eager {
+                    metrics.max_level_reached = level - 1;
                 }
-            },
+                #[allow(clippy::expect_used)] // invariant: a trip implies an armed guard
+                let inner = snapshot.expect("a trip implies an armed guard");
+                return Some(KernelTrip {
+                    reason,
+                    state: ResumeState {
+                        format: RESUME_FORMAT,
+                        algorithm: config.algorithm,
+                        inner,
+                    },
+                    frontier_level: level - 1,
+                });
+            }
         };
         policy.absorb(level, survivors, verdicts);
         level += 1;
@@ -229,29 +212,36 @@ pub(crate) fn run_levelwise(
     None
 }
 
-/// The query preamble of the raw entry points (the `run_*` reference
-/// wrappers, [`crate::border::solution_space`] and
-/// [`crate::causality::discover_causality`]), in the order the session
-/// path runs it too: parameters, then constraints against the attribute
-/// table, then the push plan, then neither-monotone admission. Returns
-/// the plan.
+/// The one query preamble: every algorithm (through
+/// [`crate::session::dispatch`]), the border sweep and causal discovery
+/// start here. The parameters are validated first, then the static
+/// analyzer ([`ccs_constraints::analyze`]) validates the constraints and
+/// builds the push plan. A provably unsatisfiable conjunction yields
+/// `None`: no set of two or more items satisfies it, so the caller
+/// answers with nothing and counts nothing (out-of-range parameters are
+/// still an error). Otherwise the query comes back in its equivalent
+/// normalized form, which preserves `satisfied()` on every set of ≥ 2
+/// items, with the plan built for it. A `levelwise` caller refuses a
+/// neither-monotone (`avg`) plan; only the naive miner takes one.
 pub(crate) fn admit(
     query: &CorrelationQuery,
     attrs: &AttributeTable,
-) -> Result<ConstraintAnalysis, MiningError> {
-    query.validate(attrs)?;
-    let plan = query.constraints.analyze(attrs);
-    admit_plan(&plan)?;
-    Ok(plan)
-}
-
-/// Neither-monotone admission: the level-wise sweeps cannot push an
-/// `avg` constraint, so only the naive miner takes such a plan.
-pub(crate) fn admit_plan(plan: &ConstraintAnalysis) -> Result<(), MiningError> {
-    if plan.has_neither_monotone() {
+    levelwise: bool,
+) -> Result<Option<(CorrelationQuery, ConstraintAnalysis)>, MiningError> {
+    query.params.validate()?;
+    let analysis = ccs_constraints::analyze(&query.constraints, attrs)?;
+    let Some(plan) = analysis.plan() else {
+        return Ok(None);
+    };
+    if levelwise && plan.has_neither_monotone() {
         return Err(MiningError::NonMonotoneConstraint);
     }
-    Ok(())
+    let plan = plan.clone();
+    let normalized = CorrelationQuery {
+        params: query.params,
+        constraints: analysis.normalized,
+    };
+    Ok(Some((normalized, plan)))
 }
 
 /// The staged-candidate protocol most policies use for `candidates()`:

@@ -15,11 +15,20 @@
 //! | [`naive`] | either | exhaustive ground truth |
 //!
 //! Start from [`MiningSession`]: build a [`MineRequest`] naming an
-//! algorithm (plus counting strategy and resource guard, if you need
-//! them) and get a [`MineOutcome`] back. All algorithms run on one
-//! level-wise kernel (`kernel`), differing only in their policy.
-//! [`border`] computes both borders of the solution space — the
-//! complete characterization §5 of the paper calls for.
+//! algorithm (plus counting strategy, resource guard and checkpoint
+//! policy, if you need them) and get a [`MineOutcome`] back; [`mine_on`]
+//! and [`resume_on`] run one request on a counter you own. These are the
+//! only way to run the four constrained algorithms and the naive
+//! reference. Every query first passes
+//! one preamble: parameter validation, static constraint analysis (a
+//! provably unsatisfiable query is answered empty without counting), and
+//! normalization. All algorithms then run on one level-wise kernel
+//! (`kernel`), differing only in their policy. Beside them,
+//! [`solution_space`] computes both borders of the solution space — the
+//! complete characterization §5 of the paper calls for — and
+//! [`discover_causality`] applies the causal rules of §6; both take the
+//! same preamble. [`run_bms`] runs the unconstrained baseline on bare
+//! parameters.
 
 #![warn(missing_docs)]
 
@@ -43,16 +52,12 @@ pub mod query;
 pub mod session;
 
 pub use bms::{run_bms, BmsOutput};
-pub use bms_plus::run_bms_plus;
-pub use bms_plus_plus::run_bms_plus_plus;
-pub use bms_star::run_bms_star;
-pub use bms_star_star::run_bms_star_star;
 pub use border::{solution_space, SolutionSpace};
 pub use causality::{discover_causality, CausalAnalysis, CausalFinding};
 pub use guard::{Completion, GuardLimits, ResumeState, RunGuard, TruncationReason};
 pub use metrics::MiningMetrics;
 pub use miner::{Algorithm, CountingStrategy};
-pub use naive::{run_naive, NAIVE_MAX_ITEMS};
+pub use naive::NAIVE_MAX_ITEMS;
 pub use params::{MiningParams, ParamError};
 pub use persist::{
     fingerprint_db, read_checkpoint_file, Checkpoint, CheckpointCadence, CheckpointError,

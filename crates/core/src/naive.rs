@@ -15,8 +15,7 @@ use ccs_itemset::{Item, Itemset, ItemsetMap, MintermCounter, TransactionDb};
 use crate::engine::{Engine, Verdict};
 use crate::guard::{ResumeInner, RunGuard};
 use crate::kernel::{
-    conclude, run_levelwise, AlgorithmPolicy, GuardMode, KernelConfig, LevelMark, LevelSeed,
-    MinerScope,
+    conclude, run_levelwise, AlgorithmPolicy, KernelConfig, LevelMark, LevelSeed, MinerScope,
 };
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
@@ -33,50 +32,31 @@ struct Flags {
 /// The largest item basis the exhaustive miner accepts.
 pub const NAIVE_MAX_ITEMS: usize = 20;
 
-/// Runs the exhaustive reference miner under the given semantics.
+/// Runs the exhaustive reference miner (`algorithm` is
+/// [`Algorithm::Naive`] or [`Algorithm::NaiveMinValid`], which picks the
+/// semantics) under a resource guard, for a query that has passed the
+/// preamble.
 ///
 /// Unlike the level-wise miners this accepts any constraint, including
 /// `avg`. Note that for neither-monotone constraints the minimal answer
 /// sets do not characterize the full solution space (it may have holes);
 /// they are still well-defined and computed literally.
 ///
-/// # Errors
-///
-/// Returns [`MiningError::Params`] or [`MiningError::Constraint`] if the
-/// parameters or constraints fail validation, or
-/// [`MiningError::UniverseTooLarge`] if the item basis exceeds
-/// [`NAIVE_MAX_ITEMS`].
-pub fn run_naive<C: MintermCounter>(
-    db: &TransactionDb,
-    attrs: &AttributeTable,
-    query: &CorrelationQuery,
-    semantics: Semantics,
-    counter: &mut C,
-) -> Result<MiningResult, MiningError> {
-    query.validate(attrs)?;
-    run_naive_guarded(
-        db,
-        attrs,
-        query,
-        semantics,
-        counter,
-        &RunGuard::unlimited(),
-        None,
-    )
-}
-
-/// [`run_naive`] under a resource guard, for a validated query.
-///
 /// The exhaustive sweep holds no frontier worth snapshotting — every
 /// level is the full `k`-combination space — so its resume state is a
 /// plain restart marker. Truncated answers are still sound: a set's
 /// minimality is decided by its proper subsets, all of which live at
 /// completed lower levels.
+///
+/// # Errors
+///
+/// [`MiningError::UniverseTooLarge`] if the item basis exceeds
+/// [`NAIVE_MAX_ITEMS`].
 pub(crate) fn run_naive_guarded(
     db: &TransactionDb,
     attrs: &AttributeTable,
     query: &CorrelationQuery,
-    semantics: Semantics,
+    algorithm: Algorithm,
     counter: &mut dyn MintermCounter,
     guard: &RunGuard,
     resume: Option<ResumeInner>,
@@ -99,12 +79,9 @@ pub(crate) fn run_naive_guarded(
     }
 
     let top = query.params.max_level.min(basis.len());
-    // The snapshot must pin the semantics too, or resuming a MIN_VALID
-    // run would silently restart under VALID_MIN.
-    let algorithm = match semantics {
-        Semantics::ValidMin => Algorithm::Naive,
-        Semantics::MinValid => Algorithm::NaiveMinValid,
-    };
+    // The snapshot pins the algorithm, and so the semantics: resuming a
+    // MIN_VALID run must not restart under VALID_MIN.
+    let semantics = algorithm.semantics();
     let mut policy = NaivePolicy {
         basis: &basis,
         constraints: &query.constraints,
@@ -115,7 +92,6 @@ pub(crate) fn run_naive_guarded(
         &mut engine,
         &mut policy,
         KernelConfig::new(algorithm, LevelMark::Untouched),
-        GuardMode::Checked,
         2,
         top,
         &mut metrics,
@@ -223,8 +199,21 @@ fn combine_rec(
 mod tests {
     use super::*;
     use crate::params::MiningParams;
+    use crate::session::{mine_on, MineRequest};
     use ccs_constraints::{Constraint, ConstraintSet};
     use ccs_itemset::HorizontalCounter;
+
+    /// Mines `q` exhaustively with `algorithm` on a fresh horizontal
+    /// counter.
+    fn mine_naive(
+        db: &TransactionDb,
+        attrs: &AttributeTable,
+        q: &CorrelationQuery,
+        algorithm: Algorithm,
+    ) -> Result<MiningResult, MiningError> {
+        let mut counter = HorizontalCounter::new(db);
+        mine_on(db, attrs, q, &MineRequest::new(algorithm), &mut counter)
+    }
 
     fn db() -> TransactionDb {
         let mut txns = Vec::new();
@@ -270,10 +259,8 @@ mod tests {
         let db = db();
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(ConstraintSet::new());
-        let mut c1 = HorizontalCounter::new(&db);
-        let vm = run_naive(&db, &attrs, &q, Semantics::ValidMin, &mut c1).unwrap();
-        let mut c2 = HorizontalCounter::new(&db);
-        let mv = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2).unwrap();
+        let vm = mine_naive(&db, &attrs, &q, Algorithm::Naive).unwrap();
+        let mv = mine_naive(&db, &attrs, &q, Algorithm::NaiveMinValid).unwrap();
         assert_eq!(vm.answers, mv.answers);
         assert!(vm.contains(&Itemset::from_ids([0, 1])));
         assert!(vm.contains(&Itemset::from_ids([2, 3])));
@@ -285,10 +272,8 @@ mod tests {
         let attrs = AttributeTable::with_identity_prices(5);
         // Monotone constraint: total price at least 6.
         let q = query(ConstraintSet::new().and(Constraint::sum_ge("price", 6.0)));
-        let mut c1 = HorizontalCounter::new(&db);
-        let vm = run_naive(&db, &attrs, &q, Semantics::ValidMin, &mut c1).unwrap();
-        let mut c2 = HorizontalCounter::new(&db);
-        let mv = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2).unwrap();
+        let vm = mine_naive(&db, &attrs, &q, Algorithm::Naive).unwrap();
+        let mv = mine_naive(&db, &attrs, &q, Algorithm::NaiveMinValid).unwrap();
         for s in &vm.answers {
             assert!(
                 mv.contains(s),
@@ -303,10 +288,8 @@ mod tests {
         let db = db();
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(ConstraintSet::new().and(Constraint::max_le("price", 4.0)));
-        let mut c1 = HorizontalCounter::new(&db);
-        let vm = run_naive(&db, &attrs, &q, Semantics::ValidMin, &mut c1).unwrap();
-        let mut c2 = HorizontalCounter::new(&db);
-        let mv = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2).unwrap();
+        let vm = mine_naive(&db, &attrs, &q, Algorithm::Naive).unwrap();
+        let mv = mine_naive(&db, &attrs, &q, Algorithm::NaiveMinValid).unwrap();
         assert_eq!(vm.answers, mv.answers);
     }
 
@@ -319,8 +302,7 @@ mod tests {
             cmp: ccs_constraints::Cmp::Le,
             value: 2.0,
         }));
-        let mut c = HorizontalCounter::new(&db);
-        let r = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c).unwrap();
+        let r = mine_naive(&db, &attrs, &q, Algorithm::NaiveMinValid).unwrap();
         // {0,1} has avg price 1.5 ≤ 2; {2,3} has avg 3.5.
         assert!(r.contains(&Itemset::from_ids([0, 1])));
         assert!(!r.contains(&Itemset::from_ids([2, 3])));
@@ -331,8 +313,7 @@ mod tests {
         let db = db();
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(ConstraintSet::new().and(Constraint::sum_ge("price", 3.0)));
-        let mut c = HorizontalCounter::new(&db);
-        let r = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c).unwrap();
+        let r = mine_naive(&db, &attrs, &q, Algorithm::NaiveMinValid).unwrap();
         for (i, a) in r.answers.iter().enumerate() {
             for b in &r.answers[i + 1..] {
                 assert!(!a.is_subset_of(b) && !b.is_subset_of(a));

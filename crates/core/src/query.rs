@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ccs_constraints::{AttributeTable, ConstraintError, ConstraintSet};
+use ccs_constraints::{ConstraintError, ConstraintSet};
 use ccs_itemset::Itemset;
 use thiserror::Error;
 
@@ -38,18 +38,6 @@ impl CorrelationQuery {
             params: MiningParams::paper(),
             constraints,
         }
-    }
-
-    /// Validates parameters and constraints against an attribute table.
-    ///
-    /// # Errors
-    ///
-    /// [`MiningError::Params`] for an out-of-range parameter, then
-    /// [`MiningError::Constraint`] for a constraint the table cannot
-    /// evaluate.
-    pub fn validate(&self, attrs: &AttributeTable) -> Result<(), MiningError> {
-        self.params.validate()?;
-        Ok(self.constraints.validate(attrs)?)
     }
 }
 
@@ -193,20 +181,6 @@ impl MiningError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_constraints::Constraint;
-
-    #[test]
-    fn query_validation() {
-        let attrs = AttributeTable::with_identity_prices(10);
-        let q = CorrelationQuery::with_constraints(
-            ConstraintSet::new().and(Constraint::max_le("price", 5.0)),
-        );
-        assert!(q.validate(&attrs).is_ok());
-        let bad = CorrelationQuery::with_constraints(
-            ConstraintSet::new().and(Constraint::max_le("weight", 5.0)),
-        );
-        assert!(bad.validate(&attrs).is_err());
-    }
 
     #[test]
     fn result_sorts_and_dedups() {

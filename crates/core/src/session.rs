@@ -28,7 +28,7 @@ use crate::bms_star_star::run_bms_star_star_guarded;
 use std::sync::Arc;
 
 use crate::guard::{GuardLimits, ResumeInner, ResumeState, RunGuard, RESUME_FORMAT};
-use crate::kernel::admit_plan;
+use crate::kernel::admit;
 use crate::metrics::MiningMetrics;
 use crate::miner::{Algorithm, CountingStrategy};
 use crate::naive::run_naive_guarded;
@@ -228,24 +228,20 @@ impl<'a> MiningSession<'a> {
         }
         #[allow(clippy::expect_used)] // just installed above
         let cached = self.counter.as_mut().expect("counter installed above");
-        let (guard, recorder) = checkpoint_setup(self.db, query, request);
-        let result = dispatch(
+        let (result, checkpoint) = dispatch_with_checkpoint(
             self.db,
             self.attrs,
             query,
             algorithm,
             &mut *cached.counter,
-            &guard,
+            request,
             resume,
         )?;
         Ok(MineOutcome {
-            checkpoint: recorder.map(|r| {
-                r.stamp_trip(&result);
-                r.report()
-            }),
             result,
             algorithm,
             strategy,
+            checkpoint,
         })
     }
 }
@@ -290,6 +286,7 @@ pub fn mine_on(
 ) -> Result<MiningResult, MiningError> {
     let algorithm = request.algorithm.unwrap_or(Algorithm::BmsPlusPlus);
     dispatch_with_checkpoint(db, attrs, query, algorithm, counter, request, None)
+        .map(|(result, _)| result)
 }
 
 /// [`mine_on`] for resuming a truncated run from its snapshot.
@@ -315,10 +312,13 @@ pub fn resume_on(
         request,
         Some(state.inner),
     )
+    .map(|(result, _)| result)
 }
 
-/// [`dispatch`] plus the request's durability wiring — the borrowed-
-/// counter analogue of [`MiningSession::run`]'s checkpoint handling.
+/// [`dispatch`] plus the request's durability wiring, for the session
+/// and the borrowed-counter entry points alike: the recorder rides on the
+/// guard through the run, then stamps a trip and reports what it
+/// committed.
 fn dispatch_with_checkpoint(
     db: &TransactionDb,
     attrs: &AttributeTable,
@@ -327,13 +327,14 @@ fn dispatch_with_checkpoint(
     counter: &mut dyn MintermCounter,
     request: &MineRequest,
     resume: Option<ResumeInner>,
-) -> Result<MiningResult, MiningError> {
+) -> Result<(MiningResult, Option<CheckpointReport>), MiningError> {
     let (guard, recorder) = checkpoint_setup(db, query, request);
     let result = dispatch(db, attrs, query, algorithm, counter, &guard, resume)?;
-    if let Some(recorder) = recorder {
-        recorder.stamp_trip(&result);
-    }
-    Ok(result)
+    let report = recorder.map(|r| {
+        r.stamp_trip(&result);
+        r.report()
+    });
+    Ok((result, report))
 }
 
 /// Validates a resume snapshot against the current build's format tag
@@ -365,17 +366,12 @@ fn check_resume(
 /// one counter, one guard, and (for resumed runs) the snapshot to
 /// re-enter from.
 ///
-/// This is the session path's query preamble, run once and in the order
-/// of the raw entry points' [`crate::kernel::admit`]: the parameters are
-/// validated first, then the static analyzer ([`ccs_constraints::analyze`])
-/// validates the constraints and builds the push plan. A provably
-/// unsatisfiable conjunction short-circuits to an empty complete answer
-/// set with zero cells counted; a satisfiable one is replaced by its
-/// equivalent normalized form so the miners work from the tightest
-/// non-redundant bounds. Normalization preserves `satisfied()` on every
-/// set of ≥ 2 items, so answer sets are unchanged for all algorithms.
-/// The level-wise algorithms then refuse a neither-monotone plan, and
-/// the constraint-pushing pair runs from the analyzer's plan.
+/// The query passes the one preamble ([`crate::kernel::admit`]) first. A
+/// provably unsatisfiable conjunction short-circuits to an empty complete
+/// answer set with zero cells counted; otherwise the algorithm runs on
+/// the normalized conjunction, and the constraint-pushing pair from the
+/// analyzer's plan. Normalization preserves `satisfied()` on every set
+/// of ≥ 2 items, so answer sets are unchanged for all algorithms.
 pub(crate) fn dispatch(
     db: &TransactionDb,
     attrs: &AttributeTable,
@@ -385,41 +381,26 @@ pub(crate) fn dispatch(
     guard: &RunGuard,
     resume: Option<ResumeInner>,
 ) -> Result<MiningResult, MiningError> {
-    query.params.validate()?;
-    let analysis = ccs_constraints::analyze(&query.constraints, attrs)?;
-    let Some(plan) = analysis.plan() else {
-        // Unsatisfiable: no set of two or more items satisfies the query.
+    let levelwise = !matches!(algorithm, Algorithm::Naive | Algorithm::NaiveMinValid);
+    let Some((query, plan)) = admit(query, attrs, levelwise)? else {
         return Ok(MiningResult::new(
             Vec::new(),
             algorithm.semantics(),
             MiningMetrics::default(),
         ));
     };
-    let normalized = CorrelationQuery {
-        params: query.params,
-        constraints: analysis.normalized.clone(),
-    };
-    let query = &normalized;
-    if !matches!(algorithm, Algorithm::Naive | Algorithm::NaiveMinValid) {
-        admit_plan(plan)?;
-    }
+    let query = &query;
     match algorithm {
         Algorithm::BmsPlus => run_bms_plus_guarded(db, attrs, query, counter, guard, resume),
         Algorithm::BmsPlusPlus => {
-            run_bms_plus_plus_guarded(db, attrs, query, plan, counter, guard, resume)
+            run_bms_plus_plus_guarded(db, attrs, query, &plan, counter, guard, resume)
         }
         Algorithm::BmsStar => run_bms_star_guarded(db, attrs, query, counter, guard, resume),
         Algorithm::BmsStarStar => {
-            run_bms_star_star_guarded(db, attrs, query, plan, counter, guard, resume)
+            run_bms_star_star_guarded(db, attrs, query, &plan, counter, guard, resume)
         }
-        Algorithm::Naive | Algorithm::NaiveMinValid => run_naive_guarded(
-            db,
-            attrs,
-            query,
-            algorithm.semantics(),
-            counter,
-            guard,
-            resume,
-        ),
+        Algorithm::Naive | Algorithm::NaiveMinValid => {
+            run_naive_guarded(db, attrs, query, algorithm, counter, guard, resume)
+        }
     }
 }

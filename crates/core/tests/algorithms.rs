@@ -1,10 +1,12 @@
-//! Per-algorithm behavioural tests, exercised through the public
-//! `run_*` APIs.
+//! Per-algorithm behavioural tests, exercised from the outside: the
+//! baseline through `run_bms`, every other algorithm through `mine_on`
+//! on a horizontal counter the test owns, so each run passes the same
+//! query preamble as a session query.
 //!
 //! These lived as unit-test modules inside each algorithm's source file
 //! until the miners were unified onto the levelwise kernel; the
 //! algorithm files now hold only policy code, and the behavioural
-//! contracts are pinned here from the outside.
+//! contracts are pinned here.
 
 // Helper fns outside `#[test]` bodies still trip `unwrap_used`; in a
 // test binary a panic is the failure report.
@@ -13,11 +15,21 @@
 use ccs_constraints::AttributeTable;
 use ccs_constraints::{Constraint, ConstraintSet};
 use ccs_core::params::MiningParams;
-use ccs_core::query::{CorrelationQuery, MiningError, Semantics};
-use ccs_core::{
-    run_bms, run_bms_plus, run_bms_plus_plus, run_bms_star, run_bms_star_star, run_naive,
-};
+use ccs_core::query::{CorrelationQuery, MiningError, MiningResult};
+use ccs_core::{mine_on, run_bms, Algorithm, MineRequest};
 use ccs_itemset::{HorizontalCounter, Item, Itemset, MintermCounter, TransactionDb};
+
+/// Runs `algorithm` on `q` through the one query preamble, counting on
+/// `counter`.
+fn mine(
+    db: &TransactionDb,
+    attrs: &AttributeTable,
+    q: &CorrelationQuery,
+    algorithm: Algorithm,
+    counter: &mut dyn MintermCounter,
+) -> Result<MiningResult, MiningError> {
+    mine_on(db, attrs, q, &MineRequest::new(algorithm), counter)
+}
 
 mod bms {
     use super::*;
@@ -177,7 +189,14 @@ mod bms_plus {
         let db = db();
         let attrs = AttributeTable::with_identity_prices(4);
         let mut c = HorizontalCounter::new(&db);
-        let r = run_bms_plus(&db, &attrs, &query(ConstraintSet::new()), &mut c).unwrap();
+        let r = mine(
+            &db,
+            &attrs,
+            &query(ConstraintSet::new()),
+            Algorithm::BmsPlus,
+            &mut c,
+        )
+        .unwrap();
         assert!(r.contains(&Itemset::from_ids([0, 1])));
         assert!(r.contains(&Itemset::from_ids([2, 3])));
     }
@@ -189,7 +208,7 @@ mod bms_plus {
         // max price ≤ 2 keeps only items {0, 1} (prices 1, 2).
         let cs = ConstraintSet::new().and(Constraint::max_le("price", 2.0));
         let mut c = HorizontalCounter::new(&db);
-        let r = run_bms_plus(&db, &attrs, &query(cs), &mut c).unwrap();
+        let r = mine(&db, &attrs, &query(cs), Algorithm::BmsPlus, &mut c).unwrap();
         assert!(r.contains(&Itemset::from_ids([0, 1])));
         assert!(!r.contains(&Itemset::from_ids([2, 3])));
     }
@@ -205,7 +224,7 @@ mod bms_plus {
         });
         let mut c = HorizontalCounter::new(&db);
         assert_eq!(
-            run_bms_plus(&db, &attrs, &query(cs), &mut c),
+            mine(&db, &attrs, &query(cs), Algorithm::BmsPlus, &mut c),
             Err(MiningError::NonMonotoneConstraint)
         );
     }
@@ -215,10 +234,20 @@ mod bms_plus {
         let db = db();
         let attrs = AttributeTable::with_identity_prices(4);
         let mut c1 = HorizontalCounter::new(&db);
-        let r1 = run_bms_plus(&db, &attrs, &query(ConstraintSet::new()), &mut c1).unwrap();
-        let cs = ConstraintSet::new().and(Constraint::max_le("price", 1.0));
+        let r1 = mine(
+            &db,
+            &attrs,
+            &query(ConstraintSet::new()),
+            Algorithm::BmsPlus,
+            &mut c1,
+        )
+        .unwrap();
+        // Selective but satisfiable: only the pair {0, 1} is valid. (A
+        // provably empty query, such as `max ≤ 1` with one item under the
+        // cap, is answered by the preamble without counting.)
+        let cs = ConstraintSet::new().and(Constraint::max_le("price", 2.0));
         let mut c2 = HorizontalCounter::new(&db);
-        let r2 = run_bms_plus(&db, &attrs, &query(cs), &mut c2).unwrap();
+        let r2 = mine(&db, &attrs, &query(cs), Algorithm::BmsPlus, &mut c2).unwrap();
         assert_eq!(r1.metrics.tables_built, r2.metrics.tables_built);
     }
 }
@@ -266,9 +295,9 @@ mod bms_plus_plus {
         let attrs = attrs();
         let q = query(cs);
         let mut c1 = HorizontalCounter::new(&db);
-        let plus = run_bms_plus(&db, &attrs, &q, &mut c1).unwrap();
+        let plus = mine(&db, &attrs, &q, Algorithm::BmsPlus, &mut c1).unwrap();
         let mut c2 = HorizontalCounter::new(&db);
-        let pp = run_bms_plus_plus(&db, &attrs, &q, &mut c2).unwrap();
+        let pp = mine(&db, &attrs, &q, Algorithm::BmsPlusPlus, &mut c2).unwrap();
         assert_eq!(
             plus.answers, pp.answers,
             "BMS+ vs BMS++ for {}",
@@ -338,9 +367,9 @@ mod bms_plus_plus {
         // above), BMS+ builds all 10.
         let q = query(ConstraintSet::new().and(Constraint::max_le("price", 2.0)));
         let mut c2 = HorizontalCounter::new(&db);
-        let pp = run_bms_plus_plus(&db, &attrs, &q, &mut c2).unwrap();
+        let pp = mine(&db, &attrs, &q, Algorithm::BmsPlusPlus, &mut c2).unwrap();
         let mut c1 = HorizontalCounter::new(&db);
-        let plus = run_bms_plus(&db, &attrs, &q, &mut c1).unwrap();
+        let plus = mine(&db, &attrs, &q, Algorithm::BmsPlus, &mut c1).unwrap();
         assert!(pp.metrics.tables_built < plus.metrics.tables_built / 2);
     }
 
@@ -355,7 +384,7 @@ mod bms_plus_plus {
         }));
         let mut c = HorizontalCounter::new(&db);
         assert_eq!(
-            run_bms_plus_plus(&db, &attrs, &q, &mut c),
+            mine(&db, &attrs, &q, Algorithm::BmsPlusPlus, &mut c),
             Err(MiningError::NonMonotoneConstraint)
         );
     }
@@ -399,9 +428,9 @@ mod bms_star {
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(cs);
         let mut c1 = HorizontalCounter::new(&db);
-        let star = run_bms_star(&db, &attrs, &q, &mut c1).unwrap();
+        let star = mine(&db, &attrs, &q, Algorithm::BmsStar, &mut c1).unwrap();
         let mut c2 = HorizontalCounter::new(&db);
-        let naive = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2).unwrap();
+        let naive = mine(&db, &attrs, &q, Algorithm::NaiveMinValid, &mut c2).unwrap();
         assert_eq!(
             star.answers, naive.answers,
             "BMS* vs naive for {}",
@@ -444,12 +473,12 @@ mod bms_star {
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(ConstraintSet::new().and(Constraint::sum_ge("price", 8.0)));
         let mut c = HorizontalCounter::new(&db);
-        let star = run_bms_star(&db, &attrs, &q, &mut c).unwrap();
+        let star = mine(&db, &attrs, &q, Algorithm::BmsStar, &mut c).unwrap();
         for a in &star.answers {
             assert!(a.len() >= 3, "answer {a} should be a grown set");
         }
         let mut c2 = HorizontalCounter::new(&db);
-        let naive = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2).unwrap();
+        let naive = mine(&db, &attrs, &q, Algorithm::NaiveMinValid, &mut c2).unwrap();
         assert_eq!(star.answers, naive.answers);
     }
 
@@ -464,7 +493,7 @@ mod bms_star {
         }));
         let mut c = HorizontalCounter::new(&db);
         assert_eq!(
-            run_bms_star(&db, &attrs, &q, &mut c),
+            mine(&db, &attrs, &q, Algorithm::BmsStar, &mut c),
             Err(MiningError::NonMonotoneConstraint)
         );
     }
@@ -508,16 +537,16 @@ mod bms_star_star {
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(cs);
         let mut c1 = HorizontalCounter::new(&db);
-        let ss = run_bms_star_star(&db, &attrs, &q, &mut c1).unwrap();
+        let ss = mine(&db, &attrs, &q, Algorithm::BmsStarStar, &mut c1).unwrap();
         let mut c2 = HorizontalCounter::new(&db);
-        let naive = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2).unwrap();
+        let naive = mine(&db, &attrs, &q, Algorithm::NaiveMinValid, &mut c2).unwrap();
         assert_eq!(
             ss.answers, naive.answers,
             "BMS** vs naive for {}",
             q.constraints
         );
         let mut c3 = HorizontalCounter::new(&db);
-        let star = run_bms_star(&db, &attrs, &q, &mut c3).unwrap();
+        let star = mine(&db, &attrs, &q, Algorithm::BmsStar, &mut c3).unwrap();
         assert_eq!(
             ss.answers, star.answers,
             "BMS** vs BMS* for {}",
@@ -569,9 +598,9 @@ mod bms_star_star {
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(ConstraintSet::new().and(Constraint::min_le("price", 5.0)));
         let mut c1 = HorizontalCounter::new(&db);
-        let ss = run_bms_star_star(&db, &attrs, &q, &mut c1).unwrap();
+        let ss = mine(&db, &attrs, &q, Algorithm::BmsStarStar, &mut c1).unwrap();
         let mut c2 = HorizontalCounter::new(&db);
-        let star = run_bms_star(&db, &attrs, &q, &mut c2).unwrap();
+        let star = mine(&db, &attrs, &q, Algorithm::BmsStar, &mut c2).unwrap();
         assert_eq!(ss.answers, star.answers);
         assert!(
             ss.metrics.tables_built >= star.metrics.tables_built,
@@ -587,7 +616,7 @@ mod bms_star_star {
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(ConstraintSet::new());
         let mut c = HorizontalCounter::new(&db);
-        let ss = run_bms_star_star(&db, &attrs, &q, &mut c).unwrap();
+        let ss = mine(&db, &attrs, &q, Algorithm::BmsStarStar, &mut c).unwrap();
         // Every phase-2 evaluation revisits a set phase 1 judged, so the
         // sweep must be answered entirely from the verdict memo-cache...
         assert!(
@@ -611,7 +640,7 @@ mod bms_star_star {
         }));
         let mut c = HorizontalCounter::new(&db);
         assert_eq!(
-            run_bms_star_star(&db, &attrs, &q, &mut c),
+            mine(&db, &attrs, &q, Algorithm::BmsStarStar, &mut c),
             Err(MiningError::NonMonotoneConstraint)
         );
     }

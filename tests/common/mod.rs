@@ -3,12 +3,16 @@
 //! counter factories, and the [`FaultCounter`] decorator that simulates
 //! resource exhaustion at a chosen guarded-batch index. Used by
 //! `guard_faults.rs` (guard contract) and `durability.rs` (crash-safe
-//! checkpointing).
+//! checkpointing). [`oracle`] holds the from-definitions reference of the
+//! differential suites (`measure_differential.rs`,
+//! `normalization_differential.rs`).
 
 // Each test binary uses a subset of these helpers; helper fns outside
 // `#[test]` bodies still trip `unwrap_used`, and in a test binary a
 // panic is the failure report.
 #![allow(dead_code, clippy::unwrap_used, clippy::expect_used)]
+
+pub mod oracle;
 
 use std::sync::Arc;
 

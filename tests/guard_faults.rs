@@ -187,6 +187,57 @@ fn memory_faults_every_injection_point() {
 }
 
 #[test]
+fn star_star_phase_two_finishes_the_completed_supp_levels_after_a_trip() {
+    // Every guarded batch of BMS** is a phase-1 SUPP level: phase 2 is
+    // answered from the verdict cache. After a phase-1 trip, phase 2 runs
+    // on a disarmed engine over the completed levels, so the truncated
+    // run reports exactly the complete run's answers up to its frontier,
+    // and counts no table beyond what phase 1 counted.
+    let db = db();
+    let attrs = attrs();
+    let q = query();
+    let complete = mine(&db, &attrs, &q, Algorithm::BmsStarStar).unwrap();
+    let mut truncated_with_answers = 0;
+    for trigger in 0..64 {
+        let guard = RunGuard::new(GuardLimits::default());
+        let inner = HorizontalCounter::new(&db);
+        let mut counter =
+            FaultCounter::new(inner, guard.clone(), TruncationReason::WorkBudget, trigger);
+        let result = mine_with_counter_guarded(
+            &db,
+            &attrs,
+            &q,
+            Algorithm::BmsStarStar,
+            &mut counter,
+            &guard,
+        )
+        .unwrap();
+        let Completion::Truncated { frontier_level, .. } = result.completion else {
+            break;
+        };
+        let expected: Vec<Itemset> = complete
+            .answers
+            .iter()
+            .filter(|a| a.len() <= frontier_level)
+            .cloned()
+            .collect();
+        assert_eq!(
+            sorted(&result.answers),
+            sorted(&expected),
+            "trigger {trigger}"
+        );
+        assert_eq!(result.metrics.tables_built, counter.stats().tables_built);
+        if !expected.is_empty() {
+            truncated_with_answers += 1;
+        }
+    }
+    assert!(
+        truncated_with_answers > 0,
+        "no trip left answers below its frontier; the check is vacuous"
+    );
+}
+
+#[test]
 fn armed_guard_without_limits_matches_unguarded_run() {
     let db = db();
     let attrs = attrs();

@@ -1,21 +1,18 @@
-//! Differential test for the static analyzer's normalization: mining the
-//! *normalized* conjunction must produce exactly the answers of mining
-//! the *raw* conjunction, for all five algorithms.
+//! Differential test for the one query preamble: the static analyzer's
+//! verdict and normalization must never change an answer. Every
+//! algorithm, run through `mine_on` on the **raw** conjunction (which
+//! the preamble analyzes, normalizes, or short-circuits as provably
+//! unsatisfiable), must return exactly the from-definitions oracle's
+//! answers on that raw conjunction (`common::oracle`). Checking against
+//! the definitions rather than against the same algorithm on the
+//! normalized conjunction means a wrong normalization, a wrong
+//! `Unsatisfiable` verdict and a wrong algorithm all show.
 //!
-//! The miners' public entry points normalize internally (inside
-//! `dispatch`), so this test deliberately goes through the raw
-//! `run_*` functions — the only paths that take a query verbatim —
-//! with the normalized conjunction built explicitly via `analyze`.
-//! Going through `mine()` on both sides would compare the normalizer
-//! against itself and prove nothing.
-//!
-//! Two extra obligations ride along:
-//!
-//! * when the verdict is `Unsatisfiable`, exhaustive mining of the *raw*
-//!   conjunction must come back empty — a wrongly-unsatisfiable verdict
-//!   would otherwise silently discard answers;
-//! * a `Trivial` verdict means the normalized set is empty or equivalent,
-//!   which the main equality check already witnesses.
+//! The §5 border sweep takes the same preamble, so it rides along: its
+//! lower border must be the oracle's `MIN_VALID`, and its sandwich test
+//! must match from-definitions membership for every set the oracle
+//! enumerates. When the verdict is `Unsatisfiable` the oracle itself
+//! must find nothing, which checks the verdict's soundness directly.
 
 // Helper fns outside `#[test]` bodies still trip `unwrap_used`; in a
 // test binary a panic is the failure report.
@@ -25,9 +22,13 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use ccs::core::{run_bms_plus, run_bms_plus_plus, run_bms_star, run_bms_star_star, run_naive};
 use ccs::itemset::HorizontalCounter;
 use ccs::prelude::*;
+
+mod common;
+
+use common::oracle::{answers_from_flags, reference_flags};
+use common::ALL_ALGORITHMS;
 
 const N_ITEMS: u32 = 6;
 
@@ -110,64 +111,57 @@ fn params() -> MiningParams {
     }
 }
 
-/// Runs one raw (non-normalizing) algorithm entry point.
-fn run_raw(
-    db: &TransactionDb,
-    attrs: &AttributeTable,
-    q: &CorrelationQuery,
-    which: usize,
-) -> Vec<Itemset> {
-    let mut counter = HorizontalCounter::new(db);
-    let result = match which {
-        0 => run_bms_plus(db, attrs, q, &mut counter),
-        1 => run_bms_plus_plus(db, attrs, q, &mut counter),
-        2 => run_bms_star(db, attrs, q, &mut counter),
-        3 => run_bms_star_star(db, attrs, q, &mut counter),
-        _ => run_naive(db, attrs, q, Semantics::ValidMin, &mut counter),
-    };
-    result.unwrap().answers
-}
-
-const ALGO_NAMES: [&str; 5] = ["BMS+", "BMS++", "BMS*", "BMS**", "naive"];
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     #[test]
-    fn normalized_conjunction_mines_identically(
+    fn raw_conjunction_mines_as_the_definitions_say(
         db in db_strategy(),
         c1 in constraint_strategy(),
         c2 in constraint_strategy(),
         c3 in constraint_strategy(),
     ) {
         let attrs = attrs();
-        let raw_cs = ConstraintSet::new().and(c1).and(c2).and(c3);
-        let analysis = analyze(&raw_cs, &attrs).unwrap();
-
-        let raw_q = CorrelationQuery { params: params(), constraints: raw_cs };
-        if analysis.verdict.is_unsatisfiable() {
-            // Soundness of the verdict itself: the exhaustive miner on the
-            // RAW conjunction must find nothing.
-            let ground_truth = run_raw(&db, &attrs, &raw_q, 4);
+        let q = CorrelationQuery {
+            params: params(),
+            constraints: ConstraintSet::new().and(c1).and(c2).and(c3),
+        };
+        let flags = reference_flags(&db, &attrs, &q);
+        let valid_min = answers_from_flags(&flags, Semantics::ValidMin);
+        let min_valid = answers_from_flags(&flags, Semantics::MinValid);
+        if analyze(&q.constraints, &attrs).unwrap().verdict.is_unsatisfiable() {
             prop_assert!(
-                ground_truth.is_empty(),
-                "analyzer called {} unsatisfiable, but naive mining found {} answers",
-                raw_q.constraints, ground_truth.len()
+                valid_min.is_empty() && min_valid.is_empty(),
+                "analyzer called {} unsatisfiable, but the definitions give {} answers",
+                q.constraints, min_valid.len()
             );
-            continue;
         }
 
-        let norm_q = CorrelationQuery {
-            params: params(),
-            constraints: analysis.normalized.clone(),
-        };
-        for (which, name) in ALGO_NAMES.iter().enumerate() {
-            let raw = run_raw(&db, &attrs, &raw_q, which);
-            let norm = run_raw(&db, &attrs, &norm_q, which);
+        for algorithm in ALL_ALGORITHMS {
+            let mut counter = HorizontalCounter::new(&db);
+            let got = mine_on(&db, &attrs, &q, &MineRequest::new(algorithm), &mut counter)
+                .unwrap()
+                .answers;
+            let expected = match algorithm.semantics() {
+                Semantics::ValidMin => &valid_min,
+                Semantics::MinValid => &min_valid,
+            };
             prop_assert_eq!(
-                &raw, &norm,
-                "{} answers diverge: raw [{}] vs normalized [{}]",
-                name, &raw_q.constraints, &norm_q.constraints
+                &got, expected,
+                "{} disagrees with the definitions on [{}]",
+                algorithm, &q.constraints
+            );
+        }
+
+        let mut counter = HorizontalCounter::new(&db);
+        let space = solution_space(&db, &attrs, &q, &mut counter).unwrap();
+        prop_assert_eq!(&space.minimal, &min_valid, "lower border on [{}]", &q.constraints);
+        for (items, f) in &flags {
+            let set = Itemset::from_ids(items.iter().copied());
+            prop_assert_eq!(
+                space.contains(&set),
+                f.in_space && f.valid,
+                "sandwich membership of {} on [{}]", set, &q.constraints
             );
         }
     }
