@@ -8,8 +8,10 @@
 //! every level boundary (the engine's level batch in `crate::engine`
 //! checkpoints it) and, through the [`CountProbe`] implementation,
 //! inside the counting layer's interior loops (horizontal chunk loop,
-//! vertical prefix-class loop, FP-tree candidate loop, the worker pool's
-//! shared drain loop).
+//! vertical prefix-class loop, FP-tree candidate loop). Pooled counting
+//! jobs check and charge the same guard from their worker threads
+//! through [`CountProbe::share`], a clone sharing its limits and trip
+//! state.
 //!
 //! When a limit trips, the run does not panic or return garbage: it stops
 //! at the next checkpoint and reports a **sound partial answer set** —
@@ -22,9 +24,10 @@
 //! exceed it *degrades* down `ccs-itemset`'s one shared ladder (its
 //! preferred engine → vertical → horizontal scans) instead of aborting
 //! (see `CountingStats::degraded_batches`). Every ladder ends at
-//! horizontal scans, which need no arena, so no library counter calls
-//! [`CountProbe::note_memory_trip`]; the guard still honours it as a
-//! memory-budget trip, and the fault-injection tests drive it directly.
+//! horizontal scans, which need no arena, so no library counter trips
+//! [`TruncationReason::MemoryBudget`]; an embedder's counter that cannot
+//! degrade reports it through [`RunGuard::trip`], as the fault-injection
+//! tests do.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -327,12 +330,6 @@ impl CountProbe for RunGuard {
         self.checkpoint().is_err()
     }
 
-    fn is_inert(&self) -> bool {
-        // Unarmed guards never trip, so pooled counters may skip the
-        // periodic probe-poll loop and block on worker results directly.
-        !self.inner.armed
-    }
-
     fn charge(&self, cells: u64) -> bool {
         let inner = &*self.inner;
         if !inner.armed {
@@ -356,10 +353,8 @@ impl CountProbe for RunGuard {
         }
     }
 
-    fn note_memory_trip(&self) {
-        if self.inner.armed {
-            self.trip(TruncationReason::MemoryBudget);
-        }
+    fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+        Arc::new(self.clone())
     }
 }
 
@@ -375,17 +370,17 @@ impl CountProbe for RunGuard {
 /// discard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResumeState {
-    pub(crate) format: u16,
     pub(crate) algorithm: Algorithm,
     pub(crate) inner: ResumeInner,
 }
 
-/// The snapshot format the current build stamps and accepts. Format 1
-/// was the pre-kernel layout (PRs 2–4), whose snapshots carried
+/// The resume-snapshot generation a checkpoint file's header carries.
+/// Format 1 was the pre-kernel layout, whose snapshots carried
 /// per-miner loop state the unified kernel no longer reconstructs the
-/// same way; resuming one would silently re-mine under different
-/// bookkeeping, so format-mismatched snapshots are rejected with
-/// [`crate::MiningError::ResumeFormatMismatch`] instead.
+/// same way; a file from another generation is refused with
+/// [`crate::CheckpointError::FormatMismatch`] before its snapshot is
+/// read. An in-memory [`ResumeState`] is always of this build's
+/// generation.
 pub const RESUME_FORMAT: u16 = 2;
 
 impl ResumeState {
@@ -393,23 +388,6 @@ impl ResumeState {
     /// one.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
-    }
-
-    /// The snapshot format tag; resume rejects anything other than
-    /// [`RESUME_FORMAT`].
-    pub fn format(&self) -> u16 {
-        self.format
-    }
-
-    /// Forges a copy with a different format tag. Exists so the
-    /// fault-injection suite can exercise the rejection path; snapshots
-    /// with a forged tag are rejected by every resume entry point.
-    #[doc(hidden)]
-    pub fn with_format(&self, format: u16) -> Self {
-        Self {
-            format,
-            ..self.clone()
-        }
     }
 }
 
@@ -505,7 +483,7 @@ mod tests {
         assert!(!g.charge(1_000_000));
         assert!(!g.should_stop());
         assert_eq!(g.arena_budget_bytes(), None);
-        g.note_memory_trip();
+        assert!(!g.share().charge(1_000_000));
         assert_eq!(g.trip_reason(), None);
         assert!(g.checkpoint().is_ok());
     }
@@ -574,6 +552,20 @@ mod tests {
         assert!(h.charge(8));
         assert_eq!(g.checkpoint(), Err(TruncationReason::WorkBudget));
         assert_eq!(g.cells_charged(), 8);
+    }
+
+    #[test]
+    fn a_shared_handle_checks_and_charges_the_same_budget() {
+        let g = RunGuard::new(GuardLimits {
+            work_budget_cells: Some(8),
+            ..GuardLimits::default()
+        });
+        let shared = g.share();
+        let from_worker = std::thread::spawn(move || shared.charge(8));
+        assert!(from_worker.join().unwrap(), "the handle's charge trips");
+        assert_eq!(g.cells_charged(), 8);
+        assert!(g.should_stop());
+        assert!(g.share().should_stop(), "a later handle sees the trip");
     }
 
     #[test]

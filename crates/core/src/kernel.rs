@@ -30,7 +30,7 @@ use ccs_constraints::{AttributeTable, ConstraintAnalysis};
 use ccs_itemset::{CountingStats, Itemset};
 
 use crate::engine::{Engine, Verdict};
-use crate::guard::{wall_now, ResumeInner, ResumeState, TruncationReason, RESUME_FORMAT};
+use crate::guard::{wall_now, ResumeInner, ResumeState, TruncationReason};
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;
 use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
@@ -169,7 +169,6 @@ pub(crate) fn run_levelwise(
         if let (Some(inner), Some(recorder)) = (&snapshot, engine.guard().recorder()) {
             recorder.stamp_level(
                 ResumeState {
-                    format: RESUME_FORMAT,
                     algorithm: config.algorithm,
                     inner: inner.clone(),
                 },
@@ -198,7 +197,6 @@ pub(crate) fn run_levelwise(
                 return Some(KernelTrip {
                     reason,
                     state: ResumeState {
-                        format: RESUME_FORMAT,
                         algorithm: config.algorithm,
                         inner,
                     },

@@ -46,8 +46,10 @@
 //! ## Corruption handling
 //!
 //! Loading validates, in order: the magic header, the file and resume
-//! format tags, the whole-file checksum, each section checksum, and
-//! finally the payload grammar. Every failure maps to a typed
+//! format tags, the whole-file checksum, each section checksum, the
+//! payload grammar, and finally the snapshot's content: every answer and
+//! snapshot item inside the fingerprinted universe, every level at least
+//! 2. Every failure maps to a typed
 //! [`CheckpointError`]; a corrupt or version-skewed checkpoint is a
 //! recoverable condition ("restart from scratch with a warning"), not a
 //! panic.
@@ -277,7 +279,7 @@ impl Checkpoint {
         let mut out = Vec::with_capacity(256);
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         out.extend_from_slice(&CHECKPOINT_FILE_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.resume.format().to_le_bytes());
+        out.extend_from_slice(&RESUME_FORMAT.to_le_bytes());
         out.extend_from_slice(&6u32.to_le_bytes());
         push_section(&mut out, TAG_META, &encode_meta(self));
         push_section(&mut out, TAG_QUERY, &encode_query(&self.query));
@@ -383,17 +385,16 @@ impl Checkpoint {
         }
         let (algorithm, status) = section(meta, "META")?;
         let inner = section(resume, "RESUME")?;
+        let fingerprint = section(fingerprint, "DBFP")?;
+        let answers = section(answers, "ANSWERS")?;
+        check_snapshot(fingerprint.n_items, &answers, &inner)?;
         Ok(Checkpoint {
             query: section(query, "QUERY")?,
-            fingerprint: section(fingerprint, "DBFP")?,
+            fingerprint,
             metrics: section(metrics, "METRICS")?,
-            answers: section(answers, "ANSWERS")?,
+            answers,
             status,
-            resume: ResumeState {
-                format: resume_format,
-                algorithm,
-                inner,
-            },
+            resume: ResumeState { algorithm, inner },
         })
     }
 
@@ -430,6 +431,59 @@ impl Checkpoint {
         }
         Ok(())
     }
+}
+
+/// Rejects snapshot content no run over the fingerprinted database
+/// stamps, so a checksum-valid but crafted file cannot reach the miners:
+/// an answer or snapshot item outside the universe `0..n_items`, or a
+/// level, `k` or level key below 2 (every sweep starts at pairs).
+fn check_snapshot(
+    n_items: u32,
+    answers: &[Itemset],
+    inner: &ResumeInner,
+) -> Result<(), CheckpointError> {
+    // The snapshot's own level, its set families, and its per-level
+    // families keyed by level.
+    const UNKEYED: &[(usize, Vec<Itemset>)] = &[];
+    let (level, sets, keyed) = match inner {
+        ResumeInner::Bms(s) | ResumeInner::StarPhase1(s) => {
+            (Some(s.level), vec![&s.cands, &s.sig, &s.notsig], UNKEYED)
+        }
+        ResumeInner::PlusPlus {
+            level,
+            cands,
+            sig_candidates,
+        } => (Some(*level), vec![cands, sig_candidates], UNKEYED),
+        ResumeInner::StarPhase2 { k, sig, frontier } => (Some(*k), vec![sig], frontier.as_slice()),
+        ResumeInner::StarStarPhase1 { level, cands, supp } => {
+            (Some(*level), vec![cands], supp.as_slice())
+        }
+        ResumeInner::StarStarPhase2 {
+            k,
+            current,
+            sig,
+            supp,
+        } => (Some(*k), vec![current, sig], supp.as_slice()),
+        ResumeInner::NaiveRestart => (None, vec![], UNKEYED),
+    };
+    let mut levels = level.into_iter().chain(keyed.iter().map(|&(key, _)| key));
+    if let Some(level) = levels.find(|&level| level < 2) {
+        return Err(CheckpointError::corrupt(format!(
+            "snapshot level {level} is below 2"
+        )));
+    }
+    let families = sets
+        .into_iter()
+        .chain(keyed.iter().map(|(_, sets)| sets))
+        .map(Vec::as_slice)
+        .chain([answers]);
+    let items = families.flatten().flat_map(|set| set.iter());
+    if let Some(item) = items.map(|item| item.id()).find(|&id| id >= n_items) {
+        return Err(CheckpointError::corrupt(format!(
+            "item {item} outside the universe 0..{n_items}"
+        )));
+    }
+    Ok(())
 }
 
 fn set_once<T>(slot: &mut Option<T>, value: T, name: &str) -> Result<(), CheckpointError> {
@@ -1439,7 +1493,6 @@ mod tests {
 
     fn sample_state() -> ResumeState {
         ResumeState {
-            format: RESUME_FORMAT,
             algorithm: Algorithm::BmsStarStar,
             inner: ResumeInner::StarStarPhase2 {
                 k: 3,
@@ -1559,13 +1612,151 @@ mod tests {
         ];
         for (inner, algorithm) in variants {
             let mut ckpt = sample_checkpoint();
-            ckpt.resume = ResumeState {
-                format: RESUME_FORMAT,
-                algorithm,
-                inner,
-            };
+            ckpt.resume = ResumeState { algorithm, inner };
             let back = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
             assert_eq!(back.resume, ckpt.resume);
+        }
+    }
+
+    /// One checkpoint per resume variant, each carrying every constraint
+    /// kind: the content behind `tests/goldens/checkpoint_v2.hex`.
+    fn golden_checkpoints() -> Vec<(&'static str, Checkpoint)> {
+        let ids = |ids: &[u32]| {
+            ids.iter()
+                .copied()
+                .collect::<std::collections::BTreeSet<u32>>()
+        };
+        let constraints = ConstraintSet::new()
+            .and(Constraint::max_le("price", 7.5))
+            .and(Constraint::sum_ge("price", 3.0))
+            .and(Constraint::Agg {
+                agg: AggFn::Min,
+                attr: "price".into(),
+                cmp: Cmp::Ge,
+                value: 1.0,
+            })
+            .and(Constraint::Agg {
+                agg: AggFn::Count,
+                attr: String::new(),
+                cmp: Cmp::Le,
+                value: 4.0,
+            })
+            .and(Constraint::ConstSubset {
+                attr: "type".into(),
+                categories: ids(&[1, 2]),
+                negated: false,
+            })
+            .and(Constraint::Disjoint {
+                attr: "type".into(),
+                categories: ids(&[3]),
+                negated: true,
+            })
+            .and(Constraint::CountDistinct {
+                attr: "type".into(),
+                cmp: Cmp::Ge,
+                value: 2,
+            })
+            .and(Constraint::Avg {
+                attr: "price".into(),
+                cmp: Cmp::Le,
+                value: 5.25,
+            })
+            .and(Constraint::ItemSubset {
+                items: ids(&[1, 3]),
+                negated: true,
+            })
+            .and(Constraint::ItemDisjoint {
+                items: ids(&[6]),
+                negated: false,
+            });
+        let bms = BmsSnapshot {
+            level: 3,
+            cands: vec![Itemset::from_ids([0, 1, 2]), Itemset::from_ids([3, 4, 5])],
+            sig: vec![Itemset::from_ids([6, 7])],
+            notsig: vec![Itemset::from_ids([0, 1]), Itemset::from_ids([4, 5])],
+        };
+        let supp = vec![
+            (
+                2,
+                vec![Itemset::from_ids([0, 1]), Itemset::from_ids([1, 2])],
+            ),
+            (3, vec![Itemset::from_ids([0, 1, 2])]),
+        ];
+        let variants = [
+            ("bms", Algorithm::BmsPlus, ResumeInner::Bms(bms.clone())),
+            (
+                "plus-plus",
+                Algorithm::BmsPlusPlus,
+                ResumeInner::PlusPlus {
+                    level: 3,
+                    cands: vec![Itemset::from_ids([0, 1, 2])],
+                    sig_candidates: vec![Itemset::from_ids([4, 5]), Itemset::from_ids([6, 7])],
+                },
+            ),
+            (
+                "star-phase-1",
+                Algorithm::BmsStar,
+                ResumeInner::StarPhase1(bms),
+            ),
+            (
+                "star-phase-2",
+                Algorithm::BmsStar,
+                ResumeInner::StarPhase2 {
+                    k: 3,
+                    sig: vec![Itemset::from_ids([0, 1])],
+                    frontier: vec![(3, vec![Itemset::from_ids([0, 1, 2])])],
+                },
+            ),
+            (
+                "star-star-phase-1",
+                Algorithm::BmsStarStar,
+                ResumeInner::StarStarPhase1 {
+                    level: 4,
+                    cands: vec![Itemset::from_ids([0, 1, 2, 3])],
+                    supp: supp.clone(),
+                },
+            ),
+            (
+                "star-star-phase-2",
+                Algorithm::BmsStarStar,
+                ResumeInner::StarStarPhase2 {
+                    k: 3,
+                    current: vec![Itemset::from_ids([0, 1, 2])],
+                    sig: vec![Itemset::from_ids([4, 5])],
+                    supp,
+                },
+            ),
+            ("naive", Algorithm::Naive, ResumeInner::NaiveRestart),
+        ];
+        variants
+            .into_iter()
+            .map(|(name, algorithm, inner)| {
+                let mut ckpt = sample_checkpoint();
+                ckpt.query.constraints = constraints.clone();
+                ckpt.resume = ResumeState { algorithm, inner };
+                (name, ckpt)
+            })
+            .collect()
+    }
+
+    /// The checkpoint bytes are pinned: every golden line parses to its
+    /// checkpoint, and serializing that checkpoint reproduces the line
+    /// byte for byte.
+    #[test]
+    fn checkpoint_bytes_match_the_golden() {
+        let golden = include_str!("../../../tests/goldens/checkpoint_v2.hex");
+        let expected = golden_checkpoints();
+        let lines: Vec<&str> = golden.lines().collect();
+        assert_eq!(lines.len(), expected.len(), "one line per resume variant");
+        for (line, (name, ckpt)) in lines.into_iter().zip(expected) {
+            let (label, hex) = line.split_once(' ').expect("`name hex`");
+            assert_eq!(label, name);
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), ckpt, "{name}");
+            assert_eq!(ckpt.to_bytes(), bytes, "{name}");
         }
     }
 
@@ -1706,7 +1897,7 @@ mod tests {
         let mut out = Vec::with_capacity(256);
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         out.extend_from_slice(&1u16.to_le_bytes());
-        out.extend_from_slice(&ckpt.resume.format().to_le_bytes());
+        out.extend_from_slice(&RESUME_FORMAT.to_le_bytes());
         out.extend_from_slice(&6u32.to_le_bytes());
         let mut q = Enc::new();
         let p = &ckpt.query.params;

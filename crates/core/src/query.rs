@@ -155,16 +155,6 @@ pub enum MiningError {
         /// The algorithm that was asked to consume it.
         requested: &'static str,
     },
-    /// A resume snapshot carries a format tag from a different build
-    /// generation (e.g. a pre-kernel snapshot); its loop state cannot be
-    /// interpreted safely, so the run must be restarted from scratch.
-    #[error("resume state has format {found}, but this build expects {expected}; restart the run instead of resuming")]
-    ResumeFormatMismatch {
-        /// The tag the snapshot carries.
-        found: u16,
-        /// The tag this build stamps and accepts.
-        expected: u16,
-    },
 }
 
 impl MiningError {

@@ -27,7 +27,7 @@ use crate::bms_star::run_bms_star_guarded;
 use crate::bms_star_star::run_bms_star_star_guarded;
 use std::sync::Arc;
 
-use crate::guard::{GuardLimits, ResumeInner, ResumeState, RunGuard, RESUME_FORMAT};
+use crate::guard::{GuardLimits, ResumeInner, ResumeState, RunGuard};
 use crate::kernel::admit;
 use crate::metrics::MiningMetrics;
 use crate::miner::{Algorithm, CountingStrategy};
@@ -193,15 +193,13 @@ impl<'a> MiningSession<'a> {
 
     /// Continues a truncated run from its [`ResumeState`] snapshot. The
     /// snapshot pins the algorithm; a request naming a different one is
-    /// rejected, as is a snapshot from a different format generation.
+    /// rejected.
     /// Database, attributes, and query must be the ones the original run
     /// used.
     ///
     /// # Errors
     ///
-    /// As [`MiningSession::mine`], plus
-    /// [`MiningError::ResumeFormatMismatch`] and
-    /// [`MiningError::ResumeMismatch`].
+    /// As [`MiningSession::mine`], plus [`MiningError::ResumeMismatch`].
     pub fn resume(
         &mut self,
         query: &CorrelationQuery,
@@ -337,19 +335,12 @@ fn dispatch_with_checkpoint(
     Ok((result, report))
 }
 
-/// Validates a resume snapshot against the current build's format tag
-/// and the request's algorithm (if it names one), returning the
-/// algorithm to run.
+/// Validates a resume snapshot against the request's algorithm (if it
+/// names one), returning the algorithm to run.
 fn check_resume(
     state: &ResumeState,
     requested: Option<Algorithm>,
 ) -> Result<Algorithm, MiningError> {
-    if state.format() != RESUME_FORMAT {
-        return Err(MiningError::ResumeFormatMismatch {
-            found: state.format(),
-            expected: RESUME_FORMAT,
-        });
-    }
     let algorithm = state.algorithm();
     if let Some(requested) = requested {
         if requested != algorithm {

@@ -49,17 +49,20 @@
 //! counter also exposes a *guarded* batch entry point,
 //! [`MintermCounter::minterm_counts_batch_guarded`], which consults a
 //! [`CountProbe`] at interior loop boundaries (horizontal chunk loop,
-//! vertical prefix-class loop, FP-tree projection loop, pooled drain)
-//! and abandons the batch with [`BatchInterrupted`] when the probe asks
-//! it to stop. Work statistics stay accurate across an abandoned batch:
-//! every *completed* unit (scan, prefix class, table) is flushed into
-//! [`CountingStats`] before the error returns. A unit in hand when the
-//! budget runs out is finished, so a horizontal counter counts up to a
-//! whole batch past a work budget, a sequential tid-set batch one
-//! prefix class and the FP-tree one candidate; a pooled tid-set batch
-//! may finish every class its jobs reach before the calling thread
-//! merges the class that tripped it. The unguarded methods are the
-//! guarded ones driven by [`NoProbe`].
+//! vertical prefix-class loop, FP-tree projection loop) and abandons the
+//! batch with [`BatchInterrupted`] when the probe asks it to stop. Every
+//! backend follows one rule: check before a unit, charge after it.
+//! Pooled jobs follow it on their own threads, through the probe's
+//! [`share`](CountProbe::share)d handle. Work statistics stay accurate
+//! across an abandoned batch: every *completed* unit (scan, prefix
+//! class, table) is flushed into [`CountingStats`] before the error
+//! returns. A unit in hand when the budget runs out is finished, so a
+//! horizontal counter counts up to a whole batch past a work budget, a
+//! sequential tid-set batch one prefix class, a pooled tid-set batch one
+//! class per job and the FP-tree one candidate. The unguarded methods
+//! are the guarded ones driven by [`NoProbe`].
+
+use std::sync::Arc;
 
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
@@ -142,8 +145,9 @@ impl std::ops::AddAssign for CountingStats {
 /// A cooperative-interruption hook consulted inside batch counting loops.
 ///
 /// Implemented by `ccs-core`'s `RunGuard`; [`NoProbe`] is the no-op used
-/// by the unguarded paths. Probes must be [`Sync`]: the pooled counters
-/// share one probe-driven stop flag across their workers.
+/// by the unguarded paths. Probes must be [`Sync`], and
+/// [`share`](Self::share) hands pooled jobs an owned handle on the same
+/// state, so every thread checks and charges one budget.
 pub trait CountProbe: Sync {
     /// `true` when counting should stop at the next boundary (deadline
     /// passed, budget exhausted, or externally cancelled).
@@ -160,20 +164,10 @@ pub trait CountProbe: Sync {
         None
     }
 
-    /// Notifies the probe that a memory budget was exceeded by a counter
-    /// that cannot degrade. No counter in this crate calls it — every
-    /// [`Tiered`] ladder ends at horizontal scans, which need no scratch
-    /// arena — but a guard must still honour it as a memory-budget trip.
-    fn note_memory_trip(&self) {}
-
-    /// `true` when this probe can never interrupt (no deadline, work
-    /// budget, memory budget, or cancellation source). Parallel engines
-    /// use this to choose a blocking wait over a poll-and-check loop
-    /// while draining worker results. Defaults to `false` — assuming a
-    /// probe may trip is always sound, just marginally slower.
-    fn is_inert(&self) -> bool {
-        false
-    }
+    /// An owned, thread-safe handle on this probe's state: what it
+    /// reports and charges is what `self` reports and charges. Pooled
+    /// jobs, which outlive any borrow, check and charge through it.
+    fn share(&self) -> Arc<dyn CountProbe + Send + Sync>;
 }
 
 /// The probe that never interrupts: unguarded counting.
@@ -187,8 +181,8 @@ impl CountProbe for NoProbe {
     fn charge(&self, _cells: u64) -> bool {
         false
     }
-    fn is_inert(&self) -> bool {
-        true
+    fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+        Arc::new(NoProbe)
     }
 }
 
@@ -721,9 +715,10 @@ mod tests {
 
     /// A probe that stops after a fixed number of `charge` calls and can
     /// also stop unconditionally.
+    #[derive(Clone)]
     struct BudgetProbe {
         budget_cells: u64,
-        spent: AtomicU64,
+        spent: Arc<AtomicU64>,
         stop_now: bool,
     }
 
@@ -731,14 +726,14 @@ mod tests {
         fn cells(budget_cells: u64) -> Self {
             BudgetProbe {
                 budget_cells,
-                spent: AtomicU64::new(0),
+                spent: Arc::default(),
                 stop_now: false,
             }
         }
         fn stopped() -> Self {
             BudgetProbe {
                 budget_cells: u64::MAX,
-                spent: AtomicU64::new(0),
+                spent: Arc::default(),
                 stop_now: true,
             }
         }
@@ -750,6 +745,9 @@ mod tests {
         }
         fn charge(&self, cells: u64) -> bool {
             self.spent.fetch_add(cells, Ordering::Relaxed) + cells >= self.budget_cells
+        }
+        fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+            Arc::new(self.clone())
         }
     }
 
@@ -964,6 +962,9 @@ mod tests {
             fn arena_budget_bytes(&self) -> Option<usize> {
                 Some(1)
             }
+            fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+                Arc::new(TinyArena)
+            }
         }
         let d = db();
         let pairs = vec![Itemset::from_ids([0, 1])];
@@ -1014,6 +1015,9 @@ mod tests {
         fn arena_budget_bytes(&self) -> Option<usize> {
             Some(self.0)
         }
+        fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+            Arc::new(Arena(self.0))
+        }
     }
 
     #[test]
@@ -1021,7 +1025,6 @@ mod tests {
         use crate::fptree::FpTreeCounter;
         use crate::pool::WorkerPool;
         use crate::sharded::{ParallelVerticalCounter, ShardedVerticalCounter};
-        use std::sync::Arc;
 
         type Make = fn(&TransactionDb) -> Box<dyn Ladder + '_>;
         // (name, counter, build scans, extra scans for the vertical twin —

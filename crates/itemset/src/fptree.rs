@@ -435,6 +435,7 @@ mod tests {
     use crate::counting::{DegradationRung, HorizontalCounter, MintermCounter, NoProbe};
     use crate::vertical::VerticalIndex;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn db() -> TransactionDb {
         TransactionDb::from_ids(
@@ -523,16 +524,17 @@ mod tests {
     }
 
     /// A probe that stops after a fixed number of charged cells.
+    #[derive(Clone)]
     struct Budget {
         cells: u64,
-        spent: AtomicU64,
+        spent: Arc<AtomicU64>,
     }
 
     impl Budget {
         fn new(cells: u64) -> Self {
             Budget {
                 cells,
-                spent: AtomicU64::new(0),
+                spent: Arc::default(),
             }
         }
     }
@@ -543,6 +545,9 @@ mod tests {
         }
         fn charge(&self, cells: u64) -> bool {
             self.spent.fetch_add(cells, Ordering::Relaxed) + cells >= self.cells
+        }
+        fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+            Arc::new(self.clone())
         }
     }
 
@@ -555,6 +560,9 @@ mod tests {
             }
             fn charge(&self, _cells: u64) -> bool {
                 true
+            }
+            fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+                Arc::new(Stopped)
             }
         }
         let d = db();
@@ -604,6 +612,9 @@ mod tests {
             }
             fn arena_budget_bytes(&self) -> Option<usize> {
                 Some(self.0)
+            }
+            fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+                Arc::new(Arena(self.0))
             }
         }
         let d = db();

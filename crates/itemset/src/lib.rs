@@ -14,7 +14,7 @@
 //!   ladder (preferred engine → vertical → horizontal) around the
 //!   vertical, pooled-vertical and FP-tree engines,
 //! * [`pool`] — a persistent, dependency-free worker pool on one FIFO
-//!   queue, with the one drain loop every pooled counter shares,
+//!   queue, with the one fan-out every pooled counter shares,
 //! * [`parallel`] — a data-parallel horizontal counter on the pool,
 //! * [`sharded`] — the one pooled vertical engine: the tid range split
 //!   into shards, each shard's prefix classes pulled by pool jobs, and

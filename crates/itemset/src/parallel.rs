@@ -25,15 +25,13 @@
 //! database into an `Arc` (one full copy, kept for the counter's life).
 //! Scans below the work floor never pay that copy.
 //!
-//! The guarded protocol is the pool's shared drain loop (see
-//! [`crate::pool`]): workers never see the borrowed [`CountProbe`] — the
-//! calling thread polls it while draining results and raises a shared
-//! stop flag; workers re-check the flag once per `PROBE_CHUNK`
-//! transactions. An interrupted scan completes *no* tables (a level is
-//! merged all-or-nothing), but the transactions actually visited are
-//! still recorded in the statistics.
+//! Under a guard, each job checks its [`CountProbe::share`]d handle on
+//! the run's probe once per `PROBE_CHUNK` transactions (see
+//! [`crate::pool`]), and the calling thread charges a completed scan
+//! once, as a horizontal scan does. An interrupted scan completes *no*
+//! tables (a level is merged all-or-nothing), but the transactions
+//! actually visited are still recorded in the statistics.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
@@ -119,13 +117,18 @@ impl<'a> ParallelCounter<'a> {
             .collect();
         // Each job reports the transactions it visited, plus its tables
         // if it scanned its whole chunk.
+        let shared = probe.share();
         let jobs = ranges.iter().map(|&(lo, hi)| {
-            let (db, sets) = (Arc::clone(&shared_db), Arc::clone(&shared_sets));
-            move |stop: &AtomicBool, tx: &Sender<(u64, Option<Vec<Vec<u64>>>)>| {
+            let (db, sets, probe) = (
+                Arc::clone(&shared_db),
+                Arc::clone(&shared_sets),
+                Arc::clone(&shared),
+            );
+            move |tx: &Sender<(u64, Option<Vec<Vec<u64>>>)>| {
                 let mut counts: Vec<Vec<u64>> =
                     sets.iter().map(|s| vec![0u64; 1usize << s.len()]).collect();
                 for (steps, tid) in (lo..hi).enumerate() {
-                    if steps % PROBE_CHUNK == 0 && steps > 0 && stop.load(Ordering::Acquire) {
+                    if steps % PROBE_CHUNK == 0 && steps > 0 && probe.should_stop() {
                         let _ = tx.send((steps as u64, None));
                         return;
                     }
@@ -145,7 +148,6 @@ impl<'a> ParallelCounter<'a> {
                     add_tables(&mut tables, &counts);
                     merged += 1;
                 }
-                false
             });
         if merged < ranges.len() {
             Err(BatchInterrupted::default())
@@ -333,6 +335,9 @@ mod tests {
             }
             fn charge(&self, _cells: u64) -> bool {
                 true
+            }
+            fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+                Arc::new(Stopped)
             }
         }
         let sets = vec![Itemset::from_ids([0, 1]), Itemset::from_ids([2, 3, 4])];

@@ -14,20 +14,18 @@
 //! jobs outlive the submitting stack frame (`'static`), callers hand
 //! data to workers via `Arc`s.
 //!
-//! # The drain loop
+//! # Fanning a batch out
 //!
 //! Every pooled counter ([`crate::parallel`], [`crate::sharded`]) fans a
 //! batch out through one helper, `WorkerPool::fan_out`: jobs stream
-//! results back over an `mpsc` channel, so the submitting thread keeps
-//! ownership of the borrowed [`CountProbe`] and the result buffers. The
-//! helper blocks on the channel when the probe is inert and otherwise
-//! polls it every `PROBE_POLL`, checking `should_stop` between receives.
-//! On a trip — polled, or reported by the caller's per-message merge
-//! after a `charge` — it raises a shared stop flag (first trip wins);
-//! jobs check the flag between work units, finish the unit in hand and
-//! drain away, and everything that arrives is still merged. If the batch
-//! was never stopped, every expected message must arrive, or the helper
-//! panics rather than let a counter fabricate counts.
+//! results back over an `mpsc` channel, and the submitting thread blocks
+//! on it and merges each message into buffers it owns. Jobs stop
+//! themselves: each holds its own [`CountProbe::share`]d handle on the
+//! run's probe, checks it before claiming a unit of work and charges
+//! each unit it completes, so a trip anywhere stops every job at its
+//! next unit. If fewer messages arrive than expected while the probe has
+//! not stopped, the helper panics rather than let a counter fabricate
+//! counts.
 //!
 //! Worker panics are contained: the worker catches the unwind, counts it
 //! ([`WorkerPool::jobs_panicked`]), and keeps serving. A panicking job
@@ -37,20 +35,15 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::counting::CountProbe;
 
 /// A unit of work. `'static` because pool workers are persistent
 /// threads: a job cannot borrow from the submitting stack frame.
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// How long [`WorkerPool::fan_out`] waits for worker messages between
-/// probe polls when the probe is armed.
-const PROBE_POLL: Duration = Duration::from_millis(1);
 
 /// Locks a mutex, ignoring poisoning: the queue holds plain data that
 /// stays consistent even if a holder panicked mid-push, and worker
@@ -159,70 +152,44 @@ impl WorkerPool {
         self.shared.ready.notify_one();
     }
 
-    /// Runs `jobs` on the pool and drains their messages on the calling
-    /// thread under `probe` — the one drain loop every pooled counter
-    /// shares (see the module docs).
+    /// Runs `jobs` on the pool and merges their messages on the calling
+    /// thread, in arrival order (see the module docs).
     ///
-    /// Each job receives the batch's stop flag, which it checks between
-    /// work units, and a sender for its results. `merge` folds one
-    /// message into the caller's state and returns `true` when charging
-    /// it tripped the probe. `expected` is the number of messages the
-    /// jobs send when nobody stops them. Returns `true` if the stop flag
-    /// was raised.
+    /// Each job receives a sender for its results; `merge` folds one
+    /// message into the caller's state. `expected` is the number of
+    /// messages the jobs send when `probe` does not stop them.
     ///
     /// # Panics
     ///
-    /// Panics if the batch was never stopped yet fewer than `expected`
-    /// messages arrived: a worker died outside the interruption protocol
-    /// (a counting-kernel bug).
+    /// Panics if fewer than `expected` messages arrived and `probe` has
+    /// not stopped: a worker died outside the interruption protocol (a
+    /// counting-kernel bug).
     pub(crate) fn fan_out<M, J>(
         &self,
         jobs: impl IntoIterator<Item = J>,
         expected: usize,
         probe: &dyn CountProbe,
-        mut merge: impl FnMut(M) -> bool,
-    ) -> bool
-    where
+        mut merge: impl FnMut(M),
+    ) where
         M: Send + 'static,
-        J: FnOnce(&AtomicBool, &mpsc::Sender<M>) + Send + 'static,
+        J: FnOnce(&mpsc::Sender<M>) + Send + 'static,
     {
-        let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<M>();
         for job in jobs {
-            let (stop, tx) = (Arc::clone(&stop), tx.clone());
-            self.execute(move || job(&stop, &tx));
+            let tx = tx.clone();
+            self.execute(move || job(&tx));
         }
         drop(tx);
-        let inert = probe.is_inert();
-        let mut stopped = false;
         let mut received = 0usize;
-        loop {
-            let next = if inert {
-                rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected)
-            } else {
-                rx.recv_timeout(PROBE_POLL)
-            };
-            let tripped = match next {
-                Ok(msg) => {
-                    received += 1;
-                    merge(msg)
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => !stopped && probe.should_stop(),
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            // First trip wins: messages still draining out of the workers
-            // are merged (they are sound), but no job starts a new unit.
-            if tripped && !stopped {
-                stopped = true;
-                stop.store(true, Ordering::Release);
-            }
+        for msg in rx {
+            received += 1;
+            merge(msg);
         }
         assert!(
-            stopped || received == expected,
+            received == expected || probe.should_stop(),
             "pooled counting received {received} of {expected} results (a worker died \
              outside the interruption protocol — counting kernel bug)"
         );
-        stopped
     }
 }
 
@@ -264,7 +231,7 @@ fn worker_loop(shared: &PoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     /// Submits `jobs` through `execute` and collects what they return,
     /// sorted: jobs finish in any order.
@@ -365,60 +332,66 @@ mod tests {
         assert!(WorkerPool::global().n_workers() >= 1);
     }
 
-    /// An armed probe that never trips: the drain polls instead of
-    /// blocking.
-    struct Armed;
+    /// A probe that is stopped once its shared flag is raised.
+    struct Flag(Arc<AtomicBool>);
 
-    impl CountProbe for Armed {
+    impl CountProbe for Flag {
         fn should_stop(&self) -> bool {
-            false
+            self.0.load(Ordering::Relaxed)
         }
         fn charge(&self, _cells: u64) -> bool {
-            false
+            self.0.store(true, Ordering::Relaxed);
+            true
+        }
+        fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+            Arc::new(Flag(Arc::clone(&self.0)))
         }
     }
 
     #[test]
-    fn fan_out_merges_every_message_and_a_merge_trip_stops_the_jobs() {
+    fn fan_out_merges_every_message() {
         let pool = WorkerPool::new(2);
-        let probes: [&dyn CountProbe; 2] = [&crate::counting::NoProbe, &Armed];
-        for probe in probes {
-            // Unstopped: every job's messages arrive and are merged.
-            let jobs = (0..4u64).map(|j| {
-                move |_: &AtomicBool, tx: &mpsc::Sender<u64>| {
-                    for i in 0..3 {
-                        let _ = tx.send(j * 10 + i);
-                    }
+        let jobs = (0..4u64).map(|j| {
+            move |tx: &mpsc::Sender<u64>| {
+                for i in 0..3 {
+                    let _ = tx.send(j * 10 + i);
                 }
-            });
-            let mut sum = 0;
-            assert!(!pool.fan_out(jobs, 12, probe, |m| {
-                sum += m;
-                false
-            }));
-            assert_eq!(sum, (0..4).map(|j| 30 * j + 3).sum::<u64>());
-            // A job that only ends once it sees the stop flag: the first
-            // merge reports a trip, the flag goes up, the job drains.
-            let endless = [|stop: &AtomicBool, tx: &mpsc::Sender<u64>| {
-                while !stop.load(Ordering::Acquire) {
+            }
+        });
+        let mut sum = 0;
+        pool.fan_out(jobs, 12, &crate::counting::NoProbe, |m| sum += m);
+        assert_eq!(sum, (0..4).map(|j| 30 * j + 3).sum::<u64>());
+    }
+
+    #[test]
+    fn a_charge_in_one_job_stops_every_job() {
+        // Each job checks its shared handle before a unit and charges
+        // the unit after it; the first charge trips the probe, so every
+        // job stops after at most the unit in hand, and the short batch
+        // passes because the probe has stopped.
+        let pool = WorkerPool::new(2);
+        let probe = Flag(Arc::default());
+        let jobs = (0..4).map(|_| {
+            let probe = probe.share();
+            move |tx: &mpsc::Sender<u64>| {
+                while !probe.should_stop() {
                     let _ = tx.send(1);
+                    probe.charge(1);
                 }
-            }];
-            let mut merged = 0;
-            assert!(pool.fan_out(endless, usize::MAX, probe, |_| {
-                merged += 1;
-                true
-            }));
-            assert!(merged >= 1);
-        }
+            }
+        });
+        let mut merged = 0;
+        pool.fan_out(jobs, usize::MAX, &probe, |_| merged += 1);
+        assert!((1..=4).contains(&merged), "{merged} units");
     }
 
     #[test]
     fn fan_out_panics_when_an_unstopped_job_loses_its_results() {
         let pool = WorkerPool::new(2);
-        let jobs = [|_: &AtomicBool, _: &mpsc::Sender<u64>| panic!("kernel bug")];
+        let jobs = [|_: &mpsc::Sender<u64>| panic!("kernel bug")];
+        let probe = Flag(Arc::default());
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.fan_out(jobs, 1, &Armed, |_| false);
+            pool.fan_out(jobs, 1, &probe, |_| {});
         }));
         assert!(caught.is_err(), "a lost result must not pass silently");
     }

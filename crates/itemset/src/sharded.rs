@@ -38,30 +38,31 @@
 //!
 //! # Interruption protocol
 //!
-//! Workers never see the [`CountProbe`] — a probe is borrowed and jobs
-//! are `'static`. Jobs stream `(class, shard tables)` back through the
-//! pool's drain loop (see [`crate::pool`]), and the submitting thread
-//! merges them in `vertical::count_classes_pooled`: a class is
-//! *complete* only once all `S` shards have delivered it, and only then
-//! is it scattered into the results, recorded, and charged. On a trip
-//! the stop flag is raised (first trip wins); jobs check it before
-//! pulling another class, finish the class in hand, and drain away.
-//! Classes with only some shards delivered when the batch ends are
-//! discarded wholesale — a partially merged table never escapes, so a
-//! `Truncated` result and its `ResumeState` stay exact.
+//! Each pool job holds a [`CountProbe::share`]d handle on the run's
+//! probe. It checks the handle before claiming a class from its cursor
+//! and charges a class once the class is complete: all `S` shards have
+//! counted it, which a per-class part counter tells the job that counts
+//! the last part. A trip anywhere therefore stops every job after at
+//! most the class in hand. Jobs stream `(class, shard tables)` back
+//! through the pool (see [`crate::pool`]), and the submitting thread
+//! only merges: it sums a class's parts and, once all `S` have arrived,
+//! scatters the class into the results and records it. Classes with
+//! only some shards delivered when the batch ends are discarded
+//! wholesale, uncharged and unrecorded, so a partially merged table
+//! never escapes and a `Truncated` result and its `ResumeState` stay
+//! exact.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use crate::counting::{BatchInterrupted, CountProbe, Tiered, TieredEngine};
+use crate::counting::{add_tables, BatchInterrupted, CountProbe, Tiered, TieredEngine};
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
 use crate::pool::WorkerPool;
 use crate::vertical::{
-    alloc_results, count_classes_pooled, plan_level, run_classes_sequential, ClassTables,
-    VerticalCore, VerticalIndex,
+    alloc_results, plan_level, run_classes_sequential, OwnedClass, VerticalCore, VerticalIndex,
 };
 
 /// Minimum estimated 64-bit bitmap words a batch must touch before the
@@ -144,6 +145,78 @@ impl ShardedVerticalIndex {
     fn jobs_per_shard(&self) -> usize {
         (self.pool.n_workers() / self.shards.len()).max(1)
     }
+
+    /// Counts `classes` on the pool under the interruption protocol in
+    /// the module docs, merging into `results` and `done`. Returns `true`
+    /// if the probe stopped the batch before every class completed.
+    fn count_pooled(
+        &self,
+        classes: Vec<OwnedClass>,
+        probe: &dyn CountProbe,
+        results: &mut [Vec<u64>],
+        done: &mut BatchInterrupted,
+    ) -> bool {
+        let n_shards = self.shards.len();
+        let classes = Arc::new(classes);
+        // Shard parts counted per class: the job that counts the last
+        // part charges the class.
+        let parts: Arc<[AtomicUsize]> = classes.iter().map(|_| AtomicUsize::new(0)).collect();
+        let shared = probe.share();
+        let per_shard = self.jobs_per_shard().min(classes.len());
+        let jobs = self.shards.iter().flat_map(|shard| {
+            let cursor = Arc::new(AtomicUsize::new(0));
+            let (core, classes, parts, shared) = (&shard.core, &classes, &parts, &shared);
+            (0..per_shard).map(move |_| {
+                let (core, classes, parts, probe, cursor) = (
+                    Arc::clone(core),
+                    Arc::clone(classes),
+                    Arc::clone(parts),
+                    Arc::clone(shared),
+                    Arc::clone(&cursor),
+                );
+                move |tx: &Sender<(usize, Vec<Vec<u64>>)>| {
+                    // Job-local state, reused across every class this job
+                    // pulls: one arena sized to its shard, one flat
+                    // item-count buffer.
+                    let (mut scratch, mut item_counts) = (Vec::new(), Vec::new());
+                    while !probe.should_stop() {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(class) = classes.get(i) else { break };
+                        let part = core.class_tables(class, &mut item_counts, &mut scratch);
+                        if parts[i].fetch_add(1, Ordering::Relaxed) + 1 == n_shards {
+                            class.charge(&*probe);
+                        }
+                        if tx.send((i, part)).is_err() {
+                            break; // receiver gone: the batch is over
+                        }
+                    }
+                }
+            })
+        });
+        let mut merged: Vec<Vec<Vec<u64>>> = vec![Vec::new(); classes.len()];
+        let mut delivered = vec![0usize; classes.len()];
+        let mut completed = 0;
+        self.pool
+            .fan_out(jobs, classes.len() * n_shards, probe, |(ci, part)| {
+                if merged[ci].is_empty() {
+                    merged[ci] = part;
+                } else {
+                    add_tables(&mut merged[ci], &part);
+                }
+                delivered[ci] += 1;
+                if delivered[ci] == n_shards {
+                    let class = &classes[ci];
+                    for (local, &row) in
+                        std::mem::take(&mut merged[ci]).into_iter().zip(&class.rows)
+                    {
+                        results[row] = local;
+                    }
+                    class.record(done);
+                    completed += 1;
+                }
+            });
+        completed < classes.len()
+    }
 }
 
 /// Tid-set counter over a horizontally sharded database. Below its
@@ -172,8 +245,8 @@ impl TieredEngine for ShardedVerticalIndex {
 
     /// Bit-identical to the full-range [`VerticalIndex`]'s batch. See
     /// the module docs for the schedule and the interruption protocol:
-    /// a class counts as completed only once every shard's table has
-    /// been merged; partially merged classes never escape.
+    /// a class counts as completed only once every shard has counted
+    /// it; partially merged classes never escape.
     fn count_batch_guarded(
         &mut self,
         sets: &[Itemset],
@@ -196,44 +269,11 @@ impl TieredEngine for ShardedVerticalIndex {
             .iter()
             .map(|c| c.estimated_word_ops(self.n_transactions))
             .sum();
-        let n_shards = self.shards.len();
         let pooled = self.pool.n_workers() > 1
-            && n_shards * classes.len() >= 2
+            && self.shards.len() * classes.len() >= 2
             && estimated >= self.work_floor;
         let interrupted = if pooled {
-            let classes = Arc::new(classes);
-            let per_shard = self.jobs_per_shard().min(classes.len());
-            let jobs = self.shards.iter().flat_map(|shard| {
-                let (core, classes) = (Arc::clone(&shard.core), Arc::clone(&classes));
-                let cursor = Arc::new(AtomicUsize::new(0));
-                (0..per_shard).map(move |_| {
-                    let (core, classes, cursor) =
-                        (Arc::clone(&core), Arc::clone(&classes), Arc::clone(&cursor));
-                    move |stop: &AtomicBool, tx: &Sender<ClassTables>| {
-                        // Job-local state, reused across every class this
-                        // job pulls: one arena sized to its shard, one
-                        // flat item-count buffer.
-                        let (mut scratch, mut item_counts) = (Vec::new(), Vec::new());
-                        while !stop.load(Ordering::Acquire) {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(class) = classes.get(i) else { break };
-                            let part = core.class_tables(class, &mut item_counts, &mut scratch);
-                            if tx.send((i, part)).is_err() {
-                                break; // receiver gone: the batch is over
-                            }
-                        }
-                    }
-                })
-            });
-            count_classes_pooled(
-                &self.pool,
-                jobs,
-                &classes,
-                n_shards,
-                probe,
-                &mut results,
-                &mut done,
-            )
+            self.count_pooled(classes, probe, &mut results, &mut done)
         } else {
             run_classes_sequential(&mut self.shards, &classes, probe, &mut results, &mut done)
         };
@@ -387,9 +427,19 @@ mod tests {
     }
 
     /// Trips once `budget` cells have been charged.
+    #[derive(Clone)]
     struct Budget {
         budget: u64,
-        spent: AtomicU64,
+        spent: Arc<AtomicU64>,
+    }
+
+    impl Budget {
+        fn cells(budget: u64) -> Self {
+            Budget {
+                budget,
+                spent: Arc::default(),
+            }
+        }
     }
 
     impl CountProbe for Budget {
@@ -398,6 +448,9 @@ mod tests {
         }
         fn charge(&self, cells: u64) -> bool {
             self.spent.fetch_add(cells, Ordering::Relaxed) + cells >= self.budget
+        }
+        fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+            Arc::new(self.clone())
         }
     }
 
@@ -413,6 +466,9 @@ mod tests {
         }
         fn arena_budget_bytes(&self) -> Option<usize> {
             Some(self.0)
+        }
+        fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+            Arc::new(Arena(self.0))
         }
     }
 
@@ -508,10 +564,7 @@ mod tests {
     fn stopped_probe_interrupts_before_any_class() {
         let d = db(500);
         let sets = vec![Itemset::from_ids([0, 1, 2]), Itemset::from_ids([3, 4, 5])];
-        let stopped = Budget {
-            budget: 0,
-            spent: AtomicU64::new(0),
-        };
+        let stopped = Budget::cells(0);
         for (shards, workers) in SHAPES {
             let err = counter(&d, shards, workers)
                 .minterm_counts_batch_guarded(&sets, &stopped)
@@ -523,36 +576,33 @@ mod tests {
     #[test]
     fn budget_trip_keeps_completed_classes_and_reports_exact_stats() {
         let d = db(500);
-        // Many distinct prefixes => many classes, so a small budget trips
-        // mid-batch.
+        // Six one-member classes of 8 cells: a 9-cell budget trips on the
+        // second completed class.
         let sets: Vec<Itemset> = (0..6)
             .map(|i| Itemset::from_ids([i, i + 1, i + 2]))
             .collect();
         for (shards, workers) in SHAPES {
+            let shape = format!("shards={shards} workers={workers}");
             let mut c = counter(&d, shards, workers);
-            let probe = Budget {
-                budget: 9,
-                spent: AtomicU64::new(0),
-            };
-            // The trip races the drain: jobs may legitimately finish every
-            // class before the stop flag lands, in which case the batch
-            // completed and `Ok` is the correct answer. Both outcomes
-            // must keep the stats exact.
-            match c.minterm_counts_batch_guarded(&sets, &probe) {
-                Err(err) => {
-                    assert!(err.tables_completed >= 1, "first class kept");
-                    assert!(err.tables_completed < sets.len() as u64, "batch truncated");
-                    assert_eq!(c.stats().tables_built, err.tables_completed);
-                    assert_eq!(c.stats().cells_counted, err.cells_completed);
-                }
-                Ok(tables) => {
-                    assert_eq!(tables.len(), sets.len());
-                    assert_eq!(c.stats().tables_built, sets.len() as u64);
-                }
-            }
+            let jobs = (c.index().jobs_per_shard() * shards) as u64;
+            let probe = Budget::cells(9);
+            // Jobs see the trip through their shared handle, so each
+            // finishes at most the class in hand: one class per job past
+            // the tripping one, never the whole batch.
+            let err = c
+                .minterm_counts_batch_guarded(&sets, &probe)
+                .expect_err(&shape);
             assert!(
-                probe.spent.load(Ordering::Relaxed) >= probe.budget,
-                "shards={shards} workers={workers}: the budget did trip"
+                (2..=1 + jobs).contains(&err.tables_completed),
+                "{shape}: {} classes",
+                err.tables_completed
+            );
+            assert_eq!(c.stats().tables_built, err.tables_completed);
+            assert_eq!(c.stats().cells_counted, err.cells_completed);
+            assert_eq!(
+                probe.spent.load(Ordering::Relaxed),
+                err.cells_completed,
+                "{shape}: every completed class is charged once, and only those"
             );
         }
     }

@@ -36,19 +36,15 @@
 //! out across a worker pool — each job shares a core, owns its own
 //! scratch arena, and counts whole classes — while this type stays the
 //! single-threaded fast path. Both share the one sequential class runner
-//! (`run_classes_sequential`) and the pooled class merge
-//! (`count_classes_pooled`) defined here.
+//! (`run_classes_sequential`) defined here.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use crate::counting::{add_tables, BatchInterrupted, CountProbe, TieredEngine, MAX_TABLE_WIDTH};
 use crate::database::TransactionDb;
 use crate::item::Item;
 use crate::itemset::Itemset;
-use crate::pool::WorkerPool;
 use crate::tidset::TidSet;
 
 /// The immutable heart of a vertical index: per-item tid-sets plus the
@@ -91,11 +87,16 @@ impl OwnedClass {
         (self.members.len() * self.table_len()) as u64
     }
 
-    /// Records this class's tables in `done` and charges its cells;
-    /// returns `true` when the charge exhausts the probe's budget.
-    pub(crate) fn complete(&self, probe: &dyn CountProbe, done: &mut BatchInterrupted) -> bool {
+    /// Records this class's tables, once all of them are counted, in
+    /// `done`.
+    pub(crate) fn record(&self, done: &mut BatchInterrupted) {
         done.tables_completed += self.members.len() as u64;
         done.cells_completed += self.cells();
+    }
+
+    /// Charges this counted class's cells to `probe`; returns `true`
+    /// when the charge exhausts the probe's budget.
+    pub(crate) fn charge(&self, probe: &dyn CountProbe) -> bool {
         probe.charge(self.cells())
     }
 
@@ -204,55 +205,12 @@ pub(crate) fn run_classes_sequential(
         for (local, &r) in out.iter_mut().zip(&class.rows) {
             results[r] = std::mem::take(local);
         }
-        if class.complete(probe, done) {
+        class.record(done);
+        if class.charge(probe) {
             return true;
         }
     }
     false
-}
-
-/// One pool job's tables for one class of a planned batch: the class's
-/// index and its members' tables (whole, or one shard's part).
-pub(crate) type ClassTables = (usize, Vec<Vec<u64>>);
-
-/// Fans `classes` out over `pool` as `jobs` and merges what they send:
-/// `parts` messages per class — one per tid-range shard — summed cell by
-/// cell. A class completes (scattered into `results`, recorded in
-/// `done`, charged to `probe`) only once all its parts arrived, so a
-/// partially merged class never escapes. Returns `true` if the probe interrupted the batch.
-pub(crate) fn count_classes_pooled<J>(
-    pool: &WorkerPool,
-    jobs: impl IntoIterator<Item = J>,
-    classes: &[OwnedClass],
-    parts: usize,
-    probe: &dyn CountProbe,
-    results: &mut [Vec<u64>],
-    done: &mut BatchInterrupted,
-) -> bool
-where
-    J: FnOnce(&AtomicBool, &Sender<ClassTables>) + Send + 'static,
-{
-    if probe.should_stop() {
-        return true;
-    }
-    let mut merged: Vec<Vec<Vec<u64>>> = vec![Vec::new(); classes.len()];
-    let mut delivered = vec![0usize; classes.len()];
-    pool.fan_out(jobs, classes.len() * parts, probe, |(ci, part)| {
-        if merged[ci].is_empty() {
-            merged[ci] = part;
-        } else {
-            add_tables(&mut merged[ci], &part);
-        }
-        delivered[ci] += 1;
-        if delivered[ci] < parts {
-            return false;
-        }
-        let class = &classes[ci];
-        for (local, &row) in std::mem::take(&mut merged[ci]).into_iter().zip(&class.rows) {
-            results[row] = local;
-        }
-        class.complete(probe, done)
-    })
 }
 
 impl VerticalCore {

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -53,9 +54,10 @@ fn sets_strategy() -> impl Strategy<Value = Vec<Itemset>> {
 
 /// A probe that flips to "stop" after a fixed number of charged cells,
 /// like the real work-budget guard.
+#[derive(Clone)]
 struct Budget {
     cells: u64,
-    spent: AtomicU64,
+    spent: Arc<AtomicU64>,
 }
 
 impl CountProbe for Budget {
@@ -64,6 +66,9 @@ impl CountProbe for Budget {
     }
     fn charge(&self, cells: u64) -> bool {
         self.spent.fetch_add(cells, Ordering::Relaxed) + cells >= self.cells
+    }
+    fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+        Arc::new(self.clone())
     }
 }
 
@@ -94,7 +99,7 @@ proptest! {
         (db, sets, budget) in (db_strategy(), sets_strategy(), 1u64..200)
     ) {
         let mut counter = FpTreeCounter::new(&db);
-        let probe = Budget { cells: budget, spent: AtomicU64::new(0) };
+        let probe = Budget { cells: budget, spent: Arc::default() };
         match counter.minterm_counts_batch_guarded(&sets, &probe) {
             Ok(results) => {
                 // Completed batches are bit-identical to the model.

@@ -6,6 +6,8 @@
 // test binary a panic is the failure report.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -145,6 +147,38 @@ fn zero_checkpoint_stride_is_rejected_by_mine_and_resume() {
     assert_error(&out, "error: --checkpoint-every must be at least 1");
     let out = ccs(&["resume", &ckpt, "--db", &db, "--checkpoint-every", "0"]);
     assert_error(&out, "error: --checkpoint-every must be at least 1");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn crafted_checkpoint_is_refused_not_a_panic() {
+    // A governed BMS++ run leaves a checkpoint; each crafted copy keeps
+    // every checksum valid and the fingerprint intact, so only its
+    // snapshot content is wrong. Resuming it is an error, never a panic.
+    let dir = scratch("crafted");
+    let db = path(&dir, "q.db");
+    let ckpt = path(&dir, "run.ckpt");
+    let out = ccs(&[
+        "mine",
+        "--db",
+        &db,
+        "--checkpoint",
+        &ckpt,
+        "--max-cells",
+        "200",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "the budget truncates: {out:?}");
+    let bytes = std::fs::read(&ckpt).unwrap();
+    let crafted = path(&dir, "crafted.ckpt");
+    for (name, patch) in common::CRAFTED_RESUME_PATCHES {
+        std::fs::write(&crafted, common::patch_resume(&bytes, patch)).unwrap();
+        let out = ccs(&["resume", &crafted, "--db", &db, "--counting", "vertical"]);
+        assert_error(&out, "corrupt checkpoint: ");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("pass --query"),
+            "{name}: {out:?}"
+        );
+    }
     std::fs::remove_dir_all(dir).unwrap();
 }
 

@@ -187,7 +187,6 @@ impl<C: MintermCounter> MintermCounter for FaultCounter<C> {
         if index == self.trigger {
             match self.fault {
                 TruncationReason::Cancelled => self.guard.cancel(),
-                TruncationReason::MemoryBudget => probe.note_memory_trip(),
                 other => self.guard.trip(other),
             }
             return Err(BatchInterrupted::default());
@@ -203,6 +202,56 @@ impl<C: MintermCounter> MintermCounter for FaultCounter<C> {
         self.inner.stats()
     }
 }
+
+/// Rewrites the RESUME section (tag 6) of the checkpoint `bytes` with
+/// `patch`, then re-seals that section's checksum and the file's,
+/// leaving every other section, the DBFP fingerprint included,
+/// byte-identical: a crafted file that every checksum and
+/// `Checkpoint::verify_db` accept.
+pub fn patch_resume(bytes: &[u8], patch: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let crc32 = ccs::core::persist::crc32;
+    let mut out = bytes[..16].to_vec();
+    let mut at = 16;
+    while at < bytes.len() - 4 {
+        let tag = u16::from_le_bytes([bytes[at], bytes[at + 1]]);
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        let mut payload = bytes[at + 12..at + 12 + len].to_vec();
+        if tag == 6 {
+            patch(&mut payload);
+        }
+        out.extend_from_slice(&bytes[at..at + 4]);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        at += 12 + len + 4;
+    }
+    let file_crc = crc32(&out);
+    out.extend_from_slice(&file_crc.to_le_bytes());
+    out
+}
+
+/// An in-place edit of a RESUME payload, for [`patch_resume`].
+pub type ResumePatch = fn(&mut Vec<u8>);
+
+/// The two crafted BMS++ resume patches no run stamps, by name: the
+/// first candidate's first item becomes `1_000_000`, or the snapshot
+/// level becomes 0. A BMS++ RESUME payload is the variant code (1), the
+/// `u64` level, the `u64` candidate count, then each candidate as a
+/// `u32` length and its `u32` items.
+pub const CRAFTED_RESUME_PATCHES: [(&str, ResumePatch); 2] = [
+    ("item outside the universe", |p| {
+        assert_eq!(p[0], 1, "a BMS++ snapshot");
+        assert!(
+            u64::from_le_bytes(p[9..17].try_into().unwrap()) > 0,
+            "a candidate"
+        );
+        p[21..25].copy_from_slice(&1_000_000u32.to_le_bytes());
+    }),
+    ("level 0", |p| {
+        assert_eq!(p[0], 1, "a BMS++ snapshot");
+        p[1..9].copy_from_slice(&0u64.to_le_bytes());
+    }),
+];
 
 /// Two XOR-planted modules — `{0, 1, 2}` with item 2 present iff exactly
 /// one of 0/1 is, and `{3, 4, 5}` likewise — plus a plain correlated pair

@@ -27,7 +27,10 @@ use std::sync::{Arc, Mutex};
 
 use ccs::itemset::HorizontalCounter;
 use ccs::prelude::*;
-use common::{attrs, db, query, resume_with_counter_guarded, sorted, FaultCounter, ALL_ALGORITHMS};
+use common::{
+    attrs, db, patch_resume, query, resume_with_counter_guarded, sorted, FaultCounter,
+    ALL_ALGORITHMS, CRAFTED_RESUME_PATCHES,
+};
 use proptest::prelude::*;
 
 const STRATEGIES: [CountingStrategy; 5] = [
@@ -467,6 +470,36 @@ fn checkpoint_refuses_a_foreign_database() {
         Err(CheckpointError::DbMismatch { .. }) => {}
         other => panic!("expected DbMismatch, got {other:?}"),
     }
+}
+
+#[test]
+fn crafted_snapshot_content_is_corrupt() {
+    // Checksums re-sealed and the fingerprint untouched, so only the
+    // snapshot's content gives these files away: an item past the
+    // 8-item universe (a vertical resume would index its tid-sets out of
+    // bounds) or a level below the pairs every sweep starts at (a
+    // resumed run that trips would compute level - 1).
+    let db = db();
+    let attrs = attrs();
+    let q = query();
+    let (bytes, _) = governed_checkpoint_bytes(&db, &attrs, &q);
+    let ckpt = Checkpoint::from_bytes(&bytes).unwrap();
+    ckpt.verify_db(&db).unwrap();
+    for (name, patch) in CRAFTED_RESUME_PATCHES {
+        let crafted = patch_resume(&bytes, patch);
+        assert_ne!(crafted, bytes, "{name}");
+        match Checkpoint::from_bytes(&crafted) {
+            Err(CheckpointError::Corrupt(msg)) => {
+                assert!(
+                    msg.contains("outside the universe") || msg.contains("below 2"),
+                    "{name}: {msg}"
+                )
+            }
+            other => panic!("{name}: expected Corrupt, got {other:?}"),
+        }
+    }
+    // Re-sealing an unpatched payload reproduces the file exactly.
+    assert_eq!(patch_resume(&bytes, |_| {}), bytes);
 }
 
 #[test]

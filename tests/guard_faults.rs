@@ -4,8 +4,8 @@
 //! chosen guarded-batch index, simulates resource exhaustion — a passed
 //! deadline, an exhausted work budget, a memory-budget trip, or external
 //! cancellation — exactly the way the production paths do (via
-//! [`RunGuard::trip`], the probe's `note_memory_trip`, or the
-//! cancellation flag), then abandons the batch.
+//! [`RunGuard::trip`] or the cancellation flag), then abandons the
+//! batch.
 //!
 //! For every algorithm and every injection point, the truncated run must
 //! uphold the guard contract:
@@ -179,8 +179,8 @@ fn cancellation_faults_every_injection_point() {
 
 #[test]
 fn memory_faults_every_injection_point() {
-    // Injected through the probe's `note_memory_trip`, the path a
-    // fallback-less counter takes when its arena budget is exceeded.
+    // Injected through `RunGuard::trip`, the path a fallback-less
+    // counter takes when its arena budget is exceeded.
     for algorithm in [Algorithm::BmsPlus, Algorithm::BmsPlusPlus] {
         sweep(algorithm, TruncationReason::MemoryBudget);
     }
@@ -733,17 +733,18 @@ enum Past {
 
 #[test]
 fn work_budget_overshoot_is_bounded_per_backend() {
-    // The probe is consulted between units of work and a unit's cells
-    // are charged when it completes, so the unit in hand when a budget
+    // Every backend checks the probe before a unit of work and charges a
+    // unit's cells when it completes, so the unit in hand when a budget
     // runs out is always finished (DESIGN.md §9). With a 1-cell budget
     // the first unit trips it: a horizontal scan charges its whole
-    // batch, a tid-set backend one prefix class, the FP-tree one
-    // candidate. A pooled tid-set batch is bounded by the batch alone:
-    // the submitting thread sees the trip only when it merges a class,
-    // and by then the jobs may have counted every other class.
+    // batch, a sequential tid-set batch one prefix class, the FP-tree one
+    // candidate. Pooled tid-set jobs check and charge the guard
+    // themselves, so after the first charge each job finishes at most
+    // the class in hand: one class per job. Pooled rows race, so they
+    // run many times.
     let db = db();
-    // Every triple over the 8 items: six prefix classes, and the first
-    // class walked (prefix {0}) has 21 members.
+    // Every triple over the 8 items: six prefix classes of 21, 15, 10,
+    // 6, 3 and 1 members, walked in that order.
     let items: Vec<u32> = (0..8).collect();
     let mut level = Vec::new();
     for (i, &a) in items.iter().enumerate() {
@@ -756,16 +757,21 @@ fn work_budget_overshoot_is_bounded_per_backend() {
     let table = 8u64;
     let batch = level.len() as u64 * table;
     let budget = 1u64;
-    let cases: [(&str, CounterFactory, Past); 10] = [
+    // The cells of the `jobs` largest classes: what one class per job
+    // can count at most.
+    let classes_of = |jobs: usize| [21u64, 15, 10, 6, 3, 1][..jobs].iter().sum::<u64>() * table;
+    let cases: [(&str, CounterFactory, Past, usize); 10] = [
         (
             "horizontal",
             horizontal_factory,
             Past::Exactly(batch - budget),
+            1,
         ),
         (
             "parallel, inline",
             |d| Box::new(ParallelCounter::with_pool(d, Arc::new(WorkerPool::new(2)))),
             Past::Exactly(batch - budget),
+            1,
         ),
         (
             "parallel, pooled",
@@ -775,11 +781,13 @@ fn work_budget_overshoot_is_bounded_per_backend() {
                 Box::new(c)
             },
             Past::Exactly(batch - budget),
+            1,
         ),
         (
             "vertical",
             |d| Box::new(VerticalCounter::new(d)),
-            Past::Exactly(21 * table - budget),
+            Past::Exactly(classes_of(1) - budget),
+            1,
         ),
         (
             "vertical-par, below the work floor",
@@ -789,7 +797,8 @@ fn work_budget_overshoot_is_bounded_per_backend() {
                     Arc::new(WorkerPool::new(2)),
                 ))
             },
-            Past::Exactly(21 * table - budget),
+            Past::Exactly(classes_of(1) - budget),
+            1,
         ),
         (
             "sharded, below the work floor",
@@ -800,50 +809,62 @@ fn work_budget_overshoot_is_bounded_per_backend() {
                     Arc::new(WorkerPool::new(2)),
                 ))
             },
-            Past::Exactly(21 * table - budget),
+            Past::Exactly(classes_of(1) - budget),
+            1,
         ),
+        // One shard, two jobs on one cursor: the first two classes.
         (
             "vertical-par, pooled",
             vertical_par_factory,
-            Past::AtMost(batch - budget),
+            Past::AtMost(classes_of(2) - budget),
+            300,
         ),
+        // Three shards on two workers: one job per shard.
         (
             "sharded, pooled",
             sharded_factory,
-            Past::AtMost(batch - budget),
+            Past::AtMost(classes_of(3) - budget),
+            300,
         ),
+        // Two shards on four workers: two jobs per shard.
         (
             "sharded, shared cursors",
             shared_cursor_factory,
-            Past::AtMost(batch - budget),
+            Past::AtMost(classes_of(4) - budget),
+            300,
         ),
-        ("fp-tree", fptree_factory, Past::Exactly(table - budget)),
+        ("fp-tree", fptree_factory, Past::Exactly(table - budget), 1),
     ];
-    for (name, factory, past) in cases {
-        let guard = RunGuard::new(GuardLimits {
-            work_budget_cells: Some(budget),
-            ..GuardLimits::default()
-        });
-        let mut counter = factory(&db);
-        let outcome = counter.minterm_counts_batch_guarded(&level, &guard);
-        assert_eq!(
-            guard.trip_reason(),
-            Some(TruncationReason::WorkBudget),
-            "{name}"
-        );
-        let counted = counter.stats().cells_counted;
-        assert_eq!(counted % table, 0, "{name}: a partial table was counted");
-        match past {
-            Past::Exactly(cells) => assert_eq!(counted - budget, cells, "{name}"),
-            Past::AtMost(cells) => {
-                assert!(
-                    counted >= budget && counted - budget <= cells,
-                    "{name}: {counted}"
-                )
+    for (name, factory, past, runs) in cases {
+        for _ in 0..runs {
+            let guard = RunGuard::new(GuardLimits {
+                work_budget_cells: Some(budget),
+                ..GuardLimits::default()
+            });
+            let mut counter = factory(&db);
+            let outcome = counter.minterm_counts_batch_guarded(&level, &guard);
+            assert_eq!(
+                guard.trip_reason(),
+                Some(TruncationReason::WorkBudget),
+                "{name}"
+            );
+            let counted = counter.stats().cells_counted;
+            assert_eq!(counted % table, 0, "{name}: a partial table was counted");
+            match past {
+                Past::Exactly(cells) => assert_eq!(counted - budget, cells, "{name}"),
+                Past::AtMost(cells) => {
+                    assert!(
+                        counted >= budget && counted - budget <= cells,
+                        "{name}: {counted}"
+                    );
+                    // Each completed class was charged once, by the job
+                    // that completed it.
+                    assert_eq!(guard.cells_charged(), counted, "{name}");
+                }
             }
+            // The batch completes exactly when the overshoot covered it.
+            assert_eq!(outcome.is_ok(), counted == batch, "{name}");
         }
-        // The batch completes exactly when the overshoot covered it.
-        assert_eq!(outcome.is_ok(), counted == batch, "{name}");
     }
 }
 
@@ -897,10 +918,8 @@ fn real_work_budget_truncates_and_resumes_exactly() {
 
 #[test]
 fn resume_rejects_foreign_snapshot_shapes() {
-    // A snapshot stamped with the retired pre-kernel format tag must be
-    // refused outright — its frontier encoding predates the unified
-    // kernel and cannot be reinterpreted — and a resume request naming a
-    // different algorithm than the snapshot pins must be refused too.
+    // A resume request naming a different algorithm than the snapshot
+    // pins must be refused.
     let db = db();
     let attrs = attrs();
     let q = query();
@@ -918,26 +937,6 @@ fn resume_rejects_foreign_snapshot_shapes() {
     )
     .unwrap();
     let state = result.resume.expect("zero budget must truncate");
-    assert_eq!(state.format(), 2, "current snapshots carry format 2");
-
-    let stale = state.with_format(1);
-    let err = MiningSession::new(&db, &attrs)
-        .resume(&q, &MineRequest::default(), stale)
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            MiningError::ResumeFormatMismatch {
-                found: 1,
-                expected: 2
-            }
-        ),
-        "wrong rejection: {err}"
-    );
-    assert!(
-        err.to_string().contains("format 1"),
-        "the error must name the stale format: {err}"
-    );
 
     let err = MiningSession::new(&db, &attrs)
         .resume(&q, &MineRequest::new(Algorithm::BmsStar), state.clone())
