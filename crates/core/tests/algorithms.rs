@@ -374,6 +374,44 @@ mod bms_plus_plus {
     }
 
     #[test]
+    fn single_witness_candidates_share_one_residue_table() {
+        // Items 2 and 3 are both `0 XOR 1`: the pairs over {0,1,2,3} are
+        // independent except {2,3}, while {0,1,2} and {0,1,3} are
+        // correlated. Under `max(price) ≥ 3` only 2 and 3 are witnesses,
+        // so both triples are single-witness SIG candidates whose residue
+        // is {0,1}; the epilogue counts that residue once.
+        let txns: Vec<Vec<u32>> = (0..64u32)
+            .map(|i| {
+                let (a, b) = (i & 1, (i >> 1) & 1);
+                let mut t = Vec::new();
+                if a == 1 {
+                    t.push(0);
+                }
+                if b == 1 {
+                    t.push(1);
+                }
+                if a ^ b == 1 {
+                    t.extend([2, 3]);
+                }
+                t
+            })
+            .collect();
+        let db = TransactionDb::from_ids(4, txns);
+        let attrs = AttributeTable::with_identity_prices(4);
+        let q = query(ConstraintSet::new().and(Constraint::max_ge("price", 3.0)));
+        let mut c = HorizontalCounter::new(&db);
+        let pp = mine(&db, &attrs, &q, Algorithm::BmsPlusPlus, &mut c).unwrap();
+        // {0,1} is uncorrelated, so both triples stay minimal.
+        let expected = [[0, 1, 2].as_slice(), &[0, 1, 3], &[2, 3]]
+            .map(|ids| Itemset::from_ids(ids.iter().copied()));
+        assert_eq!(pp.answers, expected);
+        // 5 pairs and 2 triples in the sweep, plus one residue table; the
+        // second SIG candidate's residue is a repeat.
+        assert_eq!(pp.metrics.tables_built, 8);
+        assert_eq!(pp.metrics.cache_hits, 1);
+    }
+
+    #[test]
     fn avg_constraint_is_rejected() {
         let db = db();
         let attrs = attrs();

@@ -318,9 +318,10 @@ impl TidSet {
         }
     }
 
-    /// Debug-build invariant check: padding bits are zero and every
-    /// superblock hint matches its words. Compiled to nothing in release.
-    #[cfg(debug_assertions)]
+    /// Invariant check for debug builds and unit tests: padding bits are
+    /// zero and every superblock hint matches its words. Absent from
+    /// release library builds.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn debug_check_invariants(&self) {
         let mut reference = self.clone();
         reference.clear_tail();

@@ -25,7 +25,7 @@ mod common;
 use std::io;
 use std::sync::{Arc, Mutex};
 
-use ccs::itemset::HorizontalCounter;
+use ccs::itemset::{HorizontalCounter, MintermCounter};
 use ccs::prelude::*;
 use common::{
     attrs, db, patch_resume, query, resume_with_counter_guarded, sorted, FaultCounter,
@@ -591,4 +591,103 @@ proptest! {
             prop_assert_eq!(sorted(&resumed.answers), sorted(&complete.answers));
         }
     }
+}
+
+/// An in-memory sink that keeps every commit in order, so a test can
+/// resume from any level stamp of a run.
+#[derive(Clone, Default)]
+struct LogSink {
+    commits: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl CheckpointSink for LogSink {
+    fn commit(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.commits.lock().unwrap().push(bytes.to_vec());
+        Ok(())
+    }
+
+    fn load(&mut self) -> io::Result<Option<Vec<u8>>> {
+        Ok(self.commits.lock().unwrap().last().cloned())
+    }
+}
+
+#[test]
+fn star_star_resumes_count_only_what_their_snapshot_lost() {
+    // BMS** phase 2 answers a set that this run's phase 1 counted without
+    // a table (a cache hit); a set whose SUPP level was thawed from a
+    // snapshot is counted again. A fresh run, a phase-1 resume at level 3
+    // and a phase-2 resume at level 3 pin the split: (tables, hits).
+    let db = db();
+    let attrs = attrs();
+    let q = query();
+    let sink = LogSink::default();
+    let fresh = mine_on(
+        &db,
+        &attrs,
+        &q,
+        &MineRequest::new(Algorithm::BmsStarStar)
+            .guard(RunGuard::new(GuardLimits::default()))
+            .checkpoint(CheckpointPolicy::new(
+                Box::new(sink.clone()),
+                CheckpointCadence::EveryLevel,
+            )),
+        &mut HorizontalCounter::new(&db),
+    )
+    .unwrap();
+    assert!(fresh.completion.is_complete());
+
+    // Phase 1 stamps levels 2, 3, …; phase 2 starts over at level 2.
+    let stamps: Vec<(usize, ResumeState)> = sink
+        .commits
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|bytes| {
+            let ckpt = Checkpoint::from_bytes(bytes).unwrap();
+            let CheckpointStatus::InProgress { level } = ckpt.status else {
+                panic!("a complete run writes only level stamps");
+            };
+            (level, ckpt.resume)
+        })
+        .collect();
+    let phase_2_at = (1..stamps.len())
+        .find(|&i| stamps[i].0 <= stamps[i - 1].0)
+        .expect("phase 2 stamps its levels");
+    let at_level_3 = |stamps: &[(usize, ResumeState)]| {
+        stamps
+            .iter()
+            .find(|(level, _)| *level == 3)
+            .expect("a level-3 stamp")
+            .1
+            .clone()
+    };
+    let phase_1 = at_level_3(&stamps[..phase_2_at]);
+    let phase_2 = at_level_3(&stamps[phase_2_at..]);
+
+    let resume = |state: ResumeState| {
+        let mut counter = HorizontalCounter::new(&db);
+        let r = resume_on(
+            &db,
+            &attrs,
+            &q,
+            &MineRequest::default(),
+            &mut counter,
+            state,
+        )
+        .unwrap();
+        assert!(r.completion.is_complete());
+        assert_eq!(r.answers, fresh.answers);
+        assert_eq!(r.metrics.tables_built, counter.stats().tables_built);
+        (r.metrics.tables_built, r.metrics.cache_hits)
+    };
+    let work = |r: &MiningResult| (r.metrics.tables_built, r.metrics.cache_hits);
+    // Fresh: phase 1 counts 21 pairs and 70 deeper sets; phase 2
+    // revisits 21 + 53 of them, every one a hit.
+    assert_eq!(work(&fresh), (91, 74), "fresh run");
+    // Phase-1 resume: levels 3 and 4 are counted again (70) and answered
+    // in phase 2 (53 hits); the 21 thawed pairs are counted in phase 2.
+    assert_eq!(resume(phase_1), (91, 53), "phase-1 resume at level 3");
+    // Phase-2 resume: every SUPP level is thawed, so each of the 53
+    // phase-2 sets from level 3 on is counted.
+    assert_eq!(resume(phase_2), (53, 0), "phase-2 resume at level 3");
 }

@@ -18,6 +18,9 @@
 //! * answers are bit-identical across every counting strategy, and on a
 //!   sharded counter built over 3 tid-range shards (a count that never
 //!   divides the fixture sizes evenly),
+//! * so is the work that decides which tables exist: candidates, pre-count
+//!   prunes, tables, cells and cache hits (a backend changes what a table
+//!   costs, never which tables are built),
 //! * answer sets are mutually minimal (no nested pairs).
 //!
 //! Regenerate every golden after an *intentional* behaviour change with
@@ -184,6 +187,27 @@ fn fmt_metrics(m: &MiningMetrics) -> String {
     )
 }
 
+/// The backend-independent work of a run: which sets were generated,
+/// pruned before counting, counted (tables and their cells) or answered
+/// without a table. Scans and visited transactions are what a backend
+/// changes, so they stay out.
+fn assert_same_work(context: &str, reference: &MiningMetrics, other: &MiningMetrics) {
+    let work = |m: &MiningMetrics| {
+        (
+            m.candidates_generated,
+            m.pruned_before_count,
+            m.tables_built,
+            m.cells_counted,
+            m.cache_hits,
+        )
+    };
+    assert_eq!(
+        work(reference),
+        work(other),
+        "{context}: (cand, pruned, tables, cells, hits) diverged from horizontal"
+    );
+}
+
 fn assert_mutually_minimal(context: &str, answers: &[Itemset]) {
     for (i, a) in answers.iter().enumerate() {
         for b in &answers[i + 1..] {
@@ -219,7 +243,8 @@ const STRATEGY_ROWS: [CountingStrategy; 6] = [
     CountingStrategy::Auto,
 ];
 
-/// Same query under a non-default strategy; only the answers must match.
+/// Same query under a non-default strategy; answers and
+/// [`assert_same_work`] must match the horizontal run.
 fn mine_with(
     db: &TransactionDb,
     attrs: &AttributeTable,
@@ -286,12 +311,14 @@ fn render_transcript(measure: Measure) -> String {
                         r.answers, v.answers,
                         "{context}: {strategy} diverged from horizontal"
                     );
+                    assert_same_work(&format!("{context} {strategy}"), &r.metrics, &v.metrics);
                 }
                 let v = mine_on_three_shards(db, &attrs, &q, algorithm);
                 assert_eq!(
                     r.answers, v.answers,
                     "{context}: sharded on 3 shards diverged from horizontal"
                 );
+                assert_same_work(&format!("{context} 3 shards"), &r.metrics, &v.metrics);
                 let _ = writeln!(
                     out,
                     "{context} answers={} {}",
