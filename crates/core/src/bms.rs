@@ -140,9 +140,7 @@ pub fn run_bms<C: MintermCounter>(
 }
 
 /// [`run_bms`] over a caller-owned [`Engine`], so a two-phase algorithm
-/// (BMS*) can keep the verdict memo-cache warm across phases: its upward
-/// sweep then answers revisited sets from the cache instead of
-/// rebuilding their contingency tables.
+/// (BMS*) runs both phases on one engine and one guard.
 ///
 /// `start` re-enters the level loop from a truncated run's snapshot
 /// instead of from the all-pairs seed. A trip stamps `algorithm` and the

@@ -22,8 +22,10 @@
 //! "Fidelity notes"): when a SIG candidate `S` contains exactly one
 //! witness `w`, the subset `S \ {w}` was never examined (it misses
 //! `L1⁺`), yet if it is correlated then `S` is not a *minimal* correlated
-//! set and must not be reported. One extra contingency table per such SIG
-//! candidate closes the hole exactly.
+//! set and must not be reported. One extra contingency table per distinct
+//! such residue closes the hole exactly: after the sweep, the residues are
+//! counted in one batch on the disarmed engine, and a residue shared by
+//! several SIG candidates is a cache hit for each repeat.
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
 use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
@@ -44,17 +46,17 @@ use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 /// prune in `prefilter` (before any counting); residual monotone
 /// constraints gate SIG entry in `absorb`; `NOTSIG` extension respects
 /// the witness-subset candidate rule (modification II).
-pub(crate) struct PlusPlusPolicy<'a> {
-    pub(crate) analysis: &'a ConstraintAnalysis,
-    pub(crate) attrs: &'a AttributeTable,
-    pub(crate) good1: Vec<Item>,
-    pub(crate) witness: WitnessMask,
-    pub(crate) sig_candidates: Vec<Itemset>,
-    pub(crate) cands: Vec<Itemset>,
+struct PlusPlusPolicy<'a> {
+    analysis: &'a ConstraintAnalysis,
+    attrs: &'a AttributeTable,
+    good1: Vec<Item>,
+    witness: WitnessMask,
+    sig_candidates: Vec<Itemset>,
+    cands: Vec<Itemset>,
     /// The measure's closure direction; under a downward-closed measure
     /// `VALID_MIN` answers are all pairs (see [`crate::bms`]), so
     /// `NOTSIG` extension is futile and the sweep stops after level 2.
-    pub(crate) class: MonotonicityClass,
+    class: MonotonicityClass,
 }
 
 impl AlgorithmPolicy for PlusPlusPolicy<'_> {
@@ -102,35 +104,60 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
         }
         let mut subset = Vec::new();
         self.cands = candidate::extend_gen(&notsig_level, &self.good1, |cand| {
-            self.witness.subsets_in(cand, &notsig_level, &mut subset)
+            self.witness
+                .subsets_in(cand, |s| notsig_level.contains(s), &mut subset)
         });
     }
 }
 
 /// The single-witness minimality verification epilogue (shared between
-/// complete and truncated runs; see the module docs).
-pub(crate) fn verify_single_witness(
+/// complete and truncated runs; see the module docs). It disarms the
+/// engine: the residues are counted even after a trip.
+fn verify_single_witness(
     engine: &mut Engine<'_>,
     analysis: &ConstraintAnalysis,
     witness: &WitnessMask,
     sig_candidates: Vec<Itemset>,
+    metrics: &mut MiningMetrics,
 ) -> Vec<Itemset> {
     if !analysis.has_witness_class() {
         return sig_candidates;
     }
-    let mut answers = Vec::with_capacity(sig_candidates.len());
-    for set in sig_candidates {
-        let witnesses: Vec<Item> = set.iter().filter(|&i| witness.contains(i)).collect();
-        if witnesses.len() == 1 && set.len() >= 3 {
-            let residue = set.without_item(witnesses[0]);
-            let v = engine.evaluate(&residue);
-            if v.correlated && v.ct_supported {
-                continue; // `set` is not a minimal correlated set.
+    // `S \ {w}` for each SIG candidate `S` of three or more items with a
+    // single witness `w`. A residue carries no witness, so the sweep
+    // never counted it.
+    let residues: Vec<Option<Itemset>> = sig_candidates
+        .iter()
+        .map(|set| {
+            let mut witnesses = set.iter().filter(|&i| witness.contains(i));
+            match (witnesses.next(), witnesses.next()) {
+                (Some(w), None) if set.len() >= 3 => Some(set.without_item(w)),
+                _ => None,
             }
-        }
-        answers.push(set);
-    }
-    answers
+        })
+        .collect();
+    let mut batch: Vec<Itemset> = residues.iter().flatten().cloned().collect();
+    let n_residues = batch.len();
+    batch.sort_unstable();
+    batch.dedup();
+    metrics.cache_hits += (n_residues - batch.len()) as u64;
+    engine.disarm();
+    #[allow(clippy::expect_used)] // invariant: the engine is disarmed
+    let verdicts = engine
+        .evaluate_level(&batch)
+        .expect("a disarmed engine never trips");
+    // A candidate whose residue is correlated is not minimal.
+    let not_minimal = |residue: &Itemset| {
+        batch
+            .binary_search(residue)
+            .is_ok_and(|i| verdicts[i].correlated && verdicts[i].ct_supported)
+    };
+    sig_candidates
+        .into_iter()
+        .zip(residues)
+        .filter(|(_, residue)| !residue.as_ref().is_some_and(not_minimal))
+        .map(|(set, _)| set)
+        .collect()
 }
 
 /// Runs Algorithm BMS++ under a resource guard and returns
@@ -196,7 +223,13 @@ pub(crate) fn run_bms_plus_plus_guarded(
 
     // Soundness verification: for a SIG candidate with a single witness,
     // check that removing the witness does not leave a correlated set.
-    let answers = verify_single_witness(&mut engine, plan, &policy.witness, policy.sig_candidates);
+    let answers = verify_single_witness(
+        &mut engine,
+        plan,
+        &policy.witness,
+        policy.sig_candidates,
+        &mut metrics,
+    );
     scope.seal(&engine, &mut metrics, answers.len());
     Ok(conclude(answers, Semantics::ValidMin, metrics, trip))
 }

@@ -20,8 +20,9 @@
 //! of frontier sets, and a set is only reported after checking that it
 //! contains no already-reported answer.
 //!
-//! Both phases run on the levelwise kernel, sharing one engine so the
-//! phase-2 sweep answers re-encountered sets from the verdict cache.
+//! Both phases run on the levelwise kernel over one engine. Phase 2
+//! never meets a set phase 1 counted: its candidates contain a correlated
+//! `SIG'` set, so none of them was a phase-1 candidate.
 
 use std::collections::HashMap;
 
@@ -149,9 +150,8 @@ pub(crate) fn run_bms_star_guarded(
     let scope = MinerScope::begin(counter.stats());
     let mut engine = Engine::with_guard(counter, &query.params, guard.clone());
 
-    // Phase 1 (skipped when resuming into phase 2): plain BMS, run over a
-    // shared engine so its verdict cache stays warm — phase 2
-    // re-encounters of already-judged sets cost no contingency table.
+    // Phase 1 (skipped when resuming into phase 2): plain BMS, on the
+    // engine phase 2 then runs on.
     let (mut metrics, sig, frontier, start_k) = match phase2_resume {
         Some((k, sig, frontier)) => (MiningMetrics::default(), sig, frontier, Some(k)),
         None => {

@@ -7,16 +7,18 @@
 //!    *anti-monotone* machinery — the `L1⁺`/`L1⁻` preprocessing and
 //!    candidate formation of BMS++, the pre-count residual anti-monotone
 //!    checks, and the CT-support test — but *no* chi-squared test. Each
-//!    level is counted as one batch, and every verdict — including the
-//!    chi-squared outcome — lands in the engine's memo-cache.
+//!    level is counted as one batch, and each SUPP set keeps the
+//!    correlation bit of its verdict beside it in its SUPP level.
 //!
 //! 2. **Upward SIG sweep.** Starting from `SUPP₂`, sets that are
 //!    correlated and satisfy the monotone constraints become answers
 //!    (after a minimality check against already-found answers); the rest
-//!    seed single-item extensions *within SUPP* for the next level. No
-//!    contingency table is ever rebuilt — every phase-2 evaluation is a
-//!    memo-cache hit, which is exactly why the §3.3 analysis charges
-//!    BMS** only `Σᵢ vᵢ` tables.
+//!    seed single-item extensions *within SUPP* for the next level. Every
+//!    phase-2 set is a SUPP set, so its correlation bit was recorded when
+//!    phase 1 counted it: phase 2 answers it without a table (a cache
+//!    hit), which is exactly why the §3.3 analysis charges BMS** only
+//!    `Σᵢ vᵢ` tables. Only SUPP levels thawed from a resume snapshot carry
+//!    no bits; their sets are counted again.
 //!
 //! The candidate-generation and minimality amendments of
 //! [`crate::bms_star`] apply here too (DESIGN.md "Fidelity notes");
@@ -25,17 +27,19 @@
 //! has already classified.
 //!
 //! Both phases are kernel policies over one shared engine; after a
-//! phase-1 trip the engine's guard is disarmed, so the cache-only
-//! phase-2 sweep survives the already-tripped guard.
+//! phase-1 trip the engine's guard is disarmed, so the phase-2 sweep over
+//! the completed SUPP levels survives the already-tripped guard.
 
 use std::collections::HashMap;
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
-use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
+use ccs_itemset::{
+    candidate, Item, Itemset, ItemsetMap, ItemsetSet, MintermCounter, TransactionDb,
+};
 use ccs_stats::MonotonicityClass;
 
 use crate::engine::{Engine, Verdict};
-use crate::guard::{freeze_levels, sorted_sets, thaw_levels, ResumeInner, RunGuard};
+use crate::guard::{freeze_levels, sorted_sets, ResumeInner, RunGuard};
 use crate::kernel::{
     conclude, prune_am_residual, prune_non_minimal, run_levelwise, staged, AlgorithmPolicy,
     KernelConfig, KernelTrip, LevelMark, LevelSeed, MinerScope,
@@ -45,6 +49,19 @@ use crate::miner::Algorithm;
 use crate::prep::{preprocess, WitnessMask};
 use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 
+/// The SUPP levels by size. Each set maps to its correlation bit when
+/// this run's phase 1 counted it, and to `None` when its level was thawed
+/// from a resume snapshot.
+type Supp = HashMap<usize, ItemsetMap<Option<bool>>>;
+
+/// SUPP levels restored from a snapshot: none of them carries a bit.
+fn thaw_supp(levels: Vec<(usize, Vec<Itemset>)>) -> Supp {
+    levels
+        .into_iter()
+        .map(|(k, sets)| (k, sets.into_iter().map(|set| (set, None)).collect()))
+        .collect()
+}
+
 /// Phase 1 (SUPP enumeration) as a kernel policy: BMS++ candidate
 /// formation and pre-count pruning, CT-support-only acceptance.
 struct StarStarPhase1Policy<'a> {
@@ -52,7 +69,7 @@ struct StarStarPhase1Policy<'a> {
     attrs: &'a AttributeTable,
     good1: &'a [Item],
     witness: &'a WitnessMask,
-    supp: HashMap<usize, ItemsetSet>,
+    supp: Supp,
     cands: Vec<Itemset>,
 }
 
@@ -65,7 +82,7 @@ impl AlgorithmPolicy for StarStarPhase1Policy<'_> {
         ResumeInner::StarStarPhase1 {
             level,
             cands: cands.to_vec(),
-            supp: freeze_levels(&self.supp),
+            supp: freeze_supp(&self.supp),
         }
     }
 
@@ -79,31 +96,41 @@ impl AlgorithmPolicy for StarStarPhase1Policy<'_> {
     }
 
     fn absorb(&mut self, level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
-        let mut supp_level = ItemsetSet::default();
-        for (set, v) in survivors.into_iter().zip(verdicts) {
-            if v.ct_supported {
-                supp_level.insert(set);
-            }
-        }
+        let supp_level: ItemsetMap<Option<bool>> = survivors
+            .into_iter()
+            .zip(verdicts)
+            .filter(|(_, v)| v.ct_supported)
+            .map(|(set, v)| (set, Some(v.correlated)))
+            .collect();
         let mut subset = Vec::new();
-        self.cands = candidate::extend_gen(&supp_level, self.good1, |cand| {
-            self.witness.subsets_in(cand, &supp_level, &mut subset)
+        self.cands = candidate::extend_gen(supp_level.keys(), self.good1, |cand| {
+            self.witness
+                .subsets_in(cand, |s| supp_level.contains_key(s), &mut subset)
         });
         self.supp.insert(level, supp_level);
     }
 }
 
-/// Phase 2 (upward SIG sweep within SUPP) as a kernel policy: every
-/// evaluation is a memo-cache hit; minimality prefilters against
-/// already-reported answers; residual monotone constraints gate SIG
-/// entry.
+/// The snapshot form of the SUPP levels: the sets, without their bits.
+fn freeze_supp(supp: &Supp) -> Vec<(usize, Vec<Itemset>)> {
+    freeze_levels(supp.iter().map(|(k, level)| (k, level.keys())))
+}
+
+/// Phase 2 (upward SIG sweep within SUPP) as a kernel policy:
+/// minimality prefilters against already-reported answers, a set whose
+/// correlation bit phase 1 recorded is answered without a table, and
+/// residual monotone constraints gate SIG entry.
 struct StarStarPhase2Policy<'a> {
     analysis: &'a ConstraintAnalysis,
     attrs: &'a AttributeTable,
     good1: &'a [Item],
-    supp: HashMap<usize, ItemsetSet>,
+    supp: Supp,
     sig: Vec<Itemset>,
     current: Vec<Itemset>,
+    /// The current level's sets that `prefilter` answered from their
+    /// recorded bits, with those bits; `absorb` merges them with the
+    /// counted rest.
+    recorded: Vec<(Itemset, bool)>,
     /// The measure's closure direction; under a downward-closed measure
     /// an uncorrelated set never seeds extensions (its supersets are
     /// uncorrelated too), so only correlated-but-monotone-failing sets
@@ -121,26 +148,46 @@ impl AlgorithmPolicy for StarStarPhase2Policy<'_> {
             k,
             current: sorted_sets(cands.iter().cloned()),
             sig: self.sig.clone(),
-            supp: freeze_levels(&self.supp),
+            supp: freeze_supp(&self.supp),
         }
     }
 
+    /// After the minimality prune, answers every set whose bit phase 1
+    /// recorded (one cache hit each) and passes on only the sets of a
+    /// thawed level, to be counted.
     fn prefilter(
         &mut self,
-        _k: usize,
+        k: usize,
         cands: Vec<Itemset>,
-        _metrics: &mut MiningMetrics,
+        metrics: &mut MiningMetrics,
     ) -> Vec<Itemset> {
-        prune_non_minimal(&self.sig, cands)
+        let level = self.supp.get(&k);
+        let mut to_count = Vec::new();
+        for set in prune_non_minimal(&self.sig, cands) {
+            match level.and_then(|l| l.get(&set)).copied().flatten() {
+                Some(correlated) => {
+                    metrics.cache_hits += 1;
+                    self.recorded.push((set, correlated));
+                }
+                None => to_count.push(set),
+            }
+        }
+        to_count
     }
 
     fn absorb(&mut self, k: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
+        let counted = survivors
+            .into_iter()
+            .zip(verdicts.into_iter().map(|v| v.correlated));
         let mut notsig_level = ItemsetSet::default();
-        for (set, v) in survivors.into_iter().zip(verdicts) {
-            if self.class.is_downward() && !v.correlated {
+        for (set, correlated) in std::mem::take(&mut self.recorded)
+            .into_iter()
+            .chain(counted)
+        {
+            if self.class.is_downward() && !correlated {
                 continue; // dead: supersets within SUPP are uncorrelated too
             }
-            if v.correlated && self.analysis.m_residual_satisfied(&set, self.attrs) {
+            if correlated && self.analysis.m_residual_satisfied(&set, self.attrs) {
                 self.sig.push(set);
             } else {
                 notsig_level.insert(set);
@@ -148,9 +195,9 @@ impl AlgorithmPolicy for StarStarPhase2Policy<'_> {
         }
         self.current = match self.supp.get(&(k + 1)) {
             None => Vec::new(),
-            Some(next_supp) => {
-                candidate::extend_gen(&notsig_level, self.good1, |cand| next_supp.contains(cand))
-            }
+            Some(next_supp) => candidate::extend_gen(&notsig_level, self.good1, |cand| {
+                next_supp.contains_key(cand)
+            }),
         };
     }
 }
@@ -161,9 +208,9 @@ impl AlgorithmPolicy for StarStarPhase2Policy<'_> {
 /// push `plan`.
 ///
 /// A phase-1 (SUPP enumeration) trip still runs the full phase-2 sweep
-/// over the *completed* SUPP levels (memo-cache hits: no new tables);
-/// it yields the complete run's answers up to the truncated level.
-/// Phase 2 checkpoints the guard once per level.
+/// over the *completed* SUPP levels (recorded bits: no new tables unless
+/// a level was thawed); it yields the complete run's answers up to the
+/// truncated level. Phase 2 checkpoints the guard once per level.
 pub(crate) fn run_bms_star_star_guarded(
     db: &TransactionDb,
     attrs: &AttributeTable,
@@ -177,14 +224,14 @@ pub(crate) fn run_bms_star_star_guarded(
     let (phase1_resume, phase2_resume) = match resume {
         None => (None, None),
         Some(ResumeInner::StarStarPhase1 { level, cands, supp }) => {
-            (Some((level, cands, thaw_levels(supp))), None)
+            (Some((level, cands, thaw_supp(supp))), None)
         }
         Some(ResumeInner::StarStarPhase2 {
             k,
             current,
             sig,
             supp,
-        }) => (None, Some((k, current, sig, thaw_levels(supp)))),
+        }) => (None, Some((k, current, sig, thaw_supp(supp)))),
         Some(_) => return Err(MiningError::foreign_snapshot(Algorithm::BmsStarStar.name())),
     };
     let scope = MinerScope::begin(counter.stats());
@@ -194,8 +241,8 @@ pub(crate) fn run_bms_star_star_guarded(
     // Preprocessing, identical to BMS++.
     let prep = preprocess(db, attrs, query, plan);
 
-    // Phase 1: SUPP levels, one counting batch per level; verdicts stay
-    // in the memo-cache for phase 2 (skipped on a phase-2 resume).
+    // Phase 1: SUPP levels, one counting batch per level, each SUPP set
+    // with its correlation bit (skipped on a phase-2 resume).
     let mut trip: Option<KernelTrip> = None;
     let (supp, phase2_start) = match phase2_resume {
         Some((k, current, sig, supp)) => (supp, Some((k, current, sig))),
@@ -227,11 +274,12 @@ pub(crate) fn run_bms_star_star_guarded(
         }
     };
 
-    // Phase 2: upward SIG sweep over SUPP — pure memo-cache work, no new
-    // tables. After a phase-1 trip it still completes over the finished
-    // SUPP levels; disarming keeps the tripped guard out of it.
+    // Phase 2: upward SIG sweep over SUPP — recorded bits, no new tables
+    // outside thawed levels. After a phase-1 trip it still completes over
+    // the finished SUPP levels; disarming keeps the tripped guard out of
+    // it.
     let (k, current, sig) = phase2_start.unwrap_or_else(|| {
-        let current = sorted_sets(supp.get(&2).into_iter().flatten().cloned());
+        let current = sorted_sets(supp.get(&2).into_iter().flat_map(|l| l.keys().cloned()));
         (2usize, current, Vec::new())
     });
     let mut policy = StarStarPhase2Policy {
@@ -241,6 +289,7 @@ pub(crate) fn run_bms_star_star_guarded(
         supp,
         sig,
         current,
+        recorded: Vec::new(),
         class: query.params.measure.monotonicity(),
     };
     if trip.is_some() {

@@ -160,6 +160,7 @@ pub fn discover_causality<C: MintermCounter>(
     let ci_crit = engine.measure_context().ci_critical_value();
 
     let mut findings = Vec::new();
+    let mut ccc = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
             for c in (b + 1)..n {
@@ -195,35 +196,26 @@ pub fn discover_causality<C: MintermCounter>(
                     });
                     continue;
                 }
-                // CCC: all three correlated — try each item as mediator.
+                // CCC: all three correlated; counted below, in one batch.
                 metrics.candidates_generated += 1;
                 metrics.max_level_reached = metrics.max_level_reached.max(3);
-                let counts = engine.minterm_counts(&triple);
-                // Positions of a, b, c within the sorted triple; the
-                // triple was built from exactly these three items.
-                #[allow(clippy::expect_used)]
-                let pos = |item: Item| {
-                    triple
-                        .items()
-                        .iter()
-                        .position(|&x| x == item)
-                        .expect("member of triple")
-                };
-                for (x, m, z) in [(a, b, c), (b, a, c), (a, c, b)] {
-                    let chi2 = conditional_chi2(
-                        &counts,
-                        pos(universe[x]),
-                        pos(universe[m]),
-                        pos(universe[z]),
-                    );
-                    if chi2 < ci_crit {
-                        findings.push(CausalFinding::Mediator {
-                            a: universe[x.min(z)],
-                            mediator: universe[m],
-                            c: universe[x.max(z)],
-                        });
-                    }
-                }
+                ccc.push(triple);
+            }
+        }
+    }
+    #[allow(clippy::expect_used)] // invariant: the engine's guard is unarmed
+    let tables = engine.count(&ccc).expect("an unarmed guard never trips");
+    for table in &tables {
+        // Try each item as mediator; `x`, `m`, `z` are bit positions in
+        // the sorted triple.
+        let items = table.itemset().items();
+        for (x, m, z) in [(0, 1, 2), (1, 0, 2), (0, 2, 1)] {
+            if conditional_chi2(table.counts(), x, m, z) < ci_crit {
+                findings.push(CausalFinding::Mediator {
+                    a: items[x.min(z)],
+                    mediator: items[m],
+                    c: items[x.max(z)],
+                });
             }
         }
     }

@@ -1,26 +1,24 @@
 //! Shared candidate evaluation machinery for the level-wise miners.
 //!
-//! Two batching layers live here:
+//! The engine counts and judges, and keeps nothing between calls:
 //!
-//! * [`Engine::evaluate_level`] hands a whole level of candidates to the
-//!   counting layer at once ([`MintermCounter::minterm_counts_batch`]),
-//!   so a horizontal strategy pays one scan per *level* rather than per
-//!   *candidate*, the vertical strategy can share prefix intersections
-//!   across candidates, and the parallel-vertical strategy can fan the
-//!   level's prefix-equivalence classes out over its worker pool.
-//! * A verdict memo-cache keyed by [`Itemset`]: once a set has been
-//!   judged, any later evaluation — typically a BMS*/BMS** border sweep
-//!   revisiting sets the BMS phase already classified — is answered from
-//!   the cache without rebuilding the contingency table. Hits are
-//!   reported via [`CountingStats::cache_hits`]. A level probes it once
-//!   per input set; a fresh set is moved through its table into the
-//!   cache, never cloned twice.
+//! * [`Engine::count`] hands a batch of sets — a whole level, the BMS++
+//!   residues, the causal triples — to the counting layer in one guarded
+//!   [`MintermCounter::minterm_counts_batch_guarded`] call, so a
+//!   horizontal strategy pays one scan per *batch* rather than per
+//!   *set*, the vertical strategy shares prefix intersections across the
+//!   batch, and the pooled strategies fan its prefix-equivalence classes
+//!   out over their workers.
+//! * [`Engine::evaluate_level`] judges those tables with the run's
+//!   measure and the CT-support test.
+//!
+//! The one algorithm that reads a verdict twice, BMS**, records its
+//! phase-1 verdicts itself (see [`crate::bms_star_star`]).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use ccs_itemset::hash::ItemsetBuildHasher;
-use ccs_itemset::{CountingStats, Itemset, ItemsetMap, MintermCounter};
+use ccs_itemset::{CountingStats, Itemset, MintermCounter};
 use ccs_stats::{ContingencyTable, MeasureContext};
 
 use crate::guard::{RunGuard, TruncationReason};
@@ -33,19 +31,6 @@ pub(crate) struct Verdict {
     pub ct_supported: bool,
     /// Correlation test outcome under the run's measure.
     pub correlated: bool,
-    /// The raw measure statistic (the chi-squared statistic under the
-    /// paper's measure).
-    pub statistic: f64,
-}
-
-impl Verdict {
-    /// The stand-in [`Engine::evaluate_level`] holds a fresh set's place
-    /// with until its batch is judged; it never leaves the engine.
-    const PENDING: Verdict = Verdict {
-        ct_supported: false,
-        correlated: false,
-        statistic: f64::NAN,
-    };
 }
 
 /// Wraps a counting strategy with the query's statistical tests and the
@@ -57,20 +42,16 @@ impl Verdict {
 pub(crate) struct Engine<'a> {
     counter: &'a mut dyn MintermCounter,
     /// Absolute cell-support threshold.
-    pub s_abs: u64,
+    s_abs: u64,
     /// CT-support cell fraction.
-    pub p: f64,
+    p: f64,
     /// The run's validated measure criterion. For χ² the critical value
     /// is the df = 1 quantile at *every* level, following Brin et al.
     /// (and §2.1 of the paper: "a degree of freedom, which is always 1
     /// for boolean variables") — the fixed cutoff that makes being
     /// correlated upward closed; see the fidelity notes in DESIGN.md.
     ctx: MeasureContext,
-    /// Memoised verdicts: a set is counted at most once per engine.
-    cache: ItemsetMap<Verdict>,
-    /// Evaluations answered from `cache` without building a table.
-    cache_hits: u64,
-    /// The run's resource governor, consulted at level boundaries and
+    /// The run's resource governor, consulted at batch boundaries and
     /// passed into the counting layer as its interruption probe.
     guard: RunGuard,
 }
@@ -98,8 +79,6 @@ impl<'a> Engine<'a> {
             s_abs: params.support_abs(n),
             p: params.ct_fraction,
             ctx,
-            cache: ItemsetMap::default(),
-            cache_hits: 0,
             guard,
         }
     }
@@ -109,10 +88,10 @@ impl<'a> Engine<'a> {
         &self.guard
     }
 
-    /// Swaps the guard for the inert unlimited one: later sweeps on this
-    /// engine take no snapshots, stamp no checkpoints and never trip.
-    /// BMS** phase 2 runs so after a phase-1 trip; its sweep over the
-    /// completed SUPP levels is pure cache work.
+    /// Swaps the guard for the inert unlimited one: later batches on
+    /// this engine take no snapshots, stamp no checkpoints and never
+    /// trip. BMS** phase 2 runs so after a phase-1 trip, and the BMS++
+    /// verification epilogue always does.
     pub(crate) fn disarm(&mut self) {
         self.guard = RunGuard::unlimited();
     }
@@ -122,129 +101,73 @@ impl<'a> Engine<'a> {
         &self.ctx
     }
 
-    /// Applies both tests to an already-built contingency table.
-    fn judge(&mut self, table: &ContingencyTable) -> Verdict {
-        let ct_supported = table.is_ct_supported(self.s_abs, self.p);
-        let statistic = self.ctx.statistic(table);
-        let correlated = statistic >= self.ctx.critical_value();
-        Verdict {
-            ct_supported,
-            correlated,
-            statistic,
-        }
-    }
-
-    /// Evaluates one candidate: answers from the memo-cache if the set
-    /// was judged before, otherwise builds its contingency table (one
-    /// accounted table) and caches the verdict. Absorb
-    /// [`Engine::counting_stats`] into the run's metrics once at the end.
-    pub(crate) fn evaluate(&mut self, set: &Itemset) -> Verdict {
-        debug_assert!(set.len() >= 2, "tests are degenerate below pairs");
-        if let Some(&v) = self.cache.get(set) {
-            self.cache_hits += 1;
-            return v;
-        }
-        let table = ContingencyTable::build(&mut *self.counter, set);
-        let v = self.judge(&table);
-        self.cache.insert(table.into_itemset(), v);
-        v
-    }
-
-    /// Evaluates a whole level of candidates in one counting batch.
-    ///
-    /// Sets with cached verdicts (and in-batch duplicates) are answered
-    /// from the memo-cache; the rest go to the counting layer as a single
-    /// guarded [`MintermCounter::minterm_counts_batch_guarded`] call, so
-    /// horizontal strategies pay one scan per level and the vertical
-    /// strategy shares prefix work across candidates. Verdicts come back
-    /// in input order.
+    /// Counts `sets` — distinct sets of two or more items — in one
+    /// guarded counting batch and returns their contingency tables in
+    /// input order. An empty batch never reaches the counter.
     ///
     /// This is also a guard checkpoint — one at entry (the level
     /// boundary) and, via the probe, inside the counting loops. On a
     /// trip, the batch's partial counts are discarded (its completed work
     /// is still in the statistics) and the truncation reason is returned;
-    /// the caller abandons the level and reports a truncated result. With
+    /// the caller abandons the batch and reports a truncated result. With
     /// an unarmed guard this never fails.
+    pub(crate) fn count(
+        &mut self,
+        sets: &[Itemset],
+    ) -> Result<Vec<ContingencyTable>, TruncationReason> {
+        self.guard.checkpoint()?;
+        debug_assert!(
+            {
+                let mut seen = HashSet::with_hasher(ItemsetBuildHasher::default());
+                sets.iter().all(|set| set.len() >= 2 && seen.insert(set))
+            },
+            "a batch holds distinct sets of two or more items"
+        );
+        if sets.is_empty() {
+            return Ok(Vec::new());
+        }
+        let counts = match self.counter.minterm_counts_batch_guarded(sets, &self.guard) {
+            Ok(counts) => counts,
+            // A counter only abandons a batch when the probe asks it to.
+            // Re-running the checkpoint classifies the cause — including
+            // a cancellation flag that was raised but not yet converted
+            // into a trip; the fallback covers misbehaving counters that
+            // interrupt unprompted.
+            Err(_) => {
+                return Err(match self.guard.checkpoint() {
+                    Err(reason) => reason,
+                    Ok(()) => TruncationReason::WorkBudget,
+                })
+            }
+        };
+        Ok(sets
+            .iter()
+            .zip(counts)
+            .map(|(set, cells)| ContingencyTable::from_counts(set.clone(), cells))
+            .collect())
+    }
+
+    /// Counts a whole level of candidates in one batch ([`Engine::count`])
+    /// and judges each table: the CT-support test and the run's measure.
+    /// Verdicts come back in input order.
     pub(crate) fn evaluate_level(
         &mut self,
         sets: &[Itemset],
     ) -> Result<Vec<Verdict>, TruncationReason> {
-        self.guard.checkpoint()?;
-        // Verdicts by input position: cached ones now, the rest once the
-        // batch is judged. A fresh set is counted at its first position;
-        // a repeat copies the verdict from there.
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(sets.len());
-        let mut fresh: Vec<Itemset> = Vec::new();
-        let mut fresh_at: Vec<usize> = Vec::new();
-        let mut repeats: Vec<(usize, usize)> = Vec::new();
-        let mut first_at: HashMap<&Itemset, usize, ItemsetBuildHasher> = HashMap::default();
-        for (pos, set) in sets.iter().enumerate() {
-            debug_assert!(set.len() >= 2, "tests are degenerate below pairs");
-            if let Some(&v) = self.cache.get(set) {
-                self.cache_hits += 1;
-                verdicts.push(v);
-                continue;
-            }
-            match first_at.entry(set) {
-                Entry::Occupied(first) => {
-                    self.cache_hits += 1;
-                    repeats.push((pos, *first.get()));
-                }
-                Entry::Vacant(first) => {
-                    first.insert(pos);
-                    fresh.push(set.clone());
-                    fresh_at.push(pos);
-                }
-            }
-            verdicts.push(Verdict::PENDING);
-        }
-        // Free the index before the batch allocates its tables.
-        drop(first_at);
-        if !fresh.is_empty() {
-            let batch = self
-                .counter
-                .minterm_counts_batch_guarded(&fresh, &self.guard);
-            let counts = match batch {
-                Ok(counts) => counts,
-                // A counter only abandons a batch when the probe asks it
-                // to. Re-running the checkpoint classifies the cause —
-                // including a cancellation flag that was raised but not
-                // yet converted into a trip; the fallback covers
-                // misbehaving counters that interrupt unprompted.
-                Err(_) => {
-                    return Err(match self.guard.checkpoint() {
-                        Err(reason) => reason,
-                        Ok(()) => TruncationReason::WorkBudget,
-                    })
-                }
-            };
-            for ((set, cells), pos) in fresh.into_iter().zip(counts).zip(fresh_at) {
-                let table = ContingencyTable::from_counts(set, cells);
-                let v = self.judge(&table);
-                self.cache.insert(table.into_itemset(), v);
-                verdicts[pos] = v;
-            }
-        }
-        for (pos, first) in repeats {
-            verdicts[pos] = verdicts[first];
-        }
-        Ok(verdicts)
+        let tables = self.count(sets)?;
+        Ok(tables
+            .iter()
+            .map(|table| Verdict {
+                ct_supported: table.is_ct_supported(self.s_abs, self.p),
+                correlated: self.ctx.verdict(table),
+            })
+            .collect())
     }
 
-    /// Raw minterm counts for `set` (one accounted table), for callers
-    /// that need the cells themselves (conditional-independence tests).
-    pub(crate) fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        self.counter.minterm_counts(set)
-    }
-
-    /// Final counting statistics — the counting layer's numbers plus this
-    /// engine's cache hits — to be absorbed into metrics once at the end
-    /// of a run.
+    /// The counting layer's cumulative statistics, to be absorbed into
+    /// metrics once at the end of a run.
     pub(crate) fn counting_stats(&self) -> CountingStats {
-        let mut stats = self.counter.stats();
-        // ccs-lint: allow(counting-stats-merge-via-addassign, reason = "folds the engine's own hit counter into one field; not a stats-to-stats merge")
-        stats.cache_hits += self.cache_hits;
-        stats
+        self.counter.stats()
     }
 }
 
@@ -277,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn level_batches_answer_by_position_and_trips_leave_the_cache_clean() {
+    fn level_batches_answer_by_position_and_a_trip_abandons_the_batch() {
         let db = TransactionDb::from_ids(
             5,
             vec![
@@ -292,17 +215,26 @@ mod tests {
             ],
         );
         let params = MiningParams::paper();
-        // The verdicts one set at a time, on an engine of its own.
+        // The verdicts one set at a time, from the tables themselves.
+        let ctx = params.measure_context().unwrap();
         let mut solo = HorizontalCounter::new(&db);
-        let mut reference = Engine::new(&mut solo, &params);
         let mut expect = |sets: &[Itemset]| -> Vec<Verdict> {
-            sets.iter().map(|s| reference.evaluate(s)).collect()
+            sets.iter()
+                .map(|s| {
+                    let table = ContingencyTable::build(&mut solo, s);
+                    Verdict {
+                        ct_supported: table
+                            .is_ct_supported(params.support_abs(db.len()), params.ct_fraction),
+                        correlated: ctx.verdict(&table),
+                    }
+                })
+                .collect()
         };
 
-        // Batches 1 and 2 charge 4 cells per pair table: 16 in all, so
+        // Batches 1 and 2 charge 4 cells per pair table: 20 in all, so
         // the first table of batch 3 crosses the budget.
         let limits = GuardLimits {
-            work_budget_cells: Some(17),
+            work_budget_cells: Some(21),
             ..GuardLimits::default()
         };
         let mut counter = PerSet(HorizontalCounter::new(&db));
@@ -310,36 +242,30 @@ mod tests {
 
         let first = [set(&[0, 1]), set(&[0, 2])];
         assert_eq!(engine.evaluate_level(&first), Ok(expect(&first)));
-        let stats = engine.counting_stats();
-        assert_eq!((stats.tables_built, stats.cache_hits), (2, 0));
+        assert_eq!(engine.counting_stats().tables_built, 2);
 
-        // Cached, fresh, cached, in-batch duplicate, fresh, cached.
-        let mixed = [
-            set(&[0, 2]),
-            set(&[1, 2]),
-            set(&[0, 1]),
-            set(&[1, 2]),
-            set(&[0, 3]),
-            set(&[0, 2]),
-        ];
-        assert_eq!(engine.evaluate_level(&mixed), Ok(expect(&mixed)));
-        let stats = engine.counting_stats();
-        assert_eq!(stats.tables_built, 4, "one table per distinct fresh set");
-        assert_eq!(
-            stats.cache_hits, 4,
-            "three cached inputs plus one duplicate"
-        );
+        let second = [set(&[1, 2]), set(&[0, 3]), set(&[1, 3])];
+        assert_eq!(engine.evaluate_level(&second), Ok(expect(&second)));
+        assert_eq!(engine.counting_stats().tables_built, 5);
 
-        let tripped = [set(&[2, 3]), set(&[2, 4]), set(&[1, 3])];
+        // The first table of the tripped batch is counted and charged;
+        // the batch itself is abandoned, and so is every later one.
+        let tripped = [set(&[2, 3]), set(&[2, 4]), set(&[1, 4])];
         assert_eq!(
             engine.evaluate_level(&tripped),
             Err(TruncationReason::WorkBudget)
         );
-        for s in &tripped {
-            assert!(!engine.cache.contains_key(s), "{s} outlived its batch");
-        }
-        for s in first.iter().chain(&mixed) {
-            assert!(engine.cache.contains_key(s), "{s} left the cache");
-        }
+        assert_eq!(engine.counting_stats().tables_built, 6);
+        assert_eq!(
+            engine.count(&[set(&[3, 4])]).map(|t| t.len()),
+            Err(TruncationReason::WorkBudget)
+        );
+        assert_eq!(engine.counting_stats().tables_built, 6);
+
+        // The empty batch is still a checkpoint.
+        assert_eq!(
+            engine.evaluate_level(&[]),
+            Err(TruncationReason::WorkBudget)
+        );
     }
 }

@@ -450,12 +450,12 @@ pub(crate) fn sorted_sets<I: IntoIterator<Item = Itemset>>(sets: I) -> Vec<Items
 /// Deterministic snapshot form of a per-level set family (levels sorted,
 /// sets within a level sorted) — the frontier of BMS* phase 2 and the
 /// SUPP levels of BMS**.
-pub(crate) fn freeze_levels(
-    levels: &std::collections::HashMap<usize, ItemsetSet>,
+pub(crate) fn freeze_levels<'a, S: IntoIterator<Item = &'a Itemset>>(
+    levels: impl IntoIterator<Item = (&'a usize, S)>,
 ) -> Vec<(usize, Vec<Itemset>)> {
     let mut out: Vec<(usize, Vec<Itemset>)> = levels
-        .iter()
-        .map(|(&k, sets)| (k, sorted_sets(sets.iter().cloned())))
+        .into_iter()
+        .map(|(&k, sets)| (k, sorted_sets(sets.into_iter().cloned())))
         .collect();
     out.sort_unstable_by_key(|&(k, _)| k);
     out

@@ -7,7 +7,7 @@
 //!
 //! * the level loop and its termination/skip protocol ([`LevelSeed`]),
 //! * batch submission to [`Engine::evaluate_level`] (one counting batch
-//!   per level, verdict memo-cache in front),
+//!   per level),
 //! * guard probing and the trip path: per-level [`ResumeState`] stamping,
 //!   `max_level_reached` bookkeeping ([`LevelMark`]), and the
 //!   `frontier_level = level − 1` contract the fault-injection harness

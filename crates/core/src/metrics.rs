@@ -29,8 +29,10 @@ pub struct MiningMetrics {
     /// Contingency cells computed by the counting layer (`2^k` per
     /// `k`-itemset table).
     pub cells_counted: u64,
-    /// Evaluations answered from the engine's verdict cache (no table
-    /// was rebuilt).
+    /// Sets answered without a table: BMS** phase-2 sets whose verdict
+    /// phase 1 recorded, and repeats of a BMS++ verification residue.
+    /// Not a counting-layer statistic, so [`MiningMetrics::counting`]
+    /// leaves it out.
     pub cache_hits: u64,
     /// Counting batches a vertical strategy answered below its preferred
     /// rung of the degradation ladder (vertical-parallel → vertical →
@@ -57,7 +59,6 @@ impl MiningMetrics {
             db_scans: self.db_scans,
             transactions_visited: self.transactions_visited,
             cells_counted: self.cells_counted,
-            cache_hits: self.cache_hits,
             degraded_batches: self.degraded_batches,
         }
     }
@@ -71,7 +72,6 @@ impl MiningMetrics {
         self.db_scans = counting.db_scans;
         self.transactions_visited = counting.transactions_visited;
         self.cells_counted = counting.cells_counted;
-        self.cache_hits = counting.cache_hits;
         self.degraded_batches = counting.degraded_batches;
     }
 }
@@ -88,7 +88,6 @@ mod tests {
             db_scans: 3,
             transactions_visited: 30,
             cells_counted: 12,
-            cache_hits: 1,
             degraded_batches: 1,
         });
         m.absorb_counting(CountingStats {
@@ -96,14 +95,12 @@ mod tests {
             db_scans: 2,
             transactions_visited: 20,
             cells_counted: 8,
-            cache_hits: 0,
             degraded_batches: 0,
         });
         assert_eq!(m.tables_built, 5);
         assert_eq!(m.db_scans, 5);
         assert_eq!(m.transactions_visited, 50);
         assert_eq!(m.cells_counted, 20);
-        assert_eq!(m.cache_hits, 1);
         assert_eq!(m.degraded_batches, 1);
     }
 
@@ -114,7 +111,6 @@ mod tests {
             db_scans: 1,
             transactions_visited: 30,
             cells_counted: 12,
-            cache_hits: 2,
             degraded_batches: 1,
         };
         let mut m = MiningMetrics::default();

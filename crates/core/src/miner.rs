@@ -346,8 +346,8 @@ mod tests {
     /// A database with two overlapping correlated modules over 8 items,
     /// so mining levels carry many same-prefix candidates: the
     /// level-batched evaluation paths (one-scan horizontal batch,
-    /// prefix-sharing vertical batch, parallel fan-out) and the verdict
-    /// memo-cache all see real traffic.
+    /// prefix-sharing vertical batch, parallel fan-out) and BMS**'s
+    /// recorded phase-1 verdicts all see real traffic.
     fn modular_db() -> TransactionDb {
         let mut txns = Vec::new();
         for i in 0..120u32 {
@@ -376,8 +376,7 @@ mod tests {
         // Every algorithm routes candidates through the level-batched
         // `Engine::evaluate_level`, so this compares the horizontal
         // batch, the prefix-sharing vertical batch, and the parallel
-        // fan-out — plus the memo-cache in front of all three — against
-        // each other on both databases, byte for byte.
+        // fan-out against each other on both databases, byte for byte.
         let attrs = AttributeTable::with_identity_prices(8);
         let q = query();
         for db in [db(), modular_db()] {

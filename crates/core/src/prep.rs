@@ -8,7 +8,7 @@
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
 use ccs_itemset::candidate::drop_one_into;
-use ccs_itemset::{Item, Itemset, ItemsetSet, TransactionDb};
+use ccs_itemset::{Item, Itemset, TransactionDb};
 
 use crate::params::MiningParams;
 use crate::query::CorrelationQuery;
@@ -79,12 +79,13 @@ impl WitnessMask {
     }
 
     /// Modification II's candidate rule of BMS++ (and BMS** phase 1):
-    /// every `(k−1)`-subset of `cand` that contains a witness is in
-    /// `level`. The subsets are assembled in `subset`, a reused buffer.
+    /// every `(k−1)`-subset of `cand` that contains a witness is in the
+    /// previous level, which `in_level` tests. The subsets are assembled
+    /// in `subset`, a reused buffer.
     pub(crate) fn subsets_in(
         &self,
         cand: &[Item],
-        level: &ItemsetSet,
+        in_level: impl Fn(&[Item]) -> bool,
         subset: &mut Vec<Item>,
     ) -> bool {
         let witnesses = cand.iter().filter(|&&i| self.contains(i)).count();
@@ -94,7 +95,7 @@ impl WitnessMask {
                 return true;
             }
             drop_one_into(cand, drop, subset);
-            level.contains(subset.as_slice())
+            in_level(subset)
         })
     }
 }

@@ -656,15 +656,14 @@ mod bms_star_star {
         let mut c = HorizontalCounter::new(&db);
         let ss = mine(&db, &attrs, &q, Algorithm::BmsStarStar, &mut c).unwrap();
         // Every phase-2 evaluation revisits a set phase 1 judged, so the
-        // sweep must be answered entirely from the verdict memo-cache...
+        // sweep must be answered entirely from the recorded verdicts...
         assert!(
             ss.metrics.cache_hits > 0,
             "phase 2 built tables instead of hitting the cache"
         );
-        // ...and the counting layer itself never sees those hits: the
-        // counter's raw table count equals the metrics' table count.
+        // ...and the metrics' table count is the counter's own: hits
+        // never pass as tables.
         assert_eq!(ss.metrics.tables_built, c.stats().tables_built);
-        assert_eq!(c.stats().cache_hits, 0);
     }
 
     #[test]

@@ -78,8 +78,9 @@ pub fn drop_one_into(items: &[Item], drop: usize, buf: &mut Vec<Item>) {
 /// Each extension is assembled in one reused buffer; `keep` sees it as a
 /// sorted item slice, and only a kept candidate becomes an [`Itemset`].
 /// Results are returned in sorted order for determinism.
-pub fn extend_gen<F>(prev: &ItemsetSet, universe: &[Item], mut keep: F) -> Vec<Itemset>
+pub fn extend_gen<'p, P, F>(prev: P, universe: &[Item], mut keep: F) -> Vec<Itemset>
 where
+    P: IntoIterator<Item = &'p Itemset>,
     F: FnMut(&[Item]) -> bool,
 {
     let mut seen = ItemsetSet::default();

@@ -79,6 +79,8 @@ pub const MAX_TABLE_WIDTH: usize = 20;
 pub(crate) const PROBE_CHUNK: usize = 1024;
 
 /// Counting work statistics, shared by all counter implementations.
+/// Every field is work a counter did; a set a miner answers without
+/// counting is not recorded here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CountingStats {
     /// Number of contingency tables built (candidate sets counted).
@@ -89,9 +91,6 @@ pub struct CountingStats {
     pub transactions_visited: u64,
     /// Total contingency cells computed (`2^k` per `k`-itemset table).
     pub cells_counted: u64,
-    /// Evaluations answered from a verdict cache instead of a counter
-    /// (tracked by `ccs-core`'s engine, not by the counters themselves).
-    pub cache_hits: u64,
     /// Batches a [`Tiered`] counter answered below its preferred rung of
     /// the degradation ladder (preferred engine → vertical → horizontal)
     /// after a scratch-memory budget tripped.
@@ -107,7 +106,6 @@ impl CountingStats {
             db_scans: self.db_scans - base.db_scans,
             transactions_visited: self.transactions_visited - base.transactions_visited,
             cells_counted: self.cells_counted - base.cells_counted,
-            cache_hits: self.cache_hits - base.cache_hits,
             degraded_batches: self.degraded_batches - base.degraded_batches,
         }
     }
@@ -131,7 +129,6 @@ impl std::ops::AddAssign<&CountingStats> for CountingStats {
         self.db_scans += rhs.db_scans;
         self.transactions_visited += rhs.transactions_visited;
         self.cells_counted += rhs.cells_counted;
-        self.cache_hits += rhs.cache_hits;
         self.degraded_batches += rhs.degraded_batches;
     }
 }
@@ -658,7 +655,6 @@ mod tests {
             db_scans: 2,
             transactions_visited: 3,
             cells_counted: 4,
-            cache_hits: 5,
             degraded_batches: 6,
         };
         let b = CountingStats {
@@ -666,7 +662,6 @@ mod tests {
             db_scans: 20,
             transactions_visited: 30,
             cells_counted: 40,
-            cache_hits: 50,
             degraded_batches: 60,
         };
         let mut sum = a;
@@ -675,7 +670,6 @@ mod tests {
         assert_eq!(sum.db_scans, 22);
         assert_eq!(sum.transactions_visited, 33);
         assert_eq!(sum.cells_counted, 44);
-        assert_eq!(sum.cache_hits, 55);
         assert_eq!(sum.degraded_batches, 66);
         // `since` is the merge's inverse, field for field.
         assert_eq!(sum.since(&a), b);

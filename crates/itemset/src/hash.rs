@@ -2,7 +2,7 @@
 //!
 //! Between two counting batches a level-wise miner does little but hash
 //! short runs of item ids: candidate deduplication, level membership
-//! probes and the verdict memo-cache. `std`'s SipHash spends more on
+//! probes and BMS**'s recorded verdicts. `std`'s SipHash spends more on
 //! those few words than the lookups themselves do, so every
 //! `Itemset`-keyed set and map in the mining layers uses
 //! [`ItemsetSet`] / [`ItemsetMap`] instead: a multiply-xor hasher in the

@@ -149,21 +149,13 @@ proptest! {
 fn stats_strategy() -> impl Strategy<Value = CountingStats> {
     // Small enough that no sum of eight can overflow.
     let f = 0u64..1 << 20;
-    (f.clone(), f.clone(), f.clone(), f.clone(), f.clone(), f).prop_map(
-        |(
-            tables_built,
-            db_scans,
-            transactions_visited,
-            cells_counted,
-            cache_hits,
-            degraded_batches,
-        )| {
+    (f.clone(), f.clone(), f.clone(), f.clone(), f).prop_map(
+        |(tables_built, db_scans, transactions_visited, cells_counted, degraded_batches)| {
             CountingStats {
                 tables_built,
                 db_scans,
                 transactions_visited,
                 cells_counted,
-                cache_hits,
                 degraded_batches,
             }
         },

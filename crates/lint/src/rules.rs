@@ -131,7 +131,6 @@ const STATS_FIELDS: &[&str] = &[
     "db_scans",
     "transactions_visited",
     "cells_counted",
-    "cache_hits",
     "degraded_batches",
 ];
 

@@ -7,24 +7,24 @@
 
 pub struct CountingStats {
     pub db_scans: u64,
-    pub cache_hits: u64,
+    pub cells_counted: u64,
 }
 
 fn rogue_merge(into: &mut CountingStats, from: &CountingStats) {
     // VIOLATION (x2): merging outside the AddAssign impl.
     into.db_scans += from.db_scans;
-    into.cache_hits += from.cache_hits;
+    into.cells_counted += from.cells_counted;
 }
 
 fn fine_increments(stats: &mut CountingStats, visited: u64) {
     stats.db_scans += 1;
-    stats.cache_hits += visited;
+    stats.cells_counted += visited;
 }
 
 impl std::ops::AddAssign<&CountingStats> for CountingStats {
     fn add_assign(&mut self, rhs: &CountingStats) {
         // The one sanctioned field-wise merge.
         self.db_scans += rhs.db_scans;
-        self.cache_hits += rhs.cache_hits;
+        self.cells_counted += rhs.cells_counted;
     }
 }

@@ -189,10 +189,10 @@ fn memory_faults_every_injection_point() {
 #[test]
 fn star_star_phase_two_finishes_the_completed_supp_levels_after_a_trip() {
     // Every guarded batch of BMS** is a phase-1 SUPP level: phase 2 is
-    // answered from the verdict cache. After a phase-1 trip, phase 2 runs
-    // on a disarmed engine over the completed levels, so the truncated
-    // run reports exactly the complete run's answers up to its frontier,
-    // and counts no table beyond what phase 1 counted.
+    // answered from the verdicts phase 1 recorded. After a phase-1 trip,
+    // phase 2 runs on a disarmed engine over the completed levels, so the
+    // truncated run reports exactly the complete run's answers up to its
+    // frontier, and counts no table beyond what phase 1 counted.
     let db = db();
     let attrs = attrs();
     let q = query();

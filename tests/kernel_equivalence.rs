@@ -53,7 +53,8 @@ fn pair_db() -> TransactionDb {
 }
 
 /// Two overlapping correlated modules over 8 items: many same-prefix
-/// candidates per level, so batching and the verdict cache see traffic.
+/// candidates per level, so batching and BMS**'s recorded verdicts see
+/// traffic.
 fn modular_db() -> TransactionDb {
     let mut txns = Vec::new();
     for i in 0..120u32 {
