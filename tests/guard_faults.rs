@@ -167,11 +167,11 @@ fn deadline_faults_every_injection_point() {
 
 #[test]
 fn cancellation_faults_every_injection_point() {
-    // The sweep drives the cancellation flag through every checkpoint,
-    // including the boundary between BMS*/BMS** phase 1 and the phase-2
-    // upward sweep: with a monotone `sum ≥` in the query, both phases
-    // run guarded batches, so the later injection indices land inside
-    // phase 2 and prove it observes the guard.
+    // The sweep drives the cancellation flag through every counting
+    // batch. With a monotone `sum ≥` in the query, BMS* counts in both
+    // phases, so its later injection indices land inside phase 2 and
+    // prove the upward sweep observes the guard. A fresh BMS** run
+    // counts only in phase 1, so all of its injections land there.
     for algorithm in [Algorithm::BmsStar, Algorithm::BmsStarStar] {
         sweep(algorithm, TruncationReason::Cancelled);
     }
