@@ -333,3 +333,48 @@ pub(crate) fn conclude(
         ),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The `prune_non_minimal` the kernel shipped before minimality by
+    /// subset probes, kept verbatim as the differential reference: every
+    /// candidate tested against every answer.
+    fn reference_prune_non_minimal(sig: &[Itemset], cands: Vec<Itemset>) -> Vec<Itemset> {
+        cands
+            .into_iter()
+            .filter(|set| !sig.iter().any(|a| a.is_subset_of(set)))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn probe_minimality_matches_reference(
+            answers in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..9, 1..=5usize),
+                0..24,
+            ),
+            cands in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..9, 1..=6usize),
+                0..32,
+            ),
+        ) {
+            // Answers of mixed sizes, candidates of mixed sizes (a level
+            // is uniform, but the rule must not depend on it).
+            let sig: Vec<Itemset> = answers
+                .iter()
+                .map(|a| Itemset::from_ids(a.iter().copied()))
+                .collect();
+            let cands: Vec<Itemset> = cands
+                .iter()
+                .map(|c| Itemset::from_ids(c.iter().copied()))
+                .collect();
+            prop_assert_eq!(
+                prune_non_minimal(&sig, cands.clone()),
+                reference_prune_non_minimal(&sig, cands)
+            );
+        }
+    }
+}

@@ -229,7 +229,169 @@ mod tests {
         items.iter().map(|i| i.id()).sum::<u32>() % 3 != 0
     }
 
+    /// The `extend_gen` this module shipped before canonical-parent
+    /// generation, kept verbatim as the reference the differential
+    /// proptests below compare every generator against: extend each base
+    /// by each universe item, deduplicate through a `seen` set, sort.
+    fn reference_extend_gen<'p, P, F>(prev: P, universe: &[Item], mut keep: F) -> Vec<Itemset>
+    where
+        P: IntoIterator<Item = &'p Itemset>,
+        F: FnMut(&[Item]) -> bool,
+    {
+        let mut seen = ItemsetSet::default();
+        let mut cand: Vec<Item> = Vec::new();
+        for base in prev {
+            let items = base.items();
+            for &item in universe {
+                let Err(pos) = items.binary_search(&item) else {
+                    continue; // already in the base
+                };
+                cand.clear();
+                cand.extend_from_slice(&items[..pos]);
+                cand.push(item);
+                cand.extend_from_slice(&items[pos..]);
+                if !seen.contains(cand.as_slice()) && keep(&cand) {
+                    seen.insert(Itemset::from_sorted_vec(cand.clone()));
+                }
+            }
+        }
+        let mut out: Vec<Itemset> = seen.into_iter().collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// The witness-subset rule of BMS++ / BMS** phase 1, as
+    /// `WitnessMask::subsets_in` states it: every `(k−1)`-subset of
+    /// `cand` that holds a witness is in `prev`.
+    fn witness_rule(cand: &[Item], witness: &[bool], prev: &ItemsetSet) -> bool {
+        let mut subset = Vec::new();
+        (0..cand.len()).all(|drop| {
+            drop_one_into(cand, drop, &mut subset);
+            !subset.iter().any(|i| witness[i.index()]) || prev.contains(subset.as_slice())
+        })
+    }
+
+    /// The production generator under the witness rule.
+    fn witness_subject(prev: &ItemsetSet, universe: &[Item], witness: &[bool]) -> Vec<Itemset> {
+        extend_gen(prev, universe, |c| witness_rule(c, witness, prev))
+    }
+
+    /// The production any-parent generator by extension: each base
+    /// extended by each universe item, kept by `keep`.
+    fn extend_subject(
+        prev: &ItemsetSet,
+        universe: &[Item],
+        keep: impl FnMut(&[Item]) -> bool,
+    ) -> Vec<Itemset> {
+        extend_gen(prev, universe, keep)
+    }
+
+    /// The production any-parent generator restricted to `next`.
+    fn within_subject(prev: &ItemsetSet, universe: &[Item], next: &ItemsetSet) -> Vec<Itemset> {
+        extend_gen(prev, universe, |c| next.contains(c))
+    }
+
+    /// All `k`-subsets of `items`, ascending.
+    fn k_subsets(items: &[u32], k: usize) -> Vec<Vec<u32>> {
+        if k == 0 {
+            return vec![Vec::new()];
+        }
+        if items.len() < k {
+            return Vec::new();
+        }
+        let mut with: Vec<Vec<u32>> = k_subsets(&items[1..], k - 1)
+            .into_iter()
+            .map(|mut s| {
+                s.insert(0, items[0]);
+                s
+            })
+            .collect();
+        with.extend(k_subsets(&items[1..], k));
+        with
+    }
+
+    /// A random level of `k`-sets dense enough for the generators to
+    /// find candidates: every `k`-subset of a few random blocks, minus
+    /// the subsets a salted hash drops.
+    fn random_level(blocks: &[BTreeSet<u32>], k: usize, salt: u32) -> ItemsetSet {
+        blocks
+            .iter()
+            .flat_map(|b| k_subsets(&b.iter().copied().collect::<Vec<_>>(), k))
+            .filter(|s| {
+                let h = s
+                    .iter()
+                    .fold(salt, |h, &i| h.wrapping_mul(31).wrapping_add(i + 1));
+                h % 5 != 0
+            })
+            .map(Itemset::from_ids)
+            .collect()
+    }
+
+    fn mask_items(mask: u16, n: u32) -> Vec<Item> {
+        (0..n)
+            .filter(|i| mask >> i & 1 == 1)
+            .map(Item::new)
+            .collect()
+    }
+
     proptest! {
+        #[test]
+        fn witness_generation_matches_reference(
+            k in 2usize..=4,
+            blocks in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..10, 3..=6usize),
+                1..5,
+            ),
+            salt in any::<u32>(),
+            witness_bits in any::<u16>(),
+            extra in any::<u16>(),
+        ) {
+            let witness: Vec<bool> = (0..10).map(|i| witness_bits >> i & 1 == 1).collect();
+            // The rule's preconditions: every base holds a witness and
+            // every item of a base is in the universe.
+            let prev: ItemsetSet = random_level(&blocks, k, salt)
+                .into_iter()
+                .filter(|s| s.iter().any(|i| witness[i.index()]))
+                .collect();
+            let mut universe = mask_items(extra, 10);
+            universe.extend(prev.iter().flat_map(|s| s.iter()));
+            universe.sort_unstable();
+            universe.dedup();
+            let reference =
+                reference_extend_gen(&prev, &universe, |c| witness_rule(c, &witness, &prev));
+            prop_assert_eq!(witness_subject(&prev, &universe, &witness), reference);
+        }
+
+        #[test]
+        fn any_parent_generation_matches_reference(
+            k in 1usize..=4,
+            blocks in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..10, 2..=6usize),
+                1..5,
+            ),
+            salt in any::<u32>(),
+            next_salt in any::<u32>(),
+            universe_bits in any::<u16>(),
+        ) {
+            let prev = random_level(&blocks, k, salt);
+            let next = random_level(&blocks, k + 1, next_salt);
+            // Items outside the universe may sit in a base: the added
+            // item must come from the universe, the base's need not.
+            let universe = mask_items(universe_bits, 10);
+            prop_assert_eq!(
+                extend_subject(&prev, &universe, |_| true),
+                reference_extend_gen(&prev, &universe, |_| true)
+            );
+            prop_assert_eq!(
+                extend_subject(&prev, &universe, keep_rule),
+                reference_extend_gen(&prev, &universe, keep_rule)
+            );
+            prop_assert_eq!(
+                within_subject(&prev, &universe, &next),
+                reference_extend_gen(&prev, &universe, |c| next.contains(c))
+            );
+        }
+
         #[test]
         fn extend_gen_matches_brute_force(
             k in 1usize..=3,
