@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ccs_bench::DataMethod;
+use ccs_bench::{DataMethod, HostStamp};
 use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
 use ccs_core::{
     Algorithm, CheckpointCadence, CheckpointPolicy, CorrelationQuery, CountingStrategy,
@@ -552,28 +552,8 @@ fn main() {
     let lc_vertical_batch = lc_rows.iter().find(|r| r.name == "vertical/batch").unwrap();
     let lc_fptree_batch = lc_rows.iter().find(|r| r.name == "fptree/batch").unwrap();
     let fptree_speedup = lc_vertical_batch.seconds / lc_fptree_batch.seconds;
-    let available = std::thread::available_parallelism()
-        .map(|w| w.get())
-        .unwrap_or(1);
-
-    // Build provenance: the ISA surface this binary was actually
-    // compiled for (cfg! probes are compile-time truth, whatever mix of
-    // .cargo/config.toml and RUSTFLAGS produced it) plus the RUSTFLAGS
-    // environment as seen at run time — together they make cross-box
-    // comparisons (the flat 1-CPU thread_scaling caveat) self-describing.
-    let target_features: Vec<&str> = [
-        ("sse4.2", cfg!(target_feature = "sse4.2")),
-        ("popcnt", cfg!(target_feature = "popcnt")),
-        ("avx", cfg!(target_feature = "avx")),
-        ("avx2", cfg!(target_feature = "avx2")),
-        ("avx512f", cfg!(target_feature = "avx512f")),
-    ]
-    .iter()
-    .filter(|(_, enabled)| *enabled)
-    .map(|(name, _)| *name)
-    .collect();
-    let rustflags = std::env::var("RUSTFLAGS")
-        .unwrap_or_else(|_| String::from("(unset; .cargo/config.toml: -C target-cpu=x86-64-v2)"));
+    let stamp = HostStamp::probe();
+    let available = stamp.available_parallelism;
     // What `Auto` actually picks for each bench shape on this host.
     let routing = [
         ("dense", CountingStrategy::Auto.resolve(&db, None, None)),
@@ -704,14 +684,9 @@ fn main() {
         json,
         "  \"config\": {{ \"items\": {N_ITEMS}, \"transactions\": {N_BASKETS}, \
          \"candidates\": {N_CANDIDATES}, \"candidate_size\": {CANDIDATE_SIZE}, \
-         \"reps\": {REPS}, \"available_parallelism\": {available},"
+         \"reps\": {REPS},"
     );
-    let _ = writeln!(
-        json,
-        "    \"target_features\": \"{}\", \"rustflags\": \"{}\",",
-        target_features.join(","),
-        rustflags.replace('\\', "\\\\").replace('"', "\\\"")
-    );
+    let _ = writeln!(json, "    {},", stamp.json_members());
     let _ = writeln!(
         json,
         "    \"auto_routing\": {{ {} }} }},",

@@ -198,6 +198,59 @@ impl DataMethod {
     }
 }
 
+/// The host stamp every committed `results/BENCH_*.json` carries, so a
+/// row compared across hosts says what it ran on.
+#[derive(Debug, Clone)]
+pub struct HostStamp {
+    /// `std::thread::available_parallelism` (1 when it is unknown).
+    pub available_parallelism: usize,
+    /// The ISA extensions this binary was compiled for (`cfg!` probes
+    /// are compile-time truth, whatever mix of `.cargo/config.toml` and
+    /// RUSTFLAGS produced them), comma-separated.
+    pub target_features: String,
+    /// The RUSTFLAGS environment as seen at run time.
+    pub rustflags: String,
+}
+
+impl HostStamp {
+    /// Probes this process and the binary it runs.
+    pub fn probe() -> HostStamp {
+        let available_parallelism = std::thread::available_parallelism()
+            .map(|w| w.get())
+            .unwrap_or(1);
+        let target_features: Vec<&str> = [
+            ("sse4.2", cfg!(target_feature = "sse4.2")),
+            ("popcnt", cfg!(target_feature = "popcnt")),
+            ("avx", cfg!(target_feature = "avx")),
+            ("avx2", cfg!(target_feature = "avx2")),
+            ("avx512f", cfg!(target_feature = "avx512f")),
+        ]
+        .iter()
+        .filter(|(_, enabled)| *enabled)
+        .map(|(name, _)| *name)
+        .collect();
+        let rustflags = std::env::var("RUSTFLAGS").unwrap_or_else(|_| {
+            String::from("(unset; .cargo/config.toml: -C target-cpu=x86-64-v2)")
+        });
+        HostStamp {
+            available_parallelism,
+            target_features: target_features.join(","),
+            rustflags,
+        }
+    }
+
+    /// The stamp as JSON object members (no braces):
+    /// `"available_parallelism": …, "target_features": …, "rustflags": …`.
+    pub fn json_members(&self) -> String {
+        format!(
+            "\"available_parallelism\": {}, \"target_features\": \"{}\", \"rustflags\": \"{}\"",
+            self.available_parallelism,
+            self.target_features,
+            self.rustflags.replace('\\', "\\\\").replace('"', "\\\""),
+        )
+    }
+}
+
 /// The paper's experimental `(α, s, p%)` = (0.9, 25%, 25%).
 pub fn paper_mining_params() -> MiningParams {
     MiningParams::paper()
