@@ -181,22 +181,24 @@ fn bench_candidates(c: &mut Criterion) {
         );
     }
 
-    // A BMS**-shaped level: ~1.4k SUPP₂ pairs over a 60-item universe,
-    // every fourth item a witness, extended under the witness-subset
-    // rule (each 2-subset holding a witness must be in the level).
+    // A BMS**-shaped level: 624 SUPP₂ pairs over a 60-item universe,
+    // every fourth item a witness and every pair holding one, extended
+    // under the witness-subset rule (each 2-subset holding a witness
+    // must be in the level).
     let universe: Vec<Item> = (0..60).map(Item::new).collect();
     let witness: Vec<bool> = (0..60).map(|i| i % 4 == 0).collect();
     let supp2: ItemsetSet = (0..60u32)
         .flat_map(|i| ((i + 1)..60).map(move |j| (i, j)))
-        .filter(|&(i, j)| (i + j) % 5 != 0)
+        .filter(|&(i, j)| (i + j) % 5 != 0 && (i % 4 == 0 || j % 4 == 0))
         .map(|(i, j)| Itemset::from_ids([i, j]))
         .collect();
-    c.bench_function("candidate/extend_gen", |bench| {
+    c.bench_function("candidate/witness_gen", |bench| {
         bench.iter(|| {
             let mut subset = Vec::new();
-            black_box(candidate::extend_gen(
+            black_box(candidate::witness_gen(
                 black_box(&supp2),
                 &universe,
+                |i| witness[i.index()],
                 |cand| {
                     (0..cand.len()).all(|drop| {
                         candidate::drop_one_into(cand, drop, &mut subset);

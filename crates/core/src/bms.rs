@@ -90,7 +90,13 @@ impl AlgorithmPolicy for BmsPolicy {
         })
     }
 
-    fn absorb(&mut self, _level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
+    fn absorb(
+        &mut self,
+        _level: usize,
+        survivors: Vec<Itemset>,
+        verdicts: Vec<Verdict>,
+        last: bool,
+    ) {
         let mut notsig_level = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
             if v.ct_supported {
@@ -101,10 +107,11 @@ impl AlgorithmPolicy for BmsPolicy {
                 }
             }
         }
-        self.cands = if self.class.is_downward() {
-            // A superset of an uncorrelated set is uncorrelated, and a
-            // superset of a SIG member is non-minimal: nothing above
-            // this level can be an answer.
+        self.cands = if last || self.class.is_downward() {
+            // At the cap no level follows. Under a downward-closed
+            // measure a superset of an uncorrelated set is uncorrelated,
+            // and a superset of a SIG member is non-minimal: nothing
+            // above this level can be an answer.
             Vec::new()
         } else {
             candidate::apriori_gen(&notsig_level)

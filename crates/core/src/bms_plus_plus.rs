@@ -81,7 +81,13 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
         prune_am_residual(self.analysis, self.attrs, cands, metrics)
     }
 
-    fn absorb(&mut self, _level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
+    fn absorb(
+        &mut self,
+        _level: usize,
+        survivors: Vec<Itemset>,
+        verdicts: Vec<Verdict>,
+        last: bool,
+    ) {
         let mut notsig_level = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
             if !v.ct_supported {
@@ -95,18 +101,24 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
                 notsig_level.insert(set);
             }
         }
-        if self.class.is_downward() {
-            // Supersets of uncorrelated sets stay uncorrelated and
-            // supersets of correlated sets are non-minimal: no answer
+        if last || self.class.is_downward() {
+            // At the cap no level follows. Under a downward-closed
+            // measure supersets of uncorrelated sets stay uncorrelated
+            // and supersets of correlated sets are non-minimal: no answer
             // exists above this level.
             self.cands = Vec::new();
             return;
         }
         let mut subset = Vec::new();
-        self.cands = candidate::extend_gen(&notsig_level, &self.good1, |cand| {
-            self.witness
-                .subsets_in(cand, |s| notsig_level.contains(s), &mut subset)
-        });
+        self.cands = candidate::witness_gen(
+            &notsig_level,
+            &self.good1,
+            |i| self.witness.contains(i),
+            |cand| {
+                self.witness
+                    .subsets_in(cand, |s| notsig_level.contains(s), &mut subset)
+            },
+        );
     }
 }
 
@@ -232,4 +244,82 @@ pub(crate) fn run_bms_plus_plus_guarded(
     );
     scope.seal(&engine, &mut metrics, answers.len());
     Ok(conclude(answers, Semantics::ValidMin, metrics, trip))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::admit;
+    use crate::params::MiningParams;
+    use ccs_constraints::ConstraintSet;
+    use ccs_itemset::VerticalCounter;
+
+    /// `n_baskets` baskets over `n_items` items, each item present with
+    /// probability 1/2 independently (a fixed multiply-xorshift stream):
+    /// only chance correlates, so every level is wide.
+    fn independent_db(n_items: u32, n_baskets: usize) -> TransactionDb {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let baskets: Vec<Vec<u32>> = (0..n_baskets)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (0..n_items).filter(|i| state >> i & 1 == 1).collect()
+            })
+            .collect();
+        TransactionDb::from_ids(n_items, baskets)
+    }
+
+    /// The capped BMS++ sweep over `db`; returns the policy as the sweep
+    /// left it and the run's metrics.
+    fn capped_sweep(
+        db: &TransactionDb,
+        attrs: &AttributeTable,
+        max_level: usize,
+    ) -> (Vec<Itemset>, MiningMetrics) {
+        let query = CorrelationQuery {
+            params: MiningParams {
+                support_fraction: 0.05,
+                max_level,
+                ..MiningParams::paper()
+            },
+            constraints: ConstraintSet::new(),
+        };
+        let (query, plan) = admit(&query, attrs, true).unwrap().unwrap();
+        let prep = preprocess(db, attrs, &query, &plan);
+        let mut counter = VerticalCounter::new(db);
+        let mut engine = Engine::new(&mut counter, &query.params);
+        let mut policy = PlusPlusPolicy {
+            analysis: &plan,
+            attrs,
+            cands: candidate::pairs_from(&prep.l1_plus, &prep.l1_minus),
+            good1: prep.good1,
+            witness: prep.witness,
+            sig_candidates: Vec::new(),
+            class: query.params.measure.monotonicity(),
+        };
+        let mut metrics = MiningMetrics::default();
+        let config = KernelConfig::new(Algorithm::BmsPlusPlus, LevelMark::Eager);
+        let trip = run_levelwise(&mut engine, &mut policy, config, 2, max_level, &mut metrics);
+        assert!(trip.is_none());
+        (policy.cands, metrics)
+    }
+
+    #[test]
+    fn a_capped_sweep_stages_no_candidates_past_its_last_level() {
+        let db = independent_db(24, 400);
+        let attrs = AttributeTable::with_identity_prices(24);
+        let (staged, capped) = capped_sweep(&db, &attrs, 3);
+        assert_eq!(capped.max_level_reached, 3);
+        assert!(
+            staged.is_empty(),
+            "{} candidates staged past the cap",
+            staged.len()
+        );
+        // Not vacuous: one level higher, the sweep does have level-4
+        // candidates, which the capped sweep used to build and discard.
+        let (_, uncapped) = capped_sweep(&db, &attrs, 4);
+        assert_eq!(uncapped.max_level_reached, 4);
+        assert!(uncapped.candidates_generated > capped.candidates_generated);
+    }
 }

@@ -72,7 +72,7 @@ impl AlgorithmPolicy for StarPhase2Policy<'_> {
         }
         // Every candidate has size `k`, one more than any set an earlier
         // level judged, so no candidate repeats across levels.
-        LevelSeed::Cands(candidate::extend_gen(base, &self.universe, |_| true))
+        LevelSeed::Cands(candidate::extend_once(base, &self.universe, |_| true))
     }
 
     fn snapshot(&self, k: usize, _cands: &[Itemset]) -> ResumeInner {
@@ -92,7 +92,7 @@ impl AlgorithmPolicy for StarPhase2Policy<'_> {
         prune_non_minimal(&self.sig, cands)
     }
 
-    fn absorb(&mut self, k: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
+    fn absorb(&mut self, k: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>, _: bool) {
         let mut next_level = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
             if !v.ct_supported {

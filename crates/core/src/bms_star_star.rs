@@ -95,18 +95,31 @@ impl AlgorithmPolicy for StarStarPhase1Policy<'_> {
         prune_am_residual(self.analysis, self.attrs, cands, metrics)
     }
 
-    fn absorb(&mut self, level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
+    fn absorb(
+        &mut self,
+        level: usize,
+        survivors: Vec<Itemset>,
+        verdicts: Vec<Verdict>,
+        last: bool,
+    ) {
         let supp_level: ItemsetMap<Option<bool>> = survivors
             .into_iter()
             .zip(verdicts)
             .filter(|(_, v)| v.ct_supported)
             .map(|(set, v)| (set, Some(v.correlated)))
             .collect();
-        let mut subset = Vec::new();
-        self.cands = candidate::extend_gen(supp_level.keys(), self.good1, |cand| {
-            self.witness
-                .subsets_in(cand, |s| supp_level.contains_key(s), &mut subset)
-        });
+        if !last {
+            let mut subset = Vec::new();
+            self.cands = candidate::witness_gen(
+                supp_level.keys(),
+                self.good1,
+                |i| self.witness.contains(i),
+                |cand| {
+                    self.witness
+                        .subsets_in(cand, |s| supp_level.contains_key(s), &mut subset)
+                },
+            );
+        }
         self.supp.insert(level, supp_level);
     }
 }
@@ -175,7 +188,7 @@ impl AlgorithmPolicy for StarStarPhase2Policy<'_> {
         to_count
     }
 
-    fn absorb(&mut self, k: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
+    fn absorb(&mut self, k: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>, last: bool) {
         let counted = survivors
             .into_iter()
             .zip(verdicts.into_iter().map(|v| v.correlated));
@@ -194,10 +207,12 @@ impl AlgorithmPolicy for StarStarPhase2Policy<'_> {
             }
         }
         self.current = match self.supp.get(&(k + 1)) {
-            None => Vec::new(),
-            Some(next_supp) => candidate::extend_gen(&notsig_level, self.good1, |cand| {
+            // Extending the frontier, not scanning `SUPP(k+1)`, which can
+            // be far larger than the frontier that reaches into it.
+            Some(next_supp) if !last => candidate::extend_once(&notsig_level, self.good1, |cand| {
                 next_supp.contains_key(cand)
             }),
+            _ => Vec::new(),
         };
     }
 }

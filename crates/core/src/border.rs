@@ -73,9 +73,10 @@ struct BorderPolicy<'a> {
     plan: &'a ConstraintAnalysis,
     constraints: &'a ConstraintSet,
     attrs: &'a AttributeTable,
-    /// Candidates staged for the next level; still non-empty after the
-    /// sweep iff the level cap cut it short.
+    /// Candidates staged for the next level.
     cands: Vec<Itemset>,
+    /// Set at the level cap: the level above would have had candidates.
+    truncated: bool,
     in_space: HashMap<usize, ItemsetSet>,
 }
 
@@ -97,7 +98,13 @@ impl AlgorithmPolicy for BorderPolicy<'_> {
         prune_am_residual(self.plan, self.attrs, cands, metrics)
     }
 
-    fn absorb(&mut self, level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
+    fn absorb(
+        &mut self,
+        level: usize,
+        survivors: Vec<Itemset>,
+        verdicts: Vec<Verdict>,
+        last: bool,
+    ) {
         let mut supported = ItemsetSet::default();
         let mut members = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
@@ -109,7 +116,11 @@ impl AlgorithmPolicy for BorderPolicy<'_> {
             }
             supported.insert(set);
         }
-        self.cands = candidate::apriori_gen(&supported);
+        if last {
+            self.truncated = !candidate::apriori_gen_is_empty(&supported);
+        } else {
+            self.cands = candidate::apriori_gen(&supported);
+        }
         self.in_space.insert(level, members);
     }
 }
@@ -152,6 +163,7 @@ pub fn solution_space<C: MintermCounter>(
         constraints: &query.constraints,
         attrs,
         cands: candidate::all_pairs(&good1_items(db, attrs, query)),
+        truncated: false,
         in_space: HashMap::new(),
     };
     // The algorithm is never stamped: the inert guard takes no snapshots.
@@ -163,7 +175,7 @@ pub fn solution_space<C: MintermCounter>(
         query.params.max_level,
         &mut metrics,
     );
-    let truncated = !policy.cands.is_empty();
+    let truncated = policy.truncated;
     let in_space = policy.in_space;
 
     // Borders. Convexity makes one-level checks exact: a member is

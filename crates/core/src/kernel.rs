@@ -24,10 +24,12 @@
 //! **Invariant enforced by CI:** no level loop and no [`ResumeState`]
 //! construction exists outside this module.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
-use ccs_itemset::{CountingStats, Itemset};
+use ccs_itemset::hash::ItemsetBuildHasher;
+use ccs_itemset::{CountingStats, Item, Itemset};
 
 use crate::engine::{Engine, Verdict};
 use crate::guard::{wall_now, ResumeInner, ResumeState, TruncationReason};
@@ -131,8 +133,9 @@ pub(crate) trait AlgorithmPolicy {
 
     /// The post-count phase: classify each survivor from its verdict
     /// (SIG entry, NOTSIG seeding, frontier growth) and stage the next
-    /// level's state.
-    fn absorb(&mut self, level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>);
+    /// level's state. `last` is `true` at the sweep's level cap: no
+    /// level follows, so the policy stages no candidates.
+    fn absorb(&mut self, level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>, last: bool);
 }
 
 /// Runs the levelwise sweep from `start_level` through `max_level`
@@ -204,7 +207,7 @@ pub(crate) fn run_levelwise(
                 });
             }
         };
-        policy.absorb(level, survivors, verdicts);
+        policy.absorb(level, survivors, verdicts, level == max_level);
         level += 1;
     }
     None
@@ -277,11 +280,91 @@ pub(crate) fn prune_am_residual(
 /// against the pre-level `sig`: all candidates at a level have the same
 /// size, so a same-level answer is never a proper subset of another
 /// candidate.
+///
+/// The answers are indexed by size in one borrowed hash set each, built
+/// and dropped within the call. A candidate `c` contains an answer iff,
+/// for some answer size `j ≤ |c|`, one of its `j`-subsets is an answer
+/// of that size. Each candidate either probes those `Σ_j C(|c|, j)`
+/// subsets or, when the answers of those sizes are fewer, tests them
+/// directly, so no candidate is tested against every answer.
 pub(crate) fn prune_non_minimal(sig: &[Itemset], cands: Vec<Itemset>) -> Vec<Itemset> {
+    if sig.is_empty() {
+        return cands;
+    }
+    let mut by_size: Vec<(usize, AnswerIndex<'_>)> = Vec::new();
+    for answer in sig {
+        let j = answer.len();
+        let at = match by_size.binary_search_by_key(&j, |&(size, _)| size) {
+            Ok(at) => at,
+            Err(at) => {
+                by_size.insert(at, (j, AnswerIndex::default()));
+                at
+            }
+        };
+        by_size[at].1.insert(answer.items());
+    }
+    let mut subset = Vec::new();
     cands
         .into_iter()
-        .filter(|set| !sig.iter().any(|a| a.is_subset_of(set)))
+        .filter(|c| {
+            let m = c.len();
+            let sizes = &by_size[..by_size.partition_point(|&(j, _)| j <= m)];
+            let probes: u64 = sizes.iter().map(|&(j, _)| binomial(m, j)).sum();
+            let answers: u64 = sizes.iter().map(|(_, index)| index.len() as u64).sum();
+            let contains_answer = if probes <= answers {
+                sizes
+                    .iter()
+                    .any(|(j, index)| any_subset(c.items(), *j, &mut subset, |s| index.contains(s)))
+            } else {
+                sizes
+                    .iter()
+                    .flat_map(|(_, index)| index.iter())
+                    .any(|a| is_sorted_subset(a, c.items()))
+            };
+            !contains_answer
+        })
         .collect()
+}
+
+/// The answers of one size, borrowed from `sig`.
+type AnswerIndex<'a> = HashSet<&'a [Item], ItemsetBuildHasher>;
+
+/// `C(n, k)`; the sizes here are table widths, far below overflow.
+fn binomial(n: usize, k: usize) -> u64 {
+    (0..k as u64).fold(1, |acc, i| acc * (n as u64 - i) / (i + 1))
+}
+
+/// Whether `hit` accepts some `j`-subset of `items`, each assembled in
+/// `buf` in ascending order.
+fn any_subset(
+    items: &[Item],
+    j: usize,
+    buf: &mut Vec<Item>,
+    mut hit: impl FnMut(&[Item]) -> bool,
+) -> bool {
+    let n = items.len();
+    // `idx` walks the `j`-combinations of `0..n` in lexicographic order.
+    let mut idx: Vec<usize> = (0..j).collect();
+    loop {
+        buf.clear();
+        buf.extend(idx.iter().map(|&i| items[i]));
+        if hit(buf) {
+            return true;
+        }
+        let Some(pos) = (0..j).rev().find(|&p| idx[p] < n - j + p) else {
+            return false;
+        };
+        idx[pos] += 1;
+        for p in pos + 1..j {
+            idx[p] = idx[p - 1] + 1;
+        }
+    }
+}
+
+/// `a ⊆ b` for ascending item slices.
+fn is_sorted_subset(a: &[Item], b: &[Item]) -> bool {
+    let mut rest = b.iter();
+    a.iter().all(|x| rest.any(|y| y == x))
 }
 
 /// The wall-clock / counting-stats bracket around one run — every
@@ -337,7 +420,57 @@ pub(crate) fn conclude(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::MiningParams;
+    use ccs_itemset::{HorizontalCounter, TransactionDb};
     use proptest::prelude::*;
+
+    /// Stages one candidate per level, and records what the kernel asks
+    /// for and tells it.
+    #[derive(Default)]
+    struct Recording {
+        staged: Vec<Itemset>,
+        asked: Vec<usize>,
+        absorbed: Vec<(usize, bool)>,
+    }
+
+    impl AlgorithmPolicy for Recording {
+        fn candidates(&mut self, level: usize) -> LevelSeed {
+            self.asked.push(level);
+            staged(&mut self.staged)
+        }
+
+        fn snapshot(&self, _level: usize, _cands: &[Itemset]) -> ResumeInner {
+            ResumeInner::NaiveRestart
+        }
+
+        fn absorb(&mut self, level: usize, _: Vec<Itemset>, _: Vec<Verdict>, last: bool) {
+            self.absorbed.push((level, last));
+            if !last {
+                self.staged = vec![Itemset::from_ids(0..=level as u32)];
+            }
+        }
+    }
+
+    #[test]
+    fn the_last_level_is_announced_and_nothing_above_it_is_asked_for() {
+        let db = TransactionDb::from_ids(6, vec![vec![0, 1, 2, 3, 4], vec![1, 2], vec![]]);
+        let params = MiningParams::paper();
+        let mut counter = HorizontalCounter::new(&db);
+        let mut engine = Engine::new(&mut counter, &params);
+        let mut policy = Recording {
+            staged: vec![Itemset::from_ids([0, 1])],
+            ..Recording::default()
+        };
+        let mut metrics = MiningMetrics::default();
+        let config = KernelConfig::new(Algorithm::BmsPlus, LevelMark::Eager);
+        let trip = run_levelwise(&mut engine, &mut policy, config, 2, 4, &mut metrics);
+        assert!(trip.is_none());
+        assert_eq!(policy.asked, vec![2, 3, 4]);
+        assert_eq!(policy.absorbed, vec![(2, false), (3, false), (4, true)]);
+        assert!(policy.staged.is_empty(), "nothing is staged past the cap");
+        assert_eq!(metrics.candidates_generated, 3);
+        assert_eq!(metrics.max_level_reached, 4);
+    }
 
     /// The `prune_non_minimal` the kernel shipped before minimality by
     /// subset probes, kept verbatim as the differential reference: every

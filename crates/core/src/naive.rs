@@ -153,7 +153,7 @@ impl AlgorithmPolicy for NaivePolicy<'_> {
         ResumeInner::NaiveRestart
     }
 
-    fn absorb(&mut self, _level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>) {
+    fn absorb(&mut self, _level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>, _: bool) {
         for (set, v) in survivors.into_iter().zip(verdicts) {
             let valid = self.constraints.satisfied(&set, self.attrs);
             self.flags.insert(

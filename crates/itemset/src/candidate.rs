@@ -2,20 +2,27 @@
 //!
 //! Algorithm BMS and its constrained variants walk the itemset lattice
 //! bottom-up. Each level's candidates are derived from the previous level's
-//! surviving sets. Two generators are provided:
+//! surviving sets. Every generator emits each candidate exactly once,
+//! sorted, without a deduplicating hash set:
 //!
 //! * [`apriori_gen`] — the classical `F_{k-1} ⋈ F_{k-1}` join followed by
 //!   the all-subsets prune. Correct when *every* `(k-1)`-subset of a
 //!   candidate is required to be in the previous level (Algorithm BMS,
-//!   BMS*).
-//! * [`extend_gen`] — extension of each previous-level set by one item from
-//!   a given universe, deduplicated, followed by an arbitrary predicate.
-//!   Needed by BMS++/BMS**, whose candidate rule only constrains the
-//!   `(k-1)`-subsets that intersect `L1⁺` — a candidate may legitimately
-//!   have subsets that were never candidates themselves, which breaks the
-//!   symmetric join.
+//!   BMS*'s first phase, the border sweep). [`apriori_gen_is_empty`]
+//!   asks whether it would emit anything, stopping at the first
+//!   candidate.
+//! * [`witness_gen`] — the candidate rule of BMS++ and BMS** phase 1,
+//!   which constrains only the `(k-1)`-subsets that hold a witness: a
+//!   candidate may legitimately have subsets that were never candidates,
+//!   which breaks the symmetric join. Each candidate is built from its
+//!   one canonical parent, its largest item dropped (or its
+//!   second-largest, when the largest is its only witness).
+//! * [`extend_once`] — single-item extension from *any* parent (BMS*
+//!   phase 2, BMS** phase 2). Each candidate is emitted from the parent
+//!   that drops its largest droppable item, which a few subset probes
+//!   decide.
 //!
-//! Levels are [`ItemsetSet`]s. Both generators assemble candidates and
+//! Levels are [`ItemsetSet`]s. The generators assemble candidates and
 //! subsets in one reused buffer and probe the levels with the borrowed
 //! slice, so only a kept candidate is allocated as an [`Itemset`].
 
@@ -31,9 +38,21 @@ pub fn apriori_join<F>(prev: &ItemsetSet, mut keep: F) -> Vec<Itemset>
 where
     F: FnMut(&Itemset) -> bool,
 {
+    let mut out = Vec::new();
+    for_each_join(prev, |joined| {
+        if keep(&joined) {
+            out.push(joined);
+        }
+        true
+    });
+    out
+}
+
+/// Calls `visit` with each join of two sets of `prev` sharing all but
+/// their last item, in sorted order, until `visit` returns `false`.
+fn for_each_join(prev: &ItemsetSet, mut visit: impl FnMut(Itemset) -> bool) {
     let mut sorted: Vec<&Itemset> = prev.iter().collect();
     sorted.sort_unstable();
-    let mut out = Vec::new();
     for (i, a) in sorted.iter().enumerate() {
         let k1 = a.len();
         debug_assert!(k1 >= 1);
@@ -44,24 +63,40 @@ where
             }
             let joined = a.union(b);
             debug_assert_eq!(joined.len(), k1 + 1);
-            if keep(&joined) {
-                out.push(joined);
+            if !visit(joined) {
+                return;
             }
         }
     }
-    out
+}
+
+/// Whether every `(k-1)`-subset of `cand` is in `prev`, the all-subsets
+/// prune of [`apriori_gen`].
+fn all_subsets_in(cand: &Itemset, prev: &ItemsetSet, subset: &mut Vec<Item>) -> bool {
+    (0..cand.len()).all(|drop| {
+        drop_one_into(cand.items(), drop, subset);
+        prev.contains(subset.as_slice())
+    })
 }
 
 /// Classical Apriori candidate generation: join + "all `(k-1)`-subsets
 /// present" prune.
 pub fn apriori_gen(prev: &ItemsetSet) -> Vec<Itemset> {
     let mut subset = Vec::new();
-    apriori_join(prev, |cand| {
-        (0..cand.len()).all(|drop| {
-            drop_one_into(cand.items(), drop, &mut subset);
-            prev.contains(subset.as_slice())
-        })
-    })
+    apriori_join(prev, |cand| all_subsets_in(cand, prev, &mut subset))
+}
+
+/// `true` iff [`apriori_gen`] over `prev` returns nothing. Stops at the
+/// first candidate, so a sweep that stops at its level cap can still
+/// tell whether the level above would have had work.
+pub fn apriori_gen_is_empty(prev: &ItemsetSet) -> bool {
+    let mut subset = Vec::new();
+    let mut empty = true;
+    for_each_join(prev, |cand| {
+        empty = !all_subsets_in(&cand, prev, &mut subset);
+        empty
+    });
+    empty
 }
 
 /// Writes `items` minus its `drop`-th item into `buf`, the `(k-1)`-subset
@@ -72,35 +107,131 @@ pub fn drop_one_into(items: &[Item], drop: usize, buf: &mut Vec<Item>) {
     buf.extend_from_slice(&items[drop + 1..]);
 }
 
-/// Extends every set in `prev` by one item drawn from `universe`,
-/// deduplicates, and retains candidates for which `keep` returns `true`.
+/// Candidate generation under the witness rule of BMS++ and BMS**
+/// phase 1: every `k`-set `b ∪ {u}` (`b ∈ prev`, `u ∈ universe \ b`)
+/// that `keep` accepts, each once, sorted.
 ///
-/// Each extension is assembled in one reused buffer; `keep` sees it as a
-/// sorted item slice, and only a kept candidate becomes an [`Itemset`].
-/// Results are returned in sorted order for determinism.
-pub fn extend_gen<'p, P, F>(prev: P, universe: &[Item], mut keep: F) -> Vec<Itemset>
+/// Preconditions, which the callers' levels meet by construction:
+/// every set of `prev` holds an item `is_witness` accepts; every item of
+/// a set of `prev` is in `universe` (sorted, duplicate-free); and `keep`
+/// rejects every candidate one of whose witness-holding `(k-1)`-subsets
+/// is not in `prev` (the rule itself, `WitnessMask::subsets_in` in
+/// `ccs-core`, or something stricter).
+///
+/// Then a kept candidate `c`'s *canonical parent* is in `prev`: `c`
+/// minus its largest item when that leaves a witness, and otherwise
+/// (the largest item is `c`'s only witness) `c` minus its
+/// second-largest. So each base is extended only by the universe items
+/// above its largest item, and, when its largest item is its only
+/// witness, also by each non-witness item between its two largest; every
+/// candidate is assembled exactly once, from that parent.
+pub fn witness_gen<'p, P, W, F>(
+    prev: P,
+    universe: &[Item],
+    is_witness: W,
+    mut keep: F,
+) -> Vec<Itemset>
 where
     P: IntoIterator<Item = &'p Itemset>,
+    W: Fn(Item) -> bool,
     F: FnMut(&[Item]) -> bool,
 {
-    let mut seen = ItemsetSet::default();
+    let mut out = Vec::new();
     let mut cand: Vec<Item> = Vec::new();
     for base in prev {
         let items = base.items();
-        for &item in universe {
-            let Err(pos) = items.binary_search(&item) else {
+        debug_assert!(
+            items.iter().any(|&i| is_witness(i)),
+            "witness_gen: base {base} holds no witness"
+        );
+        debug_assert!(
+            items.iter().all(|i| universe.binary_search(i).is_ok()),
+            "witness_gen: base {base} has an item outside the universe"
+        );
+        let Some((&top, rest)) = items.split_last() else {
+            continue;
+        };
+        // `c = base + u` with `u` above the base's largest item: the base,
+        // which holds a witness, is `c` minus its largest item.
+        for &u in &universe[universe.partition_point(|&i| i <= top)..] {
+            cand.clear();
+            cand.extend_from_slice(items);
+            cand.push(u);
+            if keep(&cand) {
+                out.push(Itemset::from_sorted_vec(cand.clone()));
+            }
+        }
+        // `top` is the base's only witness: for a non-witness `u` between
+        // the base's two largest items, `c` minus its largest item holds
+        // no witness, so `c`'s canonical parent is `c` minus its
+        // second-largest, `u`, which is the base.
+        if !is_witness(top) || rest.iter().any(|&i| is_witness(i)) {
+            continue;
+        }
+        let lo = rest
+            .last()
+            .map_or(0, |&second| universe.partition_point(|&i| i <= second));
+        let hi = universe.partition_point(|&i| i < top);
+        for &u in &universe[lo..hi] {
+            if is_witness(u) {
+                continue;
+            }
+            cand.clear();
+            cand.extend_from_slice(rest);
+            cand.push(u);
+            cand.push(top);
+            if keep(&cand) {
+                out.push(Itemset::from_sorted_vec(cand.clone()));
+            }
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Single-item extension from any parent: every set `b ∪ {u}`
+/// (`b ∈ prev`, `u ∈ universe \ b`) that `keep` accepts, each once,
+/// sorted.
+///
+/// A candidate `c` may extend several sets of `prev`. It is emitted only
+/// from its canonical parent, `c` minus the largest item `x ∈ universe`
+/// with `c \ {x} ∈ prev`: an extension by `u` is kept iff no item of
+/// the base above `u` is such an `x`, which at most `|b|` probes of
+/// `prev` decide. `keep` must be a pure predicate; it is consulted
+/// before those probes.
+pub fn extend_once<F>(prev: &ItemsetSet, universe: &[Item], mut keep: F) -> Vec<Itemset>
+where
+    F: FnMut(&[Item]) -> bool,
+{
+    let mut out = Vec::new();
+    let mut cand: Vec<Item> = Vec::new();
+    let mut subset: Vec<Item> = Vec::new();
+    for base in prev {
+        let items = base.items();
+        for &u in universe {
+            let Err(pos) = items.binary_search(&u) else {
                 continue; // already in the base
             };
             cand.clear();
             cand.extend_from_slice(&items[..pos]);
-            cand.push(item);
+            cand.push(u);
             cand.extend_from_slice(&items[pos..]);
-            if !seen.contains(cand.as_slice()) && keep(&cand) {
-                seen.insert(Itemset::from_sorted_vec(cand.clone()));
+            if !keep(&cand) {
+                continue;
+            }
+            // Items above `u` sit after it in `cand`.
+            let canonical = (pos + 1..cand.len()).all(|drop| {
+                if universe.binary_search(&cand[drop]).is_err() {
+                    return true;
+                }
+                drop_one_into(&cand, drop, &mut subset);
+                !prev.contains(subset.as_slice())
+            });
+            if canonical {
+                out.push(Itemset::from_sorted_vec(cand.clone()));
             }
         }
     }
-    let mut out: Vec<Itemset> = seen.into_iter().collect();
     out.sort_unstable();
     out
 }
@@ -110,16 +241,24 @@ where
 ///
 /// Results are sorted and duplicate-free.
 pub fn pairs_from(left: &[Item], right: &[Item]) -> Vec<Itemset> {
-    let mut seen = ItemsetSet::default();
-    for &a in left {
-        for &b in left.iter().chain(right.iter()) {
-            if a != b {
-                seen.insert(Itemset::from_items([a, b]));
+    // Every item of `left ∪ right` once, ascending, flagged when it is in
+    // `left` (sorting puts an item's `left` copy first, which the dedup
+    // keeps).
+    let mut items: Vec<(Item, bool)> = left
+        .iter()
+        .map(|&i| (i, true))
+        .chain(right.iter().map(|&i| (i, false)))
+        .collect();
+    items.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+    items.dedup_by_key(|&mut (item, _)| item);
+    let mut out = Vec::new();
+    for (i, &(a, a_left)) in items.iter().enumerate() {
+        for &(b, b_left) in &items[i + 1..] {
+            if a_left || b_left {
+                out.push(Itemset::from_sorted_vec(vec![a, b]));
             }
         }
     }
-    let mut out: Vec<Itemset> = seen.into_iter().collect();
-    out.sort_unstable();
     out
 }
 
@@ -179,25 +318,46 @@ mod tests {
     }
 
     #[test]
-    fn extend_gen_reaches_asymmetric_candidates() {
+    fn extend_once_reaches_asymmetric_candidates() {
         // prev = {12}; universe = {3}. Candidate 123 must be generated even
         // though neither 13 nor 23 is in prev.
         let prev = level(&[&[1, 2]]);
-        let cands = extend_gen(&prev, &[Item(3)], |_| true);
+        let cands = extend_once(&prev, &[Item(3)], |_| true);
         assert_eq!(cands, vec![set(&[1, 2, 3])]);
     }
 
     #[test]
-    fn extend_gen_dedups_and_filters() {
+    fn extend_once_emits_each_candidate_once_and_filters() {
         let prev = level(&[&[1, 2], &[1, 3]]);
         // Both bases can produce {1,2,3}; it must appear once.
-        let cands = extend_gen(&prev, &[Item(2), Item(3), Item(4)], |_| true);
+        let cands = extend_once(&prev, &[Item(2), Item(3), Item(4)], |_| true);
         assert_eq!(
             cands,
             vec![set(&[1, 2, 3]), set(&[1, 2, 4]), set(&[1, 3, 4])]
         );
-        let none = extend_gen(&prev, &[Item(4)], |c| !c.contains(&Item(4)));
+        let none = extend_once(&prev, &[Item(4)], |c| !c.contains(&Item(4)));
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn witness_gen_reaches_a_candidate_through_its_second_largest() {
+        // Witness 3 only. {1,2,3}'s largest item is its only witness, so
+        // its parent is {1,3} extended by 2, below 3; {1,2} holds no
+        // witness and is not a base.
+        let prev = level(&[&[1, 3], &[2, 3]]);
+        let universe = [Item(1), Item(2), Item(3)];
+        let cands = witness_gen(&prev, &universe, |i| i == Item(3), |_| true);
+        assert_eq!(cands, vec![set(&[1, 2, 3])]);
+    }
+
+    #[test]
+    fn apriori_gen_is_empty_agrees_with_apriori_gen() {
+        let full = level(&[&[1, 2, 3], &[1, 2, 4], &[1, 3, 4], &[1, 3, 5], &[2, 3, 4]]);
+        assert!(!apriori_gen_is_empty(&full));
+        let gapped = level(&[&[1, 2, 3], &[1, 2, 4], &[1, 3, 5]]);
+        assert!(apriori_gen(&gapped).is_empty());
+        assert!(apriori_gen_is_empty(&gapped));
+        assert!(apriori_gen_is_empty(&ItemsetSet::default()));
     }
 
     #[test]
@@ -273,7 +433,12 @@ mod tests {
 
     /// The production generator under the witness rule.
     fn witness_subject(prev: &ItemsetSet, universe: &[Item], witness: &[bool]) -> Vec<Itemset> {
-        extend_gen(prev, universe, |c| witness_rule(c, witness, prev))
+        witness_gen(
+            prev,
+            universe,
+            |i| witness[i.index()],
+            |c| witness_rule(c, witness, prev),
+        )
     }
 
     /// The production any-parent generator by extension: each base
@@ -283,12 +448,13 @@ mod tests {
         universe: &[Item],
         keep: impl FnMut(&[Item]) -> bool,
     ) -> Vec<Itemset> {
-        extend_gen(prev, universe, keep)
+        extend_once(prev, universe, keep)
     }
 
-    /// The production any-parent generator restricted to `next`.
+    /// The production any-parent generator restricted to `next`, as
+    /// BMS** phase 2 extends within `SUPP`.
     fn within_subject(prev: &ItemsetSet, universe: &[Item], next: &ItemsetSet) -> Vec<Itemset> {
-        extend_gen(prev, universe, |c| next.contains(c))
+        extend_once(prev, universe, |c| next.contains(c))
     }
 
     /// All `k`-subsets of `items`, ascending.
@@ -393,7 +559,7 @@ mod tests {
         }
 
         #[test]
-        fn extend_gen_matches_brute_force(
+        fn extend_once_matches_brute_force(
             k in 1usize..=3,
             bases in proptest::collection::vec(
                 proptest::collection::btree_set(0u32..12, 3usize),
@@ -419,7 +585,7 @@ mod tests {
             }
             let reference: Vec<Itemset> =
                 reference.into_iter().filter(|c| keep(c.items())).collect();
-            prop_assert_eq!(extend_gen(&prev, &universe, keep), reference);
+            prop_assert_eq!(extend_once(&prev, &universe, keep), reference);
         }
     }
 }
