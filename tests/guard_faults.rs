@@ -99,22 +99,12 @@ fn sweep_with(algorithm: Algorithm, fault: TruncationReason, factory: CounterFac
                     counter.stats().tables_built,
                     "{algorithm} trigger {trigger}: sets_evaluated out of sync"
                 );
-                // (a) Soundness: partial ⊆ unguarded.
-                for s in &result.answers {
-                    assert!(
-                        complete.answers.contains(s),
-                        "{algorithm} trigger {trigger}: unsound partial answer {s}"
-                    );
-                }
-                // (b) Mutual minimality.
-                for (i, a) in result.answers.iter().enumerate() {
-                    for b in &result.answers[i + 1..] {
-                        assert!(
-                            !a.is_subset_of(b) && !b.is_subset_of(a),
-                            "{algorithm} trigger {trigger}: {a} and {b} are nested"
-                        );
-                    }
-                }
+                // (a) Soundness and (b) mutual minimality.
+                assert_sound_and_minimal(
+                    &format!("{algorithm} trigger {trigger}"),
+                    &result.answers,
+                    &complete.answers,
+                );
                 // (c) Resume-from-frontier reproduces the complete
                 // answer exactly.
                 let state = result
@@ -145,6 +135,23 @@ fn sweep_with(algorithm: Algorithm, fault: TruncationReason, factory: CounterFac
         }
     }
     panic!("{algorithm}: more than 64 guarded batches on the toy dataset");
+}
+
+/// The guard contract's checks on a truncated run's answers: (a)
+/// soundness, every partial answer is a complete-run answer; (b) mutual
+/// minimality, no partial answer contains another.
+fn assert_sound_and_minimal(label: &str, partial: &[Itemset], complete: &[Itemset]) {
+    for s in partial {
+        assert!(complete.contains(s), "{label}: unsound partial answer {s}");
+    }
+    for (i, a) in partial.iter().enumerate() {
+        for b in &partial[i + 1..] {
+            assert!(
+                !a.is_subset_of(b) && !b.is_subset_of(a),
+                "{label}: {a} and {b} are nested"
+            );
+        }
+    }
 }
 
 #[test]
@@ -234,6 +241,88 @@ fn star_star_phase_two_finishes_the_completed_supp_levels_after_a_trip() {
     assert!(
         truncated_with_answers > 0,
         "no trip left answers below its frontier; the check is vacuous"
+    );
+}
+
+#[test]
+fn star_star_resumes_trip_inside_phase_two() {
+    // A fresh BMS** run counts only in phase 1, so every trip of the
+    // sweeps above lands there. A run resumed from a phase-1 snapshot
+    // counts in phase 2 as well: it recounts the SUPP levels it thawed.
+    // Chaining the sweep (fault every batch of every such resume) trips
+    // phase 2, its candidate generation and its minimality prefilter.
+    let db = db();
+    let attrs = attrs();
+    let q = query();
+    let complete = mine(&db, &attrs, &q, Algorithm::BmsStarStar).unwrap();
+    let complete_answers = sorted(&complete.answers);
+    let faulting = |trigger: usize| {
+        let guard = RunGuard::new(GuardLimits::default());
+        let counter = FaultCounter::new(
+            HorizontalCounter::new(&db),
+            guard.clone(),
+            TruncationReason::WorkBudget,
+            trigger,
+        );
+        (guard, counter)
+    };
+    let (mut runs, mut phase2_trips) = (0, 0);
+    for first in 0..64 {
+        let (guard, mut counter) = faulting(first);
+        let result = mine_with_counter_guarded(
+            &db,
+            &attrs,
+            &q,
+            Algorithm::BmsStarStar,
+            &mut counter,
+            &guard,
+        )
+        .unwrap();
+        runs += 1;
+        let Some(snapshot) = result.resume else {
+            break; // past the last batch of phase 1
+        };
+        assert!(format!("{snapshot:?}").contains("StarStarPhase1"));
+        for second in 0..64 {
+            let label = format!("trigger {first} then {second}");
+            let (guard, mut counter) = faulting(second);
+            let resumed = resume_with_counter_guarded(
+                &db,
+                &attrs,
+                &q,
+                &mut counter,
+                &guard,
+                snapshot.clone(),
+            )
+            .unwrap();
+            runs += 1;
+            let Some(state) = resumed.resume else {
+                assert!(resumed.completion.is_complete(), "{label}");
+                assert_eq!(sorted(&resumed.answers), complete_answers, "{label}");
+                break;
+            };
+            assert_sound_and_minimal(&label, &resumed.answers, &complete.answers);
+            if format!("{state:?}").contains("StarStarPhase2") {
+                phase2_trips += 1;
+            }
+            let mut counter = HorizontalCounter::new(&db);
+            let finished = resume_with_counter_guarded(
+                &db,
+                &attrs,
+                &q,
+                &mut counter,
+                &RunGuard::new(GuardLimits::default()),
+                state,
+            )
+            .unwrap();
+            runs += 1;
+            assert!(finished.completion.is_complete(), "{label}");
+            assert_eq!(sorted(&finished.answers), complete_answers, "{label}");
+        }
+    }
+    assert!(
+        phase2_trips > 0,
+        "no resumed run tripped inside phase 2 ({runs} runs); the sweep is vacuous"
     );
 }
 
