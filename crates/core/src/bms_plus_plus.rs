@@ -10,9 +10,10 @@
 //!     L1⁻}`. For `k > 2`, a `k`-set is a candidate when every
 //!     `(k−1)`-subset that intersects `L1⁺` is in the previous level's
 //!     `NOTSIG`. Candidates are produced by single-item extension of
-//!     `NOTSIG` sets (the symmetric Apriori join is incomplete here: a
-//!     candidate may legitimately have subsets that were never candidates
-//!     because they miss `L1⁺`).
+//!     `NOTSIG` sets, each from its one canonical parent
+//!     (`candidate::witness_gen`); the symmetric Apriori join is
+//!     incomplete here: a candidate may legitimately have subsets that
+//!     were never candidates because they miss `L1⁺`.
 //!
 //! III. **SIG/NOTSIG.** Residual (non-succinct) anti-monotone constraints
 //!      are checked *before* the contingency table is built; residual

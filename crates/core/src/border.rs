@@ -281,6 +281,31 @@ mod tests {
     }
 
     #[test]
+    fn the_level_cap_truncates_exactly_when_the_level_above_has_candidates() {
+        let db = db();
+        let attrs = AttributeTable::with_identity_prices(5);
+        let capped_at = |max_level| {
+            let mut q = query(ConstraintSet::new());
+            q.params.max_level = max_level;
+            let mut c = HorizontalCounter::new(&db);
+            solution_space(&db, &attrs, &q, &mut c).unwrap()
+        };
+        let full = capped_at(5);
+        assert!(!full.truncated);
+        let deepest = full.metrics.max_level_reached;
+        assert!(
+            deepest > 2,
+            "the sweep must pass its pairs for the check to bite"
+        );
+        for cap in 2..=deepest {
+            let capped = capped_at(cap);
+            // Level `cap + 1` had candidates iff the full sweep got there.
+            assert_eq!(capped.truncated, cap < deepest, "cap {cap}");
+            assert_eq!(capped.metrics.max_level_reached, cap);
+        }
+    }
+
+    #[test]
     fn borders_are_antichains() {
         let space = space_for(ConstraintSet::new());
         for border in [&space.minimal, &space.maximal] {
