@@ -110,16 +110,9 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
             self.cands = Vec::new();
             return;
         }
-        let mut subset = Vec::new();
-        self.cands = candidate::witness_gen(
-            &notsig_level,
-            &self.good1,
-            |i| self.witness.contains(i),
-            |cand| {
-                self.witness
-                    .subsets_in(cand, |s| notsig_level.contains(s), &mut subset)
-            },
-        );
+        self.cands = self
+            .witness
+            .extend(&notsig_level, &self.good1, |s| notsig_level.contains(s));
     }
 }
 

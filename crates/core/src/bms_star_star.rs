@@ -109,16 +109,9 @@ impl AlgorithmPolicy for StarStarPhase1Policy<'_> {
             .map(|(set, v)| (set, Some(v.correlated)))
             .collect();
         if !last {
-            let mut subset = Vec::new();
-            self.cands = candidate::witness_gen(
-                supp_level.keys(),
-                self.good1,
-                |i| self.witness.contains(i),
-                |cand| {
-                    self.witness
-                        .subsets_in(cand, |s| supp_level.contains_key(s), &mut subset)
-                },
-            );
+            self.cands = self.witness.extend(supp_level.keys(), self.good1, |s| {
+                supp_level.contains_key(s)
+            });
         }
         self.supp.insert(level, supp_level);
     }

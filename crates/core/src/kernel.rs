@@ -329,7 +329,8 @@ pub(crate) fn prune_non_minimal(sig: &[Itemset], cands: Vec<Itemset>) -> Vec<Ite
 /// The answers of one size, borrowed from `sig`.
 type AnswerIndex<'a> = HashSet<&'a [Item], ItemsetBuildHasher>;
 
-/// `C(n, k)`; the sizes here are table widths, far below overflow.
+/// `C(n, k)` for `k ≤ n`; the sizes here are table widths, far below
+/// overflow.
 fn binomial(n: usize, k: usize) -> u64 {
     (0..k as u64).fold(1, |acc, i| acc * (n as u64 - i) / (i + 1))
 }

@@ -7,7 +7,7 @@
 //! sweep and causal discovery draw their universe from `GOOD₁` too.
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
-use ccs_itemset::candidate::drop_one_into;
+use ccs_itemset::candidate::{self, drop_one_into};
 use ccs_itemset::{Item, Itemset, TransactionDb};
 
 use crate::params::MiningParams;
@@ -82,7 +82,7 @@ impl WitnessMask {
     /// every `(k−1)`-subset of `cand` that contains a witness is in the
     /// previous level, which `in_level` tests. The subsets are assembled
     /// in `subset`, a reused buffer.
-    pub(crate) fn subsets_in(
+    fn subsets_in(
         &self,
         cand: &[Item],
         in_level: impl Fn(&[Item]) -> bool,
@@ -97,6 +97,26 @@ impl WitnessMask {
             drop_one_into(cand, drop, subset);
             in_level(subset)
         })
+    }
+
+    /// The next level's candidates under modification II: every
+    /// single-item extension of a set of `level` by an item of `good1`
+    /// whose witness-holding `(k−1)`-subsets all pass `in_level`. Each
+    /// set of `level` holds a witness and has its items in `good1`, which
+    /// [`candidate::witness_gen`] needs to build each candidate once.
+    pub(crate) fn extend<'a>(
+        &self,
+        level: impl IntoIterator<Item = &'a Itemset>,
+        good1: &[Item],
+        in_level: impl Fn(&[Item]) -> bool,
+    ) -> Vec<Itemset> {
+        let mut subset = Vec::new();
+        candidate::witness_gen(
+            level,
+            good1,
+            |i| self.contains(i),
+            |cand| self.subsets_in(cand, &in_level, &mut subset),
+        )
     }
 }
 
