@@ -6,7 +6,10 @@
 //! counting strategy, per candidate and level-batched, and writes
 //! `results/BENCH_counting.json` with candidates/sec and tables/sec per
 //! strategy. The headline number is the prefix-sharing vertical batch's
-//! speedup over per-candidate vertical counting.
+//! speedup over per-candidate vertical counting. Each shape also times
+//! every index-building backend's build (`<backend>/build`, with the
+//! shape's distinct-basket count), and an all-distinct Quest shape times
+//! the FP-tree build where no basket repeats.
 //!
 //! ```text
 //! cargo run --release -p ccs-bench --bin counting_baseline [-- --out <dir>]
@@ -16,6 +19,7 @@
 // measurement, and a panic is its failure report.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -58,8 +62,13 @@ const DENSE_LC_ITEMS: u32 = 28;
 const DENSE_LC_BASKETS: usize = 40_000;
 const DENSE_LC_CANDIDATES: usize = 400;
 
+/// The all-distinct companion shape, at the paper's scale: Quest baskets
+/// over 1000 items, which practically never repeat, so an FP-tree build
+/// gains nothing from repeated baskets there.
+const DISTINCT_ITEMS: u32 = 1000;
+
 /// Deterministic profile-clustered baskets: three overlapping modules
-/// switched by small moduli plus one rotating tail item — 32 distinct
+/// switched by small moduli plus one rotating tail item — 16 distinct
 /// basket shapes across 40 000 transactions, avg length ≈ 14 of 28
 /// items (density ≈ 0.5, exactly the shape `Auto` routes to `fp-tree`).
 fn dense_low_cardinality_db() -> TransactionDb {
@@ -131,6 +140,75 @@ fn time_level<C: MintermCounter>(
     secs.sort_unstable_by(f64::total_cmp);
     let tables = counter.stats().tables_built - base_tables;
     (secs[REPS / 2], tables / (REPS as u64 + 1))
+}
+
+/// Runs `build` `REPS` times after one warm-up and returns the median
+/// wall-clock seconds of one build.
+fn time_build<T>(mut build: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(build());
+    let mut secs: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(build());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_unstable_by(f64::total_cmp);
+    secs[REPS / 2]
+}
+
+/// Number of distinct baskets in `db`.
+fn distinct_baskets(db: &TransactionDb) -> usize {
+    db.transactions().collect::<BTreeSet<_>>().len()
+}
+
+/// One `<backend>/build` row: the median seconds of building the
+/// backend's index over a shape's database.
+struct BuildRow {
+    name: &'static str,
+    seconds: f64,
+}
+
+/// Times the build of every index-building backend in `backends` over
+/// `db`.
+fn time_builds(db: &TransactionDb, backends: &[&'static str]) -> Vec<BuildRow> {
+    backends
+        .iter()
+        .map(|&name| {
+            let seconds = match name {
+                "vertical/build" => time_build(|| VerticalCounter::new(db)),
+                "vertical_par/build" => time_build(|| ParallelVerticalCounter::new(db)),
+                "sharded/build" => time_build(|| ShardedVerticalCounter::new(db)),
+                "fptree/build" => time_build(|| FpTreeCounter::new(db)),
+                other => panic!("no build for {other}"),
+            };
+            BuildRow { name, seconds }
+        })
+        .collect()
+}
+
+/// The build rows as a JSON array member, each row carrying the shape's
+/// distinct-basket count.
+fn builds_json(rows: &[BuildRow], distinct: usize) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{ \"name\": \"{}\", \"median_seconds\": {:.6}, \"distinct_baskets\": {distinct} }}",
+                r.name, r.seconds
+            )
+        })
+        .collect();
+    format!("\"builds\": [ {} ]", rows.join(", "))
+}
+
+fn print_builds(rows: &[BuildRow], distinct: usize) {
+    for r in rows {
+        println!(
+            "{:>26} {:>12.6}   ({distinct} distinct baskets)",
+            r.name, r.seconds
+        );
+    }
 }
 
 /// One durability data point: a full governed BMS++ mine, median of
@@ -364,6 +442,17 @@ fn main() {
         });
     }
 
+    let builds = time_builds(
+        &db,
+        &[
+            "vertical/build",
+            "vertical_par/build",
+            "sharded/build",
+            "fptree/build",
+        ],
+    );
+    let distinct = distinct_baskets(&db);
+
     // Pool thread-scaling of the parallel-vertical batch path. On a
     // single-core host every worker count serialises onto one CPU, so
     // the curve is flat there — `available_parallelism` is recorded in
@@ -453,6 +542,16 @@ fn main() {
             candidates: SPARSE_CANDIDATES,
         });
     }
+    let sparse_builds = time_builds(
+        &sparse_db,
+        &[
+            "vertical/build",
+            "vertical_par/build",
+            "sharded/build",
+            "fptree/build",
+        ],
+    );
+    let sparse_distinct = distinct_baskets(&sparse_db);
 
     // The dense low-cardinality shape, batch paths: the FP-tree's home
     // turf. Candidates are drawn from one 12-item module, so the
@@ -494,6 +593,21 @@ fn main() {
             candidates: DENSE_LC_CANDIDATES,
         });
     }
+    let lc_builds = time_builds(
+        &lc_db,
+        &[
+            "vertical/build",
+            "vertical_par/build",
+            "sharded/build",
+            "fptree/build",
+        ],
+    );
+    let lc_distinct = distinct_baskets(&lc_db);
+
+    // The all-distinct shape: the FP-tree build alone.
+    let distinct_db = DataMethod::Quest.generate(DISTINCT_ITEMS, N_BASKETS, 7);
+    let distinct_builds = time_builds(&distinct_db, &["fptree/build"]);
+    let distinct_distinct = distinct_baskets(&distinct_db);
 
     // Durability overhead: a complete governed BMS++ mine on the dense
     // database, with and without every-level checkpointing into a real
@@ -584,6 +698,7 @@ fn main() {
             r.tables_per_sec()
         );
     }
+    print_builds(&builds, distinct);
     println!("\nvertical batch speedup over per-candidate: {speedup:.2}x");
     println!("vertical_par batch speedup over vertical batch: {par_speedup:.2}x");
     println!("thread scaling (vertical_par/batch, forced pooled path):");
@@ -617,9 +732,10 @@ fn main() {
             r.tables_per_sec()
         );
     }
+    print_builds(&sparse_builds, sparse_distinct);
     println!(
         "dense low-cardinality shape ({DENSE_LC_ITEMS} items, {DENSE_LC_BASKETS} baskets, \
-         {DENSE_LC_CANDIDATES} candidates, ~32 distinct profiles):"
+         {DENSE_LC_CANDIDATES} candidates, {lc_distinct} distinct baskets):"
     );
     for r in &lc_rows {
         println!(
@@ -630,6 +746,9 @@ fn main() {
             r.tables_per_sec()
         );
     }
+    print_builds(&lc_builds, lc_distinct);
+    println!("all-distinct shape ({DISTINCT_ITEMS} items, {N_BASKETS} baskets):");
+    print_builds(&distinct_builds, distinct_distinct);
     println!(
         "fptree batch speedup over vertical batch (dense low-cardinality): {fptree_speedup:.2}x"
     );
@@ -710,6 +829,7 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
+    let _ = writeln!(json, "  {},", builds_json(&builds, distinct));
     json.push_str("  \"thread_scaling\": [\n");
     for (i, p) in scaling.iter().enumerate() {
         let _ = writeln!(
@@ -753,12 +873,16 @@ fn main() {
             if i + 1 < sparse_rows.len() { "," } else { "" }
         );
     }
-    json.push_str("  ] },\n");
+    let _ = writeln!(
+        json,
+        "  ], {} }},",
+        builds_json(&sparse_builds, sparse_distinct)
+    );
     let _ = writeln!(
         json,
         "  \"dense_low_cardinality\": {{ \"items\": {DENSE_LC_ITEMS}, \
          \"transactions\": {DENSE_LC_BASKETS}, \"candidates\": {DENSE_LC_CANDIDATES}, \
-         \"distinct_profiles\": 32, \"strategies\": ["
+         \"distinct_profiles\": {lc_distinct}, \"strategies\": ["
     );
     for (i, r) in lc_rows.iter().enumerate() {
         let _ = writeln!(
@@ -774,7 +898,13 @@ fn main() {
     }
     let _ = writeln!(
         json,
-        "  ], \"fptree_batch_speedup_over_vertical_batch\": {fptree_speedup:.2} }},"
+        "  ], {}, \"fptree_batch_speedup_over_vertical_batch\": {fptree_speedup:.2} }},",
+        builds_json(&lc_builds, lc_distinct)
+    );
+    let _ = writeln!(
+        json,
+        "  \"all_distinct\": {{ \"items\": {DISTINCT_ITEMS}, \"transactions\": {N_BASKETS}, {} }},",
+        builds_json(&distinct_builds, distinct_distinct)
     );
     let _ = writeln!(
         json,

@@ -412,6 +412,37 @@ mod bms_plus_plus {
     }
 
     #[test]
+    fn a_candidate_whose_largest_item_is_its_only_witness_is_generated() {
+        // Items 0-3 are four independent fair bits and item 4 is
+        // `0 XOR 1`. Under `max(price) >= 5` item 4 is the only witness,
+        // so the level-3 candidate {0,1,4} minus its largest item holds
+        // no witness: `witness_gen` reaches it only from {0,4} extended
+        // by the non-witness 1 below 4. Every pair is independent and
+        // {0,1,4} is correlated.
+        let txns: Vec<Vec<u32>> = (0..64u32)
+            .map(|i| {
+                let mut t: Vec<u32> = (0..4).filter(|b| i >> b & 1 == 1).collect();
+                if (i ^ i >> 1) & 1 == 1 {
+                    t.push(4);
+                }
+                t
+            })
+            .collect();
+        let db = TransactionDb::from_ids(5, txns);
+        let attrs = AttributeTable::with_identity_prices(5);
+        let q = query(ConstraintSet::new().and(Constraint::max_ge("price", 5.0)));
+        let mut c = HorizontalCounter::new(&db);
+        let pp = mine(&db, &attrs, &q, Algorithm::BmsPlusPlus, &mut c).unwrap();
+        let mut c = HorizontalCounter::new(&db);
+        let naive = mine(&db, &attrs, &q, Algorithm::Naive, &mut c).unwrap();
+        assert_eq!(pp.answers, naive.answers);
+        assert_eq!(pp.answers, vec![Itemset::from_ids([0, 1, 4])]);
+        // The 4 pairs with item 4, the 6 triples with it, and the 2
+        // quadruples {0,2,3,4} and {1,2,3,4} over uncorrelated triples.
+        assert_eq!(pp.metrics.candidates_generated, 12);
+    }
+
+    #[test]
     fn avg_constraint_is_rejected() {
         let db = db();
         let attrs = attrs();

@@ -83,7 +83,7 @@ const PROJ_ENTRY_BYTES: u64 = 24;
 /// One FP-tree node: its item, the number of transactions whose sorted
 /// prefix runs through it, its parent (0 is the root sentinel), and its
 /// depth (root children have depth 1).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     item: u32,
     count: u64,
@@ -434,6 +434,7 @@ mod tests {
     use super::*;
     use crate::counting::{DegradationRung, HorizontalCounter, MintermCounter, NoProbe};
     use crate::vertical::VerticalIndex;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -667,6 +668,194 @@ mod tests {
         assert_eq!(c.minterm_counts(&Itemset::empty()), vec![0]);
         assert_eq!(c.minterm_counts(&Itemset::from_ids([1])), vec![0, 0]);
         assert!(c.minterm_counts_batch(&[]).is_empty());
+    }
+
+    /// Today's build, kept as the reference the per-distinct-basket build
+    /// is checked against: one rank-sort and one child lookup per item
+    /// occurrence, in transaction order.
+    fn reference_build(db: &TransactionDb) -> FpTree {
+        use std::collections::HashMap;
+        let n_items = db.n_items() as usize;
+        let supports = db.item_supports();
+        let mut order: Vec<u32> = (0..db.n_items()).collect();
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(supports[i as usize]), i));
+        let mut rank_of = vec![0u32; n_items];
+        for (rank, &item) in order.iter().enumerate() {
+            rank_of[item as usize] = rank as u32;
+        }
+        let mut nodes = vec![Node {
+            item: u32::MAX,
+            count: 0,
+            parent: 0,
+            depth: 0,
+        }];
+        let mut headers: Vec<Vec<u32>> = vec![Vec::new(); n_items];
+        let mut children: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut sorted: Vec<u32> = Vec::new();
+        for t in db.transactions() {
+            sorted.clear();
+            sorted.extend(t.iter().map(|i| i.id()));
+            sorted.sort_unstable_by_key(|&i| rank_of[i as usize]);
+            let mut at = 0u32;
+            for &item in &sorted {
+                at = match children.get(&(at, item)) {
+                    Some(&n) => {
+                        nodes[n as usize].count += 1;
+                        n
+                    }
+                    None => {
+                        let n = nodes.len() as u32;
+                        nodes.push(Node {
+                            item,
+                            count: 1,
+                            parent: at,
+                            depth: nodes[at as usize].depth + 1,
+                        });
+                        children.insert((at, item), n);
+                        headers[item as usize].push(n);
+                        n
+                    }
+                };
+            }
+        }
+        let proj_bytes = headers
+            .iter()
+            .map(|chain| {
+                chain
+                    .iter()
+                    .map(|&n| PROJ_ENTRY_BYTES + 4 * u64::from(nodes[n as usize].depth - 1))
+                    .sum()
+            })
+            .collect();
+        FpTree {
+            n_transactions: db.len(),
+            rank_of,
+            item_supports: supports.iter().map(|&s| s as u64).collect(),
+            nodes,
+            headers,
+            proj_bytes,
+        }
+    }
+
+    /// Today's projection, kept as the reference: one `(root path, count)`
+    /// entry per node on the item's chain, the path read leaf-up.
+    fn reference_projection(tree: &FpTree, item: u32) -> Vec<(Vec<u32>, u64)> {
+        tree.headers[item as usize]
+            .iter()
+            .map(|&n| {
+                let node = &tree.nodes[n as usize];
+                let mut path = Vec::new();
+                let mut p = node.parent;
+                while p != 0 {
+                    path.push(tree.nodes[p as usize].item);
+                    p = tree.nodes[p as usize].parent;
+                }
+                (path, node.count)
+            })
+            .collect()
+    }
+
+    /// The production projection of `item`, entry by entry.
+    fn projection_entries(tree: &FpTree, item: u32) -> Vec<(Vec<u32>, u64)> {
+        tree.projection(item)
+            .into_iter()
+            .map(|pc| (pc.path.into_vec(), pc.count))
+            .collect()
+    }
+
+    /// The build and every projection agree with the references, field
+    /// by field.
+    fn assert_matches_reference(db: &TransactionDb) {
+        let tree = FpTree::build(db);
+        let reference = reference_build(db);
+        assert_eq!(tree.n_transactions, reference.n_transactions);
+        assert_eq!(tree.rank_of, reference.rank_of);
+        assert_eq!(tree.item_supports, reference.item_supports);
+        assert_eq!(tree.nodes, reference.nodes);
+        assert_eq!(tree.headers, reference.headers);
+        assert_eq!(tree.proj_bytes, reference.proj_bytes);
+        assert_eq!(tree.n_nodes(), reference.n_nodes());
+        for item in 0..db.n_items() {
+            assert_eq!(
+                projection_entries(&tree, item),
+                reference_projection(&reference, item),
+                "projection of item {item}"
+            );
+        }
+    }
+
+    #[test]
+    fn edge_databases_match_the_reference_build() {
+        assert_matches_reference(&TransactionDb::from_ids(4, Vec::<Vec<u32>>::new()));
+        assert_matches_reference(&TransactionDb::from_ids(1, vec![vec![0]; 50]));
+        assert_matches_reference(&TransactionDb::from_ids(
+            1,
+            (0..50).map(|i| if i % 3 == 0 { vec![] } else { vec![0] }),
+        ));
+        assert_matches_reference(&TransactionDb::from_ids(3, vec![Vec::<u32>::new(); 7]));
+        assert_matches_reference(&db());
+    }
+
+    /// Most items any generated database has.
+    const MAX_ITEMS: u32 = 12;
+
+    /// Baskets drawn from at most four profiles, each draw toggling at
+    /// most one item, so a few distinct baskets repeat many times over
+    /// (as `perfbench`'s dense data does).
+    fn profiled_db() -> impl Strategy<Value = TransactionDb> {
+        (
+            1..=MAX_ITEMS,
+            proptest::collection::vec(proptest::collection::vec(0..MAX_ITEMS, 0..8), 1..=4),
+            proptest::collection::vec((0usize..4, 0..MAX_ITEMS + 2), 0..400),
+        )
+            .prop_map(|(n, profiles, draws)| {
+                let txns = draws.into_iter().map(|(p, toggle)| {
+                    let mut t: Vec<u32> = profiles[p % profiles.len()]
+                        .iter()
+                        .map(|&i| i % n)
+                        .collect();
+                    if t.contains(&toggle) {
+                        t.retain(|&i| i != toggle);
+                    } else if toggle < n {
+                        t.push(toggle);
+                    }
+                    t
+                });
+                TransactionDb::from_ids(n, txns)
+            })
+    }
+
+    /// Baskets that are all distinct, in random order.
+    fn distinct_db() -> impl Strategy<Value = TransactionDb> {
+        (
+            1..=MAX_ITEMS,
+            proptest::collection::vec(proptest::collection::vec(0..MAX_ITEMS, 0..8), 0..80),
+        )
+            .prop_map(|(n, raw)| {
+                let mut seen = std::collections::BTreeSet::new();
+                let txns: Vec<Vec<u32>> = raw
+                    .into_iter()
+                    .map(|t| {
+                        let mut t: Vec<u32> = t.into_iter().map(|i| i % n).collect();
+                        t.sort_unstable();
+                        t.dedup();
+                        t
+                    })
+                    .filter(|t| seen.insert(t.clone()))
+                    .collect();
+                TransactionDb::from_ids(n, txns)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+        #[test]
+        fn build_matches_the_reference_build(
+            db in prop_oneof![profiled_db(), distinct_db()]
+        ) {
+            assert_matches_reference(&db);
+        }
     }
 
     #[test]

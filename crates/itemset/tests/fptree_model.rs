@@ -36,9 +36,29 @@ fn model_counts(db: &TransactionDb, set: &Itemset) -> Vec<u64> {
     cells
 }
 
+/// Uniform random baskets, or baskets drawn from at most four profiles
+/// (each draw toggling at most one item), so that a few distinct
+/// baskets repeat many times and the tree's nodes carry large counts.
 fn db_strategy() -> impl Strategy<Value = TransactionDb> {
-    proptest::collection::vec(proptest::collection::vec(0u32..N_ITEMS, 0..8), 0..100)
-        .prop_map(|txns| TransactionDb::from_ids(N_ITEMS, txns))
+    let uniform = proptest::collection::vec(proptest::collection::vec(0u32..N_ITEMS, 0..8), 0..100)
+        .prop_map(|txns| TransactionDb::from_ids(N_ITEMS, txns));
+    let profiled = (
+        proptest::collection::vec(proptest::collection::vec(0u32..N_ITEMS, 0..8), 1..=4),
+        proptest::collection::vec((0usize..4, 0u32..N_ITEMS + 2), 0..400),
+    )
+        .prop_map(|(profiles, draws)| {
+            let txns = draws.into_iter().map(|(p, toggle)| {
+                let mut t = profiles[p % profiles.len()].clone();
+                if t.contains(&toggle) {
+                    t.retain(|&i| i != toggle);
+                } else if toggle < N_ITEMS {
+                    t.push(toggle);
+                }
+                t
+            });
+            TransactionDb::from_ids(N_ITEMS, txns)
+        });
+    prop_oneof![uniform, profiled]
 }
 
 /// Candidate levels with deliberate prefix/suffix sharing (btree-set
