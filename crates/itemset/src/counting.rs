@@ -450,10 +450,6 @@ pub enum DegradationRung {
 /// footprint; the ladder, the statistics and the lower rungs are
 /// [`Tiered`]'s.
 pub trait TieredEngine {
-    /// Database passes the engine's build costs, charged to
-    /// [`CountingStats::db_scans`] when the counter is created.
-    const BUILD_SCANS: u64 = 1;
-
     /// Number of transactions the engine counts over.
     fn n_transactions(&self) -> usize;
 
@@ -498,14 +494,15 @@ pub struct Tiered<'a, E> {
 }
 
 impl<'a, E: TieredEngine> Tiered<'a, E> {
-    /// Wraps `engine`, built over `db`, charging its build scans.
+    /// Wraps `engine`, built over `db`, charging the one database scan
+    /// every engine's build makes.
     pub(crate) fn from_engine(db: &'a TransactionDb, engine: E) -> Self {
         Tiered {
             db,
             twin: engine.shared_twin(),
             engine,
             stats: CountingStats {
-                db_scans: E::BUILD_SCANS,
+                db_scans: 1,
                 ..CountingStats::default()
             },
             rung: DegradationRung::Preferred,
@@ -1046,7 +1043,7 @@ mod tests {
                 1,
                 Some(1),
             ),
-            ("fp-tree", |d| Box::new(FpTreeCounter::new(d)), 2, Some(1)),
+            ("fp-tree", |d| Box::new(FpTreeCounter::new(d)), 1, Some(1)),
         ];
         // 1000 pseudo-random baskets over 10 items: many distinct
         // profiles, so the FP-tree's projections outweigh one arena, and

@@ -17,11 +17,15 @@
 //!
 //! One arena of parent-linked nodes. Items are ordered by descending
 //! whole-database support (ties broken by item id, so construction is
-//! deterministic); each transaction is sorted into that order and
-//! inserted root-down, sharing the longest existing prefix and bumping
-//! the shared nodes' counts. A *header table* keeps, per item, the list
-//! of that item's nodes (the classic node-links, stored as a vector in
-//! creation order).
+//! deterministic). The build indexes the database's baskets in one pass,
+//! each distinct basket with its multiplicity, and inserts each distinct
+//! basket once, in first-occurrence order: sorted into tree order and
+//! inserted root-down, it shares the longest existing prefix and adds its
+//! multiplicity to every node on its path. A repeated basket creates no
+//! node, so the arena is node for node the one a per-transaction
+//! insertion builds, while the work follows the distinct baskets. A
+//! *header table* keeps, per item, the list of that item's nodes (the
+//! classic node-links, stored as a vector in creation order).
 //!
 //! # Counting a contingency table
 //!
@@ -42,14 +46,17 @@
 //!
 //! The tree counts only in batches, through its
 //! [`TieredEngine::count_batch_guarded`]; a single set is a batch of
-//! one. The batch groups a level's candidates by their *suffix item*
+//! one. The batch orders a level's candidates by their *suffix item*
 //! (the deepest-ranked member) and materialises each header item's
 //! **conditional projection** — the node-link chain flattened into
 //! `(root-path items, count)` entries — at most once per batch,
-//! memoized across every candidate that touches the item. A
-//! dense level whose candidates are drawn from one correlated module
-//! thus pays one projection per header item plus a cheap mask fold per
-//! candidate, instead of one intersection recursion per candidate.
+//! memoized across every candidate that touches the item. A projection
+//! is flat: its entries' paths lie end to end in one item arena, beside
+//! one vector of end offsets and one of counts, and the batch keeps the
+//! projections in a vector indexed by item. A dense level whose
+//! candidates are drawn from one correlated module thus pays one
+//! projection per header item plus a cheap mask fold per candidate,
+//! instead of one intersection recursion per candidate.
 //!
 //! # Interruption and degradation
 //!
@@ -65,10 +72,13 @@
 //! [`VerticalIndex`](crate::VerticalIndex), and below that to guarded
 //! horizontal scans.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use crate::counting::{BatchInterrupted, CountProbe, Tiered, TieredEngine};
 use crate::database::TransactionDb;
+use crate::hash::ItemsetBuildHasher;
+use crate::item::Item;
 use crate::itemset::Itemset;
 use crate::vertical::alloc_results;
 
@@ -76,8 +86,8 @@ use crate::vertical::alloc_results;
 const NOT_IN_SET: u32 = u32::MAX;
 
 /// Fixed per-entry overhead charged when estimating a conditional
-/// projection's memory footprint: the count plus the path vector's
-/// header, before the per-path-item bytes.
+/// projection's memory footprint, before the per-path-item bytes. A flat
+/// entry takes 16 of these bytes (its end offset and its count).
 const PROJ_ENTRY_BYTES: u64 = 24;
 
 /// One FP-tree node: its item, the number of transactions whose sorted
@@ -91,17 +101,23 @@ struct Node {
     depth: u32,
 }
 
-/// One entry of an item's conditional projection: the items on one of
-/// its nodes' root paths (order irrelevant — only membership is folded
-/// into cell masks) and that node's transaction count.
-#[derive(Debug, Clone)]
-struct PathCount {
-    path: Box<[u32]>,
-    count: u64,
+/// An item's conditional projection: one entry per node on its
+/// node-link chain, holding the items on the node's root path (order
+/// irrelevant — only membership is folded into cell masks) and the
+/// node's transaction count.
+#[derive(Debug)]
+struct Projection {
+    /// Every entry's path items, end to end.
+    items: Vec<u32>,
+    /// `ends[e]` is where entry `e`'s path ends in `items`; it starts
+    /// where entry `e - 1`'s ends.
+    ends: Vec<usize>,
+    /// `counts[e]` is entry `e`'s transaction count.
+    counts: Vec<u64>,
 }
 
 /// A compressed prefix tree over a [`TransactionDb`], with a header
-/// table of per-item node-links, built in one insertion pass.
+/// table of per-item node-links, built in one pass over the database.
 #[derive(Debug, Clone)]
 pub struct FpTree {
     n_transactions: usize,
@@ -121,7 +137,9 @@ pub struct FpTree {
 
 impl FpTree {
     /// Builds the tree: the database's stored item supports fix the item
-    /// order, then one insertion pass over the transactions.
+    /// order, one pass over the transactions indexes the distinct
+    /// baskets, and each distinct basket is inserted once, with its
+    /// multiplicity.
     pub fn build(db: &TransactionDb) -> Self {
         let n_items = db.n_items() as usize;
         let supports = db.item_supports();
@@ -131,6 +149,21 @@ impl FpTree {
         for (rank, &item) in order.iter().enumerate() {
             rank_of[item as usize] = rank as u32;
         }
+        // Each distinct basket with its multiplicity, in first-occurrence
+        // order. The index only finds a basket's slot and is never
+        // iterated, so the tree stays deterministic.
+        let mut slot_of: HashMap<&[Item], usize, ItemsetBuildHasher> = HashMap::default();
+        let mut distinct: Vec<(&[Item], u64)> = Vec::new();
+        for t in db.transactions() {
+            match slot_of.entry(t) {
+                Entry::Occupied(slot) => distinct[*slot.get()].1 += 1,
+                Entry::Vacant(slot) => {
+                    slot.insert(distinct.len());
+                    distinct.push((t, 1));
+                }
+            }
+        }
+        drop(slot_of);
         let mut nodes = vec![Node {
             item: u32::MAX,
             count: 0,
@@ -138,30 +171,32 @@ impl FpTree {
             depth: 0,
         }];
         let mut headers: Vec<Vec<u32>> = vec![Vec::new(); n_items];
-        // Child links are only needed while inserting; lookups never
-        // iterate the map, so the tree stays deterministic.
-        let mut children: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut sorted: Vec<u32> = Vec::new();
-        for t in db.transactions() {
-            sorted.clear();
-            sorted.extend(t.iter().map(|i| i.id()));
-            sorted.sort_unstable_by_key(|&i| rank_of[i as usize]);
+        // A node's child for an item, keyed `node << 32 | rank`; only
+        // probed while inserting, never iterated.
+        let mut children: HashMap<u64, u32, ItemsetBuildHasher> = HashMap::default();
+        let mut ranks: Vec<u32> = Vec::new();
+        for (t, multiplicity) in distinct {
+            ranks.clear();
+            ranks.extend(t.iter().map(|i| rank_of[i.index()]));
+            ranks.sort_unstable();
             let mut at = 0u32;
-            for &item in &sorted {
-                at = match children.get(&(at, item)) {
-                    Some(&n) => {
-                        nodes[n as usize].count += 1;
+            for &rank in &ranks {
+                at = match children.entry(u64::from(at) << 32 | u64::from(rank)) {
+                    Entry::Occupied(child) => {
+                        let n = *child.get();
+                        nodes[n as usize].count += multiplicity;
                         n
                     }
-                    None => {
+                    Entry::Vacant(child) => {
                         let n = nodes.len() as u32;
+                        let item = order[rank as usize];
                         nodes.push(Node {
                             item,
-                            count: 1,
+                            count: multiplicity,
                             parent: at,
                             depth: nodes[at as usize].depth + 1,
                         });
-                        children.insert((at, item), n);
+                        child.insert(n);
                         headers[item as usize].push(n);
                         n
                     }
@@ -227,36 +262,43 @@ impl FpTree {
         total
     }
 
-    /// Materialises item's conditional projection: one `(path, count)`
-    /// entry per node on its node-link chain.
-    fn projection(&self, item: u32) -> Vec<PathCount> {
-        self.headers[item as usize]
+    /// Materialises item's conditional projection: one entry per node on
+    /// its node-link chain, each vector allocated once at its final
+    /// length.
+    fn projection(&self, item: u32) -> Projection {
+        let chain = &self.headers[item as usize];
+        let path_items = chain
             .iter()
-            .map(|&n| {
-                let node = &self.nodes[n as usize];
-                let mut path = Vec::with_capacity(node.depth.saturating_sub(1) as usize);
-                let mut p = node.parent;
-                while p != 0 {
-                    path.push(self.nodes[p as usize].item);
-                    p = self.nodes[p as usize].parent;
-                }
-                PathCount {
-                    path: path.into_boxed_slice(),
-                    count: node.count,
-                }
-            })
-            .collect()
+            .map(|&n| self.nodes[n as usize].depth as usize - 1)
+            .sum();
+        let mut projection = Projection {
+            items: Vec::with_capacity(path_items),
+            ends: Vec::with_capacity(chain.len()),
+            counts: Vec::with_capacity(chain.len()),
+        };
+        for &n in chain {
+            let node = &self.nodes[n as usize];
+            let mut p = node.parent;
+            while p != 0 {
+                projection.items.push(self.nodes[p as usize].item);
+                p = self.nodes[p as usize].parent;
+            }
+            projection.ends.push(projection.items.len());
+            projection.counts.push(node.count);
+        }
+        projection
     }
 
     /// Counts all `2^k` cells of a set of at least two items into `out`
     /// (zeroed, `2^k` long), indexed as
     /// [`MintermCounter::minterm_counts`](crate::MintermCounter::minterm_counts)
-    /// states. `bit_of` is reusable scratch of `n_items` entries, all
+    /// states. `cache` holds the batch's projections by item, and
+    /// `bit_of` is reusable scratch of `n_items` entries, all
     /// [`NOT_IN_SET`] on entry and restored to that on exit.
     fn count_set_into(
         &self,
         set: &Itemset,
-        cache: &mut HashMap<u32, Vec<PathCount>>,
+        cache: &mut [Option<Projection>],
         bit_of: &mut [u32],
         out: &mut [u64],
     ) {
@@ -282,16 +324,18 @@ impl FpTree {
         // deeper items unconstrained". Paths only ever contain
         // smaller-rank items, so the fold needs no rank filtering.
         for &(_, id, bit) in &by_rank {
-            let projection = cache.entry(id).or_insert_with(|| self.projection(id));
-            for pc in projection.iter() {
+            let projection = cache[id as usize].get_or_insert_with(|| self.projection(id));
+            let mut start = 0;
+            for (&end, &count) in projection.ends.iter().zip(&projection.counts) {
                 let mut mask = 0usize;
-                for &p in pc.path.iter() {
+                for &p in &projection.items[start..end] {
                     let b = bit_of[p as usize];
                     if b != NOT_IN_SET {
                         mask |= b as usize;
                     }
                 }
-                out[mask | bit] += pc.count;
+                out[mask | bit] += count;
+                start = end;
             }
         }
         // Pass 2, deepest item first: strip the "deeper unconstrained"
@@ -327,23 +371,22 @@ impl FpTree {
 }
 
 /// Pattern-growth counter: answers contingency tables from an
-/// [`FpTree`] (two build passes). Its footprint is the batch's memoized
+/// [`FpTree`] (one build pass). Its footprint is the batch's memoized
 /// projections; below that it drops to a full-range vertical twin, built
 /// on first use (one extra database scan, recorded in
 /// [`crate::CountingStats::db_scans`]), then to horizontal scans.
 pub type FpTreeCounter<'a> = Tiered<'a, FpTree>;
 
 impl<'a> FpTreeCounter<'a> {
-    /// Builds the FP-tree (one support-ordering pass plus one insertion
-    /// pass, recorded as two database scans) and wraps it.
+    /// Builds the FP-tree (one pass over the transactions, recorded as
+    /// one database scan; the item order comes from the database's
+    /// stored supports) and wraps it.
     pub fn new(db: &'a TransactionDb) -> Self {
         Tiered::from_engine(db, FpTree::build(db))
     }
 }
 
 impl TieredEngine for FpTree {
-    const BUILD_SCANS: u64 = 2;
-
     fn n_transactions(&self) -> usize {
         self.n_transactions
     }
@@ -351,7 +394,7 @@ impl TieredEngine for FpTree {
     /// Batch counting with per-batch projection memoization; results
     /// come back in input order. Trivial 0-/1-item candidates are
     /// answered (and charged) up front from whole-tree totals, then
-    /// candidates run grouped by suffix item, with `should_stop` checked
+    /// candidates run ordered by suffix item, with `should_stop` checked
     /// before and the table charged after each one, so at most the
     /// candidate in hand is counted past a work budget. On interruption
     /// the batch is abandoned with a [`BatchInterrupted`] carrying exact
@@ -364,10 +407,10 @@ impl TieredEngine for FpTree {
         let mut results = alloc_results(sets);
         let mut done = BatchInterrupted::default();
         let n = self.n_transactions as u64;
-        // Group non-trivial candidates by suffix item (deepest tree
-        // rank), so one suffix's projections stay hot across its group;
-        // the BTreeMap keeps the walk order deterministic.
-        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        // Non-trivial candidates as (suffix item's tree rank, row),
+        // sorted, so one suffix's projections stay hot across its run of
+        // candidates and the walk order is deterministic.
+        let mut walk: Vec<(u32, usize)> = Vec::new();
         for (i, set) in sets.iter().enumerate() {
             match set.items() {
                 [] => {
@@ -390,35 +433,34 @@ impl TieredEngine for FpTree {
                         .map(|item| self.rank_of[item.index()])
                         .max()
                         .unwrap();
-                    groups.entry(suffix).or_default().push(i);
+                    walk.push((suffix, i));
                 }
             }
         }
+        walk.sort_unstable();
         if done.cells_completed > 0 && probe.charge(done.cells_completed) {
             return done.settle(true, results);
         }
-        let mut cache: HashMap<u32, Vec<PathCount>> = HashMap::new();
+        let mut cache: Vec<Option<Projection>> = (0..self.headers.len()).map(|_| None).collect();
         let mut bit_of = vec![NOT_IN_SET; self.headers.len()];
         let mut interrupted = false;
-        'level: for rows in groups.values() {
-            for &row in rows {
-                if probe.should_stop() {
-                    interrupted = true;
-                    break 'level;
-                }
-                // The row's table is written in place; the candidate
-                // completes atomically from the caller's point of view
-                // because any interruption above discards `results`.
-                let mut table = std::mem::take(&mut results[row]);
-                self.count_set_into(&sets[row], &mut cache, &mut bit_of, &mut table);
-                results[row] = table;
-                let cells = 1u64 << sets[row].len();
-                done.tables_completed += 1;
-                done.cells_completed += cells;
-                if probe.charge(cells) {
-                    interrupted = true;
-                    break 'level;
-                }
+        for &(_, row) in &walk {
+            if probe.should_stop() {
+                interrupted = true;
+                break;
+            }
+            // The row's table is written in place; the candidate
+            // completes atomically from the caller's point of view
+            // because any interruption above discards `results`.
+            let mut table = std::mem::take(&mut results[row]);
+            self.count_set_into(&sets[row], &mut cache, &mut bit_of, &mut table);
+            results[row] = table;
+            let cells = 1u64 << sets[row].len();
+            done.tables_completed += 1;
+            done.cells_completed += cells;
+            if probe.charge(cells) {
+                interrupted = true;
+                break;
             }
         }
         done.settle(interrupted, results)
@@ -507,7 +549,7 @@ mod tests {
         let mut h = HorizontalCounter::new(&d);
         assert_eq!(c.minterm_counts_batch(&sets), h.minterm_counts_batch(&sets));
         assert_eq!(c.stats().tables_built, sets.len() as u64);
-        assert_eq!(c.stats().db_scans, 2, "tree build is two passes");
+        assert_eq!(c.stats().db_scans, 1, "tree build is one pass");
     }
 
     #[test]
@@ -648,7 +690,7 @@ mod tests {
         assert_eq!(got, expected);
         assert_eq!(c.rung(), DegradationRung::Vertical);
         assert_eq!(c.stats().degraded_batches, 1);
-        assert_eq!(c.stats().db_scans, 3, "vertical twin adds a scan");
+        assert_eq!(c.stats().db_scans, 2, "vertical twin adds a scan");
 
         // A 1-byte budget falls through to horizontal and stays there.
         let mut c = FpTreeCounter::new(&d);
@@ -757,9 +799,12 @@ mod tests {
 
     /// The production projection of `item`, entry by entry.
     fn projection_entries(tree: &FpTree, item: u32) -> Vec<(Vec<u32>, u64)> {
-        tree.projection(item)
-            .into_iter()
-            .map(|pc| (pc.path.into_vec(), pc.count))
+        let p = tree.projection(item);
+        let starts = std::iter::once(0).chain(p.ends.iter().copied());
+        starts
+            .zip(&p.ends)
+            .zip(&p.counts)
+            .map(|((start, &end), &count)| (p.items[start..end].to_vec(), count))
             .collect()
     }
 

@@ -15,7 +15,11 @@
 //! every generator sorts what it returns. The seed is no defence
 //! against keys crafted to collide, which SipHash's keyed hashing is:
 //! the keys here are itemsets the miner builds from dense item ids, not
-//! arbitrary input.
+//! arbitrary input. The FP-tree build (`fptree.rs`) also indexes the
+//! database's baskets and its tree's child links under this hasher. A
+//! basket does come from the dataset, but it is a sorted run of ids
+//! below the universe size, and a crafted collision can only slow the
+//! build down, never change the tree it builds.
 //!
 //! [`Itemset`] implements `Borrow<[Item]>`, so both collections can be
 //! probed with a borrowed slice, for instance a candidate assembled in a

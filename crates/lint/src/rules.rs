@@ -94,10 +94,11 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "itemset-keyed-std-hash",
         invariant: "itemset-keyed sets and maps in the mining layers are `ItemsetSet` / \
-                    `ItemsetMap`",
-        why: "between counting batches the miners mostly hash itemsets; under std's \
-              SipHash that hashing costs more than the contingency tables do \
-              (DESIGN.md §11)",
+                    `ItemsetMap`, and the counting crate builds no map or set with \
+                    std's `RandomState`",
+        why: "between counting batches the miners mostly hash itemsets, and the FP-tree \
+              build hashes baskets and tree nodes; under std's SipHash that hashing \
+              costs more than the work it serves (DESIGN.md §11)",
         owner: "crates/itemset/src/hash.rs",
     },
     Rule {
@@ -491,27 +492,48 @@ fn check_measure_verdict(
 /// `itemset-keyed-std-hash`: `HashSet<Itemset` / `HashMap<Itemset`
 /// (std's default hasher) in production code of the mining core and the
 /// candidate generators, which key their collections by itemsets through
-/// the `ItemsetSet` / `ItemsetMap` aliases instead.
+/// the `ItemsetSet` / `ItemsetMap` aliases instead; and
+/// `HashMap::new` / `HashSet::new` / `HashMap::with_capacity` /
+/// `HashSet::with_capacity`, which exist only for std's `RandomState`,
+/// in production code of the counting crate outside `hash.rs`.
 fn check_itemset_hash(path: &str, src: &str, sig: &[Tok], ctx: &Context, out: &mut Vec<Finding>) {
-    let in_scope =
+    let keyed_scope =
         path.starts_with("crates/core/src/") || path == "crates/itemset/src/candidate.rs";
-    if !in_scope {
+    let ctor_scope =
+        path.starts_with("crates/itemset/src/") && path != "crates/itemset/src/hash.rs";
+    if !keyed_scope && !ctor_scope {
         return;
     }
     for (i, t) in sig.iter().enumerate() {
         if ctx.in_test[i] || t.kind != TokKind::Ident {
             continue;
         }
-        let alias = match t.text(src) {
+        let name = t.text(src);
+        let alias = match name {
             "HashSet" => "ItemsetSet",
             "HashMap" => "ItemsetMap<V>",
             _ => continue,
         };
-        let keyed = sig.get(i + 1).is_some_and(|a| a.text(src) == "<")
+        let text = |j: usize| sig.get(i + j).map(|t| t.text(src));
+        let ctor = text(1) == Some(":")
+            && text(2) == Some(":")
+            && matches!(text(3), Some("new" | "with_capacity"));
+        if ctor_scope && ctor {
+            out.push(Finding {
+                rule: "itemset-keyed-std-hash",
+                span: (t.start, sig[i + 3].end),
+                message: format!(
+                    "`{name}::{}` hashes with std's SipHash — build it with \
+                     `ItemsetBuildHasher`",
+                    sig[i + 3].text(src)
+                ),
+            });
+        }
+        let keyed = text(1) == Some("<")
             && sig
                 .get(i + 2)
                 .is_some_and(|k| k.kind == TokKind::Ident && k.text(src) == "Itemset");
-        if keyed {
+        if keyed_scope && keyed {
             out.push(Finding {
                 rule: "itemset-keyed-std-hash",
                 span: (t.start, sig[i + 2].end),
@@ -705,5 +727,28 @@ mod tests {
         );
         let fine = "fn f(a: ItemsetSet, b: HashMap<usize, ItemsetSet>, c: HashSet<Item>) {}";
         assert!(run("crates/core/src/bms.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn std_hash_constructors_flagged_in_the_counting_crate_only() {
+        let src = "fn f() { let a: HashMap<u32, u32> = HashMap::new(); \
+                   let b = HashSet::with_capacity(8); }";
+        assert_eq!(
+            run("crates/itemset/src/fptree.rs", src),
+            vec!["itemset-keyed-std-hash"; 2]
+        );
+        assert!(
+            run("crates/itemset/src/hash.rs", src).is_empty(),
+            "hash.rs owns the hashers"
+        );
+        assert!(
+            run("crates/core/src/kernel.rs", src).is_empty(),
+            "the constructors are flagged in the counting crate only"
+        );
+        let fine = "fn f() { let a: HashMap<u64, u32, ItemsetBuildHasher> = HashMap::default(); \
+                    let b = HashSet::with_capacity_and_hasher(8, ItemsetBuildHasher::default()); }";
+        assert!(run("crates/itemset/src/fptree.rs", fine).is_empty());
+        let test_code = "#[cfg(test)] mod tests { fn f() { let a = HashMap::new(); } }";
+        assert!(run("crates/itemset/src/fptree.rs", test_code).is_empty());
     }
 }
