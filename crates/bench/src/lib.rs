@@ -251,11 +251,6 @@ impl HostStamp {
     }
 }
 
-/// The paper's experimental `(α, s, p%)` = (0.9, 25%, 25%).
-pub fn paper_mining_params() -> MiningParams {
-    MiningParams::paper()
-}
-
 /// Runs one algorithm on one dataset and records a sweep row.
 #[allow(clippy::too_many_arguments)] // mirrors the experiment grid's axes
 pub fn measure(
@@ -269,7 +264,7 @@ pub fn measure(
     algorithm: Algorithm,
 ) -> SweepRow {
     let query = CorrelationQuery {
-        params: paper_mining_params(),
+        params: MiningParams::paper(),
         constraints: constraints.clone(),
     };
     let result = MiningSession::new(db, attrs)

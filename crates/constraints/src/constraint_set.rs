@@ -5,9 +5,10 @@
 //! [`ConstraintAnalysis`], which splits the conjunction the way §3 of the
 //! paper does:
 //!
-//! * an **allowed universe** from the anti-monotone succinct constraints
-//!   (sets outside it can never satisfy them — pruned at candidate
-//!   *generation*),
+//! * the **allowed-universe** constraints: the anti-monotone succinct
+//!   ones, whose single-item test already removes every item no
+//!   satisfying set can hold, so `GOOD₁` prunes them at candidate
+//!   *generation* and no later check repeats them,
 //! * **residual anti-monotone** checks (e.g. `sum ≤ c`) applied per set
 //!   *before* the contingency table is built, like the CT-support test,
 //! * a **witness class** from the monotone succinct constraints, seeding
@@ -120,7 +121,6 @@ impl ConstraintSet {
     pub fn analyze(&self, attrs: &AttributeTable) -> ConstraintAnalysis {
         let n = attrs.n_items() as usize;
 
-        let mut allowed_universe: Option<Vec<bool>> = None;
         let mut universe_contributors = Vec::new();
         let mut am_residual = Vec::new();
         let mut m_residual = Vec::new();
@@ -132,17 +132,7 @@ impl ConstraintSet {
         for (idx, c) in self.constraints.iter().enumerate() {
             match c.monotonicity() {
                 Monotonicity::AntiMonotone => match am_allowed_items(c, attrs) {
-                    Some(items) => {
-                        universe_contributors.push(idx);
-                        let u = allowed_universe.get_or_insert_with(|| vec![true; n]);
-                        let mut mask = vec![false; n];
-                        for i in &items {
-                            mask[i.index()] = true;
-                        }
-                        for (a, m) in u.iter_mut().zip(mask) {
-                            *a &= m;
-                        }
-                    }
+                    Some(_) => universe_contributors.push(idx),
                     None => am_residual.push(idx),
                 },
                 Monotonicity::Monotone => match ms_witness_classes(c, attrs) {
@@ -190,7 +180,6 @@ impl ConstraintSet {
 
         ConstraintAnalysis {
             constraints: self.constraints.clone(),
-            allowed_universe,
             universe_contributors,
             am_residual,
             witness_class,
@@ -230,10 +219,6 @@ impl fmt::Display for ConstraintSet {
 #[derive(Debug, Clone)]
 pub struct ConstraintAnalysis {
     constraints: Vec<Constraint>,
-    /// `mask[i]` = item `i` may appear in a satisfying set, from the
-    /// intersection of all anti-monotone succinct universes. `None` when
-    /// no such constraint exists (all items allowed).
-    allowed_universe: Option<Vec<bool>>,
     /// Indices of the am-succinct constraints folded into the universe.
     universe_contributors: Vec<usize>,
     /// Indices of anti-monotone constraints requiring per-set checks.
@@ -253,14 +238,6 @@ pub struct ConstraintAnalysis {
 }
 
 impl ConstraintAnalysis {
-    /// `true` iff item `i` is inside every anti-monotone succinct
-    /// universe.
-    pub fn item_allowed(&self, item: Item) -> bool {
-        self.allowed_universe
-            .as_ref()
-            .is_none_or(|m| m[item.index()])
-    }
-
     /// `true` iff there is an exploitable monotone-succinct witness class.
     pub fn has_witness_class(&self) -> bool {
         self.witness_class.is_some()
@@ -292,16 +269,6 @@ impl ConstraintAnalysis {
     /// `true` iff the conjunction contains a neither-monotone constraint.
     pub fn has_neither_monotone(&self) -> bool {
         !self.neither.is_empty()
-    }
-
-    /// Number of residual anti-monotone constraints.
-    pub fn n_am_residual(&self) -> usize {
-        self.am_residual.len()
-    }
-
-    /// Number of residual monotone constraints.
-    pub fn n_m_residual(&self) -> usize {
-        self.m_residual.len()
     }
 
     /// Indices (into the analyzed conjunction) of the am-succinct
@@ -352,7 +319,7 @@ mod tests {
         assert!(cs.satisfied(&Itemset::from_ids([0, 5]), &a));
         assert!(cs.all_anti_monotone()); // vacuously
         let an = cs.analyze(&a);
-        assert!(an.item_allowed(Item(0)));
+        assert!(an.universe_contributors().is_empty());
         assert!(!an.has_witness_class());
         assert!(an.item_witnesses(Item(3)));
     }
@@ -384,12 +351,17 @@ mod tests {
             .and(Constraint::max_le("price", 4.0))
             .and(Constraint::min_ge("price", 2.0));
         let an = cs.analyze(&a);
+        // Both are captured by the universe: neither is a residual check.
+        assert_eq!(an.universe_contributors(), &[0, 1]);
+        assert_eq!(an.am_residual_indices().len(), 0);
         // Intersection: prices in [2, 4] → items 1, 2, 3.
-        assert!(!an.item_allowed(Item(0)));
-        assert!(an.item_allowed(Item(1)));
-        assert!(an.item_allowed(Item(3)));
-        assert!(!an.item_allowed(Item(4)));
-        assert_eq!(an.n_am_residual(), 0); // both captured by the universe
+        let allowed: Vec<BTreeSet<Item>> = cs
+            .constraints()
+            .iter()
+            .map(|c| am_allowed_items(c, &a).unwrap().into_iter().collect())
+            .collect();
+        let universe: Vec<Item> = allowed[0].intersection(&allowed[1]).copied().collect();
+        assert_eq!(universe, vec![Item(1), Item(2), Item(3)]);
     }
 
     #[test]
@@ -397,8 +369,10 @@ mod tests {
         let a = attrs();
         let cs = ConstraintSet::new().and(Constraint::sum_le("price", 7.0));
         let an = cs.analyze(&a);
-        assert!(an.item_allowed(Item(5))); // no universe pruning for sum
-        assert_eq!(an.n_am_residual(), 1);
+        // No universe pruning for sum.
+        assert!(am_allowed_items(&cs.constraints()[0], &a).is_none());
+        assert!(an.universe_contributors().is_empty());
+        assert_eq!(an.am_residual_indices().len(), 1);
         assert!(an.am_residual_satisfied(&Itemset::from_ids([0, 1]), &a)); // 3 ≤ 7
         assert!(!an.am_residual_satisfied(&Itemset::from_ids([2, 4]), &a)); // 8 > 7
     }
@@ -415,7 +389,7 @@ mod tests {
         assert!(an.item_witnesses(Item(5)));
         assert!(!an.item_witnesses(Item(0)));
         // The un-chosen monotone constraint must be a residual check.
-        assert_eq!(an.n_m_residual(), 1);
+        assert_eq!(an.m_residual_indices().len(), 1);
         assert!(an.m_residual_satisfied(&Itemset::from_ids([1, 5]), &a)); // min 2 ≤ 2
         assert!(!an.m_residual_satisfied(&Itemset::from_ids([2, 5]), &a)); // min 3 > 2
     }
@@ -439,7 +413,7 @@ mod tests {
         assert!(an.item_witnesses(Item(5)));
         // …but the constraint itself is NOT captured (footnote 5): it
         // remains a SIG-time residual check.
-        assert_eq!(an.n_m_residual(), 1);
+        assert_eq!(an.m_residual_indices().len(), 1);
         assert!(!an.m_residual_satisfied(&Itemset::from_ids([5]), &a)); // beer only
         assert!(an.m_residual_satisfied(&Itemset::from_ids([0, 5]), &a)); // soda + beer
     }

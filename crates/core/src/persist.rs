@@ -1388,8 +1388,10 @@ pub struct CheckpointReport {
     pub error: Option<String>,
 }
 
-/// The per-run stamping state: pre-baked run-constant sections (query,
-/// fingerprint), the sink, and the cadence counter. Carried by the
+/// The per-run stamping state: the run's query and database fingerprint,
+/// the sink, the cadence counter and the write tally. Each stamp clones
+/// the query into a fresh [`Checkpoint`] and encodes every section
+/// again. Carried by the
 /// [`crate::RunGuard`] so the kernel can stamp at exactly the points it
 /// takes resume snapshots, without widening any miner signature.
 pub(crate) struct CheckpointRecorder {

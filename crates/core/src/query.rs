@@ -30,15 +30,6 @@ impl CorrelationQuery {
             constraints: ConstraintSet::new(),
         }
     }
-
-    /// A query with the paper's default parameters and the given
-    /// constraints.
-    pub fn with_constraints(constraints: ConstraintSet) -> Self {
-        CorrelationQuery {
-            params: MiningParams::paper(),
-            constraints,
-        }
-    }
 }
 
 /// Which answer set a mining run computes (Definitions 1 and 2 of the

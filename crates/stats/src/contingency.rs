@@ -57,11 +57,6 @@ impl ContingencyTable {
         &self.set
     }
 
-    /// Gives up the table, keeping its itemset.
-    pub fn into_itemset(self) -> Itemset {
-        self.set
-    }
-
     /// Observed cell counts (length `2^k`, bit `j` of the index = item `j`
     /// present).
     pub fn counts(&self) -> &[u64] {

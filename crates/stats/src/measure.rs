@@ -24,6 +24,14 @@
 //! set can only shrink the numerator and grow the denominator, and IEEE
 //! division is correctly rounded and monotone in each argument, so the
 //! statistic never increases and a verdict never flips `false → true`.
+//!
+//! Edge tables split the measures. On an empty database (`n = 0`) every
+//! statistic reads 0, so no measure calls a set correlated. A pair
+//! present in every basket puts all `n` baskets in the all-present cell.
+//! χ² skips the three cells whose expected count is 0, and the last cell
+//! matches its expectation, so it reads 0 and the pair is not correlated
+//! at any confidence above 0. All-confidence and bond both read 1.0, so
+//! the same pair is correlated at every valid threshold.
 
 use std::fmt;
 use std::str::FromStr;
@@ -340,9 +348,31 @@ mod tests {
     #[test]
     fn degenerate_tables_are_never_correlated() {
         let t1 = table(&[3], vec![0, 100]);
+        let empty_db = table(&[0, 1], vec![0, 0, 0, 0]);
         for m in Measure::ALL {
             let ctx = MeasureContext::new(m, 0.5).unwrap();
             assert!(!ctx.verdict(&t1), "{m} on a singleton");
+            assert_eq!(ctx.statistic(&empty_db), 0.0, "{m} on n = 0");
+            assert!(!ctx.verdict(&empty_db), "{m} on n = 0");
+        }
+    }
+
+    #[test]
+    fn pair_in_every_basket_splits_chi2_from_the_ratio_measures() {
+        for n in [1, 7, 1000] {
+            let t = table(&[0, 1], vec![0, 0, 0, n]);
+            for conf in [0.01, 0.5, 0.9, 0.99] {
+                let chi = MeasureContext::new(Measure::Chi2, conf).unwrap();
+                assert_eq!(chi.statistic(&t), 0.0, "n = {n}");
+                assert!(!chi.verdict(&t), "chi2 at {conf}, n = {n}");
+            }
+            for m in [Measure::AllConfidence, Measure::Bond] {
+                for threshold in [f64::MIN_POSITIVE, 0.1, 0.5, 1.0] {
+                    let ctx = MeasureContext::new(m, threshold).unwrap();
+                    assert_eq!(ctx.statistic(&t), 1.0, "{m}, n = {n}");
+                    assert!(ctx.verdict(&t), "{m} at {threshold}, n = {n}");
+                }
+            }
         }
     }
 
