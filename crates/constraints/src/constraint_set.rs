@@ -27,7 +27,7 @@ use ccs_itemset::{Item, Itemset};
 use crate::ast::{Constraint, ConstraintError};
 use crate::attr::AttributeTable;
 use crate::classify::Monotonicity;
-use crate::succinct::{am_allowed_items, ms_witness_classes};
+use crate::succinct::{is_am_succinct, ms_witness_classes};
 
 /// An ordered conjunction of constraints.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -131,10 +131,8 @@ impl ConstraintSet {
 
         for (idx, c) in self.constraints.iter().enumerate() {
             match c.monotonicity() {
-                Monotonicity::AntiMonotone => match am_allowed_items(c, attrs) {
-                    Some(_) => universe_contributors.push(idx),
-                    None => am_residual.push(idx),
-                },
+                Monotonicity::AntiMonotone if is_am_succinct(c) => universe_contributors.push(idx),
+                Monotonicity::AntiMonotone => am_residual.push(idx),
                 Monotonicity::Monotone => match ms_witness_classes(c, attrs) {
                     Some(cls) => {
                         let single = cls.len() == 1;
@@ -303,6 +301,7 @@ impl ConstraintAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::succinct::am_allowed_items;
     use std::collections::BTreeSet;
 
     fn attrs() -> AttributeTable {

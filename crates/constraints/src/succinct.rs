@@ -31,6 +31,37 @@ use ccs_itemset::Item;
 use crate::ast::{AggFn, Cmp, Constraint};
 use crate::attr::AttributeTable;
 
+/// `true` iff `c` is anti-monotone succinct in the shape
+/// [`am_allowed_items`] exploits, which is exactly when that function
+/// returns `Some`. It reads only the constraint's shape and allocates
+/// nothing.
+pub fn is_am_succinct(c: &Constraint) -> bool {
+    match c {
+        Constraint::Agg {
+            agg: AggFn::Max,
+            cmp: Cmp::Le,
+            ..
+        }
+        | Constraint::Agg {
+            agg: AggFn::Min,
+            cmp: Cmp::Ge,
+            ..
+        }
+        | Constraint::Disjoint { negated: false, .. }
+        | Constraint::ItemDisjoint { negated: false, .. } => true,
+        Constraint::ConstSubset {
+            categories,
+            negated: true,
+            ..
+        } => categories.len() == 1,
+        Constraint::ItemSubset {
+            items,
+            negated: true,
+        } => items.len() == 1,
+        _ => false,
+    }
+}
+
 /// For an anti-monotone succinct constraint of shape `SAT = 2^I₁`, the
 /// items of `I₁` — the only items that may appear in any satisfying set.
 ///
@@ -245,6 +276,65 @@ mod tests {
         assert!(am_allowed_items(&Constraint::sum_le("price", 10.0), &a).is_none());
         // Monotone constraints have no allowed-universe either.
         assert!(am_allowed_items(&Constraint::min_le("price", 3.0), &a).is_none());
+    }
+
+    #[test]
+    fn is_am_succinct_agrees_with_the_allowed_items() {
+        let a = attrs();
+        let categorical = |categories: &[&str], negated, subset| {
+            let (attr, categories) = ("type".into(), cat(&a, categories));
+            if subset {
+                Constraint::ConstSubset {
+                    attr,
+                    categories,
+                    negated,
+                }
+            } else {
+                Constraint::Disjoint {
+                    attr,
+                    categories,
+                    negated,
+                }
+            }
+        };
+        let by_id = |ids: &[u32], negated, subset| {
+            let items = ids.iter().copied().collect();
+            if subset {
+                Constraint::ItemSubset { items, negated }
+            } else {
+                Constraint::ItemDisjoint { items, negated }
+            }
+        };
+        // Every shape this module's tests draw, both polarities of the
+        // set shapes, and one- and two-element sets.
+        let mut shapes = vec![
+            Constraint::max_le("price", 3.0),
+            Constraint::max_le("price", 4.0),
+            Constraint::min_ge("price", 5.0),
+            Constraint::sum_le("price", 10.0),
+            Constraint::min_le("price", 3.0),
+            Constraint::min_le("price", 2.0),
+            Constraint::max_ge("price", 6.0),
+        ];
+        for negated in [false, true] {
+            for subset in [false, true] {
+                for labels in [&["snack"][..], &["beer"], &["dairy"], &["soda", "beer"]] {
+                    shapes.push(categorical(labels, negated, subset));
+                }
+                for ids in [&[2u32][..], &[0, 5]] {
+                    shapes.push(by_id(ids, negated, subset));
+                }
+            }
+        }
+        for c in &shapes {
+            assert_eq!(
+                is_am_succinct(c),
+                am_allowed_items(c, &a).is_some(),
+                "{c:?}"
+            );
+        }
+        assert!(shapes.iter().any(is_am_succinct));
+        assert!(!shapes.iter().all(is_am_succinct));
     }
 
     #[test]
