@@ -9,7 +9,10 @@
 //! speedup over per-candidate vertical counting. Each shape also times
 //! every index-building backend's build (`<backend>/build`, with the
 //! shape's distinct-basket count), and an all-distinct Quest shape times
-//! the FP-tree build where no basket repeats.
+//! the FP-tree build where no basket repeats. A level-3 shape at the
+//! warm Quest session's size (20 000 baskets, 60 items, 4000 3-sets
+//! over a 30-item pool, so prefixes and pairs recur) times the vertical
+//! batch paths where a level's tables are nearly all 3-sets.
 //!
 //! ```text
 //! cargo run --release -p ccs-bench --bin counting_baseline [-- --out <dir>]
@@ -61,6 +64,14 @@ const SPARSE_CANDIDATES: usize = 200;
 const DENSE_LC_ITEMS: u32 = 28;
 const DENSE_LC_BASKETS: usize = 40_000;
 const DENSE_LC_CANDIDATES: usize = 400;
+
+/// The level-3 companion shape: Quest baskets at the size of the warm
+/// Quest session, and every 3-subset of one 30-item pool up to
+/// `LEVEL3_CANDIDATES`, so 3-sets share their 1-item prefixes and their
+/// item pairs the way an Apriori level 3 does.
+const LEVEL3_BASKETS: usize = 20_000;
+const LEVEL3_CANDIDATES: usize = 4000;
+const LEVEL3_POOL: u32 = 30;
 
 /// The all-distinct companion shape, at the paper's scale: Quest baskets
 /// over 1000 items, which practically never repeat, so an FP-tree build
@@ -553,6 +564,37 @@ fn main() {
     );
     let sparse_distinct = distinct_baskets(&sparse_db);
 
+    // The level-3 shape, vertical batch paths.
+    let level3_db = DataMethod::Quest.generate(N_ITEMS, LEVEL3_BASKETS, 7);
+    let level3_level = dense_level(N_ITEMS, LEVEL3_CANDIDATES, 3, LEVEL3_POOL);
+    let mut level3_rows: Vec<Row> = Vec::new();
+    {
+        let mut c = VerticalCounter::new(&level3_db);
+        let (s, t) = time_level(&mut c, &level3_level, |c, l| batch(c, l));
+        level3_rows.push(Row {
+            name: "vertical/batch",
+            seconds: s,
+            tables_per_pass: t,
+            candidates: LEVEL3_CANDIDATES,
+        });
+        let mut c = ParallelVerticalCounter::new(&level3_db);
+        let (s, t) = time_level(&mut c, &level3_level, |c, l| batch(c, l));
+        level3_rows.push(Row {
+            name: "vertical_par/batch",
+            seconds: s,
+            tables_per_pass: t,
+            candidates: LEVEL3_CANDIDATES,
+        });
+        let mut c = ShardedVerticalCounter::new(&level3_db);
+        let (s, t) = time_level(&mut c, &level3_level, |c, l| batch(c, l));
+        level3_rows.push(Row {
+            name: "sharded/batch",
+            seconds: s,
+            tables_per_pass: t,
+            candidates: LEVEL3_CANDIDATES,
+        });
+    }
+
     // The dense low-cardinality shape, batch paths: the FP-tree's home
     // turf. Candidates are drawn from one 12-item module, so the
     // projection memoizer amortizes to one conditional projection per
@@ -734,6 +776,19 @@ fn main() {
     }
     print_builds(&sparse_builds, sparse_distinct);
     println!(
+        "level-3 shape ({N_ITEMS} items, {LEVEL3_BASKETS} baskets, \
+         {LEVEL3_CANDIDATES} candidates of size 3):"
+    );
+    for r in &level3_rows {
+        println!(
+            "{:>26} {:>12.6} {:>16.0} {:>14.0}",
+            r.name,
+            r.seconds,
+            r.candidates_per_sec(),
+            r.tables_per_sec()
+        );
+    }
+    println!(
         "dense low-cardinality shape ({DENSE_LC_ITEMS} items, {DENSE_LC_BASKETS} baskets, \
          {DENSE_LC_CANDIDATES} candidates, {lc_distinct} distinct baskets):"
     );
@@ -878,6 +933,24 @@ fn main() {
         "  ], {} }},",
         builds_json(&sparse_builds, sparse_distinct)
     );
+    let _ = writeln!(
+        json,
+        "  \"level3\": {{ \"items\": {N_ITEMS}, \"transactions\": {LEVEL3_BASKETS}, \
+         \"candidates\": {LEVEL3_CANDIDATES}, \"candidate_size\": 3, \"strategies\": ["
+    );
+    for (i, r) in level3_rows.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{ \"name\": \"{}\", \"median_seconds\": {:.6}, \
+             \"candidates_per_sec\": {:.1}, \"tables_per_sec\": {:.1} }}{}",
+            r.name,
+            r.seconds,
+            r.candidates_per_sec(),
+            r.tables_per_sec(),
+            if i + 1 < level3_rows.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ] },\n");
     let _ = writeln!(
         json,
         "  \"dense_low_cardinality\": {{ \"items\": {DENSE_LC_ITEMS}, \
