@@ -110,11 +110,11 @@ pub enum CountingStrategy {
     /// degradation ladder under memory pressure (DESIGN.md §6.2).
     VerticalPar,
     /// The pooled vertical engine over horizontally sharded tid ranges:
-    /// each shard is a disjoint transaction slice with its own core, its
-    /// classes are pulled by `max(1, workers / shards)` pool jobs with
-    /// their own arenas, and per-shard contingency tables merge
-    /// elementwise into exact whole-database tables (DESIGN.md §6.2,
-    /// §6.3). A session runs one shard per worker of the process-wide
+    /// each shard is a disjoint transaction slice with its own core.
+    /// `min(workers, classes)` pool jobs pull prefix classes from one
+    /// cursor, each job counts a class on every shard with an arena per
+    /// shard, and the shards' contingency tables sum elementwise into
+    /// exact whole-database tables (DESIGN.md §6.2, §6.3). A session runs one shard per worker of the process-wide
     /// pool; other shapes are built with
     /// `ShardedVerticalCounter::with_pool` and run through
     /// [`crate::mine_on`].

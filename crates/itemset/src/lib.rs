@@ -17,10 +17,10 @@
 //!   queue, with the one fan-out every pooled counter shares,
 //! * [`parallel`] — a data-parallel horizontal counter on the pool,
 //! * [`sharded`] — the one pooled vertical engine: the tid range split
-//!   into shards, each shard's prefix classes pulled by pool jobs, and
-//!   per-shard contingency tables merged elementwise into exact
-//!   whole-database tables; its one-shard case is class-parallel
-//!   counting ([`ParallelVerticalIndex`]),
+//!   into shards, prefix classes pulled by pool jobs that count each
+//!   class on every shard and sum the per-shard contingency tables
+//!   elementwise into exact whole-database tables; its one-shard case
+//!   is class-parallel counting ([`ParallelVerticalIndex`]),
 //! * [`fptree`] — pattern-growth counting over a compressed prefix
 //!   tree: conditional projections memoized per batch, for dense
 //!   low-cardinality databases where tid-set intersection pays per

@@ -365,7 +365,9 @@ fn check_guard_probe(_path: &str, src: &str, sig: &[Tok], ctx: &Context, out: &m
 }
 
 /// `no-panic-in-io-paths`: `.unwrap()`, `.expect(…)`, panic-family
-/// macros, and slice/array indexing inside persist.rs and the CLI crate.
+/// macros, the release-build assertions (`assert!`, `assert_eq!`,
+/// `assert_ne!`; `debug_assert*` compile out), and slice/array indexing
+/// inside persist.rs and the CLI crate.
 fn check_no_panic(path: &str, src: &str, sig: &[Tok], ctx: &Context, out: &mut Vec<Finding>) {
     let in_scope = path == PERSIST
         || path == "src/lib.rs"
@@ -391,7 +393,16 @@ fn check_no_panic(path: &str, src: &str, sig: &[Tok], ctx: &Context, out: &mut V
             }
         }
         if t.kind == TokKind::Ident
-            && matches!(text, "panic" | "unreachable" | "todo" | "unimplemented")
+            && matches!(
+                text,
+                "panic"
+                    | "unreachable"
+                    | "todo"
+                    | "unimplemented"
+                    | "assert"
+                    | "assert_eq"
+                    | "assert_ne"
+            )
             && sig.get(i + 1).is_some_and(|n| n.text(src) == "!")
         {
             out.push(Finding {

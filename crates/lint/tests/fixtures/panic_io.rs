@@ -1,9 +1,10 @@
 //! pretend: src/bin/rogue.rs
 //!
 //! Seeded violations for `no-panic-in-io-paths`: every panic shape the
-//! rule knows — `.unwrap()`, `.expect()`, `panic!`, and slice indexing —
-//! plus the shapes that must NOT fire: patterns, macros, test code, and
-//! the doc-comment `.unwrap()` that the old grep would have flagged.
+//! rule knows — `.unwrap()`, `.expect()`, `panic!`, the release-build
+//! assertions, and slice indexing — plus the shapes that must NOT fire:
+//! patterns, macros, debug assertions, test code, and the doc-comment
+//! `.unwrap()` that the old grep would have flagged.
 
 fn rogue(args: &[String], bytes: &[u8]) -> u8 {
     // VIOLATION: index can panic on an empty argv.
@@ -17,6 +18,11 @@ fn rogue(args: &[String], bytes: &[u8]) -> u8 {
         // VIOLATION: I/O paths fail as values, not panics.
         panic!("empty input");
     }
+    // VIOLATION: assertions stay in release builds and panic there.
+    assert!(bytes.len() < 64, "oversized input");
+    // VIOLATION: so do their comparing forms.
+    assert_eq!(bytes.len() % 2, 0);
+    assert_ne!(parsed, 0);
     bytes[0]
 }
 
@@ -26,6 +32,10 @@ fn fine_shapes(pair: [u8; 2]) -> u8 {
     let [a, b] = pair;
     let table = [a, b, 0, 1];
     let v = vec![0u8; 4];
+    // Debug assertions compile out of release builds.
+    debug_assert!(v.len() == 4);
+    debug_assert_eq!(table.len(), 4);
+    debug_assert_ne!(v.len(), 0);
     a + b + table.len() as u8 + v.len() as u8
 }
 

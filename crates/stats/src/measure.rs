@@ -349,11 +349,19 @@ mod tests {
     fn degenerate_tables_are_never_correlated() {
         let t1 = table(&[3], vec![0, 100]);
         let empty_db = table(&[0, 1], vec![0, 0, 0, 0]);
+        // Zero marginals: item 1 in no basket while item 0 is in 30 of
+        // 100, and neither item in any of 100 baskets.
+        let one_absent = table(&[0, 1], vec![70, 30, 0, 0]);
+        let both_absent = table(&[0, 1], vec![100, 0, 0, 0]);
         for m in Measure::ALL {
             let ctx = MeasureContext::new(m, 0.5).unwrap();
             assert!(!ctx.verdict(&t1), "{m} on a singleton");
             assert_eq!(ctx.statistic(&empty_db), 0.0, "{m} on n = 0");
             assert!(!ctx.verdict(&empty_db), "{m} on n = 0");
+            for (t, case) in [(&one_absent, "one"), (&both_absent, "both")] {
+                assert_eq!(ctx.statistic(t), 0.0, "{m}, {case} absent");
+                assert!(!ctx.verdict(t), "{m}, {case} absent");
+            }
         }
     }
 

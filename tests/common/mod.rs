@@ -106,9 +106,9 @@ pub fn vertical_par_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> 
 }
 
 /// A 3-shard, 2-worker sharded vertical counter with its work floor
-/// zeroed: three shards on two workers guarantees at least one worker
-/// owns multiple shards, and the odd shard count leaves unequal shard
-/// lengths, so trips land mid-shard with other shards still in flight.
+/// zeroed: more shards than workers, so each job counts a class on
+/// every shard, and the odd shard count leaves unequal shard lengths;
+/// trips land with the other job's class still in flight.
 pub fn sharded_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
     let mut counter = ShardedVerticalCounter::with_pool(db, 3, Arc::new(WorkerPool::new(2)));
     counter.index_mut().set_work_floor(0);
@@ -116,9 +116,9 @@ pub fn sharded_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
 }
 
 /// A 2-shard, 4-worker sharded vertical counter with its work floor
-/// zeroed: each shard gets two jobs draining one shared class cursor, so
-/// trips land while a shard's classes are split across jobs.
-pub fn shared_cursor_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
+/// zeroed: more workers than shards, so up to four jobs drain the one
+/// class cursor and trips land while several classes are in flight.
+pub fn wide_pool_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
     let mut counter = ShardedVerticalCounter::with_pool(db, 2, Arc::new(WorkerPool::new(4)));
     counter.index_mut().set_work_floor(0);
     Box::new(counter)

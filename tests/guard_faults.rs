@@ -29,18 +29,19 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ccs::itemset::{
-    HorizontalCounter, MintermCounter, ParallelCounter, ParallelVerticalCounter,
+    CountProbe, HorizontalCounter, MintermCounter, ParallelCounter, ParallelVerticalCounter,
     ShardedVerticalCounter, VerticalCounter, WorkerPool,
 };
 use ccs::prelude::*;
 use common::{
     attrs, db, fptree_factory, horizontal_factory, mine, mine_with_counter_guarded,
-    mine_with_guard, query, resume_with_counter_guarded, sharded_factory, shared_cursor_factory,
-    sorted, vertical_par_factory, CounterFactory, FaultCounter, ALL_ALGORITHMS,
+    mine_with_guard, query, resume_with_counter_guarded, sharded_factory, sorted,
+    vertical_par_factory, wide_pool_factory, CounterFactory, FaultCounter, ALL_ALGORITHMS,
 };
 
 /// Injects `fault` at guarded-batch index 0, 1, 2, … until the run
@@ -511,11 +512,11 @@ fn parallel_vertical_faults_every_injection_point() {
 #[test]
 fn sharded_faults_every_injection_point() {
     // The trip-at-every-batch-index sweep over the sharded counter, with
-    // one job per shard and with two jobs sharing each shard's cursor:
+    // fewer and with more workers than shards:
     // partial answers stay sound and mutually minimal, and resuming —
     // also on the same counter shape — reproduces the complete answer
     // set exactly.
-    for factory in [sharded_factory, shared_cursor_factory] {
+    for factory in [sharded_factory, wide_pool_factory] {
         for algorithm in ALL_ALGORITHMS {
             let truncating = sweep_with(algorithm, TruncationReason::WorkBudget, factory);
             assert!(
@@ -532,14 +533,13 @@ fn sharded_faults_every_injection_point() {
 #[test]
 fn real_work_budget_trips_mid_shard_soundly() {
     // A genuine cell budget tripping *inside* the sharded guarded
-    // batch: classes whose per-shard tables were only partially
-    // delivered must be discarded wholesale, completed classes are
-    // kept, partial answers stay sound, and resume is exact — with one
-    // job per shard and with two jobs sharing each shard's cursor.
+    // batch: classes still in flight are never delivered, completed
+    // classes are kept, partial answers stay sound, and resume is exact
+    // — with fewer and with more workers than shards.
     let db = db();
     let attrs = attrs();
     let q = query();
-    for factory in [sharded_factory, shared_cursor_factory] {
+    for factory in [sharded_factory, wide_pool_factory] {
         for algorithm in Algorithm::paper_algorithms() {
             let complete = mine(&db, &attrs, &q, algorithm).unwrap();
             for budget in [1u64, 40, 150, 400, 1000] {
@@ -908,17 +908,18 @@ fn work_budget_overshoot_is_bounded_per_backend() {
             Past::AtMost(classes_of(2) - budget),
             300,
         ),
-        // Three shards on two workers: one job per shard.
+        // Three shards on two workers: two jobs on one cursor, each
+        // counting a class on every shard.
         (
             "sharded, pooled",
             sharded_factory,
-            Past::AtMost(classes_of(3) - budget),
+            Past::AtMost(classes_of(2) - budget),
             300,
         ),
-        // Two shards on four workers: two jobs per shard.
+        // Two shards on four workers: four jobs on one cursor.
         (
-            "sharded, shared cursors",
-            shared_cursor_factory,
+            "sharded, more workers than shards",
+            wide_pool_factory,
             Past::AtMost(classes_of(4) - budget),
             300,
         ),
@@ -954,6 +955,61 @@ fn work_budget_overshoot_is_bounded_per_backend() {
             // The batch completes exactly when the overshoot covered it.
             assert_eq!(outcome.is_ok(), counted == batch, "{name}");
         }
+    }
+}
+
+/// Trips on its first charge and counts its `should_stop` calls.
+#[derive(Clone, Default)]
+struct FirstChargeTrips {
+    tripped: Arc<AtomicBool>,
+    checks: Arc<AtomicUsize>,
+}
+
+impl CountProbe for FirstChargeTrips {
+    fn should_stop(&self) -> bool {
+        self.checks.fetch_add(1, Ordering::Relaxed);
+        self.tripped.load(Ordering::Relaxed)
+    }
+    fn charge(&self, _cells: u64) -> bool {
+        self.tripped.store(true, Ordering::Relaxed);
+        true
+    }
+    fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+        Arc::new(self.clone())
+    }
+}
+
+#[test]
+fn tripped_pooled_batch_stops_within_a_class_per_job() {
+    // Eight shards on two workers, every triple over the 8 items. A job
+    // checks the probe before it claims a class and stops once a charge
+    // trips, so after the first charge each job finishes at most the
+    // class in hand: a few checks per job, not a walk over every class
+    // of a shard before any class is whole enough to charge.
+    let db = db();
+    let items: Vec<u32> = (0..8).collect();
+    let mut level = Vec::new();
+    for (i, &a) in items.iter().enumerate() {
+        for (j, &b) in items.iter().enumerate().skip(i + 1) {
+            for &c in &items[j + 1..] {
+                level.push(Itemset::from_ids([a, b, c]));
+            }
+        }
+    }
+    assert_eq!(level.len(), 56);
+    for _ in 0..50 {
+        let pool = Arc::new(WorkerPool::new(2));
+        let mut counter = ShardedVerticalCounter::with_pool(&db, 8, Arc::clone(&pool));
+        counter.index_mut().set_work_floor(0);
+        let probe = FirstChargeTrips::default();
+        let outcome = counter.minterm_counts_batch_guarded(&level, &probe);
+        assert!(outcome.is_err(), "one class cannot complete the level");
+        let (jobs, checks) = (pool.jobs_run(), probe.checks.load(Ordering::Relaxed));
+        assert!(jobs >= 1, "the batch took the pool");
+        assert!(
+            checks as u64 <= 3 * jobs,
+            "{checks} probe checks over {jobs} jobs"
+        );
     }
 }
 
