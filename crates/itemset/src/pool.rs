@@ -45,10 +45,10 @@ use crate::counting::CountProbe;
 /// threads: a job cannot borrow from the submitting stack frame.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Locks a mutex, ignoring poisoning: the queue holds plain data that
-/// stays consistent even if a holder panicked mid-push, and worker
-/// panics are already contained.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks a mutex, ignoring poisoning: the queue and a batch's class rows
+/// hold plain data that stays consistent even if a holder panicked, and
+/// worker panics are already contained.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
