@@ -17,9 +17,9 @@
 //! all modifications of this sweep.
 
 use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
-use ccs_stats::MonotonicityClass;
+use ccs_stats::{MonotonicityClass, Verdict};
 
-use crate::engine::{Engine, Verdict};
+use crate::engine::Engine;
 use crate::guard::{sorted_sets, BmsSnapshot, ResumeInner};
 use crate::kernel::{
     run_levelwise, staged, AlgorithmPolicy, KernelConfig, KernelTrip, LevelMark, LevelSeed,
@@ -99,12 +99,12 @@ impl AlgorithmPolicy for BmsPolicy {
     ) {
         let mut notsig_level = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
-            if v.ct_supported {
-                if v.correlated {
-                    self.sig.push(set);
-                } else {
+            match v {
+                Verdict::Supported { correlated: true } => self.sig.push(set),
+                Verdict::Supported { correlated: false } => {
                     notsig_level.insert(set);
                 }
+                Verdict::Unsupported => {}
             }
         }
         self.cands = if last || self.class.is_downward() {

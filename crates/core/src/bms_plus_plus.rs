@@ -30,9 +30,9 @@
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
 use ccs_itemset::{candidate, Item, Itemset, ItemsetSet, MintermCounter, TransactionDb};
-use ccs_stats::MonotonicityClass;
+use ccs_stats::{MonotonicityClass, Verdict};
 
-use crate::engine::{Engine, Verdict};
+use crate::engine::Engine;
 use crate::guard::{ResumeInner, RunGuard};
 use crate::kernel::{
     conclude, prune_am_residual, run_levelwise, staged, AlgorithmPolicy, KernelConfig, LevelMark,
@@ -91,10 +91,10 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
     ) {
         let mut notsig_level = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
-            if !v.ct_supported {
+            let Verdict::Supported { correlated } = v else {
                 continue;
-            }
-            if v.correlated {
+            };
+            if correlated {
                 if self.analysis.m_residual_satisfied(&set, self.attrs) {
                     self.sig_candidates.push(set);
                 }
@@ -156,7 +156,7 @@ fn verify_single_witness(
     let not_minimal = |residue: &Itemset| {
         batch
             .binary_search(residue)
-            .is_ok_and(|i| verdicts[i].correlated && verdicts[i].ct_supported)
+            .is_ok_and(|i| verdicts[i] == Verdict::Supported { correlated: true })
     };
     sig_candidates
         .into_iter()

@@ -36,9 +36,9 @@ use ccs_constraints::{AttributeTable, ConstraintAnalysis};
 use ccs_itemset::{
     candidate, Item, Itemset, ItemsetMap, ItemsetSet, MintermCounter, TransactionDb,
 };
-use ccs_stats::MonotonicityClass;
+use ccs_stats::{MonotonicityClass, Verdict};
 
-use crate::engine::{Engine, Verdict};
+use crate::engine::Engine;
 use crate::guard::{freeze_levels, sorted_sets, ResumeInner, RunGuard};
 use crate::kernel::{
     conclude, prune_am_residual, prune_non_minimal, run_levelwise, staged, AlgorithmPolicy,
@@ -105,8 +105,10 @@ impl AlgorithmPolicy for StarStarPhase1Policy<'_> {
         let supp_level: ItemsetMap<Option<bool>> = survivors
             .into_iter()
             .zip(verdicts)
-            .filter(|(_, v)| v.ct_supported)
-            .map(|(set, v)| (set, Some(v.correlated)))
+            .filter_map(|(set, v)| match v {
+                Verdict::Supported { correlated } => Some((set, Some(correlated))),
+                Verdict::Unsupported => None,
+            })
             .collect();
         if !last {
             self.cands = self.witness.extend(supp_level.keys(), self.good1, |s| {
@@ -182,9 +184,15 @@ impl AlgorithmPolicy for StarStarPhase2Policy<'_> {
     }
 
     fn absorb(&mut self, k: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>, last: bool) {
-        let counted = survivors
-            .into_iter()
-            .zip(verdicts.into_iter().map(|v| v.correlated));
+        // Only a thawed SUPP level is counted here, and every SUPP set
+        // passed the CT-support test when phase 1 counted it.
+        let counted = survivors.into_iter().zip(verdicts).filter_map(|(set, v)| {
+            debug_assert_ne!(v, Verdict::Unsupported, "SUPP set {set} is CT-supported");
+            match v {
+                Verdict::Supported { correlated } => Some((set, correlated)),
+                Verdict::Unsupported => None,
+            }
+        });
         let mut notsig_level = ItemsetSet::default();
         for (set, correlated) in std::mem::take(&mut self.recorded)
             .into_iter()

@@ -25,8 +25,9 @@ use std::collections::HashMap;
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis, ConstraintSet};
 use ccs_itemset::{candidate, Itemset, ItemsetSet, MintermCounter, TransactionDb};
+use ccs_stats::Verdict;
 
-use crate::engine::{Engine, Verdict};
+use crate::engine::Engine;
 use crate::guard::ResumeInner;
 use crate::kernel::{
     admit, prune_am_residual, run_levelwise, staged, AlgorithmPolicy, KernelConfig, LevelMark,
@@ -108,10 +109,10 @@ impl AlgorithmPolicy for BorderPolicy<'_> {
         let mut supported = ItemsetSet::default();
         let mut members = ItemsetSet::default();
         for (set, v) in survivors.into_iter().zip(verdicts) {
-            if !v.ct_supported {
+            let Verdict::Supported { correlated } = v else {
                 continue;
-            }
-            if v.correlated && self.constraints.monotone_satisfied(&set, self.attrs) {
+            };
+            if correlated && self.constraints.monotone_satisfied(&set, self.attrs) {
                 members.insert(set.clone());
             }
             supported.insert(set);

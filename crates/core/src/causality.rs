@@ -26,6 +26,7 @@ use std::fmt;
 
 use ccs_constraints::AttributeTable;
 use ccs_itemset::{candidate, Item, Itemset, MintermCounter, TransactionDb};
+use ccs_stats::Verdict;
 
 use crate::engine::Engine;
 use crate::kernel::{admit, prune_am_residual, MinerScope};
@@ -144,7 +145,7 @@ pub fn discover_causality<C: MintermCounter>(
     let mut correlated = vec![false; n * n];
     let mut correlated_pairs = Vec::new();
     for (pair, v) in pairs.into_iter().zip(verdicts) {
-        if v.ct_supported && v.correlated {
+        if v == (Verdict::Supported { correlated: true }) {
             let (i, j) = (at(pair.items()[0]), at(pair.items()[1]));
             correlated[i * n + j] = true;
             correlated[j * n + i] = true;

@@ -9,8 +9,11 @@
 //!   *set*, the vertical strategy shares prefix intersections across the
 //!   batch, and the pooled strategies fan its prefix-equivalence classes
 //!   out over their workers.
-//! * [`Engine::evaluate_level`] judges those tables with the run's
-//!   measure and the CT-support test.
+//! * [`Engine::evaluate_level`] judges each counted row where the
+//!   counter left it, through a borrowed [`TableView`]: the CT-support
+//!   test first, and the run's measure only on a supported row. It builds
+//!   no [`ContingencyTable`]; only [`Engine::count`], for callers that
+//!   read the cells themselves, does.
 //!
 //! The one algorithm that reads a verdict twice, BMS**, records its
 //! phase-1 verdicts itself (see [`crate::bms_star_star`]).
@@ -19,19 +22,10 @@ use std::collections::HashSet;
 
 use ccs_itemset::hash::ItemsetBuildHasher;
 use ccs_itemset::{CountingStats, Itemset, MintermCounter};
-use ccs_stats::{ContingencyTable, MeasureContext};
+use ccs_stats::{ContingencyTable, MeasureContext, TableView, Verdict};
 
 use crate::guard::{RunGuard, TruncationReason};
 use crate::params::MiningParams;
-
-/// The verdict on one candidate set after building its contingency table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Verdict {
-    /// CT-support test outcome.
-    pub ct_supported: bool,
-    /// Correlation test outcome under the run's measure.
-    pub correlated: bool,
-}
 
 /// Wraps a counting strategy with the query's statistical tests and the
 /// precomputed measure criterion.
@@ -41,6 +35,8 @@ pub(crate) struct Verdict {
 /// the policy trait stay non-generic.
 pub(crate) struct Engine<'a> {
     counter: &'a mut dyn MintermCounter,
+    /// The counter's transaction count: every counted row sums to it.
+    n: u64,
     /// Absolute cell-support threshold.
     s_abs: u64,
     /// CT-support cell fraction.
@@ -76,6 +72,7 @@ impl<'a> Engine<'a> {
         };
         Engine {
             counter,
+            n: n as u64,
             s_abs: params.support_abs(n),
             p: params.ct_fraction,
             ctx,
@@ -102,8 +99,23 @@ impl<'a> Engine<'a> {
     }
 
     /// Counts `sets` — distinct sets of two or more items — in one
-    /// guarded counting batch and returns their contingency tables in
-    /// input order. An empty batch never reaches the counter.
+    /// guarded counting batch ([`Engine::rows`]) and returns their
+    /// contingency tables in input order.
+    pub(crate) fn count(
+        &mut self,
+        sets: &[Itemset],
+    ) -> Result<Vec<ContingencyTable>, TruncationReason> {
+        let rows = self.rows(sets)?;
+        Ok(sets
+            .iter()
+            .zip(rows)
+            .map(|(set, cells)| ContingencyTable::from_counts(set.clone(), cells))
+            .collect())
+    }
+
+    /// Counts `sets` — distinct sets of two or more items — in one
+    /// guarded counting batch and returns their `2^k`-cell rows in input
+    /// order. An empty batch never reaches the counter.
     ///
     /// This is also a guard checkpoint — one at entry (the level
     /// boundary) and, via the probe, inside the counting loops. On a
@@ -111,10 +123,7 @@ impl<'a> Engine<'a> {
     /// is still in the statistics) and the truncation reason is returned;
     /// the caller abandons the batch and reports a truncated result. With
     /// an unarmed guard this never fails.
-    pub(crate) fn count(
-        &mut self,
-        sets: &[Itemset],
-    ) -> Result<Vec<ContingencyTable>, TruncationReason> {
+    fn rows(&mut self, sets: &[Itemset]) -> Result<Vec<Vec<u64>>, TruncationReason> {
         self.guard.checkpoint()?;
         debug_assert!(
             {
@@ -126,40 +135,34 @@ impl<'a> Engine<'a> {
         if sets.is_empty() {
             return Ok(Vec::new());
         }
-        let counts = match self.counter.minterm_counts_batch_guarded(sets, &self.guard) {
-            Ok(counts) => counts,
-            // A counter only abandons a batch when the probe asks it to.
-            // Re-running the checkpoint classifies the cause — including
-            // a cancellation flag that was raised but not yet converted
-            // into a trip; the fallback covers misbehaving counters that
-            // interrupt unprompted.
-            Err(_) => {
-                return Err(match self.guard.checkpoint() {
-                    Err(reason) => reason,
-                    Ok(()) => TruncationReason::WorkBudget,
-                })
-            }
-        };
-        Ok(sets
-            .iter()
-            .zip(counts)
-            .map(|(set, cells)| ContingencyTable::from_counts(set.clone(), cells))
-            .collect())
+        // A counter only abandons a batch when the probe asks it to.
+        // Re-running the checkpoint classifies the cause — including a
+        // cancellation flag that was raised but not yet converted into a
+        // trip; the fallback covers misbehaving counters that interrupt
+        // unprompted.
+        self.counter
+            .minterm_counts_batch_guarded(sets, &self.guard)
+            .map_err(|_| match self.guard.checkpoint() {
+                Err(reason) => reason,
+                Ok(()) => TruncationReason::WorkBudget,
+            })
     }
 
-    /// Counts a whole level of candidates in one batch ([`Engine::count`])
-    /// and judges each table: the CT-support test and the run's measure.
-    /// Verdicts come back in input order.
+    /// Counts a whole level of candidates in one batch ([`Engine::rows`])
+    /// and judges each row in place ([`MeasureContext::judge`]): the
+    /// CT-support test first, then, on a supported row only, the run's
+    /// measure. Verdicts come back in input order.
     pub(crate) fn evaluate_level(
         &mut self,
         sets: &[Itemset],
     ) -> Result<Vec<Verdict>, TruncationReason> {
-        let tables = self.count(sets)?;
-        Ok(tables
+        let rows = self.rows(sets)?;
+        Ok(sets
             .iter()
-            .map(|table| Verdict {
-                ct_supported: table.is_ct_supported(self.s_abs, self.p),
-                correlated: self.ctx.verdict(table),
+            .zip(&rows)
+            .map(|(set, cells)| {
+                let row = TableView::new(set.len(), cells, self.n);
+                self.ctx.judge(row, self.s_abs, self.p)
             })
             .collect())
     }
@@ -222,10 +225,12 @@ mod tests {
             sets.iter()
                 .map(|s| {
                     let table = ContingencyTable::build(&mut solo, s);
-                    Verdict {
-                        ct_supported: table
-                            .is_ct_supported(params.support_abs(db.len()), params.ct_fraction),
-                        correlated: ctx.verdict(&table),
+                    if table.is_ct_supported(params.support_abs(db.len()), params.ct_fraction) {
+                        Verdict::Supported {
+                            correlated: ctx.verdict(&table),
+                        }
+                    } else {
+                        Verdict::Unsupported
                     }
                 })
                 .collect()

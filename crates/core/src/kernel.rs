@@ -30,8 +30,9 @@ use std::time::Instant;
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
 use ccs_itemset::hash::ItemsetBuildHasher;
 use ccs_itemset::{CountingStats, Item, Itemset};
+use ccs_stats::Verdict;
 
-use crate::engine::{Engine, Verdict};
+use crate::engine::Engine;
 use crate::guard::{wall_now, ResumeInner, ResumeState, TruncationReason};
 use crate::metrics::MiningMetrics;
 use crate::miner::Algorithm;

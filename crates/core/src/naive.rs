@@ -11,8 +11,9 @@
 
 use ccs_constraints::AttributeTable;
 use ccs_itemset::{Item, Itemset, ItemsetMap, MintermCounter, TransactionDb};
+use ccs_stats::Verdict;
 
-use crate::engine::{Engine, Verdict};
+use crate::engine::Engine;
 use crate::guard::{ResumeInner, RunGuard};
 use crate::kernel::{
     conclude, run_levelwise, AlgorithmPolicy, KernelConfig, LevelMark, LevelSeed, MinerScope,
@@ -22,10 +23,9 @@ use crate::miner::Algorithm;
 use crate::prep::frequent_items;
 use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Flags {
-    ct_supported: bool,
-    correlated: bool,
+    verdict: Verdict,
     valid: bool,
 }
 
@@ -102,8 +102,8 @@ pub(crate) fn run_naive_guarded(
         // The "space" minimality quantifies over differs per semantics:
         // VALID_MIN is minimal in {correlated ∧ CT-supported}, MIN_VALID
         // in {correlated ∧ CT-supported ∧ valid}.
-        Semantics::ValidMin => f.ct_supported && f.correlated,
-        Semantics::MinValid => f.ct_supported && f.correlated && f.valid,
+        Semantics::ValidMin => f.verdict == Verdict::Supported { correlated: true },
+        Semantics::MinValid => f.verdict == Verdict::Supported { correlated: true } && f.valid,
     };
 
     let mut answers = Vec::new();
@@ -156,14 +156,7 @@ impl AlgorithmPolicy for NaivePolicy<'_> {
     fn absorb(&mut self, _level: usize, survivors: Vec<Itemset>, verdicts: Vec<Verdict>, _: bool) {
         for (set, v) in survivors.into_iter().zip(verdicts) {
             let valid = self.constraints.satisfied(&set, self.attrs);
-            self.flags.insert(
-                set,
-                Flags {
-                    ct_supported: v.ct_supported,
-                    correlated: v.correlated,
-                    valid,
-                },
-            );
+            self.flags.insert(set, Flags { verdict: v, valid });
         }
     }
 }

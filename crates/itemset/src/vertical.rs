@@ -65,7 +65,7 @@
 //!
 //! Nothing a batch computes outlives it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
@@ -97,7 +97,7 @@ pub(crate) struct VerticalCore {
 /// written to local output row `j`; the caller scatters local rows to
 /// `rows[j]`. Indexing (instead of hashing) lets every node fill a flat
 /// per-item support buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct OwnedClass {
     prefix: Vec<Item>,
     items: Vec<Item>,
@@ -207,8 +207,10 @@ impl PairSupports {
 /// Plans `sets` for vertical counting. Answers the trivial 0-/1-item
 /// sets from the database-wide transaction count and `item_support`,
 /// records those tables in `done`, and groups the rest into
-/// prefix-equivalence classes (deterministic `BTreeMap` prefix order),
-/// assigning every pair a class with a prefix reads its index in the
+/// prefix-equivalence classes, in ascending prefix order with each
+/// class's members in input order. A stable sort of the members by
+/// prefix gives that order; it is linear on the generators' sorted
+/// levels. Every pair a class with a prefix reads gets its index in the
 /// plan's pair list. Returns the plan and the batch's result rows: a
 /// trivial set's row holds its table, a class member's row stays empty
 /// until its class is counted. Trivial sets never walk a lattice, which
@@ -225,7 +227,9 @@ fn plan_level(
     done: &mut BatchInterrupted,
 ) -> (LevelPlan, Vec<Vec<u64>>) {
     let mut results = Vec::with_capacity(sets.len());
-    let mut grouped: BTreeMap<&[Item], Vec<(usize, Item, Item)>> = BTreeMap::new();
+    let mut grouped: Vec<usize> = Vec::new();
+    // Every class member's items lie below this item id.
+    let mut width = 0;
     for (i, set) in sets.iter().enumerate() {
         check_width(set);
         let row = match set.items() {
@@ -234,8 +238,9 @@ fn plan_level(
                 let with = item_support(*a);
                 vec![n_transactions - with, with]
             }
-            [prefix @ .., a, b] => {
-                grouped.entry(prefix).or_default().push((i, *a, *b));
+            [.., last] => {
+                width = width.max(last.index() + 1);
+                grouped.push(i);
                 results.push(Vec::new());
                 continue;
             }
@@ -244,6 +249,13 @@ fn plan_level(
         done.cells_completed += row.len() as u64;
         results.push(row);
     }
+    // Set `i`'s prefix and its final pair `(a, b)`; `grouped` holds only
+    // sets of two or more items.
+    let split = |i: usize| {
+        let (prefix, pair) = sets[i].items().split_at(sets[i].len() - 2);
+        (prefix, (pair[0], pair[1]))
+    };
+    grouped.sort_by(|&i, &j| split(i).0.cmp(split(j).0));
     let mut pairs: Vec<(Item, Item)> = Vec::new();
     let mut index: HashMap<u64, u32, ItemsetBuildHasher> = HashMap::default();
     let mut intern = |x: Item, y: Item| {
@@ -253,21 +265,34 @@ fn plan_level(
             (pairs.len() - 1) as u32
         })
     };
+    // Per item id: the last class that listed it among its suffix items,
+    // and its position there. So a class lists its distinct suffix items
+    // in one pass over its members and reads each member's positions
+    // directly.
+    let (mut seen_in, mut position) = (vec![usize::MAX; width], vec![0u32; width]);
     let classes = grouped
-        .into_iter()
-        .map(|(prefix, raw)| {
-            let mut items: Vec<Item> = raw.iter().flat_map(|&(_, a, b)| [a, b]).collect();
+        .chunk_by(|&i, &j| split(i).0 == split(j).0)
+        .enumerate()
+        .map(|(c, class)| {
+            let prefix = split(class[0]).0;
+            let ab = || class.iter().map(|&i| split(i).1);
+            let mut items = Vec::new();
+            for x in ab().flat_map(|(a, b)| [a, b]) {
+                if seen_in[x.index()] != c {
+                    seen_in[x.index()] = c;
+                    items.push(x);
+                }
+            }
             items.sort_unstable();
-            items.dedup();
-            // `items` was deduped from exactly these members, so the
-            // search cannot miss.
-            #[allow(clippy::unwrap_used)]
-            let pos = |item: Item| items.binary_search(&item).unwrap() as u32;
-            let members = raw.iter().map(|&(_, a, b)| (pos(a), pos(b))).collect();
+            for (at, x) in items.iter().enumerate() {
+                position[x.index()] = at as u32;
+            }
+            let pos = |item: Item| position[item.index()];
+            let members = ab().map(|(a, b)| (pos(a), pos(b))).collect();
             let (member_pairs, prefix_pairs) = if prefix.is_empty() {
                 (Vec::new(), Vec::new())
             } else {
-                let member_pairs = raw.iter().map(|&(_, a, b)| intern(a, b)).collect();
+                let member_pairs = ab().map(|(a, b)| intern(a, b)).collect();
                 let prefix_pairs = prefix
                     .iter()
                     .flat_map(|&q| items.iter().map(move |&x| (q, x)))
@@ -275,14 +300,13 @@ fn plan_level(
                     .collect();
                 (member_pairs, prefix_pairs)
             };
-            let rows = raw.iter().map(|&(ci, _, _)| ci).collect();
             OwnedClass {
                 prefix: prefix.to_vec(),
                 items,
                 members,
                 member_pairs,
                 prefix_pairs,
-                rows,
+                rows: class.to_vec(),
             }
         })
         .collect();
@@ -1070,6 +1094,199 @@ mod tests {
             .collect()
     }
 
+    /// The reference grouping: a `BTreeMap` from prefix to its members
+    /// in input order, the classes in map order. The sorted plan must
+    /// reproduce it class for class.
+    fn btree_plan(
+        sets: &[Itemset],
+        n_transactions: u64,
+        item_support: impl Fn(Item) -> u64,
+        done: &mut BatchInterrupted,
+    ) -> (LevelPlan, Vec<Vec<u64>>) {
+        use std::collections::BTreeMap;
+        let mut results = Vec::with_capacity(sets.len());
+        let mut grouped: BTreeMap<&[Item], Vec<(usize, Item, Item)>> = BTreeMap::new();
+        for (i, set) in sets.iter().enumerate() {
+            let row = match set.items() {
+                [] => vec![n_transactions],
+                [a] => {
+                    let with = item_support(*a);
+                    vec![n_transactions - with, with]
+                }
+                [prefix @ .., a, b] => {
+                    grouped.entry(prefix).or_default().push((i, *a, *b));
+                    results.push(Vec::new());
+                    continue;
+                }
+            };
+            done.tables_completed += 1;
+            done.cells_completed += row.len() as u64;
+            results.push(row);
+        }
+        let mut pairs: Vec<(Item, Item)> = Vec::new();
+        let mut index: HashMap<u64, u32> = HashMap::new();
+        let mut intern = |x: Item, y: Item| {
+            let key = u64::from(x.id()) << 32 | u64::from(y.id());
+            *index.entry(key).or_insert_with(|| {
+                pairs.push((x, y));
+                (pairs.len() - 1) as u32
+            })
+        };
+        let classes = grouped
+            .into_iter()
+            .map(|(prefix, raw)| {
+                let mut items: Vec<Item> = raw.iter().flat_map(|&(_, a, b)| [a, b]).collect();
+                items.sort_unstable();
+                items.dedup();
+                let pos = |item: Item| items.binary_search(&item).unwrap() as u32;
+                let members = raw.iter().map(|&(_, a, b)| (pos(a), pos(b))).collect();
+                let (member_pairs, prefix_pairs) = if prefix.is_empty() {
+                    (Vec::new(), Vec::new())
+                } else {
+                    let member_pairs = raw.iter().map(|&(_, a, b)| intern(a, b)).collect();
+                    let prefix_pairs = prefix
+                        .iter()
+                        .flat_map(|&q| items.iter().map(move |&x| (q, x)))
+                        .map(|(q, x)| intern(q, x))
+                        .collect();
+                    (member_pairs, prefix_pairs)
+                };
+                OwnedClass {
+                    prefix: prefix.to_vec(),
+                    items,
+                    members,
+                    member_pairs,
+                    prefix_pairs,
+                    rows: raw.iter().map(|&(ci, _, _)| ci).collect(),
+                }
+            })
+            .collect();
+        let plan = LevelPlan {
+            classes,
+            pairs: pairs.into(),
+        };
+        (plan, results)
+    }
+
+    /// A probe whose only limit is a cell budget.
+    #[derive(Clone, Default)]
+    struct Budget {
+        cells: u64,
+        spent: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl CountProbe for Budget {
+        fn should_stop(&self) -> bool {
+            self.spent.load(Ordering::Relaxed) >= self.cells
+        }
+        fn charge(&self, cells: u64) -> bool {
+            self.spent.fetch_add(cells, Ordering::Relaxed) + cells >= self.cells
+        }
+        fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
+            Arc::new(self.clone())
+        }
+    }
+
+    /// What a batch planned as `plan`, with trivial work `trivial`, has
+    /// completed when a `budget`-cell probe stops it on the calling
+    /// thread: the trivial sets, charged first, then whole classes in
+    /// plan order up to the one whose charge reaches the budget.
+    fn completed_under(
+        plan: &LevelPlan,
+        trivial: BatchInterrupted,
+        budget: u64,
+    ) -> BatchInterrupted {
+        let mut done = trivial;
+        if done.cells_completed > 0 && done.cells_completed >= budget {
+            return done;
+        }
+        for class in &plan.classes {
+            if done.cells_completed >= budget {
+                break;
+            }
+            done.tables_completed += class.members.len() as u64;
+            done.cells_completed += class.cells();
+            if done.cells_completed >= budget {
+                break;
+            }
+        }
+        done
+    }
+
+    /// Pins the sorted plan to the `BTreeMap` grouping: the same classes
+    /// in the same order, members in the same order, the same pair list
+    /// and trivial rows, and, under every budget that trips the batch
+    /// between two classes or inside one, the same completed work.
+    fn plan_matches_the_btree_grouping(db: &TransactionDb, sets: &[Itemset]) {
+        let n = db.len() as u64;
+        let support = |a: Item| db.item_supports()[a.index()] as u64;
+        let (mut done, mut want_done) = Default::default();
+        let (plan, results) = plan_level(sets, n, support, &mut done);
+        let (want, want_results) = btree_plan(sets, n, support, &mut want_done);
+        assert_eq!(plan.classes, want.classes);
+        assert_eq!(plan.pairs, want.pairs);
+        assert_eq!(results, want_results);
+        assert_eq!(done, want_done);
+        // Budgets at, just below and just above every class boundary.
+        let mut budgets = vec![0, 1];
+        let mut boundary = want_done.cells_completed;
+        for class in &want.classes {
+            budgets.extend([boundary, boundary + 1]);
+            boundary += class.cells();
+            budgets.push(boundary - 1);
+        }
+        budgets.extend([boundary, boundary + 1]);
+        let cores = [Arc::new(VerticalCore::build_range(db, 0, db.len()))];
+        for budget in budgets {
+            let expect = completed_under(&want, want_done, budget);
+            let probe = Budget {
+                cells: budget,
+                ..Budget::default()
+            };
+            let mut scratch = vec![ClassScratch::default()];
+            let got = count_batch(sets, db.len(), support, &cores, &mut scratch, None, &probe);
+            let whole = expect.tables_completed == sets.len() as u64;
+            assert_eq!(got.err(), (!whole).then_some(expect), "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn sorted_plan_matches_the_btree_grouping_on_a_mixed_batch() {
+        let db = TransactionDb::from_ids(
+            6,
+            vec![
+                vec![0, 1, 2, 3, 4],
+                vec![0, 1, 2],
+                vec![0, 3, 5],
+                vec![1, 2, 4, 5],
+                vec![2, 3, 4],
+                vec![],
+                vec![0, 1, 4, 5],
+            ],
+        );
+        // Unsorted, mixed sizes, trivial sets in between, and one prefix
+        // split by sets of another.
+        let ids: [&[u32]; 12] = [
+            &[1, 2, 4],
+            &[0, 3],
+            &[2],
+            &[0, 1, 3, 5],
+            &[1, 2, 3],
+            &[],
+            &[0, 1],
+            &[0, 1, 3, 4],
+            &[1, 3, 5],
+            &[0, 1, 2],
+            &[4, 5],
+            &[1, 2, 5],
+        ];
+        let sets: Vec<Itemset> = ids
+            .iter()
+            .map(|s| Itemset::from_ids(s.iter().copied()))
+            .collect();
+        plan_matches_the_btree_grouping(&db, &sets);
+    }
+
     mod differential {
         use super::*;
         use proptest::prelude::*;
@@ -1107,6 +1324,13 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+            #[test]
+            fn sorted_plan_matches_the_btree_grouping(
+                (db, sets) in (db_strategy(), sets_strategy())
+            ) {
+                plan_matches_the_btree_grouping(&db, &sets);
+            }
 
             #[test]
             fn class_kernel_matches_the_split_tree_reference(

@@ -84,11 +84,13 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "measure-verdict-confined",
-        invariant: "`chi_squared` / `is_correlated` / `chi2_quantile` calls live only in \
-                    the stats crate (the measure layer)",
+        invariant: "`chi_squared` / `is_correlated` / `chi2_quantile` / `is_ct_supported` / \
+                    `ct_support_fraction` calls live only in the stats crate (the measure \
+                    layer)",
         why: "a direct χ² call bypasses the run's `MeasureContext`, silently judging \
-              with the wrong measure when the query asks for all-confidence or bond \
-              (DESIGN.md §14)",
+              with the wrong measure when the query asks for all-confidence or bond; a \
+              direct CT-support call judges a table apart from `MeasureContext::judge`, \
+              which tests CT-support first on the counted row (DESIGN.md §14)",
         owner: "crates/stats/src",
     },
     Rule {
@@ -461,12 +463,14 @@ fn check_nondeterminism(path: &str, src: &str, sig: &[Tok], ctx: &Context, out: 
 }
 
 /// `measure-verdict-confined`: calls to the raw χ² spellings
-/// (`chi_squared(…)`, `is_correlated(…)`, `chi2_quantile(…)`) in
-/// production code outside the stats crate. Everything downstream must
-/// judge through `MeasureContext`, whose verdict follows the query's
-/// measure; a direct call pins χ² regardless. Test code is exempt (the
-/// differential suites recompute χ² on purpose), as are benches and
-/// examples (outside `src/` trees).
+/// (`chi_squared(…)`, `is_correlated(…)`, `chi2_quantile(…)`) and the
+/// raw CT-support spellings (`is_ct_supported(…)`,
+/// `ct_support_fraction(…)`) in production code outside the stats
+/// crate. Everything downstream must judge through `MeasureContext`,
+/// whose verdict follows the query's measure and whose row judge tests
+/// CT-support first; a direct χ² call pins χ² regardless. Test code is
+/// exempt (the differential suites recompute both tests on purpose), as
+/// are benches and examples (outside `src/` trees).
 fn check_measure_verdict(
     path: &str,
     src: &str,
@@ -484,7 +488,14 @@ fn check_measure_verdict(
             continue;
         }
         let name = t.text(src);
-        if !matches!(name, "chi_squared" | "is_correlated" | "chi2_quantile") {
+        if !matches!(
+            name,
+            "chi_squared"
+                | "is_correlated"
+                | "chi2_quantile"
+                | "is_ct_supported"
+                | "ct_support_fraction"
+        ) {
             continue;
         }
         // Only calls judge; a doc path or `use` item computes nothing.
@@ -695,6 +706,13 @@ mod tests {
             run("examples/quickstart.rs", quantile).is_empty(),
             "examples may show the raw statistic"
         );
+        let ct =
+            "fn f(t: &T) -> bool { t.is_ct_supported(s, p) && t.ct_support_fraction(s) > 0.5 }";
+        assert_eq!(
+            run("crates/core/src/kernel.rs", ct),
+            vec!["measure-verdict-confined"; 2]
+        );
+        assert!(run("crates/stats/src/measure.rs", ct).is_empty());
         let test_code = "#[cfg(test)]\nmod t { fn f(t: &T) { assert!(t.is_correlated(0.9)); } }";
         assert!(run("crates/core/src/border.rs", test_code).is_empty());
         let import = "use ccs_stats::chi2_quantile;\nfn f(ctx: &MeasureContext, t: &T) -> bool { ctx.verdict(t) }";

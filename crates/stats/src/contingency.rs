@@ -14,12 +14,192 @@
 //! filter of Brin et al.: at least a fraction `p` of the cells must have
 //! count ≥ `s`. It is anti-monotone, while being correlated is monotone —
 //! the two borders that shape the whole solution space of the paper.
+//!
+//! Every statistic is computed on a [`TableView`], which borrows a `k`-set's
+//! cells where a counter left them; a [`ContingencyTable`] owns its set and
+//! cells and lends them through the same view.
 
 use ccs_itemset::{Itemset, MintermCounter};
 
 use crate::chi2::{chi2_quantile, chi2_sf};
 
-/// A `2^k`-cell contingency table for a `k`-itemset.
+/// A borrowed `2^k`-cell contingency table: the cells of a `k`-set
+/// where a counter left them, and their total `n`. Every statistic is
+/// computed here, once; a [`ContingencyTable`] lends its cells through
+/// [`ContingencyTable::view`], and the miners judge a counted row in
+/// place through [`crate::MeasureContext::judge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableView<'a> {
+    k: usize,
+    counts: &'a [u64],
+    n: u64,
+}
+
+impl<'a> TableView<'a> {
+    /// Views `counts`, the `2^k` minterm cells of a `k`-set over `n`
+    /// transactions (so the cells sum to `n`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts.len() != 2^k`.
+    #[inline]
+    pub fn new(k: usize, counts: &'a [u64], n: u64) -> Self {
+        assert_eq!(
+            counts.len(),
+            1usize << k,
+            "a {k}-itemset needs 2^{k} cells, got {}",
+            counts.len()
+        );
+        debug_assert_eq!(counts.iter().sum::<u64>(), n, "the cells sum to n");
+        TableView { k, counts, n }
+    }
+
+    /// The number of items of the set.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Observed cell counts (length `2^k`, bit `j` of the index = item `j`
+    /// present).
+    pub fn counts(&self) -> &'a [u64] {
+        self.counts
+    }
+
+    /// Total number of transactions.
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+
+    /// Absolute marginal count of the `j`-th smallest item of the set:
+    /// the number of transactions containing it.
+    pub fn marginal_count(&self, j: usize) -> u64 {
+        assert!(j < self.k, "marginal index {j} out of range");
+        let mut present = 0u64;
+        for (cell, &count) in self.counts.iter().enumerate() {
+            if cell & (1 << j) != 0 {
+                present += count;
+            }
+        }
+        present
+    }
+
+    /// Marginal frequency of the `j`-th smallest item of the set: the
+    /// fraction of transactions containing it.
+    pub fn marginal(&self, j: usize) -> f64 {
+        if self.n == 0 {
+            assert!(j < self.k, "marginal index {j} out of range");
+            return 0.0;
+        }
+        self.marginal_count(j) as f64 / self.n as f64
+    }
+
+    /// Expected count of cell `c` under full independence.
+    pub fn expected(&self, cell: usize) -> f64 {
+        let mut e = self.n as f64;
+        for j in 0..self.k {
+            let p = self.marginal(j);
+            e *= if cell & (1 << j) != 0 { p } else { 1.0 - p };
+        }
+        e
+    }
+
+    /// The chi-squared statistic `Σ (O − E)² / E` over cells with `E > 0`.
+    ///
+    /// Cells whose expectation is exactly zero (an item with marginal 0
+    /// or 1) contribute nothing: such an item carries no information about
+    /// dependence, and the observed count in those cells is necessarily
+    /// zero as well.
+    pub fn chi_squared(&self) -> f64 {
+        let k = self.k;
+        if k < 2 || self.n == 0 {
+            return 0.0;
+        }
+        // Precompute marginals once, on the stack: the view holds
+        // `1 << k` cells, so `k` is below `usize::BITS`.
+        let mut marginals = [0.0f64; usize::BITS as usize];
+        let marginals = &mut marginals[..k];
+        for (j, p) in marginals.iter_mut().enumerate() {
+            *p = self.marginal(j);
+        }
+        let mut stat = 0.0;
+        for (cell, &count) in self.counts.iter().enumerate() {
+            let mut e = self.n as f64;
+            for (j, &p) in marginals.iter().enumerate() {
+                e *= if cell & (1 << j) != 0 { p } else { 1.0 - p };
+            }
+            if e > 0.0 {
+                let diff = count as f64 - e;
+                stat += diff * diff / e;
+            }
+        }
+        stat
+    }
+
+    /// The all-confidence of the set: the all-present cell count divided
+    /// by the largest marginal count — equivalently, the smallest
+    /// confidence of any rule `s_j ⇒ S ∖ {s_j}`.
+    ///
+    /// Anti-monotone (downward closed over sets of size ≥ 2): adding an
+    /// item can only shrink the numerator and grow the denominator, and
+    /// IEEE division is monotone in each argument, so the value never
+    /// increases — exactly, not just approximately, in `f64`.
+    ///
+    /// `0.0` for empty sets and when no item occurs at all.
+    pub fn all_confidence(&self) -> f64 {
+        if self.k == 0 {
+            return 0.0;
+        }
+        let max_marginal = (0..self.k)
+            .map(|j| self.marginal_count(j))
+            .max()
+            .unwrap_or(0);
+        if max_marginal == 0 {
+            return 0.0;
+        }
+        self.counts[self.counts.len() - 1] as f64 / max_marginal as f64
+    }
+
+    /// The bond of the set: the all-present cell count divided by the
+    /// number of transactions containing *at least one* of the items —
+    /// the Jaccard similarity of the items' transaction sets.
+    ///
+    /// Anti-monotone for the same reason as
+    /// [`TableView::all_confidence`].
+    ///
+    /// `0.0` for empty sets and when no item occurs at all.
+    pub fn bond(&self) -> f64 {
+        if self.k == 0 {
+            return 0.0;
+        }
+        let union = self.n - self.counts[0];
+        if union == 0 {
+            return 0.0;
+        }
+        self.counts[self.counts.len() - 1] as f64 / union as f64
+    }
+
+    /// The number of cells whose observed count is at least `s`.
+    fn cells_meeting(&self, s: u64) -> usize {
+        self.counts.iter().filter(|&&c| c >= s).count()
+    }
+
+    /// Fraction of cells whose observed count is at least `s`.
+    pub fn ct_support_fraction(&self, s: u64) -> f64 {
+        self.cells_meeting(s) as f64 / self.counts.len() as f64
+    }
+
+    /// The CT-support test: at least a fraction `p` of cells must have
+    /// count ≥ `s`. Anti-monotone (downward closed).
+    ///
+    /// The comparison tolerates floating-point representation of `p`
+    /// (e.g. `p = 0.25` with 4 cells requires exactly 1 cell).
+    pub fn is_ct_supported(&self, s: u64, p: f64) -> bool {
+        self.cells_meeting(s) as f64 + 1e-9 >= p * self.counts.len() as f64
+    }
+}
+
+/// A `2^k`-cell contingency table for a `k`-itemset: the set and its
+/// cells, owned. Its statistics are those of its [`TableView`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContingencyTable {
     set: Itemset,
@@ -52,6 +232,16 @@ impl ContingencyTable {
         ContingencyTable { set, counts, n }
     }
 
+    /// The borrowed view every statistic is computed on.
+    #[inline]
+    pub fn view(&self) -> TableView<'_> {
+        TableView {
+            k: self.set.len(),
+            counts: &self.counts,
+            n: self.n,
+        }
+    }
+
     /// The itemset this table describes.
     pub fn itemset(&self) -> &Itemset {
         &self.set
@@ -68,69 +258,24 @@ impl ContingencyTable {
         self.n
     }
 
-    /// Marginal frequency of the `j`-th smallest item of the set: the
-    /// fraction of transactions containing it.
+    /// See [`TableView::marginal`].
     pub fn marginal(&self, j: usize) -> f64 {
-        if self.n == 0 {
-            assert!(j < self.set.len(), "marginal index {j} out of range");
-            return 0.0;
-        }
-        self.marginal_count(j) as f64 / self.n as f64
+        self.view().marginal(j)
     }
 
-    /// Absolute marginal count of the `j`-th smallest item of the set:
-    /// the number of transactions containing it.
+    /// See [`TableView::marginal_count`].
     pub fn marginal_count(&self, j: usize) -> u64 {
-        assert!(j < self.set.len(), "marginal index {j} out of range");
-        let mut present = 0u64;
-        for (cell, &count) in self.counts.iter().enumerate() {
-            if cell & (1 << j) != 0 {
-                present += count;
-            }
-        }
-        present
+        self.view().marginal_count(j)
     }
 
-    /// Expected count of cell `c` under full independence.
+    /// See [`TableView::expected`].
     pub fn expected(&self, cell: usize) -> f64 {
-        let mut e = self.n as f64;
-        for j in 0..self.set.len() {
-            let p = self.marginal(j);
-            e *= if cell & (1 << j) != 0 { p } else { 1.0 - p };
-        }
-        e
+        self.view().expected(cell)
     }
 
-    /// The chi-squared statistic `Σ (O − E)² / E` over cells with `E > 0`.
-    ///
-    /// Cells whose expectation is exactly zero (an item with marginal 0
-    /// or 1) contribute nothing: such an item carries no information about
-    /// dependence, and the observed count in those cells is necessarily
-    /// zero as well.
+    /// See [`TableView::chi_squared`].
     pub fn chi_squared(&self) -> f64 {
-        let k = self.set.len();
-        if k < 2 || self.n == 0 {
-            return 0.0;
-        }
-        // Precompute marginals once, on the stack: `from_counts` holds
-        // `1 << k` cells, so `k` is below `usize::BITS`.
-        let mut marginals = [0.0f64; usize::BITS as usize];
-        let marginals = &mut marginals[..k];
-        for (j, p) in marginals.iter_mut().enumerate() {
-            *p = self.marginal(j);
-        }
-        let mut stat = 0.0;
-        for (cell, &count) in self.counts.iter().enumerate() {
-            let mut e = self.n as f64;
-            for (j, &p) in marginals.iter().enumerate() {
-                e *= if cell & (1 << j) != 0 { p } else { 1.0 - p };
-            }
-            if e > 0.0 {
-                let diff = count as f64 - e;
-                stat += diff * diff / e;
-            }
-        }
-        stat
+        self.view().chi_squared()
     }
 
     /// Degrees of freedom of the independence test: `2^k − k − 1`
@@ -181,61 +326,24 @@ impl ContingencyTable {
         self.chi_squared() >= chi2_quantile(confidence, 1)
     }
 
-    /// The all-confidence of the set: the all-present cell count divided
-    /// by the largest marginal count — equivalently, the smallest
-    /// confidence of any rule `s_j ⇒ S ∖ {s_j}`.
-    ///
-    /// Anti-monotone (downward closed over sets of size ≥ 2): adding an
-    /// item can only shrink the numerator and grow the denominator, and
-    /// IEEE division is monotone in each argument, so the value never
-    /// increases — exactly, not just approximately, in `f64`.
-    ///
-    /// `0.0` for empty sets and when no item occurs at all.
+    /// See [`TableView::all_confidence`].
     pub fn all_confidence(&self) -> f64 {
-        let k = self.set.len();
-        if k == 0 {
-            return 0.0;
-        }
-        let max_marginal = (0..k).map(|j| self.marginal_count(j)).max().unwrap_or(0);
-        if max_marginal == 0 {
-            return 0.0;
-        }
-        self.counts[self.counts.len() - 1] as f64 / max_marginal as f64
+        self.view().all_confidence()
     }
 
-    /// The bond of the set: the all-present cell count divided by the
-    /// number of transactions containing *at least one* of the items —
-    /// the Jaccard similarity of the items' transaction sets.
-    ///
-    /// Anti-monotone for the same reason as
-    /// [`ContingencyTable::all_confidence`].
-    ///
-    /// `0.0` for empty sets and when no item occurs at all.
+    /// See [`TableView::bond`].
     pub fn bond(&self) -> f64 {
-        if self.set.is_empty() {
-            return 0.0;
-        }
-        let union = self.n - self.counts[0];
-        if union == 0 {
-            return 0.0;
-        }
-        self.counts[self.counts.len() - 1] as f64 / union as f64
+        self.view().bond()
     }
 
-    /// Fraction of cells whose observed count is at least `s`.
+    /// See [`TableView::ct_support_fraction`].
     pub fn ct_support_fraction(&self, s: u64) -> f64 {
-        let meeting = self.counts.iter().filter(|&&c| c >= s).count();
-        meeting as f64 / self.counts.len() as f64
+        self.view().ct_support_fraction(s)
     }
 
-    /// The CT-support test: at least a fraction `p` of cells must have
-    /// count ≥ `s`. Anti-monotone (downward closed).
-    ///
-    /// The comparison tolerates floating-point representation of `p`
-    /// (e.g. `p = 0.25` with 4 cells requires exactly 1 cell).
+    /// See [`TableView::is_ct_supported`].
     pub fn is_ct_supported(&self, s: u64, p: f64) -> bool {
-        let meeting = self.counts.iter().filter(|&&c| c >= s).count();
-        meeting as f64 + 1e-9 >= p * self.counts.len() as f64
+        self.view().is_ct_supported(s, p)
     }
 }
 

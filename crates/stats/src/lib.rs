@@ -12,7 +12,9 @@
 //!   chi-squared independence test, and the anti-monotone CT-support
 //!   significance test,
 //! * [`measure`] — the pluggable correlation-measure layer (χ² /
-//!   all-confidence / bond) behind one validated verdict interface.
+//!   all-confidence / bond) behind one validated verdict interface, and
+//!   the row judge ([`MeasureContext::judge`]): CT-support first, then
+//!   the measure, on a borrowed [`TableView`] of a counted row.
 
 #![warn(missing_docs)]
 
@@ -22,6 +24,6 @@ pub mod gamma;
 pub mod measure;
 
 pub use chi2::{chi2_cdf, chi2_quantile, chi2_sf};
-pub use contingency::ContingencyTable;
+pub use contingency::{ContingencyTable, TableView};
 pub use gamma::{gamma_p, gamma_q, ln_gamma};
-pub use measure::{Measure, MeasureContext, MeasureError, MonotonicityClass};
+pub use measure::{Measure, MeasureContext, MeasureError, MonotonicityClass, Verdict};

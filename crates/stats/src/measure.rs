@@ -37,7 +37,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::chi2::chi2_quantile;
-use crate::contingency::ContingencyTable;
+use crate::contingency::{ContingencyTable, TableView};
 
 /// Which direction a measure's "correlated" predicate is closed in the
 /// itemset lattice (restricted to sets of size ≥ 2, below which no
@@ -116,7 +116,7 @@ impl Measure {
     }
 
     /// The raw statistic of this measure on a contingency table.
-    pub fn statistic(self, table: &ContingencyTable) -> f64 {
+    pub fn statistic(self, table: TableView<'_>) -> f64 {
         match self {
             Measure::Chi2 => table.chi_squared(),
             Measure::AllConfidence => table.all_confidence(),
@@ -221,6 +221,20 @@ impl fmt::Display for MeasureError {
 
 impl std::error::Error for MeasureError {}
 
+/// What a counted row earns. CT-support is tested first, on the raw
+/// cells, and the measure runs only on a supported row: no miner reads
+/// the correlation of a set that is not CT-supported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Fewer than a fraction `p` of the cells reach the support `s`.
+    Unsupported,
+    /// CT-supported, with the run's measure verdict.
+    Supported {
+        /// Whether the run's measure calls the set correlated.
+        correlated: bool,
+    },
+}
+
 /// The conditional-independence test of the causality screen stays
 /// χ²-based under every measure; when the run's own threshold is not a
 /// confidence level (the ratio measures), the df = 2 cutoff falls back
@@ -295,16 +309,37 @@ impl MeasureContext {
 
     /// The raw statistic of this context's measure on `table`.
     pub fn statistic(&self, table: &ContingencyTable) -> f64 {
-        self.measure.statistic(table)
+        self.measure.statistic(table.view())
     }
 
-    /// The correlation verdict: `statistic ≥ critical value`, with
-    /// degenerate tables (fewer than 2 items) never correlated.
+    /// The correlation verdict on an owned table; see
+    /// [`MeasureContext::correlated`].
     ///
     /// For `chi2` this is bit-identical to the historical
     /// `ContingencyTable::is_correlated(confidence)` path.
     pub fn verdict(&self, table: &ContingencyTable) -> bool {
-        table.itemset().len() >= 2 && self.statistic(table) >= self.crit
+        self.correlated(table.view())
+    }
+
+    /// The correlation verdict: `statistic ≥ critical value`, with
+    /// degenerate tables (fewer than 2 items) never correlated.
+    #[inline]
+    pub fn correlated(&self, row: TableView<'_>) -> bool {
+        row.k() >= 2 && self.measure.statistic(row) >= self.crit
+    }
+
+    /// Judges a counted row where it lies: the CT-support test at cell
+    /// support `s` and cell fraction `p` first, then, only on a
+    /// supported row, the measure.
+    #[inline]
+    pub fn judge(&self, row: TableView<'_>, s: u64, p: f64) -> Verdict {
+        if row.is_ct_supported(s, p) {
+            Verdict::Supported {
+                correlated: self.correlated(row),
+            }
+        } else {
+            Verdict::Unsupported
+        }
     }
 }
 
