@@ -25,7 +25,6 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 use ccs_bench::{DataMethod, HostStamp};
@@ -35,8 +34,8 @@ use ccs_core::{
     GuardLimits, MineRequest, MiningParams, MiningSession, RunGuard,
 };
 use ccs_itemset::{
-    FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, ParallelCounter,
-    ParallelVerticalCounter, ShardedVerticalCounter, TransactionDb, VerticalCounter, WorkerPool,
+    available_workers, FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, ParallelCounter,
+    ParallelVerticalCounter, ShardedVerticalCounter, TransactionDb, VerticalCounter,
 };
 use ccs_stats::{chi2_quantile, ContingencyTable, Measure, MeasureContext};
 
@@ -263,7 +262,7 @@ fn time_mine(
         });
         (outcome.result.metrics.candidates_generated, stamps)
     };
-    let (candidates, stamps_per_run) = run(); // warm-up (page cache, pool)
+    let (candidates, stamps_per_run) = run(); // warm-up (page cache)
     let mut secs: Vec<f64> = (0..REPS)
         .map(|_| {
             let t0 = Instant::now();
@@ -464,7 +463,7 @@ fn main() {
     );
     let distinct = distinct_baskets(&db);
 
-    // Pool thread-scaling of the parallel-vertical batch path. On a
+    // Thread-scaling of the parallel-vertical batch path. On a
     // single-core host every worker count serialises onto one CPU, so
     // the curve is flat there — `available_parallelism` is recorded in
     // the JSON so readers can tell a flat machine from a flat algorithm.
@@ -474,8 +473,7 @@ fn main() {
     }
     let mut scaling: Vec<ScalePoint> = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let mut counter =
-            ParallelVerticalCounter::with_pool(&db, Arc::new(WorkerPool::new(workers)));
+        let mut counter = ParallelVerticalCounter::with_workers(&db, workers);
         counter.index_mut().set_work_floor(0); // measure the pooled path at every width
         let pass = |counter: &mut ParallelVerticalCounter, level: &[Itemset]| {
             std::hint::black_box(counter.minterm_counts_batch(level));
@@ -495,13 +493,12 @@ fn main() {
         });
     }
 
-    // Shard-scaling of the sharded batch path at the global pool's
-    // width: shard counts sweep past the worker count so the curve also
-    // shows the merge overhead of many-small-shards.
+    // Shard-scaling of the sharded batch path at one worker per
+    // available CPU: shard counts sweep past the worker count so the
+    // curve also shows the merge overhead of many-small-shards.
     let mut shard_scaling: Vec<ScalePoint> = Vec::new();
     for shards in [1usize, 2, 4, 8] {
-        let mut counter =
-            ShardedVerticalCounter::with_pool(&db, shards, Arc::clone(WorkerPool::global()));
+        let mut counter = ShardedVerticalCounter::with_shards(&db, shards, available_workers());
         counter.index_mut().set_work_floor(0); // measure the pooled path at every width
         let pass = |counter: &mut ShardedVerticalCounter, level: &[Itemset]| {
             std::hint::black_box(counter.minterm_counts_batch(level));
@@ -752,7 +749,7 @@ fn main() {
             scaling[0].seconds / p.seconds
         );
     }
-    println!("shard scaling (sharded/batch, global pool):");
+    println!("shard scaling (sharded/batch, one worker per CPU):");
     for p in &shard_scaling {
         println!(
             "  {} shard(s): {:.6}s ({:.2}x vs 1 shard)",
@@ -1031,7 +1028,7 @@ mod tests {
     /// Regression test for the per-scan spawn overhead: per-candidate
     /// parallel counting used to spawn a fresh set of threads for every
     /// scan, which made it the slowest strategy on the baseline shape.
-    /// With the persistent pool and the sequential work floor, a
+    /// With the sequential work floor, a
     /// one-candidate scan routes straight to the sequential kernel, so
     /// it must now track the horizontal reference. Scaled-down shape +
     /// a generous tolerance keep this timing assertion robust on noisy

@@ -9,9 +9,8 @@
 //! checkpoints it) and, through the [`CountProbe`] implementation,
 //! inside the counting layer's interior loops (horizontal chunk loop,
 //! vertical prefix-class loop, FP-tree candidate loop). Pooled counting
-//! jobs check and charge the same guard from their worker threads
-//! through [`CountProbe::share`], a clone sharing its limits and trip
-//! state.
+//! runners check and charge the same guard from their scoped threads,
+//! through a shared borrow.
 //!
 //! When a limit trips, the run does not panic or return garbage: it stops
 //! at the next checkpoint and reports a **sound partial answer set** —
@@ -352,10 +351,6 @@ impl CountProbe for RunGuard {
             None
         }
     }
-
-    fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
-        Arc::new(self.clone())
-    }
 }
 
 /// The frontier a truncated run leaves behind: everything a fresh engine
@@ -483,7 +478,7 @@ mod tests {
         assert!(!g.charge(1_000_000));
         assert!(!g.should_stop());
         assert_eq!(g.arena_budget_bytes(), None);
-        assert!(!g.share().charge(1_000_000));
+        assert!(!g.clone().charge(1_000_000));
         assert_eq!(g.trip_reason(), None);
         assert!(g.checkpoint().is_ok());
     }
@@ -555,17 +550,16 @@ mod tests {
     }
 
     #[test]
-    fn a_shared_handle_checks_and_charges_the_same_budget() {
+    fn a_borrowing_thread_checks_and_charges_the_same_budget() {
         let g = RunGuard::new(GuardLimits {
             work_budget_cells: Some(8),
             ..GuardLimits::default()
         });
-        let shared = g.share();
-        let from_worker = std::thread::spawn(move || shared.charge(8));
-        assert!(from_worker.join().unwrap(), "the handle's charge trips");
+        let probe: &dyn CountProbe = &g;
+        let tripped = std::thread::scope(|s| s.spawn(|| probe.charge(8)).join().unwrap());
+        assert!(tripped, "the other thread's charge trips");
         assert_eq!(g.cells_charged(), 8);
         assert!(g.should_stop());
-        assert!(g.share().should_stop(), "a later handle sees the trip");
     }
 
     #[test]

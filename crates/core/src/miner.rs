@@ -8,8 +8,8 @@
 //! shims since removed.
 
 use ccs_itemset::{
-    FpTreeCounter, HorizontalCounter, MintermCounter, ParallelCounter, ParallelVerticalCounter,
-    ShardedVerticalCounter, TransactionDb, VerticalCounter,
+    available_workers, FpTreeCounter, HorizontalCounter, MintermCounter, ParallelCounter,
+    ParallelVerticalCounter, ShardedVerticalCounter, TransactionDb, VerticalCounter,
 };
 
 use crate::query::Semantics;
@@ -105,18 +105,19 @@ pub enum CountingStrategy {
     /// beyond the paper's single-core testbed).
     Parallel,
     /// The one-shard case of [`CountingStrategy::Sharded`]: one
-    /// full-range vertical core whose prefix-equivalence classes fan out
-    /// over a persistent worker pool, with a vertical → horizontal
-    /// degradation ladder under memory pressure (DESIGN.md §6.2).
+    /// full-range vertical core whose prefix-equivalence classes are
+    /// drained by one thread per available CPU, with a vertical →
+    /// horizontal degradation ladder under memory pressure (DESIGN.md
+    /// §6.2).
     VerticalPar,
     /// The pooled vertical engine over horizontally sharded tid ranges:
     /// each shard is a disjoint transaction slice with its own core.
-    /// `min(workers, classes)` pool jobs pull prefix classes from one
-    /// cursor, each job counts a class on every shard with an arena per
+    /// `min(workers, classes)` runners pull prefix classes from one
+    /// cursor, each counts a class on every shard with an arena per
     /// shard, and the shards' contingency tables sum elementwise into
-    /// exact whole-database tables (DESIGN.md §6.2, §6.3). A session runs one shard per worker of the process-wide
-    /// pool; other shapes are built with
-    /// `ShardedVerticalCounter::with_pool` and run through
+    /// exact whole-database tables (DESIGN.md §6.2, §6.3). A session
+    /// runs one shard and one worker per available CPU; other shapes are
+    /// built with `ShardedVerticalCounter::with_shards` and run through
     /// [`crate::mine_on`].
     Sharded,
     /// Pattern-growth counting over a compressed FP-tree: conditional
@@ -147,34 +148,31 @@ impl CountingStrategy {
     /// Resolves `Auto` to a concrete strategy from database shape.
     /// Non-`Auto` strategies return themselves.
     ///
-    /// The heuristic favours the measured-fastest substrate that the
-    /// shape supports: an empty database counts nothing (horizontal
-    /// avoids even the index build); a database whose per-item bitmaps
-    /// would be enormous *and* nearly empty (huge sparse universe) stays
-    /// horizontal; a database big enough to amortise pool dispatch uses
-    /// the parallel vertical engine when more than one worker is
-    /// available; everything else uses the sequential vertical index,
-    /// which dominates horizontal scanning by orders of magnitude on the
-    /// benchmark shapes (`results/BENCH_counting.json`).
+    /// `workers` is `threads`, or the machine's available parallelism
+    /// when `threads` is `None`. The rules, in order:
     ///
-    /// Shard-awareness: an explicit shard request (`shards` is `Some`)
-    /// routes `Auto` to the sharded substrate — the caller asked for a
-    /// specific horizontal partitioning, which only that engine
-    /// honours — but only when more than one worker is available: every
-    /// pool-backed strategy loses outright on a single-CPU box
-    /// (`vertical_par/batch` is 0.70× `vertical/batch` and 8-shard is
-    /// 0.64× 1-shard in `results/BENCH_counting.json`), so with one
-    /// worker the hint is ignored in favour of the sequential engines.
-    /// A [`crate::MiningSession`] passes neither a worker count nor a
-    /// shard hint: it resolves against the machine. Without a hint,
-    /// sharding is chosen over class-parallelism only when the database
-    /// is large enough (`n ≥ 65536`) that each worker's tid slice still
-    /// spans many cache-line superblocks.
+    /// 1. An empty database counts nothing: horizontal, which avoids
+    ///    even the index build.
+    /// 2. A huge, nearly empty item universe, whose per-item bitmaps
+    ///    would pass 1 GiB at a density under 0.5%: horizontal.
+    /// 3. A shard request (`shards` is `Some`) with more than one
+    ///    worker: sharded, the only engine that honours it. With one
+    ///    worker the hint is ignored.
+    /// 4. A dense low-cardinality shape — a small item universe with
+    ///    long transactions, whose baskets collapse into few distinct
+    ///    profiles: the FP-tree counter, whose cost tracks distinct
+    ///    profiles rather than transactions (DESIGN.md §6.4).
+    /// 5. More than one worker and `n ≥ 65536` rows, enough that each
+    ///    worker's tid slice still spans many cache-line superblocks:
+    ///    sharded.
+    /// 6. More than one worker and `n ≥ 4096` rows: vertical-par.
+    /// 7. Otherwise the sequential vertical index.
     ///
-    /// Dense low-cardinality shapes — a small item universe with long
-    /// transactions, where baskets collapse into few distinct profiles —
-    /// route to the FP-tree pattern-growth counter, whose cost tracks
-    /// distinct profiles rather than transactions (DESIGN.md §6.4).
+    /// Rules 5 and 6 are heuristics, not rankings: the committed
+    /// counting bench (`results/BENCH_counting.json`) does not separate
+    /// the tid-set backends beyond its run-to-run spread. A
+    /// [`crate::MiningSession`] passes neither a worker count nor a
+    /// shard hint: it resolves against the machine.
     pub fn resolve(
         self,
         db: &TransactionDb,
@@ -194,11 +192,7 @@ impl CountingStrategy {
         if bitmap_bytes > (1 << 30) && density < 0.005 {
             return CountingStrategy::Horizontal;
         }
-        let workers = threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-        });
+        let workers = threads.unwrap_or_else(available_workers);
         if workers > 1 && shards.is_some() {
             return CountingStrategy::Sharded;
         }
@@ -221,7 +215,7 @@ impl CountingStrategy {
     /// strategy turns into a concrete counter, and the one a
     /// [`crate::MiningSession`] uses. `Auto` builds the counter of the
     /// strategy it [resolves](Self::resolve) to on this machine. The
-    /// pooled counters run on the process-wide pool.
+    /// pooled counters use one worker per available CPU.
     pub fn counter(self, db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
         match self {
             CountingStrategy::Horizontal => Box::new(HorizontalCounter::new(db)),
@@ -282,8 +276,7 @@ mod tests {
     use crate::query::CorrelationQuery;
     use crate::session::{mine_on, MineRequest, MiningSession};
     use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
-    use ccs_itemset::{Itemset, ParallelVerticalCounter, WorkerPool};
-    use std::sync::Arc;
+    use ccs_itemset::{Itemset, ParallelVerticalCounter};
 
     fn db() -> TransactionDb {
         let mut txns = Vec::new();
@@ -409,7 +402,7 @@ mod tests {
     fn vertical_par_agrees_across_explicit_thread_counts() {
         // The pooled vertical counter must be bit-identical to the
         // horizontal reference regardless of how many workers the run
-        // is given — including a degenerate 1-worker pool.
+        // is given — including a single worker.
         let attrs = AttributeTable::with_identity_prices(8);
         let q = query();
         let db = modular_db();
@@ -421,8 +414,7 @@ mod tests {
                 .result
                 .answers;
             for workers in [1, 2, 4] {
-                let pool = Arc::new(WorkerPool::new(workers));
-                let mut counter = ParallelVerticalCounter::with_pool(&db, pool);
+                let mut counter = ParallelVerticalCounter::with_workers(&db, workers);
                 let v = mine_on(&db, &attrs, &q, &MineRequest::new(a), &mut counter)
                     .unwrap()
                     .answers;
@@ -434,7 +426,7 @@ mod tests {
     #[test]
     fn auto_resolves_from_database_shape() {
         use CountingStrategy::*;
-        let small = db(); // 50 transactions: below the pool floor.
+        let small = db(); // 50 transactions: below the pooled floor.
         assert_eq!(Auto.resolve(&small, Some(8), None), Vertical);
         assert_eq!(Auto.resolve(&small, Some(1), None), Vertical);
         let empty = TransactionDb::from_ids(3, Vec::<Vec<u32>>::new());
@@ -448,9 +440,8 @@ mod tests {
         assert_eq!(Auto.resolve(&big, Some(4), None), VerticalPar);
         assert_eq!(Auto.resolve(&big, Some(1), None), Vertical);
         // An explicit shard request routes Auto to the sharded engine —
-        // but only with workers to run it: pool-backed strategies lose
-        // outright on a single-CPU box (BENCH_counting.json), so a
-        // 1-worker run ignores the hint and stays sequential.
+        // but only with workers to run it: a 1-worker run ignores the
+        // hint and stays sequential.
         assert_eq!(Auto.resolve(&big, Some(4), Some(3)), Sharded);
         assert_eq!(Auto.resolve(&big, Some(1), Some(3)), Vertical);
         // A huge database shards even without a hint.
@@ -459,7 +450,7 @@ mod tests {
         assert_eq!(Auto.resolve(&huge, Some(1), None), Vertical);
         // Dense low-cardinality: long transactions over a small item
         // universe collapse into few profiles — pattern growth wins
-        // regardless of worker count, so it outranks the pool routes.
+        // regardless of worker count, so it outranks the pooled routes.
         let dense = TransactionDb::from_ids(
             33,
             (0..5000u32).map(|t| (0..16).map(|j| (t % 3) + 2 * j).collect::<Vec<_>>()),

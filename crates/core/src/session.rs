@@ -140,8 +140,8 @@ pub struct MineOutcome {
 ///
 /// The counting substrate is cached between queries (keyed by resolved
 /// strategy), so an interactive loop that re-mines under changing
-/// constraints pays the vertical index or pool spin-up once. Statistics are delta-based per run, so reuse never skews
-/// metrics.
+/// constraints pays the vertical index build once. Statistics are
+/// delta-based per run, so reuse never skews metrics.
 pub struct MiningSession<'a> {
     db: &'a TransactionDb,
     attrs: &'a AttributeTable,

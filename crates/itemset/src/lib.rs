@@ -12,12 +12,13 @@
 //!   accounting: the paper-faithful horizontal scan, and
 //!   [`Tiered`](counting::Tiered), the one memory-pressure degradation
 //!   ladder (preferred engine → vertical → horizontal) around the
-//!   vertical, pooled-vertical and FP-tree engines,
-//! * [`pool`] — a persistent, dependency-free worker pool on one FIFO
-//!   queue, with the one fan-out every pooled counter shares,
-//! * [`parallel`] — a data-parallel horizontal counter on the pool,
+//!   vertical, pooled-vertical and FP-tree engines; the pooled backends
+//!   run each batch on scoped threads that borrow it, one per available
+//!   CPU ([`available_workers`]) unless given a worker count,
+//! * [`parallel`] — a data-parallel horizontal counter over database
+//!   chunks,
 //! * [`sharded`] — the one pooled vertical engine: the tid range split
-//!   into shards, prefix classes pulled by pool jobs that count each
+//!   into shards, prefix classes pulled by runners that count each
 //!   class on every shard and sum the per-shard contingency tables
 //!   elementwise into exact whole-database tables; its one-shard case
 //!   is class-parallel counting ([`ParallelVerticalIndex`]),
@@ -39,14 +40,13 @@ pub mod hash;
 pub mod item;
 pub mod itemset;
 pub mod parallel;
-pub mod pool;
 pub mod sharded;
 pub mod tidset;
 pub mod vertical;
 
 pub use counting::{
-    BatchInterrupted, CountProbe, CountingStats, DegradationRung, HorizontalCounter,
-    MintermCounter, NoProbe, VerticalCounter, MAX_TABLE_WIDTH,
+    available_workers, BatchInterrupted, CountProbe, CountingStats, DegradationRung,
+    HorizontalCounter, MintermCounter, NoProbe, VerticalCounter, MAX_TABLE_WIDTH,
 };
 pub use database::{TransactionDb, TransactionDbBuilder};
 pub use fptree::{FpTree, FpTreeCounter};
@@ -54,7 +54,6 @@ pub use hash::{ItemsetMap, ItemsetSet};
 pub use item::Item;
 pub use itemset::Itemset;
 pub use parallel::ParallelCounter;
-pub use pool::WorkerPool;
 pub use sharded::{
     ParallelVerticalCounter, ParallelVerticalIndex, ShardedVerticalCounter, ShardedVerticalIndex,
 };

@@ -10,18 +10,17 @@
 //! the unsharded counts for shard counts that do not divide anything
 //! evenly, and [`CountingStats`] shard-merge must be associative and
 //! order-independent, since per-shard deltas arrive in whatever order
-//! the pool finishes them.
+//! the runners finish them.
 
 #![allow(clippy::unwrap_used)]
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use ccs_itemset::{
     CountingStats, Itemset, MintermCounter, ShardedVerticalCounter, TidSet, TransactionDb,
-    VerticalCounter, WorkerPool,
+    VerticalCounter,
 };
 
 /// Capacities biased toward the layout's seams: block boundaries (64),
@@ -129,7 +128,7 @@ proptest! {
         // Deliberately non-power-of-two shard counts: boundaries land
         // mid-superblock and shard lengths come out unequal.
         for shards in [1usize, 2, 3, 7] {
-            let mut counter = ShardedVerticalCounter::with_pool(&db, shards, Arc::new(WorkerPool::new(2)));
+            let mut counter = ShardedVerticalCounter::with_shards(&db, shards, 2);
             counter.index_mut().set_work_floor(0);
             prop_assert_eq!(
                 &counter.minterm_counts_batch(&sets),
@@ -172,8 +171,9 @@ proptest! {
         deltas in proptest::collection::vec(stats_strategy(), 1..8),
         split in 0usize..8,
     ) {
-        // Order-independence: per-shard deltas arrive in pool completion
-        // order, so any permutation must merge to the same totals.
+        // Order-independence: per-shard deltas arrive in runner
+        // completion order, so any permutation must merge to the same
+        // totals.
         let mut reversed = deltas.clone();
         reversed.reverse();
         prop_assert_eq!(sum(&deltas), sum(&reversed));

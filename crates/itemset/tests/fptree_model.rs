@@ -87,9 +87,6 @@ impl CountProbe for Budget {
     fn charge(&self, cells: u64) -> bool {
         self.spent.fetch_add(cells, Ordering::Relaxed) + cells >= self.cells
     }
-    fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
-        Arc::new(self.clone())
-    }
 }
 
 proptest! {

@@ -91,8 +91,8 @@ fn print_usage() {
                            spelling), all-confidence, bond — --threshold
                            sets the cutoff for any measure
                counting:   horizontal vertical parallel vertical-par
-                           sharded fp-tree auto (pooled strategies use
-                           one worker per CPU)
+                           sharded fp-tree auto (pooled strategies count
+                           on scoped threads, one per CPU)
                --checkpoint stamps a crash-safe snapshot at every level
                boundary (every Nth with --checkpoint-every) and on any
                budget trip, so a truncated or killed run can continue

@@ -14,11 +14,9 @@
 
 pub mod oracle;
 
-use std::sync::Arc;
-
 use ccs::itemset::{
     BatchInterrupted, CountProbe, CountingStats, FpTreeCounter, HorizontalCounter, MintermCounter,
-    ParallelCounter, ParallelVerticalCounter, ShardedVerticalCounter, WorkerPool,
+    ParallelCounter, ParallelVerticalCounter, ShardedVerticalCounter,
 };
 use ccs::prelude::*;
 
@@ -98,28 +96,28 @@ pub fn horizontal_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
 }
 
 /// A 2-worker pooled vertical counter with its work floor zeroed, so
-/// even the toy dataset's batches take the pool fan-out path.
+/// even the toy dataset's batches run on both workers.
 pub fn vertical_par_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
-    let mut counter = ParallelVerticalCounter::with_pool(db, Arc::new(WorkerPool::new(2)));
+    let mut counter = ParallelVerticalCounter::with_workers(db, 2);
     counter.index_mut().set_work_floor(0);
     Box::new(counter)
 }
 
 /// A 3-shard, 2-worker sharded vertical counter with its work floor
-/// zeroed: more shards than workers, so each job counts a class on
+/// zeroed: more shards than workers, so each runner counts a class on
 /// every shard, and the odd shard count leaves unequal shard lengths;
-/// trips land with the other job's class still in flight.
+/// trips land with the other runner's class still in flight.
 pub fn sharded_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
-    let mut counter = ShardedVerticalCounter::with_pool(db, 3, Arc::new(WorkerPool::new(2)));
+    let mut counter = ShardedVerticalCounter::with_shards(db, 3, 2);
     counter.index_mut().set_work_floor(0);
     Box::new(counter)
 }
 
 /// A 2-shard, 4-worker sharded vertical counter with its work floor
-/// zeroed: more workers than shards, so up to four jobs drain the one
-/// class cursor and trips land while several classes are in flight.
+/// zeroed: more workers than shards, so up to four runners drain the
+/// one class cursor and trips land while several classes are in flight.
 pub fn wide_pool_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
-    let mut counter = ShardedVerticalCounter::with_pool(db, 2, Arc::new(WorkerPool::new(4)));
+    let mut counter = ShardedVerticalCounter::with_shards(db, 2, 4);
     counter.index_mut().set_work_floor(0);
     Box::new(counter)
 }
@@ -139,7 +137,7 @@ pub const ALL_FACTORIES: [(&str, CounterFactory); 6] = [
         Box::new(ccs::itemset::VerticalCounter::new(db))
     }),
     ("parallel", |db| {
-        Box::new(ParallelCounter::with_pool(db, Arc::new(WorkerPool::new(2))))
+        Box::new(ParallelCounter::with_workers(db, 2))
     }),
     ("vertical-par", vertical_par_factory),
     ("sharded", sharded_factory),

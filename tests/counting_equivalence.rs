@@ -12,19 +12,13 @@
 //! k = 6. This is the invariant that lets the miners pick a strategy
 //! freely.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use ccs::itemset::{
-    FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, NoProbe, ParallelCounter,
-    ParallelVerticalCounter, ShardedVerticalCounter, TransactionDb, VerticalCounter, WorkerPool,
+    available_workers, FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, NoProbe,
+    ParallelCounter, ParallelVerticalCounter, ShardedVerticalCounter, TransactionDb,
+    VerticalCounter,
 };
-
-/// A private pool of `workers` threads.
-fn pool(workers: usize) -> Arc<WorkerPool> {
-    Arc::new(WorkerPool::new(workers))
-}
 
 const N_ITEMS: u32 = 8;
 
@@ -69,21 +63,20 @@ proptest! {
 
         // Parallel, across thread counts, per candidate and batched.
         for threads in [1usize, 2, 5] {
-            let mut parallel = ParallelCounter::with_pool(&db, pool(threads));
-            parallel.set_work_floor(0); // force pool dispatch even on tiny inputs
+            let mut parallel = ParallelCounter::with_workers(&db, threads);
+            parallel.set_work_floor(0); // fan out even on tiny inputs
             let parallel_singles: Vec<Vec<u64>> =
                 sets.iter().map(|s| parallel.minterm_counts(s)).collect();
             prop_assert_eq!(&parallel_singles, &expected);
             prop_assert_eq!(&parallel.minterm_counts_batch(&sets), &expected);
         }
 
-        // Parallel-vertical: pool fan-out over prefix-equivalence
-        // classes, swept across worker counts including the machine's
-        // own parallelism, with the work floor zeroed so even these
-        // small batches take the pooled path.
-        let machine = std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1);
-        for workers in [1usize, 2, machine] {
-            let mut counter = ParallelVerticalCounter::with_pool(&db, pool(workers));
+        // Parallel-vertical: prefix-equivalence classes drained on
+        // several threads, swept across worker counts including the
+        // machine's own parallelism, with the work floor zeroed so even
+        // these small batches take the pooled path.
+        for workers in [1usize, 2, available_workers()] {
+            let mut counter = ParallelVerticalCounter::with_workers(&db, workers);
             counter.index_mut().set_work_floor(0);
             let par_singles: Vec<Vec<u64>> =
                 sets.iter().map(|s| counter.minterm_counts(s)).collect();
@@ -97,7 +90,7 @@ proptest! {
         // unequal lengths; the work floor is zeroed so even tiny batches
         // take the pooled merge path.
         for shards in [1usize, 2, 3, 7] {
-            let mut counter = ShardedVerticalCounter::with_pool(&db, shards, pool(2));
+            let mut counter = ShardedVerticalCounter::with_shards(&db, shards, 2);
             counter.index_mut().set_work_floor(0);
             let sharded_singles: Vec<Vec<u64>> =
                 sets.iter().map(|s| counter.minterm_counts(s)).collect();

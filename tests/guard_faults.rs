@@ -29,13 +29,15 @@
 
 mod common;
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use ccs::itemset::{
     CountProbe, HorizontalCounter, MintermCounter, ParallelCounter, ParallelVerticalCounter,
-    ShardedVerticalCounter, VerticalCounter, WorkerPool,
+    ShardedVerticalCounter, VerticalCounter,
 };
 use ccs::prelude::*;
 use common::{
@@ -858,14 +860,14 @@ fn work_budget_overshoot_is_bounded_per_backend() {
         ),
         (
             "parallel, inline",
-            |d| Box::new(ParallelCounter::with_pool(d, Arc::new(WorkerPool::new(2)))),
+            |d| Box::new(ParallelCounter::with_workers(d, 2)),
             Past::Exactly(batch - budget),
             1,
         ),
         (
             "parallel, pooled",
             |d| {
-                let mut c = ParallelCounter::with_pool(d, Arc::new(WorkerPool::new(2)));
+                let mut c = ParallelCounter::with_workers(d, 2);
                 c.set_work_floor(0);
                 Box::new(c)
             },
@@ -880,35 +882,24 @@ fn work_budget_overshoot_is_bounded_per_backend() {
         ),
         (
             "vertical-par, below the work floor",
-            |d| {
-                Box::new(ParallelVerticalCounter::with_pool(
-                    d,
-                    Arc::new(WorkerPool::new(2)),
-                ))
-            },
+            |d| Box::new(ParallelVerticalCounter::with_workers(d, 2)),
             Past::Exactly(classes_of(1) - budget),
             1,
         ),
         (
             "sharded, below the work floor",
-            |d| {
-                Box::new(ShardedVerticalCounter::with_pool(
-                    d,
-                    3,
-                    Arc::new(WorkerPool::new(2)),
-                ))
-            },
+            |d| Box::new(ShardedVerticalCounter::with_shards(d, 3, 2)),
             Past::Exactly(classes_of(1) - budget),
             1,
         ),
-        // One shard, two jobs on one cursor: the first two classes.
+        // One shard, two runners on one cursor: the first two classes.
         (
             "vertical-par, pooled",
             vertical_par_factory,
             Past::AtMost(classes_of(2) - budget),
             300,
         ),
-        // Three shards on two workers: two jobs on one cursor, each
+        // Three shards on two workers: two runners on one cursor, each
         // counting a class on every shard.
         (
             "sharded, pooled",
@@ -916,7 +907,7 @@ fn work_budget_overshoot_is_bounded_per_backend() {
             Past::AtMost(classes_of(2) - budget),
             300,
         ),
-        // Two shards on four workers: four jobs on one cursor.
+        // Two shards on four workers: four runners on one cursor.
         (
             "sharded, more workers than shards",
             wide_pool_factory,
@@ -947,8 +938,8 @@ fn work_budget_overshoot_is_bounded_per_backend() {
                         counted >= budget && counted - budget <= cells,
                         "{name}: {counted}"
                     );
-                    // Each completed class was charged once, by the job
-                    // that completed it.
+                    // Each completed class was charged once, by the
+                    // runner that completed it.
                     assert_eq!(guard.cells_charged(), counted, "{name}");
                 }
             }
@@ -958,34 +949,38 @@ fn work_budget_overshoot_is_bounded_per_backend() {
     }
 }
 
-/// Trips on its first charge and counts its `should_stop` calls.
-#[derive(Clone, Default)]
+/// Trips on its first charge, counts its `should_stop` calls and
+/// records the threads that make them: one per runner of a batch, as
+/// every runner checks before its first claim.
+#[derive(Default)]
 struct FirstChargeTrips {
-    tripped: Arc<AtomicBool>,
-    checks: Arc<AtomicUsize>,
+    tripped: AtomicBool,
+    checks: AtomicUsize,
+    runners: Mutex<HashSet<ThreadId>>,
 }
 
 impl CountProbe for FirstChargeTrips {
     fn should_stop(&self) -> bool {
         self.checks.fetch_add(1, Ordering::Relaxed);
+        self.runners
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
         self.tripped.load(Ordering::Relaxed)
     }
     fn charge(&self, _cells: u64) -> bool {
         self.tripped.store(true, Ordering::Relaxed);
         true
     }
-    fn share(&self) -> Arc<dyn CountProbe + Send + Sync> {
-        Arc::new(self.clone())
-    }
 }
 
 #[test]
 fn tripped_pooled_batch_stops_within_a_class_per_job() {
-    // Eight shards on two workers, every triple over the 8 items. A job
-    // checks the probe before it claims a class and stops once a charge
-    // trips, so after the first charge each job finishes at most the
-    // class in hand: a few checks per job, not a walk over every class
-    // of a shard before any class is whole enough to charge.
+    // Eight shards on two workers, every triple over the 8 items. A
+    // runner checks the probe before it claims a class and stops once a
+    // charge trips, so after the first charge each runner finishes at
+    // most the class in hand: a few checks per runner, not a walk over
+    // every class of a shard before any class is whole enough to charge.
     let db = db();
     let items: Vec<u32> = (0..8).collect();
     let mut level = Vec::new();
@@ -998,14 +993,14 @@ fn tripped_pooled_batch_stops_within_a_class_per_job() {
     }
     assert_eq!(level.len(), 56);
     for _ in 0..50 {
-        let pool = Arc::new(WorkerPool::new(2));
-        let mut counter = ShardedVerticalCounter::with_pool(&db, 8, Arc::clone(&pool));
+        let mut counter = ShardedVerticalCounter::with_shards(&db, 8, 2);
         counter.index_mut().set_work_floor(0);
         let probe = FirstChargeTrips::default();
         let outcome = counter.minterm_counts_batch_guarded(&level, &probe);
         assert!(outcome.is_err(), "one class cannot complete the level");
-        let (jobs, checks) = (pool.jobs_run(), probe.checks.load(Ordering::Relaxed));
-        assert!(jobs >= 1, "the batch took the pool");
+        let jobs = probe.runners.lock().unwrap().len() as u64;
+        let checks = probe.checks.load(Ordering::Relaxed);
+        assert_eq!(jobs, 2, "both workers drained the batch");
         assert!(
             checks as u64 <= 3 * jobs,
             "{checks} probe checks over {jobs} jobs"

@@ -30,10 +30,9 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use ccs::core::{run_bms, BmsOutput};
-use ccs::itemset::{HorizontalCounter, ShardedVerticalCounter, WorkerPool};
+use ccs::itemset::{available_workers, HorizontalCounter, ShardedVerticalCounter};
 use ccs::prelude::*;
 
 /// Perfectly-correlated pair {0,1} plus sparse fill — the smallest shape.
@@ -259,15 +258,15 @@ fn mine_with(
         .result
 }
 
-/// Same query on a sharded counter over 3 tid-range shards of the
-/// process-wide pool, so shard boundaries land mid-superblock.
+/// Same query on a sharded counter over 3 tid-range shards, one worker
+/// per available CPU, so shard boundaries land mid-superblock.
 fn mine_on_three_shards(
     db: &TransactionDb,
     attrs: &AttributeTable,
     q: &CorrelationQuery,
     algorithm: Algorithm,
 ) -> MiningResult {
-    let mut counter = ShardedVerticalCounter::with_pool(db, 3, Arc::clone(WorkerPool::global()));
+    let mut counter = ShardedVerticalCounter::with_shards(db, 3, available_workers());
     mine_on(db, attrs, q, &MineRequest::new(algorithm), &mut counter).unwrap()
 }
 
